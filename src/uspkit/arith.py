@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: primality, factorization, unitary divisor sums,
-valuations, multiplicative orders, and quadratic symbols.
+"""Exact integer arithmetic: primality, factorization, divisor sums and
+divisor lists, valuations, multiplicative orders, and quadratic symbols.
 
 Everything here is pure, deterministic, and total on naturals up to
 ``MAX_NATURAL``.  Larger inputs are rejected rather than answered
@@ -10,7 +10,9 @@ for inputs under 2**64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
+
+from .sieve import base_primes
 
 #: Largest input accepted by the primality/factorization routines.  The
 #: deterministic witness set is proven complete for all n < 2**64.
@@ -23,21 +25,9 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TRIAL_BOUND = 10_000
 
 
-def _sieve_flags(bound: int) -> bytearray:
-    flags = bytearray(b"\x01") * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
-    return flags
-
-
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (simple sieve; meant for small bounds)."""
-    if bound < 2:
-        return []
-    flags = _sieve_flags(bound)
-    return [i for i in range(2, bound + 1) if flags[i]]
+    """All primes <= bound, ascending, as Python ints (so p**e never wraps)."""
+    return base_primes(bound).tolist()
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_BOUND))
@@ -185,6 +175,22 @@ def unitary_sigma(f: Factorization) -> int:
         # cannot consume
         raise OverflowError(f"unitary divisor sum of {f.value} out of range")
     return total
+
+
+def sigma_from_factorization(f: Factorization) -> int:
+    """Ordinary divisor sum: the product of (p**(e+1) - 1) / (p - 1)."""
+    total = 1
+    for p, e in f.entries:
+        total *= (p ** (e + 1) - 1) // (p - 1)
+    return total
+
+
+def divisors(f: Factorization) -> list[int]:
+    """Sorted list of all d | n; length is the product of e + 1."""
+    divs = [1]
+    for p, e in f.entries:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def unitary_divisors(f: Factorization) -> list[int]:

@@ -9,13 +9,20 @@ fails its ceiling, 1 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 from . import bounds as bounds_mod
 from . import report as report_mod
 from . import search as search_mod
-from .arith import factorize, unitary_divisors, unitary_sigma
+from .arith import (
+    divisors,
+    factorize,
+    sigma_from_factorization,
+    unitary_divisors,
+    unitary_sigma,
+)
 from .bounds import (
     INEQUALITY_IDS,
     case_13_elimination,
@@ -24,20 +31,14 @@ from .bounds import (
     fraction_decimal,
     q_bound_scan,
 )
-from .search import (
-    CheckpointError,
-    SearchConfig,
-    run_search,
-    sigma_from_factorization,
+from .search import CLASS_ORDER, CheckpointError, SearchConfig, run_search
+from .structure import (
+    LEMMA_51_QS,
+    LEMMA_CHECKS,
+    decompose_2aqb,
+    lemma_25_solutions,
+    zsigmondy,
 )
-from .structure import LEMMA_CHECKS, decompose_2aqb, zsigmondy
-
-_CLASS_FLAGS = {
-    "usp": "usp",
-    "unitary-perfect": "unitary_perfect",
-    "super-perfect": "super_perfect",
-    "perfect": "perfect",
-}
 
 
 class _UsageError(Exception):
@@ -70,15 +71,12 @@ def _config_echo(args, **extra) -> None:
 
 def _cmd_sigma(args) -> int:
     f = factorize(args.n)
-    divisors = [1]
-    for p, e in f.entries:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
     payload = {
         "n": args.n,
         "sigma_star": unitary_sigma(f),
         "sigma": sigma_from_factorization(f),
         "unitary_divisors": unitary_divisors(f),
-        "divisors": sorted(divisors),
+        "divisors": divisors(f),
     }
     _emit(args, payload, [
         f"n               = {args.n}",
@@ -122,20 +120,19 @@ def _cmd_zsigmondy(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    reports = []
+    check = LEMMA_CHECKS[args.id]
+    # --pmax fills p_max and so on; a flag not given leaves the check's default
+    params = inspect.signature(check).parameters
+    ranges = {
+        f"{flag[0]}_max": getattr(args, flag)
+        for flag in ("pmax", "emax", "xmax", "amax", "qmax", "bmax")
+        if getattr(args, flag) is not None and f"{flag[0]}_max" in params
+    }
     if args.id == "5.1":
-        qs = [args.q] if args.q else [5, 7, 11, 13]
-        reports = [LEMMA_CHECKS["5.1"](q, args.bmax or 10) for q in qs]
-    elif args.id == "2.5":
-        reports = [LEMMA_CHECKS["2.5"](args.xmax or 60)]
-    elif args.id == "2.6":
-        reports = [LEMMA_CHECKS["2.6"](args.amax or 40)]
-    elif args.id == "2.7":
-        reports = [LEMMA_CHECKS["2.7"](args.qmax or 100, args.bmax or 8)]
-    elif args.id == "2.2":
-        reports = [LEMMA_CHECKS["2.2"](args.pmax or 500, args.emax or 8)]
+        qs = LEMMA_51_QS if args.q is None else (args.q,)
+        reports = [check(q, **ranges) for q in qs]
     else:
-        reports = [LEMMA_CHECKS[args.id](args.pmax or 10_000, args.emax or 10)]
+        reports = [check(**ranges)]
     status = 0
     for rep in reports:
         if args.json:
@@ -145,15 +142,8 @@ def _cmd_verify_lemma(args) -> int:
             print(f"lemma {rep.lemma_id} [{rep.range_descriptor}] "
                   f"checked={rep.instances_checked} {state} ({rep.elapsed*1000:.0f} ms)")
             if rep.lemma_id == "2.5" and rep.ok:
-                xmax = args.xmax or 60
-                sols = []
-                for x in range(1, xmax + 1):
-                    v, e = 2**x + 1, 0
-                    while v % 3 == 0:
-                        v //= 3
-                        e += 1
-                    if v == 1:
-                        sols.append((e, x))
+                # lemma 2.5 checks one instance per x, so checked is x_max
+                sols = lemma_25_solutions(rep.instances_checked)
                 print(f"  power-of-three solutions: {sols}")
         if not rep.ok:
             status = 2
@@ -208,13 +198,12 @@ def _cmd_case13(args) -> int:
 def _cmd_search(args) -> int:
     config = SearchConfig(
         limit=args.limit,
-        classes=(_CLASS_FLAGS[args.klass],),
+        classes=(args.klass.replace("-", "_"),),
         parity=args.parity,
         segment_size=args.segment_size,
         workers=args.workers,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        sieve_bound=args.sieve_bound,
         max_segments=args.max_segments,
     )
     _config_echo(args)
@@ -296,14 +285,14 @@ def build_parser() -> _Parser:
     add("case13", _cmd_case13, help="verified elimination chain for q = 13")
 
     p = add("search", _cmd_search, help="exhaustive perfect-variant search")
-    p.add_argument("klass", metavar="class", choices=sorted(_CLASS_FLAGS))
+    p.add_argument("klass", metavar="class",
+                   choices=sorted(c.replace("_", "-") for c in CLASS_ORDER))
     p.add_argument("--limit", type=int, default=search_mod.DEFAULT_LIMIT)
     p.add_argument("--parity", choices=("all", "odd", "even"), default="all")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--segment-size", type=int, default=search_mod.DEFAULT_SEGMENT_SIZE)
     p.add_argument("--checkpoint")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--sieve-bound", type=int)
     p.add_argument("--max-segments", type=int)
 
     p = add("report", _cmd_report, help="one-shot reproduction of the acceptance checks")

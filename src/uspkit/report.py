@@ -2,17 +2,24 @@
 
 Each criterion below recomputes a published or derived fact through an
 independent route (brute-force divisor enumeration, direct powering,
-high-precision exponentials) and compares it with the fast path.  The
-default run keeps the search criteria at their CI scale; ``full=True`` adds
-the limit-10^8 odd search.
+high-precision exponentials) and compares it with the fast path.  CRITERIA
+is the one list of them: ``uspkit report`` runs it, and the acceptance tests
+run each entry and hold it to its time budget.  The default run keeps the
+search criteria at their CI scale; ``full=True`` adds the limit-10^8 odd
+search.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from . import bruteforce
 from .arith import factorize, jacobi, primes_up_to, unitary_sigma
@@ -26,6 +33,7 @@ from .bounds import (
 )
 from .search import CLASS_ORDER, SearchConfig, run_search
 from .structure import (
+    LEMMA_51_QS,
     LEMMA_CHECKS,
     ZsigmondyKind,
     zsigmondy,
@@ -42,11 +50,25 @@ class CriterionResult:
     detail: str
 
 
-def _result(name, ok, detail) -> CriterionResult:
-    return CriterionResult(name, bool(ok), detail)
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion.
+
+    check(full, workers) returns (ok, detail): full selects the limit-10^8
+    headline search and workers the pool size of the searches that take one.
+    budget_s, when set, is the wall time the acceptance tests allow the check.
+    """
+
+    name: str
+    check: Callable[[bool, int], tuple[bool, str]]
+    budget_s: float | None = None
+
+    def run(self, full: bool = False, workers: int = 2) -> CriterionResult:
+        ok, detail = self.check(full, workers)
+        return CriterionResult(self.name, bool(ok), detail)
 
 
-def criterion_headline(full: bool = False, workers: int = 2) -> CriterionResult:
+def _headline(full: bool, workers: int) -> tuple[bool, str]:
     limit = 10**8 if full else 10**6
     odd = run_search(
         SearchConfig(limit=limit, classes=("usp",), parity="odd", workers=workers)
@@ -61,55 +83,43 @@ def criterion_headline(full: bool = False, workers: int = 2) -> CriterionResult:
         if h.n < 1000
     ]
     ok = ok and evens == [2, 238]
-    return _result(
-        "headline-odd-search",
-        ok,
-        f"odd hits <= {limit}: {odd_ns}; even hits < 1000: {evens}",
-    )
+    return ok, f"odd hits <= {limit}: {odd_ns}; even hits < 1000: {evens}"
 
 
-def criterion_first_hits() -> CriterionResult:
+def _first_hits(_full: bool, _workers: int) -> tuple[bool, str]:
     hits = [h.n for h in run_search(SearchConfig(limit=300, classes=("usp",))).hits]
-    return _result("first-hits", hits == [2, 9, 165, 238], f"hits <= 300: {hits}")
+    return hits == [2, 9, 165, 238], f"hits <= 300: {hits}"
 
 
-def criterion_oracle_classification(limit: int = 10**5) -> CriterionResult:
+def _oracle_classification(_full: bool, _workers: int) -> tuple[bool, str]:
+    limit = 10**5
     expected = bruteforce.classify_brute(limit)
     got = {c: [] for c in CLASS_ORDER}
     hits = run_search(SearchConfig(limit=limit, classes=CLASS_ORDER)).hits
     for h in hits:
         got[h.classification].append(h.n)
     bad = [c for c in CLASS_ORDER if got[c] != expected[c]]
-    return _result(
-        "oracle-classification",
-        not bad,
+    return not bad, (
         f"all four classes agree with divisor-enumeration oracle up to {limit}"
         if not bad
-        else f"mismatch in {bad}",
+        else f"mismatch in {bad}"
     )
 
 
-def criterion_lemma_suite() -> CriterionResult:
-    reports = [
-        LEMMA_CHECKS["2.2"](500, 8),
-        LEMMA_CHECKS["2.3"](10_000, 10),
-        LEMMA_CHECKS["2.4"](10_000, 10),
-        LEMMA_CHECKS["2.5"](60),
-        LEMMA_CHECKS["2.6"](40),
-        LEMMA_CHECKS["2.7"](100, 8),
-    ] + [LEMMA_CHECKS["5.1"](q, 10) for q in (5, 7, 11, 13)]
+def _lemma_suite(_full: bool, _workers: int) -> tuple[bool, str]:
+    # every lemma at the default range of its check_lemma_* function
+    reports = [check() for lemma_id, check in LEMMA_CHECKS.items() if lemma_id != "5.1"]
+    reports += [LEMMA_CHECKS["5.1"](q) for q in LEMMA_51_QS]
     bad = [r.lemma_id for r in reports if not r.ok]
     checked = sum(r.instances_checked for r in reports)
-    return _result(
-        "lemma-suite",
-        not bad,
-        f"{checked} instances, zero counterexamples" if not bad else f"failures: {bad}",
+    return not bad, (
+        f"{checked} instances, zero counterexamples" if not bad else f"failures: {bad}"
     )
 
 
-def criterion_zsigmondy_grid() -> CriterionResult:
+def _zsigmondy_grid(_full: bool, _workers: int) -> tuple[bool, str]:
     mismatches = []
-    exceptions = 0
+    exception_shapes = []
     for a in range(2, 13):
         for b in range(1, a):
             if gcd(a, b) != 1:
@@ -121,19 +131,21 @@ def criterion_zsigmondy_grid() -> CriterionResult:
                     if got.prime != want:
                         mismatches.append((a, b, n))
                 else:
-                    exceptions += 1
+                    exception_shapes.append(got.kind)
                     if want is not None:
                         mismatches.append((a, b, n))
-    return _result(
-        "zsigmondy-oracle",
-        not mismatches,
-        f"grid matches brute force; {exceptions} exception instances"
+    # all three exception shapes occur on the grid
+    missing = set(ZsigmondyKind) - {ZsigmondyKind.PRIMITIVE_PRIME} - set(exception_shapes)
+    if missing:
+        mismatches.append(f"exception shapes never met: {sorted(k.value for k in missing)}")
+    return not mismatches, (
+        f"grid matches brute force; {len(exception_shapes)} exception instances"
         if not mismatches
-        else f"mismatches: {mismatches[:5]}",
+        else f"mismatches: {mismatches[:5]}"
     )
 
 
-def criterion_bound_certificates() -> CriterionResult:
+def _bound_certificates(_full: bool, _workers: int) -> tuple[bool, str]:
     problems = []
     for cutoff in (2, 31):
         if mersenne_constant(cutoff).upper >= Fraction("1.6131008"):
@@ -147,7 +159,7 @@ def criterion_bound_certificates() -> CriterionResult:
     }
     may_flag = {"T54-q7", "E31"}
     for rec in evaluate_all():
-        if rec.id != "E31" and rec.computed.upper >= 2:
+        if rec.computed.upper >= 2:
             problems.append(f"{rec.id} upper >= 2")
         if rec.id in must_reproduce:
             if abs(rec.computed.float_estimate - must_reproduce[rec.id]) > 5e-4:
@@ -156,36 +168,34 @@ def criterion_bound_certificates() -> CriterionResult:
                 problems.append(f"{rec.id} flagged unexpectedly")
         elif rec.id in may_flag and rec.verdict is not Verdict.DISCREPANCY_FLAGGED:
             problems.append(f"{rec.id} expected a flagged verdict")
-    return _result(
-        "bound-certificates",
-        not problems,
+    return not problems, (
         "six chain certificates < 2; printed decimals reproduced or flagged as permitted"
         if not problems
-        else f"problems: {problems}",
+        else f"problems: {problems}"
     )
 
 
-def criterion_q_scan() -> CriterionResult:
+def _q_scan(_full: bool, _workers: int) -> tuple[bool, str]:
     entries = q_bound_scan(100)
     sat1 = sorted(e.q for e in entries if e.f2 == 1 and e.satisfies)
     sat2 = sorted(e.q for e in entries if e.f2 == 2 and e.satisfies)
     ok = sat1 == [5, 7, 11, 13] and sat2 == [5, 7]
-    return _result("q-elimination-scan", ok, f"f2=1 -> {sat1}, f2>=2 -> {sat2}")
+    return ok, f"f2=1 -> {sat1}, f2>=2 -> {sat2}"
 
 
-def criterion_case13() -> CriterionResult:
+def _case13(_full: bool, _workers: int) -> tuple[bool, str]:
     verdict = case_13_elimination()
-    return _result(
-        "case-13-chain",
-        verdict.ok,
-        f"{sum(s.ok for s in verdict.steps)}/{len(verdict.steps)} steps verified",
+    by_id = {s.step_id: s for s in verdict.steps}
+    ok = (
+        verdict.ok
+        and "25 = 5^2" in by_id["unique_candidate_25"].witness
+        and by_id["parity_clash"].ok
+        and by_id["five_needs_f1_2_mod_4"].ok
     )
+    return ok, f"{sum(s.ok for s in verdict.steps)}/{len(verdict.steps)} steps verified"
 
 
-def criterion_determinism() -> CriterionResult:
-    import os
-    import tempfile
-
+def _determinism(_full: bool, _workers: int) -> tuple[bool, str]:
     seg = 1 << 18
     r1 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=1))
     r4 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=4))
@@ -193,7 +203,7 @@ def criterion_determinism() -> CriterionResult:
     with tempfile.TemporaryDirectory() as tmp:
         cp = os.path.join(tmp, "cp.txt")
         half = r1.total_segments // 2
-        run_search(
+        partial = run_search(
             SearchConfig(
                 limit=10**6, segment_size=seg, checkpoint_path=cp, max_segments=half
             )
@@ -203,30 +213,34 @@ def criterion_determinism() -> CriterionResult:
                 limit=10**6, segment_size=seg, checkpoint_path=cp, resume=True, workers=4
             )
         )
-    ok = ok and resumed.checkpoint_text == r1.checkpoint_text
-    return _result(
-        "determinism",
-        ok,
-        "1 vs 4 workers and interrupt/resume produce identical bytes",
+    ok = (
+        ok
+        and partial.segments_done == half
+        and not partial.completed
+        and resumed.completed
+        and resumed.checkpoint_text == r1.checkpoint_text
     )
+    return ok, "1 vs 4 workers and interrupt/resume produce identical bytes"
 
 
-def criterion_property_suites() -> CriterionResult:
+def _property_suites(_full: bool, _workers: int) -> tuple[bool, str]:
     rng = random.Random(20260810)
     problems = []
 
+    checked = 0
     for _ in range(10**4):
         m = rng.randrange(1, 10**6)
         n = rng.randrange(1, 10**6)
         if gcd(m, n) != 1:
             continue
+        checked += 1
         if unitary_sigma(factorize(m * n)) != unitary_sigma(factorize(m)) * unitary_sigma(
             factorize(n)
         ):
             problems.append(f"multiplicativity at ({m}, {n})")
             break
-
-    import numpy as np
+    if checked <= 5000:
+        problems.append(f"only {checked} coprime pairs checked")
 
     sig, usig = bruteforce.divisor_sum_tables(10**5)
     n_vals = np.arange(2, 10**5 + 1)
@@ -254,25 +268,26 @@ def criterion_property_suites() -> CriterionResult:
             problems.append(f"exp lower bound at {x}")
             break
 
-    return _result(
-        "property-suites",
-        not problems,
+    return not problems, (
         "multiplicativity, sigma* <= sigma, jacobi-euler, exp one-sidedness all hold"
         if not problems
-        else f"problems: {problems}",
+        else f"problems: {problems}"
     )
 
 
+CRITERIA = (
+    Criterion("headline-odd-search", _headline),
+    Criterion("first-hits", _first_hits, budget_s=1.0),
+    Criterion("oracle-classification", _oracle_classification, budget_s=30.0),
+    Criterion("lemma-suite", _lemma_suite, budget_s=60.0),
+    Criterion("zsigmondy-oracle", _zsigmondy_grid),
+    Criterion("bound-certificates", _bound_certificates, budget_s=1.0),
+    Criterion("q-elimination-scan", _q_scan),
+    Criterion("case-13-chain", _case13),
+    Criterion("determinism", _determinism),
+    Criterion("property-suites", _property_suites),
+)
+
+
 def run_all(full: bool = False, workers: int = 2) -> list[CriterionResult]:
-    return [
-        criterion_headline(full=full, workers=workers),
-        criterion_first_hits(),
-        criterion_oracle_classification(),
-        criterion_lemma_suite(),
-        criterion_zsigmondy_grid(),
-        criterion_bound_certificates(),
-        criterion_q_scan(),
-        criterion_case13(),
-        criterion_determinism(),
-        criterion_property_suites(),
-    ]
+    return [c.run(full=full, workers=workers) for c in CRITERIA]

@@ -26,35 +26,39 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import Factorization, factorize, unitary_sigma
-from .sieve import _divisor_sum_segment, base_primes
+from .arith import Factorization, factorize, sigma_from_factorization, unitary_sigma
+from .sieve import divisor_sum_segment
 from .structure import UspStructureVerdict, check_usp_structure
 
-CLASS_ORDER = ("usp", "unitary_perfect", "super_perfect", "perfect")
 
-#: classes needing a second divisor-sum application (table to 2 * limit)
-_SECOND_ORDER = {"usp": True, "unitary_perfect": False,
-                 "super_perfect": True, "perfect": False}
-_UNITARY = {"usp": True, "unitary_perfect": True,
-            "super_perfect": False, "perfect": False}
+class Variant(NamedTuple):
+    """n is a hit when the divisor sum, applied `applications` times, is 2n."""
+
+    name: str
+    unitary: bool  # sigma* if True, sigma if False
+    applications: int
+
+
+#: every searchable class, in output order (checkpoint bytes depend on it)
+VARIANTS = (
+    Variant("usp", unitary=True, applications=2),
+    Variant("unitary_perfect", unitary=True, applications=1),
+    Variant("super_perfect", unitary=False, applications=2),
+    Variant("perfect", unitary=False, applications=1),
+)
+CLASS_ORDER = tuple(v.name for v in VARIANTS)
+_VARIANT_BY_NAME = {v.name: v for v in VARIANTS}
 
 DEFAULT_LIMIT = 10**8
 HARD_LIMIT = 10**10
 DEFAULT_SEGMENT_SIZE = 1 << 22
 
 CHECKPOINT_MAGIC = "uspsearch-v1"
-
-
-def sigma_from_factorization(f: Factorization) -> int:
-    """Ordinary divisor sum from a factorization."""
-    total = 1
-    for p, e in f.entries:
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total
 
 
 class CheckpointError(Exception):
@@ -95,21 +99,21 @@ def verify_hit(n: int, classification: str) -> SearchHit:
     Raises RuntimeError when the claimed classification does not survive
     recomputation; this is the independent second check on every hit.
     """
+    variant = _VARIANT_BY_NAME.get(classification)
+    if variant is None:
+        raise ValueError(f"unknown classification {classification!r}")
     fn = factorize(n)
     s_star = unitary_sigma(fn)
     fs = factorize(s_star)
     ss_star = unitary_sigma(fs)
-    if classification == "usp":
-        ok = ss_star == 2 * n
-    elif classification == "unitary_perfect":
-        ok = s_star == 2 * n
-    elif classification == "super_perfect":
-        ok = sigma_from_factorization(factorize(sigma_from_factorization(fn))) == 2 * n
-    elif classification == "perfect":
-        ok = sigma_from_factorization(fn) == 2 * n
-    else:
-        raise ValueError(f"unknown classification {classification!r}")
-    if not ok:
+    # every hit carries sigma*(n) and sigma*(sigma*(n)); reuse those
+    # factorizations wherever the variant's own chain passes through them
+    factored = {n: fn, s_star: fs}
+    value = n
+    for _ in range(variant.applications):
+        f = factored[value] if value in factored else factorize(value)
+        value = _divisor_sum(f, variant.unitary)
+    if value != 2 * n:
         raise RuntimeError(
             f"sieve hit {n} ({classification}) fails exact recomputation"
         )
@@ -131,7 +135,6 @@ class SearchConfig:
     workers: int = 1
     checkpoint_path: str | None = None
     resume: bool = False
-    sieve_bound: int | None = None
     table_budget_bytes: int = 1 << 30
     max_segments: int | None = None
 
@@ -164,8 +167,7 @@ class SearchResult:
 
 def _table_segment(task: tuple[bool, int, int]) -> np.ndarray:
     unitary, lo, hi = task
-    primes = base_primes(isqrt(hi - 1))
-    seg = _divisor_sum_segment(lo, hi, primes, unitary)
+    seg = divisor_sum_segment(lo, hi, unitary)
     if seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
     return seg.astype(np.uint32)
@@ -196,9 +198,12 @@ def _build_table(unitary: bool, bound: int, segment_size: int, workers: int) -> 
 _SCAN_STATE: dict | None = None
 
 
-def _exact_divisor_sum(m: int, unitary: bool) -> int:
-    f = factorize(m)
+def _divisor_sum(f: Factorization, unitary: bool) -> int:
     return unitary_sigma(f) if unitary else sigma_from_factorization(f)
+
+
+def _exact_divisor_sum(m: int, unitary: bool) -> int:
+    return _divisor_sum(factorize(m), unitary)
 
 
 def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
@@ -210,19 +215,17 @@ def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
     if n_all.size == 0:
         return []
     hits: list[tuple[int, str]] = []
-    for cls in CLASS_ORDER:
-        if cls not in state["classes"]:
+    for variant in VARIANTS:
+        if variant.name not in state["classes"]:
             continue
-        unitary = _UNITARY[cls]
+        unitary = variant.unitary
         table = state["star_table"] if unitary else state["sigma_table"]
         bound = state["star_bound"] if unitary else state["sigma_bound"]
         if hi - 1 <= bound:
             first = table[n_all].astype(np.int64)
         else:
-            primes = base_primes(isqrt(hi - 1))
-            full = _divisor_sum_segment(lo, hi, primes, unitary)
-            first = full[n_all - lo]
-        if not _SECOND_ORDER[cls]:
+            first = divisor_sum_segment(lo, hi, unitary)[n_all - lo]
+        if variant.applications == 1:
             good = n_all[first == 2 * n_all]
         else:
             # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; that also
@@ -236,7 +239,7 @@ def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
             for j in np.nonzero(~in_table)[0]:
                 ok[j] = _exact_divisor_sum(int(mm[j]), unitary) == 2 * int(nn[j])
             good = nn[ok]
-        hits.extend((int(x), cls) for x in good)
+        hits.extend((int(x), variant.name) for x in good)
     hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
 
@@ -262,33 +265,40 @@ def render_checkpoint(
 
 
 def parse_checkpoint(text: str) -> tuple[int, int, list[list[SearchHit]]]:
+    """Parse and re-verify a checkpoint; CheckpointError for any bad file."""
     lines = text.splitlines()
     if len(lines) < 2 or not lines[-1].startswith("digest "):
         raise CheckpointError("missing digest line")
     body = "\n".join(lines[:-1]) + "\n"
-    if hashlib.sha256(body.encode()).hexdigest() != lines[-1].split()[1]:
+    if lines[-1] != f"digest {hashlib.sha256(body.encode()).hexdigest()}":
         raise CheckpointError("digest mismatch; refusing corrupted checkpoint")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad header {lines[0]!r}")
-    limit, segment_size = int(head[1]), int(head[2])
+    line = lines[0]  # the line being parsed, for error messages
     hits_by_segment: list[list[SearchHit]] = []
-    i = 1
-    while i < len(lines) - 1:
-        parts = lines[i].split()
-        if parts[0] != "seg" or int(parts[1]) != len(hits_by_segment):
-            raise CheckpointError(f"unexpected line {lines[i]!r}")
-        count = int(parts[2])
-        seg_hits = []
-        for j in range(i + 1, i + 1 + count):
-            _, n, s, ss, cls = lines[j].split()
-            hit = verify_hit(int(n), cls)
-            if (hit.sigma_star_n, hit.sigma_star_sigma_star_n) != (int(s), int(ss)):
-                raise CheckpointError(f"hit line {lines[j]!r} fails recomputation")
-            seg_hits.append(hit)
-        hits_by_segment.append(seg_hits)
-        i += 1 + count
-    return limit, segment_size, hits_by_segment
+    try:
+        head = line.split()
+        if len(head) != 3 or head[0] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad header {line!r}")
+        limit, segment_size = int(head[1]), int(head[2])
+        rest = iter(lines[1:-1])
+        for line in rest:
+            tag, idx, count = line.split()
+            if tag != "seg" or int(idx) != len(hits_by_segment):
+                raise CheckpointError(f"unexpected line {line!r}")
+            seg_hits = []
+            for line in islice(rest, int(count)):
+                _, n, _, _, cls = line.split()
+                hit = verify_hit(int(n), cls)
+                if hit.checkpoint_line() != line:
+                    raise CheckpointError(f"hit line {line!r} fails recomputation")
+                seg_hits.append(hit)
+            if len(seg_hits) != int(count):
+                raise CheckpointError(f"segment {idx} ends before its {count} hit lines")
+            hits_by_segment.append(seg_hits)
+        return limit, segment_size, hits_by_segment
+    except (ValueError, RuntimeError) as exc:
+        # unpacking, int() and verify_hit: a body the digest vouches for but
+        # that this program did not write
+        raise CheckpointError(f"malformed line {line!r}: {exc}") from exc
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -305,17 +315,13 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _table_bounds(config: SearchConfig) -> tuple[int, int]:
     budget_entries = max(config.table_budget_bytes // 4, 1 << 16)
-    star = sigma = 0
-    for cls in config.classes:
-        need = (2 if _SECOND_ORDER[cls] else 1) * config.limit
-        if _UNITARY[cls]:
-            star = max(star, need)
-        else:
-            sigma = max(sigma, need)
-    if config.sieve_bound is not None:
-        star = min(star, config.sieve_bound)
-        sigma = min(sigma, config.sieve_bound)
-    return min(star, budget_entries), min(sigma, budget_entries)
+    need = {True: 0, False: 0}  # entries per table, keyed by unitary
+    for variant in VARIANTS:
+        if variant.name in config.classes:
+            need[variant.unitary] = max(
+                need[variant.unitary], variant.applications * config.limit
+            )
+    return min(need[True], budget_entries), min(need[False], budget_entries)
 
 
 def run_search(config: SearchConfig) -> SearchResult:

@@ -74,13 +74,17 @@ def _check_span(lo: int, hi: int) -> None:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
 
 
+def divisor_sum_segment(lo: int, hi: int, unitary: bool) -> np.ndarray:
+    """sigma*(n) if unitary else sigma(n), for n in [lo, hi), as an int64 array."""
+    _check_span(lo, hi)
+    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)), unitary)
+
+
 def sigma_star_segment(lo: int, hi: int) -> np.ndarray:
     """sigma*(n) for n in [lo, hi) as an int64 array."""
-    _check_span(lo, hi)
-    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)), unitary=True)
+    return divisor_sum_segment(lo, hi, unitary=True)
 
 
 def sigma_segment(lo: int, hi: int) -> np.ndarray:
     """sigma(n) for n in [lo, hi) as an int64 array."""
-    _check_span(lo, hi)
-    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)), unitary=False)
+    return divisor_sum_segment(lo, hi, unitary=False)

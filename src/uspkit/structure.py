@@ -236,10 +236,9 @@ def check_lemma_24(p_max: int = 10_000, e_max: int = 10) -> LemmaReport:
     return _report("2.4", f"p<={p_max},e<={e_max}", checked, bad, t0)
 
 
-def check_lemma_25(x_max: int = 60) -> LemmaReport:
-    """2**x + 1 is a power of three only for (e, x) = (1, 1) and (2, 3)."""
-    t0 = time.perf_counter()
-    solutions = set()
+def lemma_25_solutions(x_max: int) -> list[tuple[int, int]]:
+    """All (e, x) with 2**x + 1 = 3**e and 1 <= x <= x_max, by increasing x."""
+    solutions = []
     for x in range(1, x_max + 1):
         v = 2**x + 1
         e = 0
@@ -247,7 +246,14 @@ def check_lemma_25(x_max: int = 60) -> LemmaReport:
             v //= 3
             e += 1
         if v == 1:
-            solutions.add((e, x))
+            solutions.append((e, x))
+    return solutions
+
+
+def check_lemma_25(x_max: int = 60) -> LemmaReport:
+    """2**x + 1 is a power of three only for (e, x) = (1, 1) and (2, 3)."""
+    t0 = time.perf_counter()
+    solutions = set(lemma_25_solutions(x_max))
     expected = {(e, x) for e, x in ((1, 1), (2, 3)) if x <= x_max}
     bad = sorted(solutions ^ expected)
     return _report("2.5", f"x<={x_max}", x_max, bad, t0)
@@ -288,6 +294,10 @@ def check_lemma_27(q_max: int = 100, b_max: int = 8) -> LemmaReport:
                 if (p + 1) % (4 * q) == 0:
                     bad.append((q, b, p))
     return _report("2.7", f"q<={q_max},b<={b_max}", checked, bad, t0)
+
+
+#: the odd primes q left by the q scan for f2 = 1; lemma 5.1 is checked at each
+LEMMA_51_QS = (5, 7, 11, 13)
 
 
 def check_lemma_51(q: int, b_max: int = 10) -> LemmaReport:

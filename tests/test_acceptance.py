@@ -1,39 +1,31 @@
-"""Acceptance suite: one test per acceptance criterion, each at its stated
-tolerance, printing one PASS line on success (visible with pytest -rA/-s).
+"""Acceptance suite: one test per entry of ``report.CRITERIA``, each held to
+the entry's time budget, printing one PASS line on success (visible with
+pytest -rA/-s).  ``uspkit report`` runs the same entries.
 
-The headline search runs at its full scale of 10^8 here; everything else is
-seconds.
+The headline search also runs at its full scale of 10^8 here, through the
+CLI; everything else is seconds.
 """
 
 import json
-import random
 import time
-from fractions import Fraction as F
-from math import gcd
 
-import numpy as np
-import pytest
-
-from uspkit import bruteforce, cli
-from uspkit.arith import factorize, jacobi, primes_up_to, unitary_sigma
-from uspkit.bounds import (
-    Verdict,
-    case_13_elimination,
-    evaluate_all,
-    exp_bounds,
-    mersenne_constant,
-    q_bound_scan,
-)
-from uspkit.search import CLASS_ORDER, SearchConfig, run_search
-from uspkit.structure import LEMMA_CHECKS, ZsigmondyKind, zsigmondy
+from uspkit import cli, report
+from uspkit.report import CRITERIA, Criterion
 
 WORKERS = 2  # this container exposes two cores
 
-REF_EPS = F(1, 10**45)
+_BY_NAME = {c.name: c for c in CRITERIA}
 
 
-def _ok(name, detail=""):
-    print(f"PASS  {name}" + (f": {detail}" if detail else ""))
+def _passes(name):
+    criterion = _BY_NAME[name]
+    t0 = time.perf_counter()
+    result = criterion.run(workers=WORKERS)
+    elapsed = time.perf_counter() - t0
+    assert result.ok, result.detail
+    if criterion.budget_s is not None:
+        assert elapsed < criterion.budget_s, f"took {elapsed:.2f}s, budget {criterion.budget_s}s"
+    print(f"PASS  {name}: {result.detail}")
 
 
 def test_criterion_1_headline_reproduction(capsys):
@@ -47,185 +39,45 @@ def test_criterion_1_headline_reproduction(capsys):
     hits = [json.loads(l) for l in out.strip().splitlines() if '"n"' in l]
     assert [h["n"] for h in hits] == [9, 165]
     assert all(h["structure"]["ok"] for h in hits)
-
-    # fast-CI variant at 10^6: same odd set, even prefix {2, 238} below 10^3
-    odd = run_search(
-        SearchConfig(limit=10**6, classes=("usp",), parity="odd", workers=WORKERS)
-    ).hits
-    assert [h.n for h in odd] == [9, 165]
-    evens = [
-        h.n
-        for h in run_search(
-            SearchConfig(limit=10**6, classes=("usp",), parity="even")
-        ).hits
-        if h.n < 1000
-    ]
-    assert evens == [2, 238]
     with capsys.disabled():
-        _ok("criterion-1 headline", "odd hits to 10^8 are exactly {9, 165}")
+        # CI scale: the same odd set below 10^6, even prefix {2, 238} below 10^3
+        _passes("headline-odd-search")
 
 
 def test_criterion_2_first_hits_table():
-    t0 = time.perf_counter()
-    hits = run_search(SearchConfig(limit=300, classes=("usp",))).hits
-    elapsed = time.perf_counter() - t0
-    assert [h.n for h in hits] == [2, 9, 165, 238]
-    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
-    _ok("criterion-2 first hits", "2, 9, 165, 238 in order")
+    _passes("first-hits")
 
 
 def test_criterion_3_oracle_equivalence():
-    t0 = time.perf_counter()
-    limit = 10**5
-    expected = bruteforce.classify_brute(limit)
-    hits = run_search(SearchConfig(limit=limit, classes=CLASS_ORDER)).hits
-    got = {c: [] for c in CLASS_ORDER}
-    for h in hits:
-        got[h.classification].append(h.n)
-    elapsed = time.perf_counter() - t0
-    for cls in CLASS_ORDER:
-        assert got[cls] == expected[cls], cls
-    assert elapsed < 30, f"took {elapsed:.1f}s, budget 30s"
-    _ok("criterion-3 oracle equivalence", f"four classes agree up to {limit}")
+    _passes("oracle-classification")
 
 
 def test_criterion_4_lemma_suite():
-    t0 = time.perf_counter()
-    reports = [
-        LEMMA_CHECKS["2.2"](500, 8),
-        LEMMA_CHECKS["2.3"](10_000, 10),
-        LEMMA_CHECKS["2.4"](10_000, 10),
-        LEMMA_CHECKS["2.5"](60),
-        LEMMA_CHECKS["2.6"](40),
-        LEMMA_CHECKS["2.7"](100, 8),
-    ] + [LEMMA_CHECKS["5.1"](q, 10) for q in (5, 7, 11, 13)]
-    elapsed = time.perf_counter() - t0
-    for rep in reports:
-        assert rep.ok, (rep.lemma_id, rep.counterexamples[:3])
-    assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"
-    _ok("criterion-4 lemma suite",
-        f"{sum(r.instances_checked for r in reports)} instances, zero counterexamples")
+    _passes("lemma-suite")
 
 
 def test_criterion_5_zsigmondy_oracle():
-    exception_shapes = []
-    for a in range(2, 13):
-        for b in range(1, a):
-            if gcd(a, b) != 1:
-                continue
-            for n in range(1, 13):
-                got = zsigmondy(a, b, n)
-                want = bruteforce.zsigmondy_brute(a, b, n)
-                if got.kind is ZsigmondyKind.PRIMITIVE_PRIME:
-                    assert got.prime == want, (a, b, n)
-                else:
-                    assert want is None, (a, b, n)
-                    exception_shapes.append(got.kind)
-    # all three exception classes occur on the grid
-    assert set(exception_shapes) == {
-        ZsigmondyKind.EXC_2_1_6,
-        ZsigmondyKind.EXC_DIFFERENCE_ONE,
-        ZsigmondyKind.EXC_SUM_POWER_OF_TWO,
-    }
-    _ok("criterion-5 zsigmondy oracle", f"{len(exception_shapes)} exception instances")
+    _passes("zsigmondy-oracle")
 
 
 def test_criterion_6_bound_certificates():
-    t0 = time.perf_counter()
-    assert mersenne_constant(31).upper < F("1.6131008")
-    assert mersenne_constant(2).upper < F("1.6131008")
-    records = {r.id: r for r in evaluate_all()}
-    for ineq_id in ("L42", "L43", "T53-first", "T53-second", "T54-q7", "T54-q11"):
-        assert records[ineq_id].computed.upper < 2, ineq_id
-    for ineq_id, printed in [
-        ("L42", 1.4588), ("L43", 1.9041), ("T53-first", 1.7332),
-        ("T53-second", 1.9150), ("T54-q11", 1.8850),
-    ]:
-        assert abs(records[ineq_id].computed.float_estimate - printed) <= 5e-4, ineq_id
-    # the two permitted discrepancies stay flagged with uppers below 2
-    assert records["T54-q7"].verdict is Verdict.DISCREPANCY_FLAGGED
-    assert records["E31"].verdict is Verdict.DISCREPANCY_FLAGGED
-    assert records["E31"].computed.upper < 2
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
-    _ok("criterion-6 bound certificates", "six uppers < 2, decimals reproduced")
+    _passes("bound-certificates")
 
 
 def test_criterion_7_q_elimination_scan():
-    entries = q_bound_scan(100)
-    sat1 = sorted(e.q for e in entries if e.f2 == 1 and e.satisfies)
-    sat2 = sorted(e.q for e in entries if e.f2 == 2 and e.satisfies)
-    assert sat1 == [5, 7, 11, 13]
-    assert sat2 == [5, 7]
-    _ok("criterion-7 q scan", f"f2=1 -> {sat1}, f2>=2 -> {sat2}")
+    _passes("q-elimination-scan")
 
 
 def test_criterion_8_case_13_elimination():
-    verdict = case_13_elimination()
-    assert verdict.ok
-    by_id = {s.step_id: s for s in verdict.steps}
-    assert "25 = 5^2" in by_id["unique_candidate_25"].witness
-    assert by_id["parity_clash"].ok and by_id["five_needs_f1_2_mod_4"].ok
-    _ok("criterion-8 case 13", f"{len(verdict.steps)} chain steps verified")
+    _passes("case-13-chain")
 
 
-def test_criterion_9_determinism(tmp_path):
-    seg = 1 << 18
-    r1 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=1))
-    r4 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=4))
-    assert r1.checkpoint_text == r4.checkpoint_text
-
-    cp = str(tmp_path / "cp.txt")
-    half = r1.total_segments // 2
-    partial = run_search(
-        SearchConfig(limit=10**6, segment_size=seg, checkpoint_path=cp,
-                     max_segments=half)
-    )
-    assert partial.segments_done == half and not partial.completed
-    resumed = run_search(
-        SearchConfig(limit=10**6, segment_size=seg, checkpoint_path=cp,
-                     resume=True, workers=4)
-    )
-    assert resumed.completed
-    assert resumed.checkpoint_text == r1.checkpoint_text
-    _ok("criterion-9 determinism", "worker count and interruption change no byte")
+def test_criterion_9_determinism():
+    _passes("determinism")
 
 
-def test_criterion_10_property_suites(brute_tables_1e5):
-    rng = random.Random(97)
-
-    checked = 0
-    for _ in range(10**4):
-        m = rng.randrange(1, 10**6)
-        n = rng.randrange(1, 10**6)
-        if gcd(m, n) != 1:
-            continue
-        checked += 1
-        assert unitary_sigma(factorize(m * n)) == unitary_sigma(
-            factorize(m)
-        ) * unitary_sigma(factorize(n)), (m, n)
-    assert checked > 5000
-
-    sig, usig = brute_tables_1e5
-    n_vals = np.arange(2, 10**5 + 1)
-    assert (usig[2:] <= sig[2:]).all()
-    assert (usig[2:] >= n_vals + 1).all()
-
-    for p in primes_up_to(999):
-        if p == 2:
-            continue
-        for a in range(p):
-            assert jacobi(a, p) == bruteforce.jacobi_euler(a, p)
-
-    for _ in range(10**4):
-        x = F(rng.randrange(0, 9 * 10**5), 10**6)
-        lo, hi = exp_bounds(x)
-        ref = bruteforce.exp_reference(x)
-        assert hi >= ref * (1 - REF_EPS), x
-        assert lo <= ref * (1 + REF_EPS), x
-        assert hi <= ref * (1 + F(1, 10**6)), x
-    _ok("criterion-10 property suites",
-        "multiplicativity, sigma bounds, jacobi-euler, exp one-sidedness")
+def test_criterion_10_property_suites():
+    _passes("property-suites")
 
 
 def test_report_cli_exit_code(capsys):
@@ -234,6 +86,18 @@ def test_report_cli_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == len(CRITERIA) == 10
     with capsys.disabled():
-        _ok("report-cli", "10/10 criteria, exit 0")
+        print("PASS  report-cli: 10/10 criteria, exit 0")
+
+
+def test_report_cli_exit_2_on_failure(monkeypatch, capsys):
+    # the other entries are stubbed to pass so that only the failure path runs
+    stubs = [Criterion(c.name, lambda full, workers: (True, "stub")) for c in CRITERIA]
+    stubs[5] = Criterion(CRITERIA[5].name, lambda full, workers: (False, "forced failure"))
+    monkeypatch.setattr(report, "CRITERIA", tuple(stubs))
+    code = cli.main(["report"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert f"FAIL  {CRITERIA[5].name}: forced failure" in out
+    assert "# 9/10 criteria passed" in out

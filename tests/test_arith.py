@@ -9,6 +9,7 @@ from uspkit.arith import (
     MAX_NATURAL,
     Factorization,
     a_q,
+    divisors,
     factorize,
     is_mersenne_prime,
     is_prime,
@@ -35,7 +36,10 @@ def test_is_prime_examples():
 
 
 def test_is_prime_matches_sieve_below_10k():
-    flags = set(primes_up_to(10_000))
+    primes = primes_up_to(10_000)
+    # Python ints, so that p**e in the lemma scans cannot wrap
+    assert all(type(p) is int for p in primes)
+    flags = set(primes)
     for n in range(10_000):
         assert is_prime(n) == (n in flags)
 
@@ -149,6 +153,9 @@ def test_unitary_divisors_count_and_sum():
         assert sum(divs) == unitary_sigma(f)
         assert divs == sorted(set(divs))
         assert divs == bruteforce.unitary_divisors_brute(n) if n <= 300 else True
+        all_divs = divisors(f)
+        assert sum(all_divs) == bruteforce.sigma_brute(n)
+        assert all_divs == sorted(set(all_divs))
 
 
 def test_omega_examples():

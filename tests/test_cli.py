@@ -97,6 +97,9 @@ def test_search_cli_text(capsys):
     for n in (2, 9, 165, 238):
         assert f"\n{n} " in "\n" + out
     assert "4 hit(s), complete" in out
+    code, out, _ = run_cli(capsys, "search", "unitary-perfect", "--limit", "100")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] == ["6", "60", "90"]
 
 
 def test_search_cli_json_lines(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from uspkit import bruteforce
-from uspkit.arith import factorize, unitary_sigma
+from uspkit.arith import factorize, sigma_from_factorization, unitary_sigma
+from uspkit.cli import main
 from uspkit.search import (
     CLASS_ORDER,
+    VARIANTS,
     CheckpointError,
     SearchConfig,
     find_perfect,
@@ -17,7 +20,6 @@ from uspkit.search import (
     parse_checkpoint,
     render_checkpoint,
     run_search,
-    sigma_from_factorization,
     verify_hit,
 )
 from uspkit.sieve import sigma_segment, sigma_star_segment
@@ -195,19 +197,60 @@ def test_checkpoint_config_mismatch_refused(tmp_path):
         run_search(SearchConfig(limit=300, resume=True))
 
 
-def test_sieve_bound_fallback_factorization():
-    # a tiny table forces the second application through exact factorization
-    capped = run_search(SearchConfig(limit=3000, segment_size=1024, sieve_bound=64))
-    full = run_search(SearchConfig(limit=3000, segment_size=1024))
-    assert [h.n for h in capped.hits] == [h.n for h in full.hits]
+_GOOD_BODY = (
+    "uspsearch-v1 300 1024\nseg 0 4\n"
+    "hit 2 3 4 usp\nhit 9 10 18 usp\nhit 165 288 330 usp\nhit 238 432 476 usp\n"
+)
 
 
-def test_verify_hit_rejects_wrong_class():
+@pytest.mark.parametrize(
+    "body",
+    [
+        _GOOD_BODY.replace("1024\n", "1024\n\n"),
+        _GOOD_BODY.replace("seg 0 4", "seg 0 5"),
+        _GOOD_BODY.replace("seg 0 4", "seg 0 -1"),
+        _GOOD_BODY.replace("hit 9 10 18 usp", "hit 9 10 18"),
+        _GOOD_BODY.replace("hit 9 10", "hit 9.0 10"),
+    ],
+    ids=["blank-line", "count-above-lines", "negative-count", "short-hit-line",
+         "non-integer-field"],
+)
+def test_malformed_checkpoint_refused(tmp_path, capsys, body):
+    # each body carries a valid digest, so only the parser can refuse it
+    cp = tmp_path / "cp.txt"
+    cp.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    with pytest.raises(CheckpointError):
+        run_search(
+            SearchConfig(limit=300, segment_size=1024, checkpoint_path=str(cp), resume=True)
+        )
+    code = main(["search", "usp", "--limit", "300", "--segment-size", "1024",
+                 "--checkpoint", str(cp), "--resume"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_table_budget_fallback_matches_uncapped():
+    # a zero budget leaves the 2**16-entry floor: first applications past it
+    # come from a per-segment sieve, second ones from exact factorization
+    common = dict(limit=7 * 10**4, segment_size=1024, classes=CLASS_ORDER)
+    capped = run_search(SearchConfig(table_budget_bytes=0, **common))
+    full = run_search(SearchConfig(**common))
+    assert capped.checkpoint_text == full.checkpoint_text
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_verify_hit_rejects_wrong_class(variant):
+    hits = bruteforce.classify_brute(300)[variant.name]
+    n = hits[0]
+    hit = verify_hit(n, variant.name)
+    # sigma* and sigma*sigma* travel with every hit, whatever its class
+    s_star = unitary_sigma(factorize(n))
+    assert (hit.sigma_star_n, hit.sigma_star_sigma_star_n) == (
+        s_star, unitary_sigma(factorize(s_star))
+    )
+    assert n + 1 not in hits
     with pytest.raises(RuntimeError):
-        verify_hit(10, "usp")
-    hit = verify_hit(9, "usp")
-    assert (hit.sigma_star_n, hit.sigma_star_sigma_star_n) == (10, 18)
-    assert hit.structure.ok
+        verify_hit(n + 1, variant.name)
 
 
 def test_search_hit_json_roundtrip():
