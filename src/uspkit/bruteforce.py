@@ -52,7 +52,7 @@ def divisor_sum_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, sigma*) tables for 0..limit via a divisor-pair sweep.
 
     Adds every divisor d to all its multiples; independent of the
-    least-prime-factor segment sieve used by the search engine.
+    prime-power segment sieve used by the search engine.
     """
     sig = np.zeros(limit + 1, dtype=np.int64)
     usig = np.zeros(limit + 1, dtype=np.int64)

@@ -1,14 +1,20 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
 The search runs in two layers.  A flat uint32 lookup table of divisor sums
-is built once per run (segment by segment, optionally across worker
-processes).  The classification pass then walks [1, limit] in segments: a
-number n is a hit for the second-order classes exactly when the re-applied
-divisor sum equals 2n, and the inequality sigma(m) >= m + 1 means any n with
-a first application above 2n - 1 can be discarded before the second lookup,
-which keeps every needed lookup inside a table of size 2 * limit.  Values
-past the table (only possible when the table is memory-capped) are
-factorized on the fly.
+of odd values is built once per run (chunk by chunk, optionally across
+worker processes): entry i holds sigma*(2i + 1) or sigma(2i + 1).  A lookup
+of m = 2^a * m' with m' odd multiplies the entry for m' by the 2-part's
+factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
+
+The classification pass then walks [1, limit] in segments: a number n is a
+hit for the second-order classes exactly when the re-applied divisor sum
+equals 2n, and the inequality sigma(m) >= m + 1 means any n with a first
+application above 2n - 1 can be discarded before the second lookup, so every
+odd part looked up is below 2 * limit.  For the unitary classes over odd n
+it is below limit: for odd n > 1, sigma*(n) is even, so a candidate's
+sigma*(n) <= 2n - 1 has an odd part below n.  The table covers the odd values
+up to that bound.  When the table is memory-capped, first applications past
+it come from a per-segment sieve and second ones from exact factorization.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve that produced it, and odd hits of
@@ -165,29 +171,33 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # table construction
 
+#: odd values per table-build task: the sieve's int64 arrays for a task stay
+#: in cache, and its Python work per base prime is spread over enough entries
+_TABLE_CHUNK = 1 << 18
+
+
 def _table_segment(task: tuple[bool, int, int]) -> np.ndarray:
     unitary, lo, hi = task
-    seg = divisor_sum_segment(lo, hi, unitary)
+    seg = divisor_sum_segment(lo, hi, unitary, step=2)
     if seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
     return seg.astype(np.uint32)
 
 
-def _build_table(unitary: bool, bound: int, segment_size: int, workers: int) -> np.ndarray:
-    table = np.zeros(bound + 1, dtype=np.uint32)
-    spans = [
-        (lo, min(bound + 1, lo + segment_size))
-        for lo in range(1, bound + 1, segment_size)
-    ]
-    tasks = [(unitary, lo, hi) for lo, hi in spans]
-    if workers > 1 and len(spans) > 1:
+def _build_table(unitary: bool, size: int, workers: int) -> np.ndarray:
+    """sigma*(2i + 1) if unitary else sigma(2i + 1) at index i, for i < size."""
+    table = np.empty(size, dtype=np.uint32)
+    starts = range(0, size, _TABLE_CHUNK)
+    tasks = [(unitary, 2 * i + 1, 2 * min(size, i + _TABLE_CHUNK)) for i in starts]
+    if workers > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for (lo, hi), seg in zip(spans, pool.map(_table_segment, tasks)):
-                table[lo:hi] = seg
+            for i, seg in zip(starts, pool.map(_table_segment, tasks)):
+                table[i : i + seg.shape[0]] = seg
     else:
-        for task in tasks:
-            table[task[1] : task[2]] = _table_segment(task)
+        for i, task in zip(starts, tasks):
+            seg = _table_segment(task)
+            table[i : i + seg.shape[0]] = seg
     return table
 
 
@@ -206,40 +216,66 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
     return _divisor_sum(factorize(m), unitary)
 
 
+#: n classified at a time: the lookups' int64 temporaries stay in cache
+_SCAN_BLOCK = 1 << 16
+
+
+def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Divisor sums of the values m >= 1 served by the odd-part table.
+
+    Returns the sums and the mask of values whose odd part the table holds;
+    sums outside the mask are meaningless.
+    """
+    low = m & -m  # 2^a, for m = 2^a * m' with m' odd
+    idx = m >> np.bitwise_count(low - 1) >> 1  # (m' - 1) / 2
+    factor = low + (low > 1) if unitary else 2 * low - 1
+    return table.take(idx, mode="clip") * factor, idx < table.shape[0]
+
+
 def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
-    n_all = np.arange(lo, hi, dtype=np.int64)
-    if state["parity"] == "odd":
-        n_all = n_all[n_all % 2 == 1]
-    elif state["parity"] == "even":
-        n_all = n_all[n_all % 2 == 0]
-    if n_all.size == 0:
-        return []
+    parity = state["parity"]
+    if parity == "all":
+        start, step = lo, 1
+    else:  # from the first n of the requested parity
+        start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
+    # first applications past the table: the segment is sieved at most once
+    # per divisor sum, whichever classes need it
+    sieved: dict[bool, np.ndarray] = {}
+
+    def first_sieved(unitary: bool) -> np.ndarray:
+        if unitary not in sieved:
+            if parity == "odd":
+                sieved[unitary] = divisor_sum_segment(start, hi, unitary, step=2)
+            else:
+                sieved[unitary] = divisor_sum_segment(start, hi, unitary)[::step]
+        return sieved[unitary]
+
+    values = range(start, hi, step)
     hits: list[tuple[int, str]] = []
-    for variant in VARIANTS:
-        if variant.name not in state["classes"]:
-            continue
-        unitary = variant.unitary
-        table = state["star_table"] if unitary else state["sigma_table"]
-        bound = state["star_bound"] if unitary else state["sigma_bound"]
-        if hi - 1 <= bound:
-            first = table[n_all].astype(np.int64)
-        else:
-            first = divisor_sum_segment(lo, hi, unitary)[n_all - lo]
-        if variant.applications == 1:
-            good = n_all[first == 2 * n_all]
-        else:
-            # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; that also
-            # keeps every second lookup within a 2*limit table
-            cand = first <= 2 * n_all - 1
-            mm = first[cand]
-            nn = n_all[cand]
-            ok = np.zeros(mm.shape[0], dtype=bool)
-            in_table = mm <= bound
-            ok[in_table] = table[mm[in_table]].astype(np.int64) == 2 * nn[in_table]
-            for j in np.nonzero(~in_table)[0]:
-                ok[j] = _exact_divisor_sum(int(mm[j]), unitary) == 2 * int(nn[j])
-            good = nn[ok]
-        hits.extend((int(x), variant.name) for x in good)
+    for i in range(0, len(values), _SCAN_BLOCK):
+        block = values[i : i + _SCAN_BLOCK]
+        n_all = np.arange(block.start, block.stop, step, dtype=np.int64)
+        for variant in VARIANTS:
+            if variant.name not in state["classes"]:
+                continue
+            unitary = variant.unitary
+            table = state["tables"][unitary]
+            first, inside = _lookup(table, n_all, unitary)
+            if not inside.all():
+                first = first_sieved(unitary)[i : i + _SCAN_BLOCK]
+            if variant.applications == 1:
+                good = n_all[first == 2 * n_all]
+            else:
+                # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; that also
+                # bounds the odd part of every second lookup (module docstring)
+                cand = first < 2 * n_all
+                mm = first[cand]
+                nn = n_all[cand]
+                second, inside = _lookup(table, mm, unitary)
+                for j in np.flatnonzero(~inside):
+                    second[j] = _exact_divisor_sum(int(mm[j]), unitary)
+                good = nn[second == 2 * nn]
+            hits.extend((int(x), variant.name) for x in good)
     hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
 
@@ -313,15 +349,18 @@ def _write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _table_bounds(config: SearchConfig) -> tuple[int, int]:
+def _table_sizes(config: SearchConfig) -> dict[bool, int]:
+    """Entries of each odd-part table, keyed by unitary; 0 when unused."""
     budget_entries = max(config.table_budget_bytes // 4, 1 << 16)
-    need = {True: 0, False: 0}  # entries per table, keyed by unitary
+    need = {True: 0, False: 0}  # the largest odd part a lookup can ask for
     for variant in VARIANTS:
         if variant.name in config.classes:
-            need[variant.unitary] = max(
-                need[variant.unitary], variant.applications * config.limit
-            )
-    return min(need[True], budget_entries), min(need[False], budget_entries)
+            # unitary classes over odd n: the odd part of sigma*(n) is below n
+            odd_unitary = variant.unitary and config.parity == "odd"
+            bound = config.limit * (1 if odd_unitary else variant.applications)
+            need[variant.unitary] = max(need[variant.unitary], bound)
+    # index i holds 2i + 1, so the odd values up to b take (b + 1) // 2 entries
+    return {unitary: min((b + 1) // 2, budget_entries) for unitary, b in need.items()}
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -353,23 +392,14 @@ def run_search(config: SearchConfig) -> SearchResult:
         hits_by_segment = hits_by_segment[:total]
     start = len(hits_by_segment)
 
-    star_bound, sigma_bound = _table_bounds(config)
     state = {
         "classes": set(config.classes),
         "parity": config.parity,
-        "star_table": None,
-        "sigma_table": None,
-        "star_bound": star_bound,
-        "sigma_bound": sigma_bound,
+        "tables": {
+            unitary: _build_table(unitary, size, config.workers) if size else None
+            for unitary, size in _table_sizes(config).items()
+        },
     }
-    if star_bound:
-        state["star_table"] = _build_table(
-            True, star_bound, config.segment_size, config.workers
-        )
-    if sigma_bound:
-        state["sigma_table"] = _build_table(
-            False, sigma_bound, config.segment_size, config.workers
-        )
 
     todo = spans[start:]
     if config.max_segments is not None:

@@ -1,11 +1,13 @@
 """Segmented divisor-sum sieves.
 
-Values in a segment [lo, hi) are factored collectively: for each base prime
-p and each power p^k, the entries whose p-part is exactly p^k pick up the
-multiplicative factor for p^k, and whatever remains after all base primes is
-either 1 or a single large prime.  Everything is vectorized with numpy and
-int64; segments are independent, so the sieve parallelizes and restarts
-trivially.
+A segment is the arithmetic progression lo, lo + step, ... below hi, with
+step 1 (every value) or 2 (odd values only, from an odd lo).  Its values
+are factored collectively: for each base prime p, strided views over the
+multiples of p, p^2, ... accumulate every entry's p-part, which then
+contributes its factor sigma*(p^k) = p^k + 1 or sigma(p^k) = 1 + p + ... +
+p^k.  Whatever remains after all base primes is either 1 or a single prime
+above sqrt(hi).  Everything is vectorized with numpy and int64; segments
+are independent, so the sieve parallelizes and restarts trivially.
 """
 
 from __future__ import annotations
@@ -17,67 +19,92 @@ import numpy as np
 #: hi values beyond this could overflow int64 once multiplied out
 MAX_SIEVE_VALUE = 1 << 59
 
-_prime_cache: dict[int, np.ndarray] = {}
+# one Eratosthenes sieve, grown on demand; every bound is served by a prefix
+_primes = np.empty(0, dtype=np.int64)
+_sieved_to = 1
 
 
 def base_primes(bound: int) -> np.ndarray:
     """Primes <= bound as an int64 array."""
-    if bound < 2:
-        return np.empty(0, dtype=np.int64)
-    if bound not in _prime_cache:
-        flags = np.ones(bound + 1, dtype=bool)
+    global _primes, _sieved_to
+    if bound > _sieved_to:
+        # at least double, so a run of growing bounds re-sieves O(log) times
+        _sieved_to = max(bound, 2 * _sieved_to)
+        flags = np.ones(_sieved_to + 1, dtype=bool)
         flags[:2] = False
-        for p in range(2, isqrt(bound) + 1):
+        for p in range(2, isqrt(_sieved_to) + 1):
             if flags[p]:
                 flags[p * p :: p] = False
-        _prime_cache[bound] = np.nonzero(flags)[0].astype(np.int64)
-    return _prime_cache[bound]
+        _primes = np.nonzero(flags)[0].astype(np.int64)
+    return _primes[: np.searchsorted(_primes, bound, side="right")]
 
 
 def _divisor_sum_segment(
-    lo: int, hi: int, primes: np.ndarray, unitary: bool
+    lo: int, hi: int, step: int, primes: np.ndarray, unitary: bool
 ) -> np.ndarray:
-    sig = np.ones(hi - lo, dtype=np.int64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    top = hi - 1
-    for p in primes:
-        p = int(p)
+    rest = np.arange(lo, hi, step, dtype=np.int64)
+    count = rest.shape[0]
+    top = int(rest[-1])
+    sig = np.ones(count, dtype=np.int64)
+    found = np.ones(count, dtype=np.int64)  # product of the prime parts so far
+    # scratch, read only at multiples of the current prime, each of which is
+    # assigned afresh before it is read
+    part = np.empty(count, dtype=np.int64)  # p-part
+    part_sum = None if unitary else np.empty(count, dtype=np.int64)  # sigma(p-part)
+    for p in primes.tolist():
         if p * p > top:
             break
+        if step % p == 0:
+            continue  # p = 2 with step 2: every value is odd
+        # index of the first multiple of pk in the progression; multiples of
+        # pk then recur every pk entries because step is prime to p
         pk = p
-        while pk <= top:
-            pkp = pk * p
-            start = ((lo + pk - 1) // pk) * pk
-            if start > top:
+        start = -lo * pow(step, -1, pk) % pk
+        if start >= count:
+            continue
+        part[start::p] = p
+        if part_sum is not None:
+            part_sum[start::p] = p + 1
+        while pk * p <= top:
+            pk *= p
+            start_k = -lo * pow(step, -1, pk) % pk
+            if start_k >= count:
                 break
-            idx = np.arange(start - lo, hi - lo, pk)
-            # drop entries divisible by the next power; they get their
-            # factor at a later pass
-            exact = np.ones(idx.shape[0], dtype=bool)
-            start2 = ((lo + pkp - 1) // pkp) * pkp
-            if start2 <= top:
-                exact[(start2 - start) // pk :: p] = False
-            sel = idx[exact]
-            sig[sel] *= pk + 1 if unitary else (pkp - 1) // (p - 1)
-            rem[sel] //= pk
-            pk = pkp
-    # leftovers are single primes above sqrt(hi)
-    left = rem > 1
-    sig[left] *= rem[left] + 1
+            part[start_k::pk] *= p
+            if part_sum is not None:
+                part_sum[start_k::pk] += part[start_k::pk]
+        view = part[start::p]
+        found[start::p] *= view
+        if part_sum is None:
+            view += 1  # sigma*(p^k) = p^k + 1
+            sig[start::p] *= view
+        else:
+            sig[start::p] *= part_sum[start::p]
+    # the cofactor is 1 or a single prime q above sqrt(top), with
+    # sigma(q) = sigma*(q) = q + 1
+    rest //= found
+    rest += rest > 1
+    sig *= rest
     return sig
 
 
-def _check_span(lo: int, hi: int) -> None:
+def _check_span(lo: int, hi: int, step: int) -> None:
     if lo < 1 or hi <= lo:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_SIEVE_VALUE:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
+    if step not in (1, 2) or (step == 2 and lo % 2 == 0):
+        raise ValueError(f"need step 1, or step 2 from an odd lo; got step={step}, lo={lo}")
 
 
-def divisor_sum_segment(lo: int, hi: int, unitary: bool) -> np.ndarray:
-    """sigma*(n) if unitary else sigma(n), for n in [lo, hi), as an int64 array."""
-    _check_span(lo, hi)
-    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)), unitary)
+def divisor_sum_segment(lo: int, hi: int, unitary: bool, step: int = 1) -> np.ndarray:
+    """sigma*(n) if unitary else sigma(n), for n = lo, lo + step, ... < hi.
+
+    step is 1 (every value) or 2 (odd values; lo must be odd).  Returns an
+    int64 array.
+    """
+    _check_span(lo, hi, step)
+    return _divisor_sum_segment(lo, hi, step, base_primes(isqrt(hi - 1)), unitary)
 
 
 def sigma_star_segment(lo: int, hi: int) -> np.ndarray:

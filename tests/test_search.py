@@ -1,12 +1,15 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uspkit import bruteforce
-from uspkit.arith import factorize, sigma_from_factorization, unitary_sigma
+from uspkit import bruteforce, search, sieve
+from uspkit.arith import factorize, is_prime, sigma_from_factorization, unitary_sigma
 from uspkit.cli import main
 from uspkit.search import (
     CLASS_ORDER,
@@ -22,9 +25,40 @@ from uspkit.search import (
     run_search,
     verify_hit,
 )
-from uspkit.sieve import sigma_segment, sigma_star_segment
+from uspkit.sieve import (
+    MAX_SIEVE_VALUE,
+    base_primes,
+    divisor_sum_segment,
+    sigma_segment,
+    sigma_star_segment,
+)
 
 rng = random.Random(65537)
+
+# reproducible examples, no example database written next to the tests
+_PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def _exact_sums(values, unitary):
+    sums = []
+    for n in values:
+        f = factorize(n)
+        sums.append(unitary_sigma(f) if unitary else sigma_from_factorization(f))
+    return sums
+
+
+@pytest.fixture
+def sieve_spans(monkeypatch):
+    """(lo, hi, step, unitary) of every call into the sieve kernel."""
+    spans = []
+    kernel = sieve._divisor_sum_segment
+
+    def recorded(lo, hi, step, primes, unitary):
+        spans.append((lo, hi, step, unitary))
+        return kernel(lo, hi, step, primes, unitary)
+
+    monkeypatch.setattr(sieve, "_divisor_sum_segment", recorded)
+    return spans
 
 
 def test_sigma_star_segment_first_ten():
@@ -44,6 +78,10 @@ def test_segment_bounds_validation():
         sigma_star_segment(10, 10)
     with pytest.raises(ValueError):
         sigma_segment(1, 1 << 60)
+    with pytest.raises(ValueError):
+        divisor_sum_segment(10, 20, unitary=True, step=2)  # step 2 needs an odd lo
+    with pytest.raises(ValueError):
+        divisor_sum_segment(11, 20, unitary=True, step=3)
 
 
 def test_segments_agree_with_factorization():
@@ -55,6 +93,71 @@ def test_segments_agree_with_factorization():
             f = factorize(lo + i)
             assert seg_star[i] == unitary_sigma(f)
             assert seg_sig[i] == sigma_from_factorization(f)
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(
+    lo=st.integers(1, 10**9),
+    length=st.integers(1, 300),
+    step=st.sampled_from([1, 2]),
+    unitary=st.booleans(),
+)
+def test_divisor_sum_segment_matches_factorization(lo, length, step, unitary):
+    lo |= step - 1  # step 2 runs over odd values
+    values = range(lo, lo + length, step)
+    seg = divisor_sum_segment(lo, lo + length, unitary, step=step)
+    assert seg.dtype == np.int64
+    assert seg.tolist() == _exact_sums(values, unitary)
+
+
+@settings(_PROPERTY, max_examples=60)
+@given(
+    below_max=st.integers(0, 10**6),
+    length=st.integers(2, 12),
+    step=st.sampled_from([1, 2]),
+    unitary=st.booleans(),
+)
+def test_sieve_kernel_near_max_sieve_value(below_max, length, step, unitary):
+    # the base primes up to sqrt(2**59) would take a sieve of 7.6e8 flags;
+    # primes that divide no value in the span contribute nothing, so the
+    # kernel gets exactly the ones that do
+    hi = MAX_SIEVE_VALUE - below_max
+    lo = (hi - length) | (step - 1)
+    values = range(lo, hi, step)
+    top = values[-1]
+    primes = sorted({
+        p for n in values for p, _ in factorize(n).entries if p * p <= top
+    })
+    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), unitary)
+    assert seg.tolist() == _exact_sums(values, unitary)
+
+
+def test_base_primes_one_growing_cache(monkeypatch):
+    monkeypatch.setattr(sieve, "_primes", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sieve, "_sieved_to", 1)
+    small = base_primes(1000)
+    big = base_primes(5000)  # grows the one sieve
+    again = base_primes(1000)
+    # both answers after the growth are prefixes of the one cached array
+    assert np.shares_memory(big, sieve._primes) and np.shares_memory(again, sieve._primes)
+    for got, bound in ((small, 1000), (big, 5000), (again, 1000)):
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in range(bound + 1) if is_prime(p)]
+    assert base_primes(1).size == 0
+
+
+@pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
+def test_odd_part_lookup_matches_brute(brute_tables_1e5, unitary):
+    limit = 10**5
+    sig, usig = brute_tables_1e5
+    table = search._build_table(unitary, (limit + 1) // 2, workers=1)
+    m = np.arange(1, limit + 1, dtype=np.int64)
+    sums, inside = search._lookup(table, m, unitary)
+    assert inside.all()
+    assert (sums == (usig if unitary else sig)[1:]).all()
+    # the first odd value past the table, alone and times a power of two
+    _, inside = search._lookup(table, np.array([limit + 1, 8 * (limit + 1)]), unitary)
+    assert not inside.any()
 
 
 def test_segment_split_invariance():
@@ -229,12 +332,35 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_table_budget_fallback_matches_uncapped():
-    # a zero budget leaves the 2**16-entry floor: first applications past it
-    # come from a per-segment sieve, second ones from exact factorization
-    common = dict(limit=7 * 10**4, segment_size=1024, classes=CLASS_ORDER)
-    capped = run_search(SearchConfig(table_budget_bytes=0, **common))
+def test_out_of_table_segment_sieved_once(sieve_spans):
+    # a zero budget leaves the 2**16-entry floor, odd values below 2**17;
+    # each segment past it is sieved once per divisor sum, not once per class
+    run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER,
+                            parity="odd", table_budget_bytes=0))
+    assert len(sieve_spans) == len(set(sieve_spans))
+    scanned = Counter(span[:3] for span in sieve_spans if span[0] > 2**17)
+    assert scanned and set(scanned.values()) == {2}
+
+
+def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
+    # under the 2**16-entry floor, first applications of n > 2**17 come from a
+    # per-segment sieve (step 1; the table is built from step-2 spans), and
+    # second ones with an odd part past the table from exact factorization:
+    # sigma(2 * 211**2) = 3 * 44733, for one
+    common = dict(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER)
     full = run_search(SearchConfig(**common))
+    exact = []
+    exact_divisor_sum = search._exact_divisor_sum
+
+    def counted(m, unitary):
+        exact.append(m)
+        return exact_divisor_sum(m, unitary)
+
+    monkeypatch.setattr(search, "_exact_divisor_sum", counted)
+    sieve_spans.clear()
+    capped = run_search(SearchConfig(table_budget_bytes=0, **common))
+    assert any(step == 1 for _, _, step, _ in sieve_spans)
+    assert 3 * 44733 in exact
     assert capped.checkpoint_text == full.checkpoint_text
 
 
