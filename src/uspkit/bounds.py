@@ -16,7 +16,7 @@ which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -201,7 +201,8 @@ class _Display:
     id: str
     printed_value: float
     primary: _Reading
-    alts: tuple[tuple[str, _Reading], ...] = ()
+    #: alternate readings: a label and the exp_args that replace the primary's
+    alts: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = ()
     note: str = ""
     cutoffs: tuple[tuple[str, int], ...] = ()
 
@@ -249,18 +250,7 @@ def _registry(min_k: int) -> dict[str, _Display]:
             alts=(
                 (
                     "recomputed tail exponent 3/8746",
-                    _Reading(
-                        factors=(
-                            ("(2^3+1)/2^3", f(9, 8)),
-                            ("(3^6+1)/3^6", f(730, 729)),
-                            ("6/5", f(6, 5)),
-                            ("18/17", f(18, 17)),
-                            ("54/53", f(54, 53)),
-                        ),
-                        exp_args=(
-                            ("tail 2*3^i over i >= 7", tail_exponent(2, 3, 7)),
-                        ),
-                    ),
+                    (("tail 2*3^i over i >= 7", tail_exponent(2, 3, 7)),),
                 ),
             ),
             note=(
@@ -294,24 +284,9 @@ def _registry(min_k: int) -> dict[str, _Display]:
             alts=(
                 (
                     "recomputed tail exponents 3/8746 + 3/1942",
-                    _Reading(
-                        factors=(
-                            (f"(2^{min_k}+1)/2^{min_k}", f(2**min_k + 1, 2**min_k)),
-                            (
-                                f"(3^{min_k - 1}+1)/3^{min_k - 1}",
-                                f(3 ** (min_k - 1) + 1, 3 ** (min_k - 1)),
-                            ),
-                            ("4/3", f(4, 3)),
-                            ("6/5", f(6, 5)),
-                            ("12/11", f(12, 11)),
-                            ("18/17", f(18, 17)),
-                            ("54/53", f(54, 53)),
-                            ("108/107", f(108, 107)),
-                        ),
-                        exp_args=(
-                            ("tail 2*3^i over i >= 7", tail_exponent(2, 3, 7)),
-                            ("tail 4*3^i over i >= 5", tail_exponent(4, 3, 5)),
-                        ),
+                    (
+                        ("tail 2*3^i over i >= 7", tail_exponent(2, 3, 7)),
+                        ("tail 4*3^i over i >= 5", tail_exponent(4, 3, 5)),
                     ),
                 ),
             ),
@@ -347,15 +322,7 @@ def _registry(min_k: int) -> dict[str, _Display]:
             alts=(
                 (
                     "literal exp((5/4)*(250/249)) as printed",
-                    _Reading(
-                        factors=(
-                            ("7/8", f(7, 8)),
-                            ("6/5", f(6, 5)),
-                            ("9/8", f(9, 8)),
-                        ),
-                        exp_args=(("(5/4)*(250/249)", f(625, 498)),),
-                        with_constant=True,
-                    ),
+                    (("(5/4)*(250/249)", f(625, 498)),),
                 ),
             ),
             note=(
@@ -381,17 +348,7 @@ def _registry(min_k: int) -> dict[str, _Display]:
             alts=(
                 (
                     "recomputed tail exponent 7/78 for 2*7^i",
-                    _Reading(
-                        factors=(
-                            ("max of second-application branches = 65/56",
-                             _second_application_max_q7()),
-                            ("4/3", f(4, 3)),
-                        ),
-                        exp_args=(
-                            even_tail,
-                            ("tail 2*7^i over i >= 1", tail_exponent(2, 7, 1)),
-                        ),
-                    ),
+                    (even_tail, ("tail 2*7^i over i >= 1", tail_exponent(2, 7, 1))),
                 ),
             ),
             note=(
@@ -418,18 +375,7 @@ def _registry(min_k: int) -> dict[str, _Display]:
             alts=(
                 (
                     "recomputed tail exponent 11/210 for 2*11^i",
-                    _Reading(
-                        factors=(
-                            ("(2^3+1)/2^3", f(9, 8)),
-                            ("(11^6+1)/11^6", f(11**6 + 1, 11**6)),
-                            ("4/3", f(4, 3)),
-                            ("8/7", f(8, 7)),
-                        ),
-                        exp_args=(
-                            even_tail,
-                            ("tail 2*11^i over i >= 1", tail_exponent(2, 11, 1)),
-                        ),
-                    ),
+                    (even_tail, ("tail 2*11^i over i >= 1", tail_exponent(2, 11, 1))),
                 ),
             ),
             note=(
@@ -491,7 +437,10 @@ def evaluate_inequality(ineq_id: str, *, min_k: int = MIN_K_BOTH_DIVISIBLE) -> I
         raise KeyError(f"unknown inequality id {ineq_id!r}; known: {INEQUALITY_IDS}")
     d = registry[ineq_id]
     cert = _eval_reading(d.id, d.primary, d.cutoffs)
-    alts = tuple(_eval_alt(d.id, label, r) for label, r in d.alts)
+    alts = tuple(
+        _eval_alt(d.id, label, replace(d.primary, exp_args=exp_args))
+        for label, exp_args in d.alts
+    )
     if abs(cert.float_estimate - d.printed_value) > REPRODUCTION_TOL:
         verdict = Verdict.DISCREPANCY_FLAGGED
     else:

@@ -1,20 +1,29 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
 The search runs in two layers.  A flat uint32 lookup table of divisor sums
-of odd values is built once per run (chunk by chunk, optionally across
-worker processes): entry i holds sigma*(2i + 1) or sigma(2i + 1).  A lookup
-of m = 2^a * m' with m' odd multiplies the entry for m' by the 2-part's
-factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
+of odd values is built once per run, chunk by chunk: entry i holds
+sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m' odd
+multiplies the entry for m' by the 2-part's factor, sigma*(2^a) = 2^a + 1
+for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
 
 The classification pass then walks [1, limit] in segments: a number n is a
 hit for the second-order classes exactly when the re-applied divisor sum
 equals 2n, and the inequality sigma(m) >= m + 1 means any n with a first
 application above 2n - 1 can be discarded before the second lookup, so every
-odd part looked up is below 2 * limit.  For the unitary classes over odd n
-it is below limit: for odd n > 1, sigma*(n) is even, so a candidate's
-sigma*(n) <= 2n - 1 has an odd part below n.  The table covers the odd values
-up to that bound.  When the table is memory-capped, first applications past
-it come from a per-segment sieve and second ones from exact factorization.
+odd part looked up is below 2 * limit.  Over odd n it is below limit for
+every class: for odd n > 1, sigma*(n) is even, and so is sigma(n) unless n is
+a square, so a candidate's first application, at most 2n - 1, has an odd part
+below n.  The odd squares, at most sqrt(limit) / 2 of them, take the exact
+fallback below.  The table covers the odd values up to that bound.  When the
+table is memory-capped, first applications past it come from a per-segment
+sieve and second ones from exact factorization.
+
+Each search makes one ordered map and runs both layers through it: the
+builtin map in one process, otherwise the map of one fork process pool of
+at most os.cpu_count() workers, which yields results in submission order.
+The tables live in shared anonymous memory mapped before the pool forks, so
+the workers fill them in place and then classify segments against them; no
+table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve that produced it, and odd hits of
@@ -27,10 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -156,6 +167,8 @@ class SearchConfig:
             raise ValueError("segment_size must be at least 1024")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_segments is not None and self.max_segments < 0:
+            raise ValueError("max_segments must be >= 0")
 
 
 @dataclass
@@ -171,41 +184,38 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # table construction
 
+#: the running search's classes, parity and odd-part tables (keyed by
+#: unitary), set by run_search before its pool forks so that the workers
+#: inherit them; the tables are shared memory that every process writes and
+#: reads in place
+_STATE: dict | None = None
+
 #: odd values per table-build task: the sieve's int64 arrays for a task stay
 #: in cache, and its Python work per base prime is spread over enough entries
 _TABLE_CHUNK = 1 << 18
 
 
-def _table_segment(task: tuple[bool, int, int]) -> np.ndarray:
-    unitary, lo, hi = task
+def _fill_chunk(unitary: bool, i: int) -> None:
+    table = _STATE["tables"][unitary]
+    lo, hi = 2 * i + 1, 2 * min(table.shape[0], i + _TABLE_CHUNK)
     seg = divisor_sum_segment(lo, hi, unitary, step=2)
     if seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
-    return seg.astype(np.uint32)
+    table[i : i + seg.shape[0]] = seg
 
 
-def _build_table(unitary: bool, size: int, workers: int) -> np.ndarray:
-    """sigma*(2i + 1) if unitary else sigma(2i + 1) at index i, for i < size."""
-    table = np.empty(size, dtype=np.uint32)
-    starts = range(0, size, _TABLE_CHUNK)
-    tasks = [(unitary, 2 * i + 1, 2 * min(size, i + _TABLE_CHUNK)) for i in starts]
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for i, seg in zip(starts, pool.map(_table_segment, tasks)):
-                table[i : i + seg.shape[0]] = seg
-    else:
-        for i, task in zip(starts, tasks):
-            seg = _table_segment(task)
-            table[i : i + seg.shape[0]] = seg
-    return table
+def _build_table(unitary: bool, omap=map) -> np.ndarray:
+    """Fill the state's table with sigma*(2i + 1) if unitary else sigma(2i + 1)
+    at index i, one task per _TABLE_CHUNK entries run through omap."""
+    starts = range(0, _STATE["tables"][unitary].shape[0], _TABLE_CHUNK)
+    # draining the map runs (builtin map) or awaits (pool) every task, and
+    # raises a task's OverflowError here
+    list(omap(_fill_chunk, [unitary] * len(starts), starts))
+    return _STATE["tables"][unitary]
 
 
 # ---------------------------------------------------------------------------
 # segment classification
-
-# read-only state inherited by forked scan workers
-_SCAN_STATE: dict | None = None
 
 
 def _divisor_sum(f: Factorization, unitary: bool) -> int:
@@ -232,8 +242,8 @@ def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
-def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
-    parity = state["parity"]
+def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
+    parity = _STATE["parity"]
     if parity == "all":
         start, step = lo, 1
     else:  # from the first n of the requested parity
@@ -256,10 +266,10 @@ def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
         block = values[i : i + _SCAN_BLOCK]
         n_all = np.arange(block.start, block.stop, step, dtype=np.int64)
         for variant in VARIANTS:
-            if variant.name not in state["classes"]:
+            if variant.name not in _STATE["classes"]:
                 continue
             unitary = variant.unitary
-            table = state["tables"][unitary]
+            table = _STATE["tables"][unitary]
             first, inside = _lookup(table, n_all, unitary)
             if not inside.all():
                 first = first_sieved(unitary)[i : i + _SCAN_BLOCK]
@@ -278,11 +288,6 @@ def _classify_segment(lo: int, hi: int, state: dict) -> list[tuple[int, str]]:
             hits.extend((int(x), variant.name) for x in good)
     hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
-
-
-def _scan_task(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, str]]]:
-    idx, lo, hi = args
-    return idx, _classify_segment(lo, hi, _SCAN_STATE)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +355,28 @@ def _write_atomic(path: str, text: str) -> None:
 # orchestration
 
 def _table_sizes(config: SearchConfig) -> dict[bool, int]:
-    """Entries of each odd-part table, keyed by unitary; 0 when unused."""
+    """Entries of each odd-part table the classes use, keyed by unitary."""
     budget_entries = max(config.table_budget_bytes // 4, 1 << 16)
-    need = {True: 0, False: 0}  # the largest odd part a lookup can ask for
+    need: dict[bool, int] = {}  # the largest odd part a lookup can ask for
     for variant in VARIANTS:
         if variant.name in config.classes:
-            # unitary classes over odd n: the odd part of sigma*(n) is below n
-            odd_unitary = variant.unitary and config.parity == "odd"
-            bound = config.limit * (1 if odd_unitary else variant.applications)
-            need[variant.unitary] = max(need[variant.unitary], bound)
+            # over odd n a candidate's odd part is below n, odd squares
+            # aside (module docstring)
+            bound = config.limit * (1 if config.parity == "odd" else variant.applications)
+            need[variant.unitary] = max(need.get(variant.unitary, 0), bound)
     # index i holds 2i + 1, so the odd values up to b take (b + 1) // 2 entries
     return {unitary: min((b + 1) // 2, budget_entries) for unitary, b in need.items()}
+
+
+@contextmanager
+def _ordered_map(processes: int):
+    """map, or the map of a fork pool; both yield results in submission order."""
+    if processes == 1:
+        yield map
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
+            yield pool.map
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -370,13 +386,10 @@ def run_search(config: SearchConfig) -> SearchResult:
     stops the run early, completed is False and the checkpoint holds the
     finished prefix.
     """
-    global _SCAN_STATE
+    global _STATE
     t0 = time.perf_counter()
-    spans = [
-        (idx, lo, min(config.limit + 1, lo + config.segment_size))
-        for idx, lo in enumerate(range(1, config.limit + 1, config.segment_size))
-    ]
-    total = len(spans)
+    starts = range(1, config.limit + 1, config.segment_size)
+    total = len(starts)
 
     hits_by_segment: list[list[SearchHit]] = []
     if config.resume:
@@ -390,18 +403,8 @@ def run_search(config: SearchConfig) -> SearchResult:
                 f"segment_size={cp_seg}; refusing to mix configurations"
             )
         hits_by_segment = hits_by_segment[:total]
-    start = len(hits_by_segment)
 
-    state = {
-        "classes": set(config.classes),
-        "parity": config.parity,
-        "tables": {
-            unitary: _build_table(unitary, size, config.workers) if size else None
-            for unitary, size in _table_sizes(config).items()
-        },
-    }
-
-    todo = spans[start:]
+    todo = starts[len(hits_by_segment) :]
     if config.max_segments is not None:
         todo = todo[: config.max_segments]
 
@@ -414,23 +417,26 @@ def run_search(config: SearchConfig) -> SearchResult:
                 render_checkpoint(config.limit, config.segment_size, hits_by_segment),
             )
 
-    if config.workers > 1 and len(todo) > 1:
-        _SCAN_STATE = state
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=config.workers, mp_context=ctx) as pool:
-                pending: dict[int, list[tuple[int, str]]] = {}
-                next_idx = start
-                for idx, raw in pool.map(_scan_task, todo):
-                    pending[idx] = raw
-                    while next_idx in pending:
-                        merge(pending.pop(next_idx))
-                        next_idx += 1
-        finally:
-            _SCAN_STATE = None
-    else:
-        for idx, lo, hi in todo:
-            merge(_classify_segment(lo, hi, state))
+    sizes = _table_sizes(config)
+    # a process per task at most: a phase of one task gains nothing from a pool
+    tasks = max([len(todo)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])
+    _STATE = {
+        "classes": set(config.classes),
+        "parity": config.parity,
+        "tables": {
+            unitary: np.frombuffer(mmap.mmap(-1, 4 * size), dtype=np.uint32)
+            for unitary, size in sizes.items()
+        },
+    }
+    try:
+        with _ordered_map(min(config.workers, os.cpu_count() or 1, tasks)) as omap:
+            for unitary in sizes:
+                _build_table(unitary, omap)
+            ends = [min(config.limit + 1, lo + config.segment_size) for lo in todo]
+            for seg_hits_raw in omap(_classify_segment, todo, ends):
+                merge(seg_hits_raw)
+    finally:
+        _STATE = None
 
     completed = len(hits_by_segment) == total
     text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)

@@ -131,6 +131,8 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "nosuchcmd")[0] == 1
     assert run_cli(capsys, "sigma", "notanint")[0] == 1
     assert run_cli(capsys, "search", "usp", "--limit", "0")[0] == 1
+    assert run_cli(capsys, "search", "usp", "--limit", "10000", "--segment-size", "2048",
+                   "--max-segments", "-1")[0] == 1
     assert run_cli(capsys, "verify-lemma", "9.9")[0] == 1
 
 

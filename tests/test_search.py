@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 
@@ -147,10 +148,12 @@ def test_base_primes_one_growing_cache(monkeypatch):
 
 
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
-def test_odd_part_lookup_matches_brute(brute_tables_1e5, unitary):
+def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5, unitary):
     limit = 10**5
     sig, usig = brute_tables_1e5
-    table = search._build_table(unitary, (limit + 1) // 2, workers=1)
+    empty = np.zeros((limit + 1) // 2, dtype=np.uint32)
+    monkeypatch.setattr(search, "_STATE", {"tables": {unitary: empty}})
+    table = search._build_table(unitary)
     m = np.arange(1, limit + 1, dtype=np.int64)
     sums, inside = search._lookup(table, m, unitary)
     assert inside.all()
@@ -364,6 +367,81 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
     assert capped.checkpoint_text == full.checkpoint_text
 
 
+#: SHA-256 of the checkpoint text of all four classes at limit 3*10**5 with
+#: segment 2**14, by parity; the output bytes of these searches are fixed
+_GOLDEN_CHECKPOINTS = {
+    "all": "82b7734bb5fff162a7e26a4b16c24b14d4d947b1810f93a512d65739ad03e9e4",
+    "odd": "e6c804429b9c5774f81be256bd7cb618c6eb20a363bc973936e13a4e6d87b715",
+    "even": "c7e0eae102e896207dc75f40f837e61c20169e1c2ceb947099e6ae79150d0dfb",
+}
+
+
+@pytest.mark.parametrize("parity", _GOLDEN_CHECKPOINTS)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
+def test_checkpoint_bytes_golden(parity, workers, budget):
+    result = run_search(SearchConfig(limit=3 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER,
+                                     parity=parity, workers=workers, **budget))
+    digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
+    assert digest == _GOLDEN_CHECKPOINTS[parity]
+
+
+def test_one_pool_bounded_by_cpu_count(monkeypatch):
+    # fork pools start all their workers at once: asking for 10**5 must not
+    # fork 10**5 processes; the recorder starts two real ones at most
+    requested = []
+    pool_class = search.ProcessPoolExecutor
+
+    def recorder(max_workers, mp_context):
+        requested.append(max_workers)
+        return pool_class(max_workers=min(max_workers, 2), mp_context=mp_context)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", recorder)
+    common = dict(limit=10**5, segment_size=1 << 14, classes=CLASS_ORDER)
+    serial = run_search(SearchConfig(**common)).checkpoint_text
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    # both tables and the scan share the one pool
+    assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
+    assert requested == [3]
+    # a search of one segment and one table chunk runs in-process
+    run_search(SearchConfig(limit=1000, workers=2))
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
+    assert requested == [3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table_overflow_refused(monkeypatch, workers):
+    # a divisor sum past uint32 stops the build, also from a pool worker
+    def too_big(lo, hi, unitary, step):
+        return np.full(len(range(lo, hi, step)), 1 << 32, dtype=np.int64)
+
+    monkeypatch.setattr(search, "divisor_sum_segment", too_big)
+    with pytest.raises(OverflowError):
+        run_search(SearchConfig(limit=1 << 20, parity="odd", workers=workers))
+
+
+def test_odd_sigma_table_capped_at_limit(monkeypatch):
+    # for odd n, sigma(n) is odd only for squares, so the sigma table stops at
+    # limit and the odd squares with sigma(n) past it are factorized exactly
+    limit = 3 * 10**5
+    config = SearchConfig(limit=limit, classes=("super_perfect",), parity="odd")
+    assert search._table_sizes(config) == {False: (limit + 1) // 2}
+    exact = []
+    exact_divisor_sum = search._exact_divisor_sum
+
+    def counted(m, unitary):
+        exact.append(m)
+        return exact_divisor_sum(m, unitary)
+
+    monkeypatch.setattr(search, "_exact_divisor_sum", counted)
+    assert run_search(config).hits == []
+    odd_square_sigmas = {
+        sigma_from_factorization(factorize(k * k)) for k in range(1, math.isqrt(limit) + 1, 2)
+    }
+    assert exact and set(exact) <= odd_square_sigmas
+
+
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 def test_verify_hit_rejects_wrong_class(variant):
     hits = bruteforce.classify_brute(300)[variant.name]
@@ -401,3 +479,6 @@ def test_config_validation():
         SearchConfig(limit=10, workers=0)
     with pytest.raises(ValueError):
         SearchConfig(limit=10, segment_size=8)
+    with pytest.raises(ValueError):
+        SearchConfig(limit=10, max_segments=-1)
+    SearchConfig(limit=10, max_segments=0)
