@@ -12,6 +12,7 @@ from .arith import (
     omega,
     ord_mod,
     pow_mod,
+    prime_power,
     unitary_divisors,
     unitary_sigma,
     v_p,

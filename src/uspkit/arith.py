@@ -1,5 +1,6 @@
-"""Exact integer arithmetic: primality, factorization, divisor sums and
-divisor lists, valuations, multiplicative orders, and quadratic symbols.
+"""Exact integer arithmetic: primality, factorization, prime-power tests,
+divisor sums and divisor lists, valuations, multiplicative orders, and
+quadratic symbols.
 
 Everything here is pure, deterministic, and total on naturals up to
 ``MAX_NATURAL``.  Larger inputs are rejected rather than answered
@@ -10,7 +11,8 @@ for inputs under 2**64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import takewhile
+from math import gcd, isqrt
 
 from .sieve import base_primes
 
@@ -163,6 +165,49 @@ def factorize(n: int) -> Factorization:
         else:
             _split(m, counts)
     return Factorization(tuple(sorted(counts.items())), n)
+
+
+#: prime exponents k with 3**k <= MAX_NATURAL: an odd perfect power in
+#: range is a perfect k-th power for one of them
+_ROOT_EXPONENTS: tuple[int, ...] = tuple(
+    takewhile(lambda p: 3**p <= MAX_NATURAL, _SMALL_PRIMES)
+)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1: the float root corrected exactly."""
+    if k == 2:
+        return isqrt(n)
+    r = int(n ** (1.0 / k))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(q, b) with n = q**b, q prime and b >= 1, or None if n is no prime power.
+
+    An odd n loses perfect k-th powers for prime k, ascending, until the
+    smallest odd base 3 to the power k exceeds it; the remaining base is a
+    prime power only if it is prime, which is_prime decides exactly in range.
+    Refuses what factorize refuses.
+    """
+    _check_natural(n)
+    if n == 0:
+        raise ValueError("0 has no factorization")
+    if n % 2 == 0:
+        return (2, n.bit_length() - 1) if n & (n - 1) == 0 else None
+    b = 1
+    for k in _ROOT_EXPONENTS:
+        if 3**k > n:
+            break
+        r = _iroot(n, k)
+        while r**k == n:  # a k-th root that is itself a k-th power
+            n, b = r, b * k
+            r = _iroot(n, k)
+    return (n, b) if is_prime(n) else None
 
 
 def unitary_sigma(f: Factorization) -> int:

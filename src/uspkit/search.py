@@ -371,7 +371,7 @@ def _table_sizes(config: SearchConfig) -> dict[bool, int]:
 @contextmanager
 def _ordered_map(processes: int):
     """map, or the map of a fork pool; both yield results in submission order."""
-    if processes == 1:
+    if processes <= 1:
         yield map
     else:
         ctx = multiprocessing.get_context("fork")
@@ -417,7 +417,9 @@ def run_search(config: SearchConfig) -> SearchResult:
                 render_checkpoint(config.limit, config.segment_size, hits_by_segment),
             )
 
-    sizes = _table_sizes(config)
+    # no segment left to scan (max_segments 0, a completed checkpoint) reads
+    # no table, so none is built and no pool is started
+    sizes = _table_sizes(config) if todo else {}
     # a process per task at most: a phase of one task gains nothing from a pool
     tasks = max([len(todo)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])
     _STATE = {

@@ -23,6 +23,7 @@ from .arith import (
     is_mersenne_prime,
     is_prime,
     ord_mod,
+    prime_power,
     primes_up_to,
     unitary_sigma,
 )
@@ -53,20 +54,17 @@ class TwoAQB:
 
 def decompose_2aqb(m: int) -> TwoAQB | None:
     """Unique TwoAQB representation of m, or None if m has two or more odd
-    prime factors."""
+    prime factors.  The odd part of m must not exceed MAX_NATURAL."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"m must be an int, got {type(m).__name__}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = 0
-    while m % 2 == 0:
-        m //= 2
-        a += 1
-    if m == 1:
+    a = (m & -m).bit_length() - 1
+    odd = m >> a
+    if odd == 1:
         return TwoAQB(a, None, 0)
-    f = factorize(m)
-    if len(f.entries) != 1:
-        return None
-    q, b = f.entries[0]
-    return TwoAQB(a, q, b)
+    qb = prime_power(odd)
+    return None if qb is None else TwoAQB(a, *qb)
 
 
 class ZsigmondyKind(Enum):
@@ -138,10 +136,9 @@ def enumerate_prime_powers_2aqb(
             v = 2**a * q**b - 1
             if v > cap:
                 break
-            f = factorize(v)
-            if len(f.entries) == 1:
-                p, e = f.entries[0]
-                found.append((v, (p, e, a, b)))
+            p_e = prime_power(v)
+            if p_e is not None:
+                found.append((v, (*p_e, a, b)))
     return [t for _, t in sorted(found)]
 
 

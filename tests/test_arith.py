@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import numpy as np
@@ -17,6 +18,7 @@ from uspkit.arith import (
     omega,
     ord_mod,
     pow_mod,
+    prime_power,
     primes_up_to,
     unitary_divisors,
     unitary_sigma,
@@ -84,6 +86,28 @@ def test_factorize_needs_rho():
     assert factorize(n).entries == ((1_000_003, 1), (1_000_033, 1))
     n = 99990001 * 99990001
     assert factorize(n).entries == ((99990001, 2),)
+
+
+def test_prime_power_examples():
+    # every power of 3 in range, 3**37 among them (a prime exponent)
+    assert [prime_power(3**b) for b in range(1, 41)] == [(3, b) for b in range(1, 41)]
+    q = 4294967291  # the largest prime below 2**32
+    assert prime_power(q * q) == (q, 2)
+    assert prime_power(2**63) == (2, 63)
+    assert prime_power(9**20) == (3, 40)  # three square roots, then a fifth root
+    # perfect powers of composites
+    assert prime_power(15**16) is None
+    assert prime_power(35**3) is None
+    assert prime_power(MAX_NATURAL) is None  # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+    assert prime_power(1) is None
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_NATURAL + 1, 2**64 + 1, 2.0, True])
+def test_prime_power_refuses_what_factorize_refuses(n):
+    with pytest.raises((TypeError, ValueError)) as want:
+        factorize(n)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        prime_power(n)
 
 
 def test_factorization_invariants_enforced():

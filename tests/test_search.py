@@ -259,7 +259,8 @@ def test_checkpoint_roundtrip(tmp_path):
     result = run_search(
         SearchConfig(limit=10**4, segment_size=2048, checkpoint_path=cp)
     )
-    limit, seg, hits_by_segment = parse_checkpoint(open(cp).read())
+    with open(cp) as fh:
+        limit, seg, hits_by_segment = parse_checkpoint(fh.read())
     assert (limit, seg) == (10**4, 2048)
     flat = [h for s in hits_by_segment for h in s]
     assert [h.n for h in flat] == [h.n for h in result.hits]
@@ -284,8 +285,10 @@ def test_interrupt_resume_identical(tmp_path):
 def test_checkpoint_corruption_refused(tmp_path):
     cp = str(tmp_path / "cp.txt")
     run_search(SearchConfig(limit=300, segment_size=1024, checkpoint_path=cp))
-    text = open(cp).read()
-    open(cp, "w").write(text.replace("hit 2 3 4 usp", "hit 3 3 4 usp"))
+    with open(cp) as fh:
+        text = fh.read()
+    with open(cp, "w") as fh:
+        fh.write(text.replace("hit 2 3 4 usp", "hit 3 3 4 usp"))
     with pytest.raises(CheckpointError):
         run_search(
             SearchConfig(limit=300, segment_size=1024, checkpoint_path=cp, resume=True)
@@ -408,6 +411,24 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
     assert requested == [3]
+
+
+def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
+    # max_segments 0 and a completed checkpoint leave no segment to scan: no
+    # table is built, no pool is started, and the checkpoint text is unchanged
+    cp = str(tmp_path / "cp.txt")
+    common = dict(limit=10**5, segment_size=1 << 14, classes=CLASS_ORDER, workers=2)
+    full = run_search(SearchConfig(checkpoint_path=cp, **common)).checkpoint_text
+    builds, pools = [], []
+    build_table = search._build_table
+    monkeypatch.setattr(search, "_build_table", lambda *a: builds.append(a) or build_table(*a))
+    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    resumed = run_search(SearchConfig(checkpoint_path=cp, resume=True, **common))
+    assert resumed.completed and resumed.checkpoint_text == full
+    stopped = run_search(SearchConfig(max_segments=0, **common))
+    assert not stopped.completed and stopped.segments_done == 0
+    assert stopped.checkpoint_text == render_checkpoint(10**5, 1 << 14, [])
+    assert builds == [] and pools == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

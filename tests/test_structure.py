@@ -2,9 +2,11 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uspkit import bruteforce
-from uspkit.arith import factorize, is_prime, unitary_sigma
+from uspkit.arith import MAX_NATURAL, factorize, is_prime, prime_power, unitary_sigma
 from uspkit.structure import (
     LEMMA_CHECKS,
     TwoAQB,
@@ -33,6 +35,16 @@ def test_decompose_examples():
     assert decompose_2aqb(64) == TwoAQB(6, None, 0)
     with pytest.raises(ValueError):
         decompose_2aqb(0)
+    # the range applies to the odd part
+    assert decompose_2aqb(2**64) == TwoAQB(64, None, 0)
+    with pytest.raises(ValueError, match="exceeds the supported range"):
+        decompose_2aqb(2**65 + 2)
+
+
+@pytest.mark.parametrize("m", [2.0, 6.0, True, False, "10", None])
+def test_decompose_refuses_non_int(m):
+    with pytest.raises(TypeError, match="m must be an int"):
+        decompose_2aqb(m)
 
 
 def test_decompose_exact_reconstruction():
@@ -45,6 +57,80 @@ def test_decompose_exact_reconstruction():
         assert (d is not None) == odd_is_prime_power
         if d is not None:
             assert d.value == m
+
+
+# reproducible examples, no example database written next to the tests
+_PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def _prime_at_most(n: int) -> int:
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def _primes(max_bits: int = 64):
+    """Primes of 2 to max_bits bits, every size about equally likely."""
+    return st.integers(2, max_bits).flatmap(
+        lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)
+    ).map(_prime_at_most)
+
+
+def _prime_power_oracle(n: int) -> tuple[int, int] | None:
+    entries = factorize(n).entries
+    return entries[0] if len(entries) == 1 else None
+
+
+def _decompose_oracle(m: int) -> TwoAQB | None:
+    a = 0
+    while m % 2 == 0:
+        m //= 2
+        a += 1
+    if m == 1:
+        return TwoAQB(a, None, 0)
+    qb = _prime_power_oracle(m)
+    return None if qb is None else TwoAQB(a, *qb)
+
+
+def _agree_with_oracle(n: int, a: int):
+    answer = prime_power(n)
+    assert answer == _prime_power_oracle(n)
+    assert decompose_2aqb(2**a * n) == _decompose_oracle(2**a * n)
+    return answer
+
+
+@_PROPERTY
+@given(q=_primes(), a=st.integers(0, 70))
+def test_prime_power_of_prime_matches_oracle(q, a):
+    b = 1
+    while q**b <= MAX_NATURAL:
+        assert _agree_with_oracle(q**b, a) == (q, b)
+        b += 1
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(data=st.data(), a=st.integers(0, 70))
+def test_prime_power_of_composite_matches_oracle(data, a):
+    # c = q1**e1 * q2**e2 with q1 != q2, and every perfect power c**k in range
+    q1 = data.draw(_primes(62))
+    q2 = data.draw(_primes(64 - q1.bit_length()))
+    assume(q1 != q2)
+    e1, e2 = data.draw(st.integers(1, 63)), data.draw(st.integers(1, 63))
+    while q1**e1 * q2 > MAX_NATURAL:
+        e1 -= 1
+    while q1**e1 * q2**e2 > MAX_NATURAL:
+        e2 -= 1
+    c = q1**e1 * q2**e2
+    k = 1
+    while c**k <= MAX_NATURAL:
+        assert _agree_with_oracle(c**k, a) is None
+        k += 1
+
+
+@pytest.mark.parametrize("n", [3**40, 4294967291**2, 15**16, 35**3, MAX_NATURAL, 1])
+def test_prime_power_examples_match_oracle(n):
+    for a in (0, 1, 64):
+        _agree_with_oracle(n, a)
 
 
 def test_twoaqb_invariants():
