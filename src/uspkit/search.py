@@ -1,8 +1,26 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-The search runs in two layers.  A flat uint32 lookup table of divisor sums
-of odd values is built once per run, chunk by chunk: entry i holds
-sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m' odd
+Odd searches of the unitary classes (usp and unitary_perfect under parity
+odd) read nothing but sigma*(n).  Take odd n > 1 and write sigma*(n) =
+2^a * m' with m' odd.  Every factor p^e + 1 of sigma*(n) is even, so a >= 1,
+and by multiplicativity sigma*(sigma*(n)) = (2^a + 1) * sigma*(m').  Each
+factor of sigma*(m') is even too, so 2^omega(m') divides sigma*(m'), while
+2^a + 1 is odd and v2(2n) = 1: a usp n has omega(m') <= 1.  m' = 1 is
+impossible, since sigma*(sigma*(n)) would be the odd 2^a + 1; so m' is a
+prime power, sigma*(m') = m' + 1, and
+
+    (2^a + 1) * (m' + 1) = 2n.
+
+Conversely, an n satisfying that with m' a prime power is usp, so the test
+is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n = p^e and
+p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with sigma*(1) = 1,
+is neither).  Such a search sieves sigma*(n) over each segment's odd n a
+block at a time and tests the block in numpy: no table, no fallback, memory
+bounded by one block.
+
+Every other search runs in two layers.  A flat uint32 lookup table of
+divisor sums of odd values is built once per run, chunk by chunk: entry i
+holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m' odd
 multiplies the entry for m' by the 2-part's factor, sigma*(2^a) = 2^a + 1
 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
 
@@ -40,6 +58,7 @@ import mmap
 import multiprocessing
 import os
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,7 +67,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import Factorization, factorize, sigma_from_factorization, unitary_sigma
+from .arith import (
+    Factorization,
+    factorize,
+    prime_power,
+    sigma_from_factorization,
+    unitary_sigma,
+)
 from .sieve import divisor_sum_segment
 from .structure import UspStructureVerdict, check_usp_structure
 
@@ -190,8 +215,9 @@ class SearchResult:
 #: reads in place
 _STATE: dict | None = None
 
-#: odd values per table-build task: the sieve's int64 arrays for a task stay
-#: in cache, and its Python work per base prime is spread over enough entries
+#: odd values per table-build task, and per block of a table-free scan: the
+#: sieve's int64 arrays stay in cache, and its Python work per base prime is
+#: spread over enough entries
 _TABLE_CHUNK = 1 << 18
 
 
@@ -242,12 +268,50 @@ def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
+def _table_free(classes: Iterable[str], parity: str) -> bool:
+    """Whether the search classifies from sigma*(n) alone (module docstring)."""
+    return parity == "odd" and all(_VARIANT_BY_NAME[c].unitary for c in classes)
+
+
+def _closed_form_hits(start: int, hi: int) -> list[tuple[int, str]]:
+    """Hits among the odd n in [start, hi), start odd, of a table-free search."""
+    hits: list[tuple[int, str]] = []
+    for b in range(start, hi, 2 * _TABLE_CHUNK):
+        e = min(hi, b + 2 * _TABLE_CHUNK)
+        s = divisor_sum_segment(b, e, True, step=2)  # sigma*(n)
+        n = np.arange(b, e, 2, dtype=np.int64)
+        for variant in VARIANTS:
+            if variant.name not in _STATE["classes"]:
+                continue
+            if variant.applications == 1:
+                good = n[s == 2 * n]
+            else:
+                low = s & -s  # 2^a, for sigma*(n) = 2^a * m' with m' odd
+                odd = s >> np.bitwise_count(low - 1)  # m'
+                cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
+                # the equation decides once m' is known to be a prime power
+                good = [n[j] for j in cand if prime_power(int(odd[j])) is not None]
+            hits.extend((int(x), variant.name) for x in good)
+    return hits
+
+
 def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
     parity = _STATE["parity"]
     if parity == "all":
         start, step = lo, 1
     else:  # from the first n of the requested parity
         start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
+    if _table_free(_STATE["classes"], parity):
+        hits = _closed_form_hits(start, hi)
+    else:
+        hits = _table_hits(start, hi, step)
+    hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
+    return hits
+
+
+def _table_hits(start: int, hi: int, step: int) -> list[tuple[int, str]]:
+    """Hits among start, start + step, ... < hi, looked up in the tables."""
+    parity = _STATE["parity"]
     # first applications past the table: the segment is sieved at most once
     # per divisor sum, whichever classes need it
     sieved: dict[bool, np.ndarray] = {}
@@ -286,7 +350,6 @@ def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
                     second[j] = _exact_divisor_sum(int(mm[j]), unitary)
                 good = nn[second == 2 * nn]
             hits.extend((int(x), variant.name) for x in good)
-    hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
 
 
@@ -356,6 +419,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _table_sizes(config: SearchConfig) -> dict[bool, int]:
     """Entries of each odd-part table the classes use, keyed by unitary."""
+    if _table_free(config.classes, config.parity):
+        return {}
     budget_entries = max(config.table_budget_bytes // 4, 1 << 16)
     need: dict[bool, int] = {}  # the largest odd part a lookup can ask for
     for variant in VARIANTS:

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uspkit import bruteforce, search, sieve
-from uspkit.arith import factorize, is_prime, sigma_from_factorization, unitary_sigma
+from uspkit.arith import (
+    factorize,
+    is_prime,
+    omega,
+    sigma_from_factorization,
+    unitary_sigma,
+)
 from uspkit.cli import main
 from uspkit.search import (
     CLASS_ORDER,
@@ -433,13 +439,14 @@ def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table_overflow_refused(monkeypatch, workers):
-    # a divisor sum past uint32 stops the build, also from a pool worker
+    # a divisor sum past uint32 stops the build, also from a pool worker; a
+    # usp search over all n builds a table of 2**20 entries, four chunks
     def too_big(lo, hi, unitary, step):
         return np.full(len(range(lo, hi, step)), 1 << 32, dtype=np.int64)
 
     monkeypatch.setattr(search, "divisor_sum_segment", too_big)
     with pytest.raises(OverflowError):
-        run_search(SearchConfig(limit=1 << 20, parity="odd", workers=workers))
+        run_search(SearchConfig(limit=1 << 20, parity="all", workers=workers))
 
 
 def test_odd_sigma_table_capped_at_limit(monkeypatch):
@@ -461,6 +468,146 @@ def test_odd_sigma_table_capped_at_limit(monkeypatch):
         sigma_from_factorization(factorize(k * k)) for k in range(1, math.isqrt(limit) + 1, 2)
     }
     assert exact and set(exact) <= odd_square_sigmas
+
+
+#: SHA-256 of the checkpoint text of odd searches of the unitary classes, by
+#: (classes, limit, segment_size); the table-free scan writes these bytes
+_GOLDEN_ODD_UNITARY = {
+    (("usp",), 1, 1024):
+        "e3548eeba449db445380cc530a9d93c035fe5c24a7ceee9efd6f9317f3434130",
+    (("usp",), 165, 1024):
+        "93bc32f48be4b8c7d22472aefdeb75652653dec8748f9f65112be91b98fd427c",
+    (("usp",), 10**5, 1025):
+        "8b3da2b8fdc373c2add2ef8a8ee501557a03c00911011c959b34243071550031",
+    (("usp",), 10**5 + 3, 1031):
+        "174f3a357b7590e5a3f1aa2dc5e5496f4b796bacf51888d677a2ae966e9c359d",
+    (("usp",), 10**7, 1 << 20):
+        "90d95b1838e14a18e8453549164640847320cf7c4f7eb222b8d0a2e7db1c757f",
+    (("unitary_perfect",), 1, 1024):
+        "e3548eeba449db445380cc530a9d93c035fe5c24a7ceee9efd6f9317f3434130",
+    (("unitary_perfect",), 165, 1024):
+        "fcf3d14afe6e8558bfe28b98b0a0b50dce0da9a22bd4e6d8ccc76f96e6855788",
+    (("unitary_perfect",), 10**5, 1025):
+        "1ea791727e33a998ec8e031a7d4b903712f6921669a0656d06e54d574dd76198",
+    (("unitary_perfect",), 10**5 + 3, 1031):
+        "da6262f5fe3f0cedc8754c915ae1289e62b13923ab237710f228323f8534464b",
+    (("unitary_perfect",), 10**7, 1 << 20):
+        "329238111520b78dc6a327f7120628f61728e2b33c88a5d3b3153cebfb26b92c",
+    (("usp", "unitary_perfect"), 1, 1024):
+        "e3548eeba449db445380cc530a9d93c035fe5c24a7ceee9efd6f9317f3434130",
+    (("usp", "unitary_perfect"), 165, 1024):
+        "93bc32f48be4b8c7d22472aefdeb75652653dec8748f9f65112be91b98fd427c",
+    (("usp", "unitary_perfect"), 10**5, 1025):
+        "8b3da2b8fdc373c2add2ef8a8ee501557a03c00911011c959b34243071550031",
+    (("usp", "unitary_perfect"), 10**5 + 3, 1031):
+        "174f3a357b7590e5a3f1aa2dc5e5496f4b796bacf51888d677a2ae966e9c359d",
+    (("usp", "unitary_perfect"), 10**7, 1 << 20):
+        "90d95b1838e14a18e8453549164640847320cf7c4f7eb222b8d0a2e7db1c757f",
+}
+
+
+@pytest.mark.parametrize(
+    "classes, limit, segment_size", _GOLDEN_ODD_UNITARY,
+    ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v),
+)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
+def test_odd_unitary_checkpoint_golden(classes, limit, segment_size, workers, budget):
+    # odd segment sizes start every other segment at an even n
+    result = run_search(SearchConfig(limit=limit, segment_size=segment_size, classes=classes,
+                                     parity="odd", workers=workers, **budget))
+    digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
+    assert digest == _GOLDEN_ODD_UNITARY[classes, limit, segment_size]
+
+
+@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
+def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
+    # the odd usp and unitary_perfect hits read sigma*(n) alone: no table, no
+    # exact fallback, and every hit still re-verified; the hits per segment
+    # equal the odd hits of the table-backed search over all n
+    common = dict(limit=10**6, segment_size=1 << 16, classes=("usp", "unitary_perfect"))
+    full = run_search(SearchConfig(**common)).checkpoint_text
+    expected = render_checkpoint(10**6, 1 << 16, [
+        [h for h in seg if h.n % 2] for seg in parse_checkpoint(full)[2]
+    ])
+    odd_config = SearchConfig(parity="odd", **common, **budget)
+    assert search._table_sizes(odd_config) == {}
+    calls = {"_build_table": [], "_exact_divisor_sum": [], "verify_hit": []}
+    for name, record in calls.items():
+        fn = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, fn=fn, rec=record: rec.append(a) or fn(*a))
+    odd = run_search(odd_config)
+    assert calls["_build_table"] == [] and calls["_exact_divisor_sum"] == []
+    assert calls["verify_hit"] == [(9, "usp"), (165, "usp")]
+    assert odd.checkpoint_text == expected
+
+
+def test_closed_form_filter_matches_brute_oracle(monkeypatch):
+    # over the odd n <= 10**5 the filter keeps exactly the oracle's odd hits;
+    # classify_brute's tests, with the second table cut at 2 * limit, which
+    # holds sigma*(n) of every hit because sigma*(sigma*(n)) > sigma*(n)
+    limit = 10**5
+    _, usig = bruteforce.divisor_sum_tables(2 * limit)
+    n = np.arange(1, limit + 1, 2)
+    s = usig[n]
+    usp = n[(s < 2 * n) & (usig[np.minimum(s, 2 * limit)] == 2 * n)]
+    assert usp.size and not (s == 2 * n).any()  # no odd unitary perfect n
+    monkeypatch.setattr(search, "_STATE", {"classes": {"usp", "unitary_perfect"}})
+    assert search._closed_form_hits(1, limit + 1) == [(int(x), "usp") for x in usp]
+
+
+def _fake_sigma_star(monkeypatch, n, value):
+    """Make the search's sieve report sigma*(n) = value."""
+    sieve_sum = search.divisor_sum_segment
+
+    def faulty(lo, hi, unitary, step=1):
+        seg = sieve_sum(lo, hi, unitary, step=step)
+        if lo <= n < hi:
+            seg[(n - lo) // step] = value
+        return seg
+
+    monkeypatch.setattr(search, "divisor_sum_segment", faulty)
+
+
+def test_closed_form_candidate_still_verified(monkeypatch):
+    # a sieve fault that passes the filter is caught by verify_hit: faking
+    # sigma*(15) = 2 * 9, the prime power m' = 9 gives (2 + 1) * (9 + 1) = 30
+    _fake_sigma_star(monkeypatch, 15, 2 * 9)
+    with pytest.raises(RuntimeError, match="sieve hit 15 "):
+        run_search(SearchConfig(limit=1000, parity="odd"))
+
+
+def test_closed_form_needs_prime_power(monkeypatch):
+    # sigma*(33) = 2 * 21 would meet (2 + 1) * (21 + 1) = 66, but 21 = 3 * 7
+    # is no prime power, so sigma*(21) = 32 and 33 is no candidate
+    _fake_sigma_star(monkeypatch, 33, 2 * 21)
+    assert [h.n for h in find_usp(1000, parity="odd")] == [9, 165]
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(st.lists(st.tuples(st.integers(3, 10**6), st.integers(1, 40)), min_size=1, max_size=4))
+def test_closed_form_identity(parts):
+    # odd n from a few prime powers q <= 10**12, n <= 10**18; sigma*(n) =
+    # 2^a * m' with m' odd: sigma*(sigma*(n)) = (2^a + 1) sigma*(m') and
+    # 2^omega(m') divides sigma*(m'), so n is never unitary perfect
+    n = 1
+    for seed, e in parts:
+        p = seed | 1
+        while not is_prime(p):
+            p += 2
+        q = p**e
+        while q > 10**12:
+            q //= p
+        if n % p and n * q <= 10**18:
+            n *= q
+    s = unitary_sigma(factorize(n))
+    a = (s & -s).bit_length() - 1
+    m = s >> a
+    fm = factorize(m)
+    assert a >= 1
+    assert unitary_sigma(factorize(s)) == (2**a + 1) * unitary_sigma(fm)
+    assert unitary_sigma(fm) % 2 ** omega(fm) == 0
+    assert s != 2 * n
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
