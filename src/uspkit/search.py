@@ -1,25 +1,25 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-Odd searches of the unitary classes (usp and unitary_perfect under parity
-odd) read nothing but sigma*(n).  Take odd n > 1 and write sigma*(n) =
-2^a * m' with m' odd.  Every factor p^e + 1 of sigma*(n) is even, so a >= 1,
-and by multiplicativity sigma*(sigma*(n)) = (2^a + 1) * sigma*(m').  Each
-factor of sigma*(m') is even too, so 2^omega(m') divides sigma*(m'), while
-2^a + 1 is odd and v2(2n) = 1: a usp n has omega(m') <= 1.  m' = 1 is
-impossible, since sigma*(sigma*(n)) would be the odd 2^a + 1; so m' is a
-prime power, sigma*(m') = m' + 1, and
+Under parity odd the unitary classes (usp and unitary_perfect) read nothing
+but sigma*(n), whatever other classes the search asks for.  Take odd n > 1
+and write sigma*(n) = 2^a * m' with m' odd.  Every factor p^e + 1 of
+sigma*(n) is even, so a >= 1, and by multiplicativity sigma*(sigma*(n)) =
+(2^a + 1) * sigma*(m').  Each factor of sigma*(m') is even too, so
+2^omega(m') divides sigma*(m'), while 2^a + 1 is odd and v2(2n) = 1: a usp n
+has omega(m') <= 1.  m' = 1 is impossible, since sigma*(sigma*(n)) would be
+the odd 2^a + 1; so m' is a prime power, sigma*(m') = m' + 1, and
 
     (2^a + 1) * (m' + 1) = 2n.
 
 Conversely, an n satisfying that with m' a prime power is usp, so the test
 is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n = p^e and
 p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with sigma*(1) = 1,
-is neither).  Such a search sieves sigma*(n) over each segment's odd n a
-block at a time and tests the block in numpy: no table, no fallback, memory
-bounded by one block.
+is neither).  They are classified by sieving sigma*(n) over each segment's
+odd n a block at a time and testing the block in numpy: no table, no
+fallback, memory bounded by one block.
 
-Every other search runs in two layers.  A flat uint32 lookup table of
-divisor sums of odd values is built once per run, chunk by chunk: entry i
+Every other class and parity runs in two layers.  A flat uint32 lookup table
+of divisor sums of odd values is built once per run, chunk by chunk: entry i
 holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m' odd
 multiplies the entry for m' by the 2-part's factor, sigma*(2^a) = 2^a + 1
 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
@@ -28,9 +28,9 @@ The classification pass then walks [1, limit] in segments: a number n is a
 hit for the second-order classes exactly when the re-applied divisor sum
 equals 2n, and the inequality sigma(m) >= m + 1 means any n with a first
 application above 2n - 1 can be discarded before the second lookup, so every
-odd part looked up is below 2 * limit.  Over odd n it is below limit for
-every class: for odd n > 1, sigma*(n) is even, and so is sigma(n) unless n is
-a square, so a candidate's first application, at most 2n - 1, has an odd part
+odd part looked up is below 2 * limit.  Over odd n (only sigma is looked up
+there) it is below limit: for odd n > 1, sigma(n) is even unless n is a
+square, so a candidate's first application, at most 2n - 1, has an odd part
 below n.  The odd squares, at most sqrt(limit) / 2 of them, take the exact
 fallback below.  The table covers the odd values up to that bound.  When the
 table is memory-capped, first applications past it come from a per-segment
@@ -58,7 +58,6 @@ import mmap
 import multiprocessing
 import os
 import time
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -268,21 +267,19 @@ def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
-def _table_free(classes: Iterable[str], parity: str) -> bool:
-    """Whether the search classifies from sigma*(n) alone (module docstring)."""
-    return parity == "odd" and all(_VARIANT_BY_NAME[c].unitary for c in classes)
+def _closed_form(variant: Variant, parity: str) -> bool:
+    """Whether the variant is classified from sigma*(n) alone (module docstring)."""
+    return parity == "odd" and variant.unitary
 
 
-def _closed_form_hits(start: int, hi: int) -> list[tuple[int, str]]:
-    """Hits among the odd n in [start, hi), start odd, of a table-free search."""
+def _closed_form_hits(start: int, hi: int, variants: list[Variant]) -> list[tuple[int, str]]:
+    """Hits of the unitary variants among the odd n in [start, hi), start odd."""
     hits: list[tuple[int, str]] = []
     for b in range(start, hi, 2 * _TABLE_CHUNK):
         e = min(hi, b + 2 * _TABLE_CHUNK)
         s = divisor_sum_segment(b, e, True, step=2)  # sigma*(n)
         n = np.arange(b, e, 2, dtype=np.int64)
-        for variant in VARIANTS:
-            if variant.name not in _STATE["classes"]:
-                continue
+        for variant in variants:
             if variant.applications == 1:
                 good = n[s == 2 * n]
             else:
@@ -301,16 +298,19 @@ def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
         start, step = lo, 1
     else:  # from the first n of the requested parity
         start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
-    if _table_free(_STATE["classes"], parity):
-        hits = _closed_form_hits(start, hi)
-    else:
-        hits = _table_hits(start, hi, step)
+    variants = [v for v in VARIANTS if v.name in _STATE["classes"]]
+    closed = [v for v in variants if _closed_form(v, parity)]
+    looked_up = [v for v in variants if not _closed_form(v, parity)]
+    hits = _closed_form_hits(start, hi, closed) if closed else []
+    if looked_up:
+        hits += _table_hits(start, hi, step, looked_up)
     hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
 
 
-def _table_hits(start: int, hi: int, step: int) -> list[tuple[int, str]]:
-    """Hits among start, start + step, ... < hi, looked up in the tables."""
+def _table_hits(start: int, hi: int, step: int, variants: list[Variant]) -> list[tuple[int, str]]:
+    """Hits of the variants among start, start + step, ... < hi, looked up in
+    the tables."""
     parity = _STATE["parity"]
     # first applications past the table: the segment is sieved at most once
     # per divisor sum, whichever classes need it
@@ -329,9 +329,7 @@ def _table_hits(start: int, hi: int, step: int) -> list[tuple[int, str]]:
     for i in range(0, len(values), _SCAN_BLOCK):
         block = values[i : i + _SCAN_BLOCK]
         n_all = np.arange(block.start, block.stop, step, dtype=np.int64)
-        for variant in VARIANTS:
-            if variant.name not in _STATE["classes"]:
-                continue
+        for variant in variants:
             unitary = variant.unitary
             table = _STATE["tables"][unitary]
             first, inside = _lookup(table, n_all, unitary)
@@ -418,13 +416,11 @@ def _write_atomic(path: str, text: str) -> None:
 # orchestration
 
 def _table_sizes(config: SearchConfig) -> dict[bool, int]:
-    """Entries of each odd-part table the classes use, keyed by unitary."""
-    if _table_free(config.classes, config.parity):
-        return {}
+    """Entries of each odd-part table the looked-up classes use, keyed by unitary."""
     budget_entries = max(config.table_budget_bytes // 4, 1 << 16)
     need: dict[bool, int] = {}  # the largest odd part a lookup can ask for
     for variant in VARIANTS:
-        if variant.name in config.classes:
+        if variant.name in config.classes and not _closed_form(variant, config.parity):
             # over odd n a candidate's odd part is below n, odd squares
             # aside (module docstring)
             bound = config.limit * (1 if config.parity == "odd" else variant.applications)

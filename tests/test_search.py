@@ -511,11 +511,10 @@ _GOLDEN_ODD_UNITARY = {
     ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v),
 )
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
-def test_odd_unitary_checkpoint_golden(classes, limit, segment_size, workers, budget):
+def test_odd_unitary_checkpoint_golden(classes, limit, segment_size, workers):
     # odd segment sizes start every other segment at an even n
     result = run_search(SearchConfig(limit=limit, segment_size=segment_size, classes=classes,
-                                     parity="odd", workers=workers, **budget))
+                                     parity="odd", workers=workers))
     digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
     assert digest == _GOLDEN_ODD_UNITARY[classes, limit, segment_size]
 
@@ -532,6 +531,9 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
     ])
     odd_config = SearchConfig(parity="odd", **common, **budget)
     assert search._table_sizes(odd_config) == {}
+    # next to the non-unitary classes only the sigma table is built
+    mixed = SearchConfig(limit=10**6, classes=CLASS_ORDER, parity="odd", **budget)
+    assert search._table_sizes(mixed).keys() == {False}
     calls = {"_build_table": [], "_exact_divisor_sum": [], "verify_hit": []}
     for name, record in calls.items():
         fn = getattr(search, name)
@@ -542,7 +544,7 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
     assert odd.checkpoint_text == expected
 
 
-def test_closed_form_filter_matches_brute_oracle(monkeypatch):
+def test_closed_form_filter_matches_brute_oracle():
     # over the odd n <= 10**5 the filter keeps exactly the oracle's odd hits;
     # classify_brute's tests, with the second table cut at 2 * limit, which
     # holds sigma*(n) of every hit because sigma*(sigma*(n)) > sigma*(n)
@@ -552,8 +554,7 @@ def test_closed_form_filter_matches_brute_oracle(monkeypatch):
     s = usig[n]
     usp = n[(s < 2 * n) & (usig[np.minimum(s, 2 * limit)] == 2 * n)]
     assert usp.size and not (s == 2 * n).any()  # no odd unitary perfect n
-    monkeypatch.setattr(search, "_STATE", {"classes": {"usp", "unitary_perfect"}})
-    assert search._closed_form_hits(1, limit + 1) == [(int(x), "usp") for x in usp]
+    assert search._closed_form_hits(1, limit + 1, VARIANTS[:2]) == [(int(x), "usp") for x in usp]
 
 
 def _fake_sigma_star(monkeypatch, n, value):
