@@ -19,22 +19,26 @@ odd n a block at a time and testing the block in numpy: no table, no
 fallback, memory bounded by one block.
 
 Every other class and parity runs in two layers.  A flat uint32 lookup table
-of divisor sums of odd values is built once per run, chunk by chunk: entry i
-holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m' odd
-multiplies the entry for m' by the 2-part's factor, sigma*(2^a) = 2^a + 1
-for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
+of divisor sums of the odd values up to limit is built once per run, chunk
+by chunk: entry i holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m =
+2^a * m' with m' odd multiplies the entry for m' by the 2-part's factor,
+sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
 
 The classification pass then walks [1, limit] in segments: a number n is a
 hit for the second-order classes exactly when the re-applied divisor sum
-equals 2n, and the inequality sigma(m) >= m + 1 means any n with a first
-application above 2n - 1 can be discarded before the second lookup, so every
-odd part looked up is below 2 * limit.  Over odd n (only sigma is looked up
-there) it is below limit: for odd n > 1, sigma(n) is even unless n is a
-square, so a candidate's first application, at most 2n - 1, has an odd part
-below n.  The odd squares, at most sqrt(limit) / 2 of them, take the exact
-fallback below.  The table covers the odd values up to that bound.  When the
-table is memory-capped, first applications past it come from a per-segment
-sieve and second ones from exact factorization.
+equals 2n.  The first application of n has an odd part at most n, inside
+the table.  The inequality sigma(m) >= m + 1 means any n with a first
+application above 2n - 1 can be discarded before the second lookup, so a
+candidate's first application 2^a * m' has m' < n when a >= 1.  It is odd
+(a = 0) only when n is 1 or a power of two for sigma* (an odd prime power
+p^e contributes the even p^e + 1), or a square or twice a square for sigma:
+O(sqrt(limit)) values of n at any parity, whose second application past
+the table is computed by exact factorization.  By multiplicativity the
+second application is the 2-part's factor times the divisor sum of m'; the
+factor is odd, so a hit needs it to divide n, and that prefilter discards
+most candidates before the second lookup.  When the table is memory-capped,
+first applications past it come from a per-segment sieve and second ones
+from exact factorization.
 
 Each search makes one ordered map and runs both layers through it: the
 builtin map in one process, otherwise the map of one fork process pool of
@@ -255,15 +259,21 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 _SCAN_BLOCK = 1 << 16
 
 
+def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For values m = 2^a * m' >= 1 with m' odd: the table index (m' - 1) / 2
+    of m', and the divisor sum of the 2-part, 2^a + 1 (a >= 1) or 2^(a+1) - 1."""
+    low = m & -m  # 2^a
+    factor = low + (low > 1) if unitary else 2 * low - 1
+    return m >> np.bitwise_count(low - 1) >> 1, factor
+
+
 def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
     """Divisor sums of the values m >= 1 served by the odd-part table.
 
     Returns the sums and the mask of values whose odd part the table holds;
     sums outside the mask are meaningless.
     """
-    low = m & -m  # 2^a, for m = 2^a * m' with m' odd
-    idx = m >> np.bitwise_count(low - 1) >> 1  # (m' - 1) / 2
-    factor = low + (low > 1) if unitary else 2 * low - 1
+    idx, factor = _split(m, unitary)
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
@@ -329,21 +339,25 @@ def _table_hits(start: int, hi: int, step: int, variants: list[Variant]) -> list
     for i in range(0, len(values), _SCAN_BLOCK):
         block = values[i : i + _SCAN_BLOCK]
         n_all = np.arange(block.start, block.stop, step, dtype=np.int64)
+        # the first application, once per divisor sum whichever classes read it
+        firsts: dict[bool, np.ndarray] = {}
+        for unitary in {v.unitary for v in variants}:
+            first, inside = _lookup(_STATE["tables"][unitary], n_all, unitary)
+            firsts[unitary] = first if inside.all() else first_sieved(unitary)[i : i + _SCAN_BLOCK]
         for variant in variants:
             unitary = variant.unitary
-            table = _STATE["tables"][unitary]
-            first, inside = _lookup(table, n_all, unitary)
-            if not inside.all():
-                first = first_sieved(unitary)[i : i + _SCAN_BLOCK]
+            first = firsts[unitary]
             if variant.applications == 1:
                 good = n_all[first == 2 * n_all]
             else:
-                # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; that also
-                # bounds the odd part of every second lookup (module docstring)
+                # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
+                # odd divisor sum of first's 2-part divides the second
+                # application, so a hit needs it to divide n (module docstring)
                 cand = first < 2 * n_all
-                mm = first[cand]
-                nn = n_all[cand]
-                second, inside = _lookup(table, mm, unitary)
+                mm, nn = first[cand], n_all[cand]
+                keep = nn % _split(mm, unitary)[1] == 0
+                mm, nn = mm[keep], nn[keep]
+                second, inside = _lookup(_STATE["tables"][unitary], mm, unitary)
                 for j in np.flatnonzero(~inside):
                     second[j] = _exact_divisor_sum(int(mm[j]), unitary)
                 good = nn[second == 2 * nn]
@@ -417,16 +431,15 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _table_sizes(config: SearchConfig) -> dict[bool, int]:
     """Entries of each odd-part table the looked-up classes use, keyed by unitary."""
-    budget_entries = max(config.table_budget_bytes // 4, 1 << 16)
-    need: dict[bool, int] = {}  # the largest odd part a lookup can ask for
-    for variant in VARIANTS:
-        if variant.name in config.classes and not _closed_form(variant, config.parity):
-            # over odd n a candidate's odd part is below n, odd squares
-            # aside (module docstring)
-            bound = config.limit * (1 if config.parity == "odd" else variant.applications)
-            need[variant.unitary] = max(need.get(variant.unitary, 0), bound)
-    # index i holds 2i + 1, so the odd values up to b take (b + 1) // 2 entries
-    return {unitary: min((b + 1) // 2, budget_entries) for unitary, b in need.items()}
+    # every lookup with an odd part past limit is of an odd first
+    # application, which only a few n have (module docstring); index i holds
+    # 2i + 1, so the odd values up to limit take (limit + 1) // 2 entries
+    entries = min((config.limit + 1) // 2, max(config.table_budget_bytes // 4, 1 << 16))
+    return {
+        variant.unitary: entries
+        for variant in VARIANTS
+        if variant.name in config.classes and not _closed_form(variant, config.parity)
+    }
 
 
 @contextmanager

@@ -116,6 +116,13 @@ def zsigmondy(a: int, b: int, n: int) -> ZsigmondyResult:
     )
 
 
+def _require_bounds(**bounds: int) -> None:
+    """Refuse range bounds below 1: a scan of no instances verifies nothing."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def enumerate_prime_powers_2aqb(
     q: int, a_max: int, b_max: int, cap: int
 ) -> list[tuple[int, int, int, int]]:
@@ -126,8 +133,7 @@ def enumerate_prime_powers_2aqb(
     """
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    if a_max < 1 or b_max < 1:
-        raise ValueError("bounds must be positive")
+    _require_bounds(a_max=a_max, b_max=b_max)
     if cap > MAX_NATURAL:
         raise ValueError(f"cap {cap} exceeds the supported range")
     found = []
@@ -188,6 +194,7 @@ def _odd_prime_powers_in_range(p_max: int, e_max: int):
 def check_lemma_22(p_max: int = 500, e_max: int = 8) -> LemmaReport:
     """Whenever p**e + 1 = 2**a * q**b (p odd prime, b >= 1): either e = 1,
     or e is even with q = 1 (mod 2e), or p is Mersenne with q = 1 (mod 2e)."""
+    _require_bounds(p_max=p_max, e_max=e_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
     for p, e, pe in _odd_prime_powers_in_range(p_max, e_max):
@@ -207,6 +214,7 @@ def check_lemma_22(p_max: int = 500, e_max: int = 8) -> LemmaReport:
 
 def check_lemma_23(p_max: int = 10_000, e_max: int = 10) -> LemmaReport:
     """Whenever p**e + 1 = 2**a * 3**b with b >= 1 (p odd prime): e = 1."""
+    _require_bounds(p_max=p_max, e_max=e_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
     for p, e, pe in _odd_prime_powers_in_range(p_max, e_max):
@@ -221,6 +229,7 @@ def check_lemma_23(p_max: int = 10_000, e_max: int = 10) -> LemmaReport:
 
 def check_lemma_24(p_max: int = 10_000, e_max: int = 10) -> LemmaReport:
     """Whenever p**e + 1 is a power of two (p odd prime): e = 1."""
+    _require_bounds(p_max=p_max, e_max=e_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
     for p, e, pe in _odd_prime_powers_in_range(p_max, e_max):
@@ -249,6 +258,7 @@ def lemma_25_solutions(x_max: int) -> list[tuple[int, int]]:
 
 def check_lemma_25(x_max: int = 60) -> LemmaReport:
     """2**x + 1 is a power of three only for (e, x) = (1, 1) and (2, 3)."""
+    _require_bounds(x_max=x_max)
     t0 = time.perf_counter()
     solutions = set(lemma_25_solutions(x_max))
     expected = {(e, x) for e, x in ((1, 1), (2, 3)) if x <= x_max}
@@ -258,6 +268,7 @@ def check_lemma_25(x_max: int = 60) -> LemmaReport:
 
 def check_lemma_26(a_max: int = 40) -> LemmaReport:
     """Every prime factor of 2**a + 1 is 1, 3, or 5 (mod 8)."""
+    _require_bounds(a_max=a_max)
     if 2**a_max + 1 > MAX_NATURAL:
         raise ValueError(f"a_max={a_max} puts 2**a + 1 out of range")
     t0 = time.perf_counter()
@@ -273,6 +284,7 @@ def check_lemma_26(a_max: int = 40) -> LemmaReport:
 def check_lemma_27(q_max: int = 100, b_max: int = 8) -> LemmaReport:
     """If p | q**b + 1 and 4 does not divide q**b + 1, then 4q does not
     divide p + 1 (p, q odd primes)."""
+    _require_bounds(q_max=q_max, b_max=b_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
     for q in primes_up_to(q_max):
@@ -303,11 +315,13 @@ def check_lemma_51(q: int, b_max: int = 10) -> LemmaReport:
     non-Mersenne prime powers."""
     if q < 5 or not is_prime(q):
         raise ValueError(f"q must be an odd prime >= 5, got {q}")
+    _require_bounds(b_max=b_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
     for b in range(1, b_max + 1):
         checked += 1
-        if (2 * q**b - 1) % 3 != 0 and (4 * q**b - 1) % 3 != 0:
+        r = pow(q, b, 3)  # q**b mod 3 decides both residues
+        if (2 * r - 1) % 3 != 0 and (4 * r - 1) % 3 != 0:
             bad.append((q, b))
     return _report("5.1", f"q={q},b<={b_max}", checked, bad, t0)
 

@@ -57,6 +57,24 @@ def test_verify_lemma_cli(capsys):
     assert code == 0 and len(json_lines(out)) == 4
 
 
+def test_verify_lemma_refuses_bounds_below_one(capsys):
+    # a bound below 1 leaves nothing to scan: refused, never reported ok
+    for argv in (("2.5", "--xmax", "-1"), ("2.5", "--xmax", "0"), ("2.2", "--pmax", "-5"),
+                 ("2.3", "--emax", "0"), ("2.4", "--pmax", "0"), ("2.6", "--amax", "-3"),
+                 ("2.7", "--qmax", "0"), ("2.7", "--bmax", "-2"), ("5.1", "--bmax", "0"),
+                 ("5.1", "--q", "7", "--bmax", "-1")):
+        code, out, err = run_cli(capsys, "verify-lemma", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "must be >= 1" in err
+
+
+def test_verify_lemma_51_large_b(capsys):
+    code, out, _ = run_cli(capsys, "verify-lemma", "5.1", "--q", "7", "--bmax", "100000",
+                           "--json")
+    (rec,) = json_lines(out)
+    assert code == 0 and rec["checked"] == 100000 and rec["counterexamples"] == []
+
+
 def test_bounds_cli(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--json")
     assert code == 0

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -395,6 +396,24 @@ def test_checkpoint_bytes_golden(parity, workers, budget):
     assert digest == _GOLDEN_CHECKPOINTS[parity]
 
 
+#: the same at limit 10**6 with segment 2**16, for the parities that look up
+#: both divisor sums
+_GOLDEN_CHECKPOINTS_1E6 = {
+    "all": "2c6cd73af8d94a4ed16d172d56dba5b5dbbcbe63a6f511e73913935a6b4eb3f7",
+    "even": "f64e6cfba6c1e3541a40dc396c9941faaefbe1bcc4aa741b3a1abc71aab5efd9",
+}
+
+
+@pytest.mark.parametrize("parity", _GOLDEN_CHECKPOINTS_1E6)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
+def test_checkpoint_bytes_golden_1e6(parity, workers, budget):
+    result = run_search(SearchConfig(limit=10**6, segment_size=1 << 16, classes=CLASS_ORDER,
+                                     parity=parity, workers=workers, **budget))
+    digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
+    assert digest == _GOLDEN_CHECKPOINTS_1E6[parity]
+
+
 def test_one_pool_bounded_by_cpu_count(monkeypatch):
     # fork pools start all their workers at once: asking for 10**5 must not
     # fork 10**5 processes; the recorder starts two real ones at most
@@ -440,7 +459,7 @@ def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table_overflow_refused(monkeypatch, workers):
     # a divisor sum past uint32 stops the build, also from a pool worker; a
-    # usp search over all n builds a table of 2**20 entries, four chunks
+    # usp search over all n builds a table of 2**19 entries, two chunks
     def too_big(lo, hi, unitary, step):
         return np.full(len(range(lo, hi, step)), 1 << 32, dtype=np.int64)
 
@@ -468,6 +487,87 @@ def test_odd_sigma_table_capped_at_limit(monkeypatch):
         sigma_from_factorization(factorize(k * k)) for k in range(1, math.isqrt(limit) + 1, 2)
     }
     assert exact and set(exact) <= odd_square_sigmas
+
+
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
+def test_table_sizes_limit_at_every_parity(parity):
+    # every looked-up class at every parity reads the odd values up to limit,
+    # capped by the budget with its 2**16-entry floor
+    for limit in (1, 10**5, 3 * 10**5 + 1, 10**8):
+        for r in range(1, len(CLASS_ORDER) + 1):
+            for classes in itertools.combinations(CLASS_ORDER, r):
+                looked_up = {v.unitary for v in VARIANTS if v.name in classes
+                             and not (parity == "odd" and v.unitary)}
+                config = SearchConfig(limit=limit, classes=classes, parity=parity)
+                assert search._table_sizes(config) == dict.fromkeys(looked_up, (limit + 1) // 2)
+                capped = SearchConfig(limit=limit, classes=classes, parity=parity,
+                                      table_budget_bytes=0)
+                assert search._table_sizes(capped) == dict.fromkeys(
+                    looked_up, min((limit + 1) // 2, 1 << 16))
+
+
+@pytest.mark.parametrize("parity", ["all", "even"])
+def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
+    # under the default budget every first application comes from the table,
+    # and a second lookup leaves it only for an odd first application past
+    # limit: sigma*(n) is odd only for n = 1 or a power of two, sigma(n) only
+    # for a square or twice a square, so exactly those few are factorized
+    limit = 3 * 10**5
+    exact = []
+    exact_divisor_sum = search._exact_divisor_sum
+
+    def counted(m, unitary):
+        exact.append((m, unitary))
+        return exact_divisor_sum(m, unitary)
+
+    monkeypatch.setattr(search, "_exact_divisor_sum", counted)
+    config = SearchConfig(limit=limit, segment_size=1 << 14, classes=CLASS_ORDER, parity=parity)
+    run_search(config)
+    assert all(step == 2 and hi <= limit + 1 for _, hi, step, _ in sieve_spans)
+    odd_first = {1} | {2**k for k in range(limit.bit_length())}
+    odd_first |= {c * k * k for c in (1, 2) for k in range(1, math.isqrt(limit) + 1)}
+    expected = [
+        (first, unitary)
+        for n in odd_first if n <= limit and (parity == "all" or n % 2 == 0)
+        for unitary in (True, False)
+        for first in _exact_sums([n], unitary)
+        if first % 2 and limit < first < 2 * n
+    ]
+    assert all(m % 2 and m > limit for m, _ in exact)
+    assert exact and sorted(exact) == sorted(expected)
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(a=st.integers(0, 28), odd=st.integers(0, 10**9))  # m < 2**59
+def test_two_part_factor_matches_factorization(a, odd):
+    # m = 2^a * m' with m' odd: sigma*(m) = sigma*(2^a) sigma*(m') and
+    # sigma(m) = (2^(a+1) - 1) sigma(m'); the lookup and the prefilter both
+    # take the 2-part's factor and m''s table index from _split
+    m_odd = 2 * odd + 1
+    m = 2**a * m_odd
+    for unitary, two_part in ((True, 2**a + (a > 0)), (False, 2 ** (a + 1) - 1)):
+        idx, factor = search._split(np.array([m], dtype=np.int64), unitary)
+        assert (int(idx[0]), int(factor[0])) == (odd, two_part)
+        assert _exact_sums([m], unitary) == [two_part * _exact_sums([m_odd], unitary)[0]]
+        assert _exact_sums([2**a], unitary) == [two_part]
+
+
+def test_prefilter_keeps_every_brute_hit():
+    # a second-order hit n has the 2-part's factor of its first application
+    # dividing n, at every parity; the table search then finds every oracle
+    # hit of the parity (all n: test_classification_matches_brute_oracle_small)
+    limit = 2 * 10**4
+    expected = bruteforce.classify_brute(limit)
+    for name, unitary in (("usp", True), ("super_perfect", False)):
+        ns = expected[name]
+        first = np.array(_exact_sums(ns, unitary), dtype=np.int64)
+        assert (np.array(ns) % search._split(first, unitary)[1] == 0).all()
+    for parity, keep in (("odd", {1}), ("even", {0})):
+        hits = run_search(SearchConfig(limit=limit, classes=CLASS_ORDER, parity=parity)).hits
+        got = {c: [] for c in CLASS_ORDER}
+        for h in hits:
+            got[h.classification].append(h.n)
+        assert got == {c: [n for n in ns if n % 2 in keep] for c, ns in expected.items()}
 
 
 #: SHA-256 of the checkpoint text of odd searches of the unitary classes, by

@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import json
 from math import gcd
 
@@ -289,6 +291,23 @@ def test_lemma_51_examples():
         check_lemma_51(3)
     with pytest.raises(ValueError):
         check_lemma_51(9)
+
+
+def test_lemma_51_residues_at_large_b():
+    # q**b mod 3 decides both residues: no power of q is built in full
+    rep = check_lemma_51(7, 10**5)
+    assert rep.ok and rep.instances_checked == 10**5
+    assert rep.elapsed < 5
+
+
+def test_lemma_checks_refuse_bounds_below_one():
+    for lemma_id, check in LEMMA_CHECKS.items():
+        args = (7,) if lemma_id == "5.1" else ()
+        bounds = [name for name in inspect.signature(check).parameters if name.endswith("_max")]
+        assert bounds
+        for name, bad in itertools.product(bounds, (0, -1)):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                check(*args, **{name: bad})
 
 
 def test_lemma_report_json_line():
