@@ -66,9 +66,8 @@ def divisor_sum_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 def classify_brute(limit: int) -> dict[str, list[int]]:
     """Perfect-variant hit lists up to limit from the divisor-sweep tables."""
-    # second applications need sigma values a few times past limit
-    top = 0
     sig, usig = divisor_sum_tables(limit)
+    # second applications need sigma values a few times past limit
     top = int(max(sig[1:].max(initial=1), usig[1:].max(initial=1)))
     sig2, usig2 = divisor_sum_tables(top)
     ns = np.arange(limit + 1)

@@ -1,51 +1,58 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-Under parity odd the unitary classes (usp and unitary_perfect) read nothing
-but sigma*(n), whatever other classes the search asks for.  Take odd n > 1
-and write sigma*(n) = 2^a * m' with m' odd.  Every factor p^e + 1 of
-sigma*(n) is even, so a >= 1, and by multiplicativity sigma*(sigma*(n)) =
-(2^a + 1) * sigma*(m').  Each factor of sigma*(m') is even too, so
-2^omega(m') divides sigma*(m'), while 2^a + 1 is odd and v2(2n) = 1: a usp n
-has omega(m') <= 1.  m' = 1 is impossible, since sigma*(sigma*(n)) would be
-the odd 2^a + 1; so m' is a prime power, sigma*(m') = m' + 1, and
+The search classifies the n <= limit of the requested parity a segment at a
+time, in one scan.  A segment is walked in sieve blocks of _TABLE_CHUNK
+values of that parity, each classified in slices of _SCAN_BLOCK.  Every
+slice takes the first application, sigma*(n) or sigma(n), by one rule: from
+the search's lookup table when it has one for that divisor sum and the table
+holds every odd part of the slice, otherwise from the divisor-sum sieve of
+the enclosing block, run at most once per divisor sum per block.  The scan's
+memory is thus one block, whatever the segment size, and the sieve runs over
+the requested parity only.
+
+Each class then takes one of three tests.
+
+A class applied once (unitary_perfect, perfect) is a hit when first = 2n.
+
+Under parity odd, usp reads nothing but sigma*(n).  Take odd n > 1 and write
+sigma*(n) = 2^a * m' with m' odd.  Every factor p^e + 1 of sigma*(n) is
+even, so a >= 1, and by multiplicativity sigma*(sigma*(n)) = (2^a + 1) *
+sigma*(m').  Each factor of sigma*(m') is even too, so 2^omega(m') divides
+sigma*(m'), while 2^a + 1 is odd and v2(2n) = 1: a usp n has omega(m') <= 1.
+m' = 1 is impossible, since sigma*(sigma*(n)) would be the odd 2^a + 1; so
+m' is a prime power, sigma*(m') = m' + 1, and
 
     (2^a + 1) * (m' + 1) = 2n.
 
 Conversely, an n satisfying that with m' a prime power is usp, so the test
 is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n = p^e and
 p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with sigma*(1) = 1,
-is neither).  They are classified by sieving sigma*(n) over each segment's
-odd n a block at a time and testing the block in numpy: no table, no
-fallback, memory bounded by one block.
+is neither).  So neither unitary class builds a table under parity odd: its
+first applications all come from the block sieve, with no fallback.
 
-Every other class and parity runs in two layers.  A flat uint32 lookup table
-of divisor sums of the odd values up to limit is built once per run, chunk
-by chunk: entry i holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m =
-2^a * m' with m' odd multiplies the entry for m' by the 2-part's factor,
-sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.
+Every other second-order class looks its second application up.  A flat
+uint32 table of divisor sums of the odd values up to limit is built once
+per run, chunk by chunk: entry i holds sigma*(2i + 1) or sigma(2i + 1).  A
+lookup of m = 2^a * m' with m' odd multiplies the entry for m' by the
+2-part's factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) -
+1.  The inequality sigma(m) >= m + 1 means any n with a first application
+above 2n - 1 can be discarded before the second lookup, so a candidate's
+first application 2^a * m' has m' < n when a >= 1.  It is odd (a = 0) only
+when n is 1 or a power of two for sigma* (an odd prime power p^e
+contributes the even p^e + 1), or a square or twice a square for sigma:
+O(sqrt(limit)) values of n at any parity.  By multiplicativity the second
+application is the 2-part's factor times the divisor sum of m'; the factor
+is odd, so a hit needs it to divide n, and that prefilter discards most
+candidates before the second lookup.  A second application whose odd part
+lies past the table (those odd firsts, and every survivor past a
+memory-capped table) is computed by exact factorization.
 
-The classification pass then walks [1, limit] in segments: a number n is a
-hit for the second-order classes exactly when the re-applied divisor sum
-equals 2n.  The first application of n has an odd part at most n, inside
-the table.  The inequality sigma(m) >= m + 1 means any n with a first
-application above 2n - 1 can be discarded before the second lookup, so a
-candidate's first application 2^a * m' has m' < n when a >= 1.  It is odd
-(a = 0) only when n is 1 or a power of two for sigma* (an odd prime power
-p^e contributes the even p^e + 1), or a square or twice a square for sigma:
-O(sqrt(limit)) values of n at any parity, whose second application past
-the table is computed by exact factorization.  By multiplicativity the
-second application is the 2-part's factor times the divisor sum of m'; the
-factor is odd, so a hit needs it to divide n, and that prefilter discards
-most candidates before the second lookup.  When the table is memory-capped,
-first applications past it come from a per-segment sieve and second ones
-from exact factorization.
-
-Each search makes one ordered map and runs both layers through it: the
-builtin map in one process, otherwise the map of one fork process pool of
-at most os.cpu_count() workers, which yields results in submission order.
-The tables live in shared anonymous memory mapped before the pool forks, so
-the workers fill them in place and then classify segments against them; no
-table chunk travels between processes.
+Each search makes one ordered map and runs the table build and the scan
+through it: the builtin map in one process, otherwise the map of one fork
+process pool of at most os.cpu_count() workers, which yields results in
+submission order.  The tables live in shared anonymous memory mapped before
+the pool forks, so the workers fill them in place and then classify
+segments against them; no table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve that produced it, and odd hits of
@@ -218,7 +225,7 @@ class SearchResult:
 #: reads in place
 _STATE: dict | None = None
 
-#: odd values per table-build task, and per block of a table-free scan: the
+#: odd values per table-build task, and n per sieve block of the scan: the
 #: sieve's int64 arrays stay in cache, and its Python work per base prime is
 #: spread over enough entries
 _TABLE_CHUNK = 1 << 18
@@ -282,86 +289,60 @@ def _closed_form(variant: Variant, parity: str) -> bool:
     return parity == "odd" and variant.unitary
 
 
-def _closed_form_hits(start: int, hi: int, variants: list[Variant]) -> list[tuple[int, str]]:
-    """Hits of the unitary variants among the odd n in [start, hi), start odd."""
-    hits: list[tuple[int, str]] = []
-    for b in range(start, hi, 2 * _TABLE_CHUNK):
-        e = min(hi, b + 2 * _TABLE_CHUNK)
-        s = divisor_sum_segment(b, e, True, step=2)  # sigma*(n)
-        n = np.arange(b, e, 2, dtype=np.int64)
-        for variant in variants:
-            if variant.applications == 1:
-                good = n[s == 2 * n]
-            else:
-                low = s & -s  # 2^a, for sigma*(n) = 2^a * m' with m' odd
-                odd = s >> np.bitwise_count(low - 1)  # m'
-                cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
-                # the equation decides once m' is known to be a prime power
-                good = [n[j] for j in cand if prime_power(int(odd[j])) is not None]
-            hits.extend((int(x), variant.name) for x in good)
-    return hits
-
-
 def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
+    """Hits among the n in [lo, hi) of the search's parity, in output order."""
     parity = _STATE["parity"]
     if parity == "all":
         start, step = lo, 1
     else:  # from the first n of the requested parity
         start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
     variants = [v for v in VARIANTS if v.name in _STATE["classes"]]
-    closed = [v for v in variants if _closed_form(v, parity)]
-    looked_up = [v for v in variants if not _closed_form(v, parity)]
-    hits = _closed_form_hits(start, hi, closed) if closed else []
-    if looked_up:
-        hits += _table_hits(start, hi, step, looked_up)
-    hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
-    return hits
-
-
-def _table_hits(start: int, hi: int, step: int, variants: list[Variant]) -> list[tuple[int, str]]:
-    """Hits of the variants among start, start + step, ... < hi, looked up in
-    the tables."""
-    parity = _STATE["parity"]
-    # first applications past the table: the segment is sieved at most once
-    # per divisor sum, whichever classes need it
-    sieved: dict[bool, np.ndarray] = {}
-
-    def first_sieved(unitary: bool) -> np.ndarray:
-        if unitary not in sieved:
-            if parity == "odd":
-                sieved[unitary] = divisor_sum_segment(start, hi, unitary, step=2)
-            else:
-                sieved[unitary] = divisor_sum_segment(start, hi, unitary)[::step]
-        return sieved[unitary]
-
-    values = range(start, hi, step)
+    tables = _STATE["tables"]
     hits: list[tuple[int, str]] = []
-    for i in range(0, len(values), _SCAN_BLOCK):
-        block = values[i : i + _SCAN_BLOCK]
-        n_all = np.arange(block.start, block.stop, step, dtype=np.int64)
-        # the first application, once per divisor sum whichever classes read it
-        firsts: dict[bool, np.ndarray] = {}
-        for unitary in {v.unitary for v in variants}:
-            first, inside = _lookup(_STATE["tables"][unitary], n_all, unitary)
-            firsts[unitary] = first if inside.all() else first_sieved(unitary)[i : i + _SCAN_BLOCK]
-        for variant in variants:
-            unitary = variant.unitary
-            first = firsts[unitary]
-            if variant.applications == 1:
-                good = n_all[first == 2 * n_all]
-            else:
-                # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
-                # odd divisor sum of first's 2-part divides the second
-                # application, so a hit needs it to divide n (module docstring)
-                cand = first < 2 * n_all
-                mm, nn = first[cand], n_all[cand]
-                keep = nn % _split(mm, unitary)[1] == 0
-                mm, nn = mm[keep], nn[keep]
-                second, inside = _lookup(_STATE["tables"][unitary], mm, unitary)
-                for j in np.flatnonzero(~inside):
-                    second[j] = _exact_divisor_sum(int(mm[j]), unitary)
-                good = nn[second == 2 * nn]
-            hits.extend((int(x), variant.name) for x in good)
+    for b in range(start, hi, step * _TABLE_CHUNK):
+        e = min(hi, b + step * _TABLE_CHUNK)
+        # the block's divisor sums, sieved at most once per divisor sum and
+        # only when a slice needs a first application the table lacks
+        sieved: dict[bool, np.ndarray] = {}
+        for s in range(b, e, step * _SCAN_BLOCK):
+            n = np.arange(s, min(e, s + step * _SCAN_BLOCK), step, dtype=np.int64)
+            # the first application, once per divisor sum whichever classes read it
+            firsts: dict[bool, np.ndarray] = {}
+            for unitary in {v.unitary for v in variants}:
+                if unitary in tables:
+                    first, inside = _lookup(tables[unitary], n, unitary)
+                    if inside.all():
+                        firsts[unitary] = first
+                        continue
+                if unitary not in sieved:
+                    sieved[unitary] = divisor_sum_segment(b, e, unitary, step=step)
+                i = (s - b) // step
+                firsts[unitary] = sieved[unitary][i : i + n.shape[0]]
+            for variant in variants:
+                unitary = variant.unitary
+                first = firsts[unitary]
+                if variant.applications == 1:
+                    good = n[first == 2 * n]
+                elif _closed_form(variant, parity):
+                    low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
+                    odd = first >> np.bitwise_count(low - 1)  # m'
+                    cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
+                    # the equation decides once m' is known to be a prime power
+                    good = [n[j] for j in cand if prime_power(int(odd[j])) is not None]
+                else:
+                    # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
+                    # odd divisor sum of first's 2-part divides the second
+                    # application, so a hit needs it to divide n (module docstring)
+                    cand = first < 2 * n
+                    mm, nn = first[cand], n[cand]
+                    keep = nn % _split(mm, unitary)[1] == 0
+                    mm, nn = mm[keep], nn[keep]
+                    second, inside = _lookup(tables[unitary], mm, unitary)
+                    for j in np.flatnonzero(~inside):
+                        second[j] = _exact_divisor_sum(int(mm[j]), unitary)
+                    good = nn[second == 2 * nn]
+                hits.extend((int(x), variant.name) for x in good)
+    hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
 
 

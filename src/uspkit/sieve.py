@@ -1,13 +1,15 @@
 """Segmented divisor-sum sieves.
 
 A segment is the arithmetic progression lo, lo + step, ... below hi, with
-step 1 (every value) or 2 (odd values only, from an odd lo).  Its values
-are factored collectively: for each base prime p, strided views over the
+step 1 (every value) or 2 (the values of lo's parity).  Its values are
+factored collectively: for each base prime p, strided views over the
 multiples of p, p^2, ... accumulate every entry's p-part, which then
 contributes its factor sigma*(p^k) = p^k + 1 or sigma(p^k) = 1 + p + ... +
-p^k.  Whatever remains after all base primes is either 1 or a single prime
-above sqrt(hi).  Everything is vectorized with numpy and int64; segments
-are independent, so the sieve parallelizes and restarts trivially.
+p^k.  With step 2, p = 2 divides no value (odd lo) or every value (even
+lo, whose 2-parts are then taken in one pass).  Whatever remains after all
+base primes is either 1 or a single prime above sqrt(hi).  Everything is
+vectorized with numpy and int64; segments are independent, so the sieve
+parallelizes and restarts trivially.
 """
 
 from __future__ import annotations
@@ -45,8 +47,14 @@ def _divisor_sum_segment(
     rest = np.arange(lo, hi, step, dtype=np.int64)
     count = rest.shape[0]
     top = int(rest[-1])
-    sig = np.ones(count, dtype=np.int64)
-    found = np.ones(count, dtype=np.int64)  # product of the prime parts so far
+    # found is the product of the prime parts so far; p = 2 is skipped below
+    # with step 2, so an even progression starts from its 2-parts 2^a
+    if step == 2 and lo % 2 == 0:
+        found = rest & -rest
+        sig = found + 1 if unitary else 2 * found - 1
+    else:
+        sig = np.ones(count, dtype=np.int64)
+        found = np.ones(count, dtype=np.int64)
     # scratch, read only at multiples of the current prime, each of which is
     # assigned afresh before it is read
     part = np.empty(count, dtype=np.int64)  # p-part
@@ -55,7 +63,7 @@ def _divisor_sum_segment(
         if p * p > top:
             break
         if step % p == 0:
-            continue  # p = 2 with step 2: every value is odd
+            continue  # p = 2 with step 2: every 2-part is already in found
         # index of the first multiple of pk in the progression; multiples of
         # pk then recur every pk entries because step is prime to p
         pk = p
@@ -93,14 +101,14 @@ def _check_span(lo: int, hi: int, step: int) -> None:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_SIEVE_VALUE:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
-    if step not in (1, 2) or (step == 2 and lo % 2 == 0):
-        raise ValueError(f"need step 1, or step 2 from an odd lo; got step={step}, lo={lo}")
+    if step not in (1, 2):
+        raise ValueError(f"need step 1 or 2, got step={step}")
 
 
 def divisor_sum_segment(lo: int, hi: int, unitary: bool, step: int = 1) -> np.ndarray:
     """sigma*(n) if unitary else sigma(n), for n = lo, lo + step, ... < hi.
 
-    step is 1 (every value) or 2 (odd values; lo must be odd).  Returns an
+    step is 1 (every value) or 2 (the values of lo's parity).  Returns an
     int64 array.
     """
     _check_span(lo, hi, step)

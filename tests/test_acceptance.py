@@ -2,12 +2,15 @@
 the entry's time budget, printing one PASS line on success (visible with
 pytest -rA/-s).  ``uspkit report`` runs the same entries.
 
-The headline search also runs at its full scale of 10^8 here, through the
-CLI; everything else is seconds.
+Every entry runs once per session, and both its own test and the ``report``
+CLI test read that run.  The headline search also runs at its full scale of
+10^8 here, through the CLI; everything else is seconds.
 """
 
 import json
 import time
+
+import pytest
 
 from uspkit import cli, report
 from uspkit.report import CRITERIA, Criterion
@@ -17,18 +20,27 @@ WORKERS = 2  # this container exposes two cores
 _BY_NAME = {c.name: c for c in CRITERIA}
 
 
-def _passes(name):
+@pytest.fixture(scope="session")
+def runs():
+    """Each CRITERIA entry run for real once: name -> (result, seconds)."""
+    timed = {}
+    for criterion in CRITERIA:
+        t0 = time.perf_counter()
+        result = criterion.run(workers=WORKERS)
+        timed[criterion.name] = (result, time.perf_counter() - t0)
+    return timed
+
+
+def _passes(runs, name):
     criterion = _BY_NAME[name]
-    t0 = time.perf_counter()
-    result = criterion.run(workers=WORKERS)
-    elapsed = time.perf_counter() - t0
+    result, elapsed = runs[name]
     assert result.ok, result.detail
     if criterion.budget_s is not None:
         assert elapsed < criterion.budget_s, f"took {elapsed:.2f}s, budget {criterion.budget_s}s"
     print(f"PASS  {name}: {result.detail}")
 
 
-def test_criterion_1_headline_reproduction(capsys):
+def test_criterion_1_headline_reproduction(runs, capsys):
     # full-scale odd search through the public CLI surface
     code = cli.main(
         ["search", "usp", "--limit", "100000000", "--parity", "odd",
@@ -41,47 +53,53 @@ def test_criterion_1_headline_reproduction(capsys):
     assert all(h["structure"]["ok"] for h in hits)
     with capsys.disabled():
         # CI scale: the same odd set below 10^6, even prefix {2, 238} below 10^3
-        _passes("headline-odd-search")
+        _passes(runs, "headline-odd-search")
 
 
-def test_criterion_2_first_hits_table():
-    _passes("first-hits")
+def test_criterion_2_first_hits_table(runs):
+    _passes(runs, "first-hits")
 
 
-def test_criterion_3_oracle_equivalence():
-    _passes("oracle-classification")
+def test_criterion_3_oracle_equivalence(runs):
+    _passes(runs, "oracle-classification")
 
 
-def test_criterion_4_lemma_suite():
-    _passes("lemma-suite")
+def test_criterion_4_lemma_suite(runs):
+    _passes(runs, "lemma-suite")
 
 
-def test_criterion_5_zsigmondy_oracle():
-    _passes("zsigmondy-oracle")
+def test_criterion_5_zsigmondy_oracle(runs):
+    _passes(runs, "zsigmondy-oracle")
 
 
-def test_criterion_6_bound_certificates():
-    _passes("bound-certificates")
+def test_criterion_6_bound_certificates(runs):
+    _passes(runs, "bound-certificates")
 
 
-def test_criterion_7_q_elimination_scan():
-    _passes("q-elimination-scan")
+def test_criterion_7_q_elimination_scan(runs):
+    _passes(runs, "q-elimination-scan")
 
 
-def test_criterion_8_case_13_elimination():
-    _passes("case-13-chain")
+def test_criterion_8_case_13_elimination(runs):
+    _passes(runs, "case-13-chain")
 
 
-def test_criterion_9_determinism():
-    _passes("determinism")
+def test_criterion_9_determinism(runs):
+    _passes(runs, "determinism")
 
 
-def test_criterion_10_property_suites():
-    _passes("property-suites")
+def test_criterion_10_property_suites(runs):
+    _passes(runs, "property-suites")
 
 
-def test_report_cli_exit_code(capsys):
-    # `report` exits 0 exactly when the criteria above pass (fast scale)
+def test_report_cli_exit_code(runs, monkeypatch, capsys):
+    # `report` exits 0 exactly when the criteria above pass (fast scale); its
+    # entries return the session's results rather than running a second time
+    replayed = [
+        Criterion(c.name, lambda full, workers, r=runs[c.name][0]: (r.ok, r.detail))
+        for c in CRITERIA
+    ]
+    monkeypatch.setattr(report, "CRITERIA", tuple(replayed))
     code = cli.main(["report", "--workers", str(WORKERS)])
     out = capsys.readouterr().out
     assert code == 0

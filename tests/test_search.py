@@ -87,8 +87,6 @@ def test_segment_bounds_validation():
     with pytest.raises(ValueError):
         sigma_segment(1, 1 << 60)
     with pytest.raises(ValueError):
-        divisor_sum_segment(10, 20, unitary=True, step=2)  # step 2 needs an odd lo
-    with pytest.raises(ValueError):
         divisor_sum_segment(11, 20, unitary=True, step=3)
 
 
@@ -111,7 +109,6 @@ def test_segments_agree_with_factorization():
     unitary=st.booleans(),
 )
 def test_divisor_sum_segment_matches_factorization(lo, length, step, unitary):
-    lo |= step - 1  # step 2 runs over odd values
     values = range(lo, lo + length, step)
     seg = divisor_sum_segment(lo, lo + length, unitary, step=step)
     assert seg.dtype == np.int64
@@ -130,7 +127,7 @@ def test_sieve_kernel_near_max_sieve_value(below_max, length, step, unitary):
     # primes that divide no value in the span contribute nothing, so the
     # kernel gets exactly the ones that do
     hi = MAX_SIEVE_VALUE - below_max
-    lo = (hi - length) | (step - 1)
+    lo = hi - length
     values = range(lo, hi, step)
     top = values[-1]
     primes = sorted({
@@ -347,7 +344,7 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
 
 def test_out_of_table_segment_sieved_once(sieve_spans):
     # a zero budget leaves the 2**16-entry floor, odd values below 2**17;
-    # each segment past it is sieved once per divisor sum, not once per class
+    # each block past it is sieved once per divisor sum, not once per class
     run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER,
                             parity="odd", table_budget_bytes=0))
     assert len(sieve_spans) == len(set(sieve_spans))
@@ -357,7 +354,7 @@ def test_out_of_table_segment_sieved_once(sieve_spans):
 
 def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
     # under the 2**16-entry floor, first applications of n > 2**17 come from a
-    # per-segment sieve (step 1; the table is built from step-2 spans), and
+    # per-block sieve (step 1; the table is built from step-2 spans), and
     # second ones with an odd part past the table from exact factorization:
     # sigma(2 * 211**2) = 3 * 44733, for one
     common = dict(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER)
@@ -375,6 +372,17 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
     assert any(step == 1 for _, _, step, _ in sieve_spans)
     assert 3 * 44733 in exact
     assert capped.checkpoint_text == full.checkpoint_text
+
+
+def test_capped_scan_sieves_one_block_at_a_time(sieve_spans):
+    # past the 2**16-entry floor a segment of 2**20 values is sieved one scan
+    # block at a time, so the scan's memory is one block whatever the segment
+    common = dict(limit=10**6, segment_size=1 << 20, classes=CLASS_ORDER)
+    capped = run_search(SearchConfig(table_budget_bytes=0, **common))
+    assert any(step == 1 for _, _, step, _ in sieve_spans)  # the scan's blocks
+    assert all(len(range(lo, hi, step)) <= search._TABLE_CHUNK
+               for lo, hi, step, _ in sieve_spans)
+    assert capped.checkpoint_text == run_search(SearchConfig(**common)).checkpoint_text
 
 
 #: SHA-256 of the checkpoint text of all four classes at limit 3*10**5 with
@@ -644,7 +652,7 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
     assert odd.checkpoint_text == expected
 
 
-def test_closed_form_filter_matches_brute_oracle():
+def test_closed_form_filter_matches_brute_oracle(monkeypatch):
     # over the odd n <= 10**5 the filter keeps exactly the oracle's odd hits;
     # classify_brute's tests, with the second table cut at 2 * limit, which
     # holds sigma*(n) of every hit because sigma*(sigma*(n)) > sigma*(n)
@@ -654,7 +662,9 @@ def test_closed_form_filter_matches_brute_oracle():
     s = usig[n]
     usp = n[(s < 2 * n) & (usig[np.minimum(s, 2 * limit)] == 2 * n)]
     assert usp.size and not (s == 2 * n).any()  # no odd unitary perfect n
-    assert search._closed_form_hits(1, limit + 1, VARIANTS[:2]) == [(int(x), "usp") for x in usp]
+    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER[:2]), "parity": "odd",
+                                           "tables": {}})
+    assert search._classify_segment(1, limit + 1) == [(int(x), "usp") for x in usp]
 
 
 def _fake_sigma_star(monkeypatch, n, value):
