@@ -10,9 +10,10 @@ for inputs under 2**64.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import takewhile
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .sieve import base_primes
 
@@ -33,6 +34,9 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_BOUND))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+#: gcd(n, _SMALL_PRODUCT) is the product of n's distinct primes below 10**4
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def _check_natural(n: int, name: str = "n") -> None:
@@ -139,26 +143,37 @@ def _split(n: int, counts: dict[int, int]) -> None:
     _split(n // d, counts)
 
 
+def _small_primes_of(g: int) -> Iterator[int]:
+    """The primes of g, ascending, for g a product of distinct primes below
+    10**4: trial division until the cofactor is 1 or a prime."""
+    for p in _SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            yield p
+    if g > 1:
+        yield g
+
+
 def factorize(n: int) -> Factorization:
     """Canonical Factorization of n >= 1.
 
-    Trial division by primes below 10**4, then Brent-rho splitting of any
-    remaining cofactor, each claimed prime confirmed by is_prime.
+    One gcd with the product of the primes below 10**4 finds n's small
+    primes, and only those are divided out; Brent-rho splits any remaining
+    cofactor, each claimed prime confirmed by is_prime.
     """
     _check_natural(n)
     if n == 0:
         raise ValueError("0 has no factorization")
     counts: dict[int, int] = {}
     m = n
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
+    for p in _small_primes_of(gcd(n, _SMALL_PRODUCT)):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        counts[p] = e
     if m > 1:
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
@@ -167,10 +182,10 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(sorted(counts.items())), n)
 
 
-#: prime exponents k with 3**k <= MAX_NATURAL: an odd perfect power in
-#: range is a perfect k-th power for one of them
+#: prime exponents k with (10**4)**k <= MAX_NATURAL: a perfect power in
+#: range with no prime below 10**4 is a perfect k-th power for one of them
 _ROOT_EXPONENTS: tuple[int, ...] = tuple(
-    takewhile(lambda p: 3**p <= MAX_NATURAL, _SMALL_PRIMES)
+    takewhile(lambda k: _TRIAL_BOUND**k <= MAX_NATURAL, _SMALL_PRIMES)
 )
 
 
@@ -189,19 +204,30 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(n: int) -> tuple[int, int] | None:
     """(q, b) with n = q**b, q prime and b >= 1, or None if n is no prime power.
 
-    An odd n loses perfect k-th powers for prime k, ascending, until the
-    smallest odd base 3 to the power k exceeds it; the remaining base is a
-    prime power only if it is prime, which is_prime decides exactly in range.
-    Refuses what factorize refuses.
+    One gcd with the product of the primes below 10**4 settles every n with
+    a prime there: two such primes rule n out, and one must be the whole of
+    n.  Otherwise n below 10**8 is 1 or prime, and a larger n loses perfect
+    k-th powers for prime k, ascending, while (10**4)**k <= n; the remaining
+    base is a prime power only if it is prime, which is_prime decides
+    exactly in range.  Refuses what factorize refuses.
     """
     _check_natural(n)
     if n == 0:
         raise ValueError("0 has no factorization")
-    if n % 2 == 0:
-        return (2, n.bit_length() - 1) if n & (n - 1) == 0 else None
+    g = gcd(n, _SMALL_PRODUCT)
+    if g > 1:
+        if g not in _SMALL_PRIME_SET:
+            return None
+        b = 0
+        while n % g == 0:
+            n //= g
+            b += 1
+        return (g, b) if n == 1 else None
+    if n < _TRIAL_BOUND**2:
+        return (n, 1) if n > 1 else None
     b = 1
     for k in _ROOT_EXPONENTS:
-        if 3**k > n:
+        if _TRIAL_BOUND**k > n:
             break
         r = _iroot(n, k)
         while r**k == n:  # a k-th root that is itself a k-th power

@@ -45,13 +45,18 @@ def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError(f"argument must satisfy 0 <= x < 1, got {x}")
-    term = Fraction(1)
-    partial = Fraction(1)
+    # with x = a/b, every term a^k / (k! b^k) over the common denominator
+    # 12! b^12 is the integer term = (12!/k!) a^k b^(12-k); each step's
+    # division is exact, and the last term is a^12
+    a, b = x.numerator, x.denominator
+    den = term = math.factorial(_TAYLOR_DEGREE) * b**_TAYLOR_DEGREE
+    partial = term
     for k in range(1, _TAYLOR_DEGREE + 1):
-        term = term * x / k
+        term = term * a // (k * b)
         partial += term
-    tail = term * x / (_TAYLOR_DEGREE + 1) / (1 - x / (_TAYLOR_DEGREE + 1))
-    return partial, partial + tail
+    # the tail bound a^13 / (12! b^12 (13b - a))
+    gap = (_TAYLOR_DEGREE + 1) * b - a
+    return Fraction(partial, den), Fraction(partial * gap + term * a, den * gap)
 
 
 def exp_upper(x: Fraction) -> Fraction:

@@ -2,14 +2,20 @@
 
 A segment is the arithmetic progression lo, lo + step, ... below hi, with
 step 1 (every value) or 2 (the values of lo's parity).  Its values are
-factored collectively: for each base prime p, strided views over the
-multiples of p, p^2, ... accumulate every entry's p-part, which then
-contributes its factor sigma*(p^k) = p^k + 1 or sigma(p^k) = 1 + p + ... +
-p^k.  With step 2, p = 2 divides no value (odd lo) or every value (even
-lo, whose 2-parts are then taken in one pass).  Whatever remains after all
-base primes is either 1 or a single prime above sqrt(hi).  Everything is
-vectorized with numpy and int64; segments are independent, so the sieve
-parallelizes and restarts trivially.
+factored collectively in two arrays: ``rest``, the values with their
+prime parts divided out as they are found, and ``sig``, the product of
+those parts' factors.  For each base prime p, every multiple of p divides
+``rest`` by p and multiplies ``sig`` by sigma(p) = sigma*(p) = p + 1.
+Then, for k = 2, 3, ..., every multiple of p^k divides ``rest`` by p once
+more and swaps in place the factor of p^(k-1) that ``sig`` holds for the
+factor of p^k: p^k + 1 for sigma*, sigma(p^(k-1)) + p^k for sigma.  The
+swap is an exact division followed by a product, so no entry ever exceeds
+its final sum.  With step 2, p = 2 divides no value (odd lo) or every value
+(even lo, whose 2-parts leave ``rest`` up front).  What ``rest`` keeps
+after all base primes is 1 or a single prime q above sqrt(hi), which
+contributes q + 1.  Everything is vectorized with numpy and int64;
+segments are independent, so the sieve parallelizes and restarts
+trivially.
 """
 
 from __future__ import annotations
@@ -47,50 +53,47 @@ def _divisor_sum_segment(
     rest = np.arange(lo, hi, step, dtype=np.int64)
     count = rest.shape[0]
     top = int(rest[-1])
-    # found is the product of the prime parts so far; p = 2 is skipped below
-    # with step 2, so an even progression starts from its 2-parts 2^a
     if step == 2 and lo % 2 == 0:
-        found = rest & -rest
-        sig = found + 1 if unitary else 2 * found - 1
+        # p = 2 divides every value and is skipped below, so the 2-parts
+        # 2^a = rest & -rest leave rest up front and seed sig
+        sig = np.negative(rest)
+        sig &= rest
+        rest //= sig
+        if unitary:
+            sig += 1  # 2^a + 1
+        else:
+            sig <<= 1
+            sig -= 1  # 2^(a+1) - 1
     else:
         sig = np.ones(count, dtype=np.int64)
-        found = np.ones(count, dtype=np.int64)
-    # scratch, read only at multiples of the current prime, each of which is
-    # assigned afresh before it is read
-    part = np.empty(count, dtype=np.int64)  # p-part
-    part_sum = None if unitary else np.empty(count, dtype=np.int64)  # sigma(p-part)
     for p in primes.tolist():
         if p * p > top:
             break
         if step % p == 0:
-            continue  # p = 2 with step 2: every 2-part is already in found
+            continue  # p = 2 with step 2: the values are odd or 2-free already
         # index of the first multiple of pk in the progression; multiples of
         # pk then recur every pk entries because step is prime to p
-        pk = p
-        start = -lo * pow(step, -1, pk) % pk
+        start = -lo * pow(step, -1, p) % p
         if start >= count:
             continue
-        part[start::p] = p
-        if part_sum is not None:
-            part_sum[start::p] = p + 1
+        rest[start::p] //= p
+        sig[start::p] *= p + 1
+        # sig at a multiple of pk holds prev, the factor of p^(k-1): divide
+        # it out exactly before multiplying by cur, so no entry overshoots
+        pk, prev = p, p + 1
         while pk * p <= top:
             pk *= p
-            start_k = -lo * pow(step, -1, pk) % pk
-            if start_k >= count:
+            start = -lo * pow(step, -1, pk) % pk
+            if start >= count:
                 break
-            part[start_k::pk] *= p
-            if part_sum is not None:
-                part_sum[start_k::pk] += part[start_k::pk]
-        view = part[start::p]
-        found[start::p] *= view
-        if part_sum is None:
-            view += 1  # sigma*(p^k) = p^k + 1
-            sig[start::p] *= view
-        else:
-            sig[start::p] *= part_sum[start::p]
+            rest[start::pk] //= p
+            cur = pk + 1 if unitary else prev + pk
+            view = sig[start::pk]
+            view //= prev
+            view *= cur
+            prev = cur
     # the cofactor is 1 or a single prime q above sqrt(top), with
     # sigma(q) = sigma*(q) = q + 1
-    rest //= found
     rest += rest > 1
     sig *= rest
     return sig

@@ -52,6 +52,23 @@ def test_exp_bounds_domain():
             exp_bounds(bad)
 
 
+def test_exp_bounds_equal_fraction_recurrence():
+    # the enclosure as a running Fraction sum: the same exact rationals
+    def recurrence(x):
+        term = partial = F(1)
+        for k in range(1, 13):
+            term = term * x / k
+            partial += term
+        return partial, partial + term * x / 13 / (1 - x / 13)
+
+    grid = [F(i, 64) for i in range(64)]
+    grid += [F(3, 8744), F(4, 21), F(10**6 - 1, 10**6), F(2**61 - 2, 2**61 - 1)]
+    draw = random.Random(4099)
+    grid += [F(draw.randrange(q), q) for q in draw.sample(range(2, 10**9), 200)]
+    for x in grid:
+        assert exp_bounds(x) == recurrence(x), x
+
+
 def test_exp_upper_one_sided_random():
     for _ in range(2000):
         x = F(rng.randrange(0, 9 * 10**5), 10**6)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -115,6 +116,25 @@ def test_divisor_sum_segment_matches_factorization(lo, length, step, unitary):
     assert seg.tolist() == _exact_sums(values, unitary)
 
 
+def _check_kernel(lo, hi, step, unitary, factors):
+    """The kernel against factorize over lo, lo + step, ... < hi.
+
+    The base primes up to sqrt(top) can take a sieve far too large for a
+    test near MAX_SIEVE_VALUE; primes that divide no value in the span
+    contribute nothing, so the kernel gets exactly the ones that do.
+    factors caches factorize across calls.
+    """
+    values = range(lo, hi, step)
+    for n in values:
+        if n not in factors:
+            factors[n] = factorize(n)
+    top = values[-1]
+    primes = sorted({p for n in values for p, _ in factors[n].entries if p * p <= top})
+    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), unitary)
+    exact = unitary_sigma if unitary else sigma_from_factorization
+    assert seg.tolist() == [exact(factors[n]) for n in values], (lo, hi, step, unitary)
+
+
 @settings(_PROPERTY, max_examples=60)
 @given(
     below_max=st.integers(0, 10**6),
@@ -123,18 +143,52 @@ def test_divisor_sum_segment_matches_factorization(lo, length, step, unitary):
     unitary=st.booleans(),
 )
 def test_sieve_kernel_near_max_sieve_value(below_max, length, step, unitary):
-    # the base primes up to sqrt(2**59) would take a sieve of 7.6e8 flags;
-    # primes that divide no value in the span contribute nothing, so the
-    # kernel gets exactly the ones that do
     hi = MAX_SIEVE_VALUE - below_max
-    lo = hi - length
-    values = range(lo, hi, step)
-    top = values[-1]
-    primes = sorted({
-        p for n in values for p, _ in factorize(n).entries if p * p <= top
-    })
-    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), unitary)
-    assert seg.tolist() == _exact_sums(values, unitary)
+    _check_kernel(hi - length, hi, step, unitary, {})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 1009])
+def test_sieve_kernel_around_prime_powers(p):
+    # 128 values around each p^k <= 10**12 and around the largest p^k in
+    # the sieve's range, where multiples of p^j (j <= k) swap sigma's p-part
+    # factor in place; step 2 starts from both parities
+    powers = [p]
+    while powers[-1] * p + 64 <= MAX_SIEVE_VALUE:
+        powers.append(powers[-1] * p)
+    powers = [pk for pk in powers if pk <= 10**12] + powers[-1:]
+    factors = {}
+    for pk in powers:
+        lo = max(1, pk - 64)
+        for unitary in (True, False):
+            _check_kernel(lo, pk + 64, 1, unitary, factors)
+            for start in (lo, lo + 1):
+                _check_kernel(start, start + 128, 2, unitary, factors)
+
+
+def test_divisor_sum_segment_full_block_matches_brute():
+    limit = 2 * 10**5
+    sig, usig = bruteforce.divisor_sum_tables(limit)
+    for lo, step in ((1, 1), (1, 2), (2, 2)):
+        for unitary, table in ((True, usig), (False, sig)):
+            seg = divisor_sum_segment(lo, limit + 1, unitary, step=step)
+            assert (seg == table[lo::step]).all(), (lo, step, unitary)
+
+
+@pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2])
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
+def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
+    # rest and the returned sums, plus the boolean mask of the cofactor step
+    count = 1 << 18
+    hi = lo + count * step
+    primes = base_primes(math.isqrt(hi - 1))
+    tracemalloc.start()
+    try:
+        sieve._divisor_sum_segment(lo, hi, step, primes, unitary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * count
 
 
 def test_base_primes_one_growing_cache(monkeypatch):
