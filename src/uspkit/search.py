@@ -1,8 +1,9 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
 The search classifies the n <= limit of the requested parity a segment at a
-time, in one scan.  A segment is walked in sieve blocks of _TABLE_CHUNK
-values of that parity, each classified in slices of _SCAN_BLOCK.  Every
+time, in one scan.  A segment is walked in equal sieve blocks of at most
+_TABLE_CHUNK values of that parity (of each progression, for an odd search
+of usp alone; see below), each classified in slices of _SCAN_BLOCK.  Every
 slice takes the first application, sigma*(n) or sigma(n), by one rule: from
 the search's lookup table when it has one for that divisor sum and the table
 holds every odd part of the slice, otherwise from the divisor-sum sieve of
@@ -29,6 +30,18 @@ is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n = p^e and
 p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with sigma*(1) = 1,
 is neither).  So neither unitary class builds a table under parity odd: its
 first applications all come from the block sieve, with no fallback.
+
+The equation also confines the odd usp n to a few progressions.  2^a + 1
+is odd and divides 2n, so it divides n.  Write a = 2^k * t with t odd: with
+x = 2^(2^k), 2^a + 1 = x^t + 1, which the Fermat number F_k = x + 1 divides
+because t is odd.  So F_k divides n, and F_k <= 2^a + 1 <= n.  An odd
+search of usp alone therefore sieves, for the least prime factor q of each
+F_k up to the segment's top value, only the odd multiples of q, with step
+2q: q = 3, 5, 17, 257 and 65537 (F_0 ... F_4 are prime), and 641 (F_5 =
+641 * 6700417) past 2^32.  Those progressions hold about 1/3 + 1/5 + 1/17 +
+1/257 = 0.60 of the odd n, and an n in several of them is tested only in
+the one of its smallest such prime.  Beside another class, the odd search
+walks every odd n.
 
 Every other second-order class looks its second application up.  A flat
 uint32 table of divisor sums of the odd values up to limit is built once
@@ -265,6 +278,18 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 #: n classified at a time: the lookups' int64 temporaries stay in cache
 _SCAN_BLOCK = 1 << 16
 
+#: (F_k, its least prime factor) for the Fermat numbers F_k = 2^(2^k) + 1,
+#: k <= 5; F_6 = 2^64 + 1 is past HARD_LIMIT
+_FERMAT_PRIMES = tuple(
+    (fk, factorize(fk).entries[0][0]) for fk in (2 ** (1 << k) + 1 for k in range(6))
+)
+
+
+def _progression_primes(top: int) -> tuple[int, ...]:
+    """The least prime factors of the Fermat numbers up to top, increasing:
+    every odd usp n <= top is a multiple of one (module docstring)."""
+    return tuple(sorted(q for fk, q in _FERMAT_PRIMES if fk <= top))
+
 
 def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
     """For values m = 2^a * m' >= 1 with m' odd: the table index (m' - 1) / 2
@@ -289,59 +314,84 @@ def _closed_form(variant: Variant, parity: str) -> bool:
     return parity == "odd" and variant.unitary
 
 
-def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
-    """Hits among the n in [lo, hi) of the search's parity, in output order."""
+def _progressions(lo: int, hi: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(first n, step, skipped) of each progression of [lo, hi) that the search
+    scans; an n that a prime in skipped divides is tested in another one."""
     parity = _STATE["parity"]
     if parity == "all":
-        start, step = lo, 1
-    else:  # from the first n of the requested parity
-        start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
+        return [(lo, 1, ())]
+    if parity == "odd" and _STATE["classes"] == {"usp"}:
+        # the odd multiples of each progression prime q, each n tested in the
+        # progression of its smallest q (module docstring); from the largest
+        # q, whose blocks are the shortest: blocks that grow through a segment
+        # fragment the heap less than blocks that shrink
+        primes = _progression_primes(hi - 1)
+        return [(lo + (q - lo) % (2 * q), 2 * q, primes[:i])
+                for i, q in reversed(list(enumerate(primes)))]
+    # from the first n of the requested parity
+    return [(lo if lo % 2 == (parity == "odd") else lo + 1, 2, ())]
+
+
+def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
+    """Hits among the n in [lo, hi) that the search scans, in output order."""
+    parity = _STATE["parity"]
     variants = [v for v in VARIANTS if v.name in _STATE["classes"]]
     tables = _STATE["tables"]
     hits: list[tuple[int, str]] = []
-    for b in range(start, hi, step * _TABLE_CHUNK):
-        e = min(hi, b + step * _TABLE_CHUNK)
-        # the block's divisor sums, sieved at most once per divisor sum and
-        # only when a slice needs a first application the table lacks
-        sieved: dict[bool, np.ndarray] = {}
-        for s in range(b, e, step * _SCAN_BLOCK):
-            n = np.arange(s, min(e, s + step * _SCAN_BLOCK), step, dtype=np.int64)
-            # the first application, once per divisor sum whichever classes read it
-            firsts: dict[bool, np.ndarray] = {}
-            for unitary in {v.unitary for v in variants}:
-                if unitary in tables:
-                    first, inside = _lookup(tables[unitary], n, unitary)
-                    if inside.all():
-                        firsts[unitary] = first
-                        continue
-                if unitary not in sieved:
-                    sieved[unitary] = divisor_sum_segment(b, e, unitary, step=step)
-                i = (s - b) // step
-                firsts[unitary] = sieved[unitary][i : i + n.shape[0]]
-            for variant in variants:
-                unitary = variant.unitary
-                first = firsts[unitary]
-                if variant.applications == 1:
-                    good = n[first == 2 * n]
-                elif _closed_form(variant, parity):
-                    low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
-                    odd = first >> np.bitwise_count(low - 1)  # m'
-                    cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
-                    # the equation decides once m' is known to be a prime power
-                    good = [n[j] for j in cand if prime_power(int(odd[j])) is not None]
-                else:
-                    # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
-                    # odd divisor sum of first's 2-part divides the second
-                    # application, so a hit needs it to divide n (module docstring)
-                    cand = first < 2 * n
-                    mm, nn = first[cand], n[cand]
-                    keep = nn % _split(mm, unitary)[1] == 0
-                    mm, nn = mm[keep], nn[keep]
-                    second, inside = _lookup(tables[unitary], mm, unitary)
-                    for j in np.flatnonzero(~inside):
-                        second[j] = _exact_divisor_sum(int(mm[j]), unitary)
-                    good = nn[second == 2 * nn]
-                hits.extend((int(x), variant.name) for x in good)
+    for start, step, skipped in _progressions(lo, hi):
+        count = len(range(start, hi, step))
+        if not count:
+            continue
+        # equal blocks of at most _TABLE_CHUNK values: a short last block's
+        # arrays would split the memory freed by a full one, the next full
+        # block would no longer fit there, and the heap would grow
+        blocks = -(-count // _TABLE_CHUNK)
+        width = step * -(-count // blocks)
+        for b in range(start, hi, width):
+            e = min(hi, b + width)
+            # the block's divisor sums, sieved at most once per divisor sum and
+            # only when a slice needs a first application the table lacks
+            sieved: dict[bool, np.ndarray] = {}
+            for s in range(b, e, step * _SCAN_BLOCK):
+                n = np.arange(s, min(e, s + step * _SCAN_BLOCK), step, dtype=np.int64)
+                # the first application, once per divisor sum whichever classes read it
+                firsts: dict[bool, np.ndarray] = {}
+                for unitary in {v.unitary for v in variants}:
+                    if unitary in tables:
+                        first, inside = _lookup(tables[unitary], n, unitary)
+                        if inside.all():
+                            firsts[unitary] = first
+                            continue
+                    if unitary not in sieved:
+                        sieved[unitary] = divisor_sum_segment(b, e, unitary, step=step)
+                    i = (s - b) // step
+                    firsts[unitary] = sieved[unitary][i : i + n.shape[0]]
+                for variant in variants:
+                    unitary = variant.unitary
+                    first = firsts[unitary]
+                    if variant.applications == 1:
+                        good = n[first == 2 * n]
+                    elif _closed_form(variant, parity):
+                        low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
+                        odd = first >> np.bitwise_count(low - 1)  # m'
+                        cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
+                        # the equation decides once m' is known to be a prime
+                        # power; an n in several progressions is tested in one
+                        good = [n[j] for j in cand if all(n[j] % q for q in skipped)
+                                and prime_power(int(odd[j])) is not None]
+                    else:
+                        # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
+                        # odd divisor sum of first's 2-part divides the second
+                        # application, so a hit needs it to divide n (module docstring)
+                        cand = first < 2 * n
+                        mm, nn = first[cand], n[cand]
+                        keep = nn % _split(mm, unitary)[1] == 0
+                        mm, nn = mm[keep], nn[keep]
+                        second, inside = _lookup(tables[unitary], mm, unitary)
+                        for j in np.flatnonzero(~inside):
+                            second[j] = _exact_divisor_sum(int(mm[j]), unitary)
+                        good = nn[second == 2 * nn]
+                    hits.extend((int(x), variant.name) for x in good)
     hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
     return hits
 
@@ -463,14 +513,15 @@ def run_search(config: SearchConfig) -> SearchResult:
     if config.max_segments is not None:
         todo = todo[: config.max_segments]
 
+    text = None  # the checkpoint text last written
+
     def merge(seg_hits_raw: list[tuple[int, str]]) -> None:
+        nonlocal text
         verified = [verify_hit(n, cls) for n, cls in seg_hits_raw]
         hits_by_segment.append(verified)
         if config.checkpoint_path:
-            _write_atomic(
-                config.checkpoint_path,
-                render_checkpoint(config.limit, config.segment_size, hits_by_segment),
-            )
+            text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
+            _write_atomic(config.checkpoint_path, text)
 
     # no segment left to scan (max_segments 0, a completed checkpoint) reads
     # no table, so none is built and no pool is started
@@ -495,13 +546,15 @@ def run_search(config: SearchConfig) -> SearchResult:
     finally:
         _STATE = None
 
-    completed = len(hits_by_segment) == total
-    text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
-    if config.checkpoint_path:
-        _write_atomic(config.checkpoint_path, text)
+    if text is None:
+        # no checkpoint file, or no segment merged (max_segments 0, a completed
+        # resume): the last merge has not written the text already
+        text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
+        if config.checkpoint_path:
+            _write_atomic(config.checkpoint_path, text)
     return SearchResult(
         hits=[h for seg in hits_by_segment for h in seg],
-        completed=completed,
+        completed=len(hits_by_segment) == total,
         segments_done=len(hits_by_segment),
         total_segments=total,
         elapsed=time.perf_counter() - t0,

@@ -1,7 +1,8 @@
 """Segmented divisor-sum sieves.
 
 A segment is the arithmetic progression lo, lo + step, ... below hi, with
-step 1 (every value) or 2 (the values of lo's parity).  Its values are
+step 1 (every value), 2 (the values of lo's parity) or 2q for an odd prime
+q dividing lo (the multiples of q of lo's parity).  Its values are
 factored collectively in two arrays: ``rest``, the values with their
 prime parts divided out as they are found, and ``sig``, the product of
 those parts' factors.  For each base prime p, every multiple of p divides
@@ -10,12 +11,14 @@ Then, for k = 2, 3, ..., every multiple of p^k divides ``rest`` by p once
 more and swaps in place the factor of p^(k-1) that ``sig`` holds for the
 factor of p^k: p^k + 1 for sigma*, sigma(p^(k-1)) + p^k for sigma.  The
 swap is an exact division followed by a product, so no entry ever exceeds
-its final sum.  With step 2, p = 2 divides no value (odd lo) or every value
-(even lo, whose 2-parts leave ``rest`` up front).  What ``rest`` keeps
-after all base primes is 1 or a single prime q above sqrt(hi), which
-contributes q + 1.  Everything is vectorized with numpy and int64;
-segments are independent, so the sieve parallelizes and restarts
-trivially.
+its final sum.  A p prime to step has its multiples of p^k every p^k
+entries.  With an even step, p = 2 divides no value (odd lo) or every
+value (even lo, whose 2-parts leave ``rest`` up front).  The q of step 2q
+divides every value, and its multiples of q^k recur every q^(k-1)
+entries.  What ``rest`` keeps after all base primes is 1 or a single prime
+r above sqrt(hi), which contributes r + 1 (a q above sqrt(hi) is such an
+r).  Everything is vectorized with numpy and int64; segments are
+independent, so the sieve parallelizes and restarts trivially.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _divisor_sum_segment(
     rest = np.arange(lo, hi, step, dtype=np.int64)
     count = rest.shape[0]
     top = int(rest[-1])
-    if step == 2 and lo % 2 == 0:
+    if step % 2 == 0 and lo % 2 == 0:
         # p = 2 divides every value and is skipped below, so the 2-parts
         # 2^a = rest & -rest leave rest up front and seed sig
         sig = np.negative(rest)
@@ -66,34 +69,42 @@ def _divisor_sum_segment(
             sig -= 1  # 2^(a+1) - 1
     else:
         sig = np.ones(count, dtype=np.int64)
+
     for p in primes.tolist():
         if p * p > top:
             break
-        if step % p == 0:
-            continue  # p = 2 with step 2: the values are odd or 2-free already
-        # index of the first multiple of pk in the progression; multiples of
-        # pk then recur every pk entries because step is prime to p
-        start = -lo * pow(step, -1, p) % p
+        # the multiples of p^k are the i with lo + step * i = 0 mod p^k;
+        # they recur every period entries from start
+        if step % p:
+            base, stride, period = -lo, step, p
+        elif p == 2:
+            continue  # an even step: no value is even, or the 2-parts are out
+        else:
+            # the odd prime q of step 2q divides lo and every value: the i
+            # with lo/q + 2i = 0 mod p^(k-1)
+            base, stride, period = -lo // p, step // p, 1
+        start = base * pow(stride, -1, period) % period
         if start >= count:
             continue
-        rest[start::p] //= p
-        sig[start::p] *= p + 1
-        # sig at a multiple of pk holds prev, the factor of p^(k-1): divide
+        rest[start::period] //= p
+        sig[start::period] *= p + 1
+        # sig at a multiple of p^k holds prev, the factor of p^(k-1): divide
         # it out exactly before multiplying by cur, so no entry overshoots
         pk, prev = p, p + 1
         while pk * p <= top:
             pk *= p
-            start = -lo * pow(step, -1, pk) % pk
+            period *= p
+            start = base * pow(stride, -1, period) % period
             if start >= count:
                 break
-            rest[start::pk] //= p
+            rest[start::period] //= p
             cur = pk + 1 if unitary else prev + pk
-            view = sig[start::pk]
+            view = sig[start::period]
             view //= prev
             view *= cur
             prev = cur
-    # the cofactor is 1 or a single prime q above sqrt(top), with
-    # sigma(q) = sigma*(q) = q + 1
+    # the cofactor is 1 or a single prime r above sqrt(top), with
+    # sigma(r) = sigma*(r) = r + 1; this covers a q of step 2q above sqrt(top)
     rest += rest > 1
     sig *= rest
     return sig
@@ -104,14 +115,21 @@ def _check_span(lo: int, hi: int, step: int) -> None:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_SIEVE_VALUE:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
-    if step not in (1, 2):
-        raise ValueError(f"need step 1 or 2, got step={step}")
+    if step in (1, 2):
+        return
+    q = step // 2
+    # q < hi, so the primes up to sqrt(q) are a prefix of the kernel's own
+    if not (step % 4 == 2 and q > 1 and lo % q == 0 and (q % base_primes(isqrt(q))).all()):
+        raise ValueError(
+            f"need step 1, 2 or 2q with q an odd prime dividing lo, got step={step}, lo={lo}"
+        )
 
 
 def divisor_sum_segment(lo: int, hi: int, unitary: bool, step: int = 1) -> np.ndarray:
     """sigma*(n) if unitary else sigma(n), for n = lo, lo + step, ... < hi.
 
-    step is 1 (every value) or 2 (the values of lo's parity).  Returns an
+    step is 1 (every value), 2 (the values of lo's parity) or 2q for an odd
+    prime q dividing lo (the multiples of q of lo's parity).  Returns an
     int64 array.
     """
     _check_span(lo, hi, step)

@@ -165,9 +165,9 @@ def test_sieve_kernel_around_prime_powers(p):
                 _check_kernel(start, start + 128, 2, unitary, factors)
 
 
-def test_divisor_sum_segment_full_block_matches_brute():
+def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
     limit = 2 * 10**5
-    sig, usig = bruteforce.divisor_sum_tables(limit)
+    sig, usig = brute_tables_2e5
     for lo, step in ((1, 1), (1, 2), (2, 2)):
         for unitary, table in ((True, usig), (False, sig)):
             seg = divisor_sum_segment(lo, limit + 1, unitary, step=step)
@@ -175,10 +175,12 @@ def test_divisor_sum_segment_full_block_matches_brute():
 
 
 @pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2])
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 6])
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
 def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     # rest and the returned sums, plus the boolean mask of the cofactor step
+    if step == 6:
+        lo += 2 * (lo % 3)  # the first multiple of 3 from lo of lo's parity
     count = 1 << 18
     hi = lo + count * step
     primes = base_primes(math.isqrt(hi - 1))
@@ -189,6 +191,62 @@ def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 8 * count
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(
+    q=st.sampled_from([3, 5, 17, 257]),
+    j=st.integers(0, 10**7),
+    length=st.integers(1, 300),
+    unitary=st.booleans(),
+)
+def test_divisor_sum_segment_step_2q_matches_factorization(q, j, length, unitary):
+    # steps 6, 10, 34 and 514 from an odd multiple q(2j + 1) of q
+    lo = q * (2 * j + 1)
+    values = range(lo, lo + 2 * q * length, 2 * q)
+    seg = divisor_sum_segment(lo, values.stop, unitary, step=2 * q)
+    assert seg.dtype == np.int64
+    assert seg.tolist() == _exact_sums(values, unitary)
+
+
+@pytest.mark.parametrize("q", [3, 5, 17])
+def test_sieve_kernel_step_2q_around_prime_powers(q):
+    # 128 multiples of q at step 2q around each q^k <= 10**12 and around the
+    # largest q^k in the sieve's range, from an odd and an even multiple: q
+    # divides every value, and multiples of q^k recur every q^(k-1) entries
+    step = 2 * q
+    powers = [q]
+    while powers[-1] * q + 64 * step <= MAX_SIEVE_VALUE:
+        powers.append(powers[-1] * q)
+    powers = [pk for pk in powers if pk <= 10**12] + powers[-1:]
+    factors = {}
+    for pk in powers:
+        lo = max(q, pk - 64 * step)
+        for start in (lo, lo + q):
+            for unitary in (True, False):
+                _check_kernel(start, start + 128 * step, step, unitary, factors)
+
+
+@pytest.mark.parametrize(
+    "lo, step",
+    [(7, 6), (16, 10), (9, 18), (25, 50), (15, 30), (3, 3), (4, 4), (5, 8), (15, 12),
+     (5, 0), (5, -2), (15, -6)],
+    ids=["3-not-dividing-lo", "5-not-dividing-lo", "q-9", "q-25", "q-15", "odd-step",
+         "step-4", "step-8", "step-12", "step-0", "step-minus-2", "step-minus-6"],
+)
+def test_divisor_sum_segment_refuses_other_steps(lo, step):
+    # besides 1 and 2, only a step 2q with q an odd prime dividing lo
+    with pytest.raises(ValueError):
+        divisor_sum_segment(lo, 200, True, step=step)
+
+
+def test_divisor_sum_segment_accepts_step_2q(brute_tables_2e5):
+    limit = 2 * 10**5
+    sig, usig = brute_tables_2e5
+    for lo, step in ((3, 6), (6, 6), (15, 10), (641, 1282), (65537, 131074)):
+        for unitary, table in ((True, usig), (False, sig)):
+            seg = divisor_sum_segment(lo, limit + 1, unitary, step=step)
+            assert (seg == table[lo::step]).all(), (lo, step, unitary)
 
 
 def test_base_primes_one_growing_cache(monkeypatch):
@@ -518,6 +576,29 @@ def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
     assert builds == [] and pools == []
 
 
+def test_checkpoint_written_once_per_merged_segment(monkeypatch, tmp_path):
+    # each merged segment writes the checkpoint once, and a run that merges
+    # none (a completed resume, max_segments 0) writes it once in total
+    cp = tmp_path / "cp.txt"
+    common = dict(limit=10**4, segment_size=2048, checkpoint_path=str(cp))
+    baseline = run_search(SearchConfig(limit=10**4, segment_size=2048)).checkpoint_text
+    writes = []
+    write_atomic = search._write_atomic
+    monkeypatch.setattr(search, "_write_atomic",
+                        lambda path, text: writes.append(text) or write_atomic(path, text))
+    partial = run_search(SearchConfig(max_segments=2, **common))
+    assert len(writes) == 2 and writes[-1] == partial.checkpoint_text == cp.read_text()
+    writes.clear()
+    resumed = run_search(SearchConfig(resume=True, **common))
+    assert len(writes) == resumed.total_segments - 2
+    assert writes[-1] == resumed.checkpoint_text == baseline == cp.read_text()
+    for config in (SearchConfig(resume=True, **common), SearchConfig(max_segments=0, **common)):
+        writes.clear()
+        result = run_search(config)
+        assert writes == [result.checkpoint_text] == [cp.read_text()]
+    assert writes == [render_checkpoint(10**4, 2048, [])]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table_overflow_refused(monkeypatch, workers):
     # a divisor sum past uint32 stops the build, also from a pool worker; a
@@ -706,19 +787,78 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
     assert odd.checkpoint_text == expected
 
 
-def test_closed_form_filter_matches_brute_oracle(monkeypatch):
-    # over the odd n <= 10**5 the filter keeps exactly the oracle's odd hits;
-    # classify_brute's tests, with the second table cut at 2 * limit, which
-    # holds sigma*(n) of every hit because sigma*(sigma*(n)) > sigma*(n)
-    limit = 10**5
-    _, usig = bruteforce.divisor_sum_tables(2 * limit)
+def _brute_odd_usp(usig, limit):
+    """The odd usp n <= limit by classify_brute's test, from sigma* tables up to
+    2 * limit, which hold sigma*(n) of every hit since sigma*(sigma*(n)) > sigma*(n)."""
     n = np.arange(1, limit + 1, 2)
     s = usig[n]
-    usp = n[(s < 2 * n) & (usig[np.minimum(s, 2 * limit)] == 2 * n)]
-    assert usp.size and not (s == 2 * n).any()  # no odd unitary perfect n
+    assert not (s == 2 * n).any()  # no odd unitary perfect n
+    return n[(s < 2 * n) & (usig[np.minimum(s, 2 * limit)] == 2 * n)].tolist()
+
+
+def test_closed_form_filter_matches_brute_oracle(monkeypatch, brute_tables_2e5):
+    # over the odd n <= 10**5 the filter keeps exactly the oracle's odd hits;
+    # beside unitary_perfect the scan walks every odd n
+    limit = 10**5
+    usp = _brute_odd_usp(brute_tables_2e5[1], limit)
+    assert usp
     monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER[:2]), "parity": "odd",
                                            "tables": {}})
-    assert search._classify_segment(1, limit + 1) == [(int(x), "usp") for x in usp]
+    assert search._classify_segment(1, limit + 1) == [(x, "usp") for x in usp]
+
+
+def test_progression_scan_matches_brute_oracle(monkeypatch, brute_tables_2e5):
+    # usp alone walks the odd multiples of the progression primes, and an n
+    # in several (165 = 3 * 5 * 11) is reported once; also from lo past 1
+    limit = 10**5
+    usp = _brute_odd_usp(brute_tables_2e5[1], limit)
+    monkeypatch.setattr(search, "_STATE", {"classes": {"usp"}, "parity": "odd", "tables": {}})
+    assert search._classify_segment(1, limit + 1) == [(x, "usp") for x in usp]
+    assert search._classify_segment(10, limit + 1) == [(x, "usp") for x in usp if x >= 10]
+
+
+def test_progression_primes_divide_every_candidate(brute_tables_2e5):
+    # 2^a + 1 divides every odd usp n, where 2^a || sigma*(n); the Fermat
+    # number F_k with 2^k || a divides 2^a + 1, so a progression prime divides
+    # every odd n that 2^a + 1 divides
+    limit = 2 * 10**5
+    usig = brute_tables_2e5[1]
+    primes = search._progression_primes(limit)
+    assert primes == (3, 5, 17, 257, 65537)
+    n = np.arange(1, limit + 1, 2)
+    s = usig[n]
+    n = n[n % ((s & -s) + 1) == 0]
+    covered = np.zeros(n.shape, dtype=bool)
+    for q in primes:
+        covered |= n % q == 0
+    assert n.size and covered.all()
+    assert set(_brute_odd_usp(usig, limit // 2)) <= set(n.tolist())
+
+
+def test_progression_primes_gain_641_past_2_to_32():
+    # F_5 = 2**32 + 1 = 641 * 6700417 joins once the top value reaches it
+    assert search._progression_primes(2) == ()
+    assert search._progression_primes(3) == (3,)
+    assert search._progression_primes(2**32) == (3, 5, 17, 257, 65537)
+    assert search._progression_primes(2**32 + 1) == (3, 5, 17, 257, 641, 65537)
+    assert search._progression_primes(search.HARD_LIMIT) == (3, 5, 17, 257, 641, 65537)
+
+
+def test_odd_usp_search_sieves_progressions(sieve_spans):
+    # every span of an odd usp-only search is a progression of step 2q from an
+    # odd multiple of a progression prime q; together they sieve each odd
+    # multiple of each q once, under 0.6 of the odd n
+    limit = 10**6
+    result = run_search(SearchConfig(limit=limit, segment_size=1 << 16, parity="odd"))
+    assert [h.n for h in result.hits] == [9, 165]
+    primes = search._progression_primes(limit)
+    per_prime = Counter()
+    for lo, hi, step, unitary in sieve_spans:
+        q = step // 2
+        assert unitary and step == 2 * q and q in primes and lo % q == 0 and lo % 2
+        per_prime[q] += len(range(lo, hi, step))
+    assert per_prime == {q: len(range(q, limit + 1, 2 * q)) for q in primes}
+    assert sum(per_prime.values()) <= 0.6 * len(range(1, limit + 1, 2))
 
 
 def _fake_sigma_star(monkeypatch, n, value):
