@@ -1,15 +1,19 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-The search classifies the n <= limit of the requested parity a segment at a
-time, in one scan.  A segment is walked in equal sieve blocks of at most
-_TABLE_CHUNK values of that parity (of each progression, for an odd search
-of usp alone; see below), each classified in slices of _SCAN_BLOCK.  Every
-slice takes the first application, sigma*(n) or sigma(n), by one rule: from
-the search's lookup table when it has one for that divisor sum and the table
-holds every odd part of the slice, otherwise from the divisor-sum sieve of
-the enclosing block, run at most once per divisor sum per block.  The scan's
-memory is thus one block, whatever the segment size, and the sieve runs over
-the requested parity only.
+The search classifies the n <= limit of the requested parity in one scan,
+over the run's range: from the first segment still to do to the end of the
+last one.  Each progression the scan walks (the n of the requested parity,
+or for an odd usp search the odd multiples of each modulus below) is cut
+into equal sieve blocks of at most _TABLE_CHUNK values, and the blocks of
+every progression, sorted by first n, are the units of work.  A block is
+classified in slices of _SCAN_BLOCK.  Every slice takes the first
+application, sigma*(n) or sigma(n), by one rule: from the search's lookup
+table when it has one for that divisor sum and the table holds every odd
+part of the slice, otherwise from the divisor-sum sieve of the enclosing
+block, run at most once per divisor sum per block.  The scan's memory is
+thus one block, whatever the segment size, and the sieve runs over the
+walked progressions only.  Segments are the checkpoint's unit: a segment is
+merged once every block that starts before its end has returned.
 
 Each class then takes one of three tests.
 
@@ -29,19 +33,26 @@ Conversely, an n satisfying that with m' a prime power is usp, so the test
 is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n = p^e and
 p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with sigma*(1) = 1,
 is neither).  So neither unitary class builds a table under parity odd: its
-first applications all come from the block sieve, with no fallback.
+first applications all come from the block sieve, with no fallback, and
+unitary_perfect is not tested at all.
 
-The equation also confines the odd usp n to a few progressions.  2^a + 1
-is odd and divides 2n, so it divides n.  Write a = 2^k * t with t odd: with
-x = 2^(2^k), 2^a + 1 = x^t + 1, which the Fermat number F_k = x + 1 divides
-because t is odd.  So F_k divides n, and F_k <= 2^a + 1 <= n.  An odd
-search of usp alone therefore sieves, for the least prime factor q of each
-F_k up to the segment's top value, only the odd multiples of q, with step
-2q: q = 3, 5, 17, 257 and 65537 (F_0 ... F_4 are prime), and 641 (F_5 =
-641 * 6700417) past 2^32.  Those progressions hold about 1/3 + 1/5 + 1/17 +
-1/257 = 0.60 of the odd n, and an n in several of them is tested only in
-the one of its smallest such prime.  Beside another class, the odd search
-walks every odd n.
+The equation also confines the odd usp n to a few progressions.  Every
+factor p^e + 1 of sigma*(n) is even, so a >= omega(n).  If a = 1, then n =
+p^e and sigma*(n) = p^e + 1 = 2m', and 3(m' + 1) = 2n gives 3(p^e + 3) =
+4p^e: n = 9.  If a >= 2, 2^a + 1 is odd and divides 2n, so it divides n.
+Write a = 2^k * t with t odd.  If k >= 1, then with x = 2^(2^k), 2^a + 1 =
+x^t + 1, which the Fermat number F_k = x + 1 divides because t is odd.  If
+k = 0, let p be the least prime factor of a: 2^p + 1 divides 2^a + 1
+because a/p is odd.  So every odd usp n is an odd multiple of some modulus
+m = 2^b + 1 <= n with b >= 2 a power of two or an odd prime (9 itself is
+m = 2^3 + 1): 5, 9, 17, 33, 129, 257, 2049, 8193, 65537, ..., 15 of them up
+to HARD_LIMIT, F_5 = 2^32 + 1 among them as itself.  An odd search of usp,
+alone or beside unitary_perfect, therefore sieves only the odd multiples
+of each m up to the run's top value, with step 2m.  Those progressions
+hold about 1/5 + 1/9 + 1/17 + 1/33 + ... = 0.41 of the odd n, and an n in
+several of them is tested only in the one of its smallest m.  An odd
+search of unitary_perfect alone scans nothing, and beside any other class
+the odd search walks every odd n.
 
 Every other second-order class looks its second application up.  A flat
 uint32 table of divisor sums of the odd values up to limit is built once
@@ -65,7 +76,7 @@ through it: the builtin map in one process, otherwise the map of one fork
 process pool of at most os.cpu_count() workers, which yields results in
 submission order.  The tables live in shared anonymous memory mapped before
 the pool forks, so the workers fill them in place and then classify
-segments against them; no table chunk travels between processes.
+blocks against them; no table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve that produced it, and odd hits of
@@ -82,6 +93,7 @@ import mmap
 import multiprocessing
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -238,9 +250,9 @@ class SearchResult:
 #: reads in place
 _STATE: dict | None = None
 
-#: odd values per table-build task, and n per sieve block of the scan: the
-#: sieve's int64 arrays stay in cache, and its Python work per base prime is
-#: spread over enough entries
+#: odd values per table-build task, and at most n per sieve block of the
+#: scan: the sieve's int64 arrays stay in cache, and its Python work per base
+#: prime is spread over enough entries
 _TABLE_CHUNK = 1 << 18
 
 
@@ -278,17 +290,12 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 #: n classified at a time: the lookups' int64 temporaries stay in cache
 _SCAN_BLOCK = 1 << 16
 
-#: (F_k, its least prime factor) for the Fermat numbers F_k = 2^(2^k) + 1,
-#: k <= 5; F_6 = 2^64 + 1 is past HARD_LIMIT
-_FERMAT_PRIMES = tuple(
-    (fk, factorize(fk).entries[0][0]) for fk in (2 ** (1 << k) + 1 for k in range(6))
-)
-
-
-def _progression_primes(top: int) -> tuple[int, ...]:
-    """The least prime factors of the Fermat numbers up to top, increasing:
-    every odd usp n <= top is a multiple of one (module docstring)."""
-    return tuple(sorted(q for fk, q in _FERMAT_PRIMES if fk <= top))
+def _moduli(top: int) -> tuple[int, ...]:
+    """Every 2^b + 1 <= top with b >= 2 a power of two or an odd prime (no odd
+    divisor strictly between 1 and b), increasing: each odd usp n is an odd
+    multiple of one (module docstring)."""
+    return tuple(2**b + 1 for b in range(2, top.bit_length())
+                 if 2**b < top and all(b % d for d in range(3, b, 2)))
 
 
 def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -314,85 +321,103 @@ def _closed_form(variant: Variant, parity: str) -> bool:
     return parity == "odd" and variant.unitary
 
 
-def _progressions(lo: int, hi: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(first n, step, skipped) of each progression of [lo, hi) that the search
-    scans; an n that a prime in skipped divides is tested in another one."""
-    parity = _STATE["parity"]
-    if parity == "all":
-        return [(lo, 1, ())]
-    if parity == "odd" and _STATE["classes"] == {"usp"}:
-        # the odd multiples of each progression prime q, each n tested in the
-        # progression of its smallest q (module docstring); from the largest
-        # q, whose blocks are the shortest: blocks that grow through a segment
-        # fragment the heap less than blocks that shrink
-        primes = _progression_primes(hi - 1)
-        return [(lo + (q - lo) % (2 * q), 2 * q, primes[:i])
-                for i, q in reversed(list(enumerate(primes)))]
-    # from the first n of the requested parity
-    return [(lo if lo % 2 == (parity == "odd") else lo + 1, 2, ())]
+def _tested(classes, parity: str) -> list[Variant]:
+    """The requested variants the scan tests: all but unitary_perfect under
+    parity odd, which no odd n is (module docstring)."""
+    return [v for v in VARIANTS if v.name in classes
+            and not (v.applications == 1 and _closed_form(v, parity))]
 
 
-def _classify_segment(lo: int, hi: int) -> list[tuple[int, str]]:
-    """Hits among the n in [lo, hi) that the search scans, in output order."""
-    parity = _STATE["parity"]
-    variants = [v for v in VARIANTS if v.name in _STATE["classes"]]
-    tables = _STATE["tables"]
-    hits: list[tuple[int, str]] = []
-    for start, step, skipped in _progressions(lo, hi):
+class _Block(NamedTuple):
+    """A sieve block: the n = lo, lo + step, ... < hi not divisible by a
+    modulus in skipped (those are tested in another progression)."""
+
+    lo: int
+    hi: int
+    step: int
+    skipped: tuple[int, ...]
+
+
+def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
+    """The blocks of a run over [lo, hi), sorted by first n: equal blocks of
+    at most _TABLE_CHUNK values of each progression that the scan walks."""
+    variants = _tested(classes, parity)
+    if not variants:
+        progressions = []
+    elif parity == "all":
+        progressions = [(lo, 1, ())]
+    elif parity == "odd" and [v.name for v in variants] == ["usp"]:
+        # the odd multiples of each modulus m, each n tested in the
+        # progression of its smallest m (module docstring)
+        moduli = _moduli(hi - 1)
+        progressions = [(lo + (m - lo) % (2 * m), 2 * m, moduli[:i])
+                        for i, m in enumerate(moduli)]
+    else:
+        # from the first n of the requested parity
+        progressions = [(lo if lo % 2 == (parity == "odd") else lo + 1, 2, ())]
+    blocks = []
+    for start, step, skipped in progressions:
         count = len(range(start, hi, step))
-        if not count:
-            continue
-        # equal blocks of at most _TABLE_CHUNK values: a short last block's
-        # arrays would split the memory freed by a full one, the next full
-        # block would no longer fit there, and the heap would grow
-        blocks = -(-count // _TABLE_CHUNK)
-        width = step * -(-count // blocks)
-        for b in range(start, hi, width):
-            e = min(hi, b + width)
-            # the block's divisor sums, sieved at most once per divisor sum and
-            # only when a slice needs a first application the table lacks
-            sieved: dict[bool, np.ndarray] = {}
-            for s in range(b, e, step * _SCAN_BLOCK):
-                n = np.arange(s, min(e, s + step * _SCAN_BLOCK), step, dtype=np.int64)
-                # the first application, once per divisor sum whichever classes read it
-                firsts: dict[bool, np.ndarray] = {}
-                for unitary in {v.unitary for v in variants}:
-                    if unitary in tables:
-                        first, inside = _lookup(tables[unitary], n, unitary)
-                        if inside.all():
-                            firsts[unitary] = first
-                            continue
-                    if unitary not in sieved:
-                        sieved[unitary] = divisor_sum_segment(b, e, unitary, step=step)
-                    i = (s - b) // step
-                    firsts[unitary] = sieved[unitary][i : i + n.shape[0]]
-                for variant in variants:
-                    unitary = variant.unitary
-                    first = firsts[unitary]
-                    if variant.applications == 1:
-                        good = n[first == 2 * n]
-                    elif _closed_form(variant, parity):
-                        low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
-                        odd = first >> np.bitwise_count(low - 1)  # m'
-                        cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
-                        # the equation decides once m' is known to be a prime
-                        # power; an n in several progressions is tested in one
-                        good = [n[j] for j in cand if all(n[j] % q for q in skipped)
-                                and prime_power(int(odd[j])) is not None]
-                    else:
-                        # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
-                        # odd divisor sum of first's 2-part divides the second
-                        # application, so a hit needs it to divide n (module docstring)
-                        cand = first < 2 * n
-                        mm, nn = first[cand], n[cand]
-                        keep = nn % _split(mm, unitary)[1] == 0
-                        mm, nn = mm[keep], nn[keep]
-                        second, inside = _lookup(tables[unitary], mm, unitary)
-                        for j in np.flatnonzero(~inside):
-                            second[j] = _exact_divisor_sum(int(mm[j]), unitary)
-                        good = nn[second == 2 * nn]
-                    hits.extend((int(x), variant.name) for x in good)
-    hits.sort(key=lambda t: (t[0], CLASS_ORDER.index(t[1])))
+        if count:
+            # equal blocks: a short last block's arrays would split the memory
+            # freed by a full one, and the heap would grow
+            parts = -(-count // _TABLE_CHUNK)
+            width = step * -(-count // parts)
+            blocks.extend(_Block(b, min(hi, b + width), step, skipped)
+                          for b in range(start, hi, width))
+    return sorted(blocks)
+
+
+def _classify_segment(block: _Block) -> list[tuple[int, str]]:
+    """(n, class) of the hits among the block's n."""
+    parity = _STATE["parity"]
+    variants = _tested(_STATE["classes"], parity)
+    tables = _STATE["tables"]
+    lo, hi, step, skipped = block
+    hits: list[tuple[int, str]] = []
+    # the block's divisor sums, sieved at most once per divisor sum and only
+    # when a slice needs a first application the table lacks
+    sieved: dict[bool, np.ndarray] = {}
+    for s in range(lo, hi, step * _SCAN_BLOCK):
+        n = np.arange(s, min(hi, s + step * _SCAN_BLOCK), step, dtype=np.int64)
+        # the first application, once per divisor sum whichever classes read it
+        firsts: dict[bool, np.ndarray] = {}
+        for unitary in {v.unitary for v in variants}:
+            if unitary in tables:
+                first, inside = _lookup(tables[unitary], n, unitary)
+                if inside.all():
+                    firsts[unitary] = first
+                    continue
+            if unitary not in sieved:
+                sieved[unitary] = divisor_sum_segment(lo, hi, unitary, step=step)
+            i = (s - lo) // step
+            firsts[unitary] = sieved[unitary][i : i + n.shape[0]]
+        for variant in variants:
+            unitary = variant.unitary
+            first = firsts[unitary]
+            if variant.applications == 1:
+                good = n[first == 2 * n]
+            elif _closed_form(variant, parity):
+                low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
+                odd = first >> np.bitwise_count(low - 1)  # m'
+                cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
+                # the equation decides once m' is known to be a prime
+                # power; an n in several progressions is tested in one
+                good = [n[j] for j in cand if all(n[j] % m for m in skipped)
+                        and prime_power(int(odd[j])) is not None]
+            else:
+                # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
+                # odd divisor sum of first's 2-part divides the second
+                # application, so a hit needs it to divide n (module docstring)
+                cand = first < 2 * n
+                mm, nn = first[cand], n[cand]
+                keep = nn % _split(mm, unitary)[1] == 0
+                mm, nn = mm[keep], nn[keep]
+                second, inside = _lookup(tables[unitary], mm, unitary)
+                for j in np.flatnonzero(~inside):
+                    second[j] = _exact_divisor_sum(int(mm[j]), unitary)
+                good = nn[second == 2 * nn]
+            hits.extend((int(x), variant.name) for x in good)
     return hits
 
 
@@ -473,15 +498,41 @@ def _table_sizes(config: SearchConfig) -> dict[bool, int]:
     }
 
 
+#: pool tasks in flight per process: enough that a long task at the head of
+#: the queue leaves the other processes work
+_IN_FLIGHT = 8
+
+
 @contextmanager
 def _ordered_map(processes: int):
-    """map, or the map of a fork pool; both yield results in submission order."""
+    """map, or a map over a fork pool; both yield results in submission order.
+
+    The pool's map keeps a few tasks per process in flight: the executor's
+    own map submits every task up front, and each pending task holds about
+    2 KiB in this process, some 85 MiB for the 38k blocks of a search over
+    all n <= 10^10.
+    """
     if processes <= 1:
         yield map
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
-            yield pool.map
+        return
+
+    def omap(fn, *iterables):
+        pending = deque()
+        try:
+            for args in zip(*iterables):
+                if len(pending) == _IN_FLIGHT * processes:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, *args))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # a task's error, or a merge's, ends the map: drop the tasks not started
+            for future in pending:
+                future.cancel()
+
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
+        yield omap
 
 
 def run_search(config: SearchConfig) -> SearchResult:
@@ -512,22 +563,34 @@ def run_search(config: SearchConfig) -> SearchResult:
     todo = starts[len(hits_by_segment) :]
     if config.max_segments is not None:
         todo = todo[: config.max_segments]
+    ends = [min(config.limit + 1, lo + config.segment_size) for lo in todo]
+    blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
 
     text = None  # the checkpoint text last written
+    found: list[tuple[int, str]] = []  # hits of the returned blocks, not yet merged
+    merged = 0  # segments of todo merged
 
-    def merge(seg_hits_raw: list[tuple[int, str]]) -> None:
-        nonlocal text
-        verified = [verify_hit(n, cls) for n, cls in seg_hits_raw]
-        hits_by_segment.append(verified)
-        if config.checkpoint_path:
-            text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
-            _write_atomic(config.checkpoint_path, text)
+    def merge_before(bound: int) -> None:
+        # merge each segment ending at or before bound: no block still out
+        # starts before that end, so all of its hits are found
+        nonlocal text, found, merged
+        while merged < len(ends) and ends[merged] <= bound:
+            end = ends[merged]
+            merged += 1
+            seg_hits_raw = sorted((h for h in found if h[0] < end),
+                                  key=lambda h: (h[0], CLASS_ORDER.index(h[1])))
+            found = [h for h in found if h[0] >= end]
+            hits_by_segment.append([verify_hit(n, cls) for n, cls in seg_hits_raw])
+            if config.checkpoint_path:
+                text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
+                _write_atomic(config.checkpoint_path, text)
 
-    # no segment left to scan (max_segments 0, a completed checkpoint) reads
-    # no table, so none is built and no pool is started
-    sizes = _table_sizes(config) if todo else {}
+    # a run with no block to scan (max_segments 0, a completed checkpoint, an
+    # odd unitary_perfect search) reads no table, so none is built and no
+    # pool is started
+    sizes = _table_sizes(config) if blocks else {}
     # a process per task at most: a phase of one task gains nothing from a pool
-    tasks = max([len(todo)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])
+    tasks = max([len(blocks)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])
     _STATE = {
         "classes": set(config.classes),
         "parity": config.parity,
@@ -540,9 +603,13 @@ def run_search(config: SearchConfig) -> SearchResult:
         with _ordered_map(min(config.workers, os.cpu_count() or 1, tasks)) as omap:
             for unitary in sizes:
                 _build_table(unitary, omap)
-            ends = [min(config.limit + 1, lo + config.segment_size) for lo in todo]
-            for seg_hits_raw in omap(_classify_segment, todo, ends):
-                merge(seg_hits_raw)
+            # after a block, the next one's first n bounds the segments done;
+            # after the last, every segment is
+            bounds = [block.lo for block in blocks[1:]] + [config.limit + 1]
+            for block_hits, bound in zip(omap(_classify_segment, blocks), bounds):
+                found.extend(block_hits)
+                merge_before(bound)
+            merge_before(config.limit + 1)  # every segment, when there is no block
     finally:
         _STATE = None
 

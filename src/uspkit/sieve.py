@@ -1,9 +1,9 @@
 """Segmented divisor-sum sieves.
 
 A segment is the arithmetic progression lo, lo + step, ... below hi, with
-step 1 (every value), 2 (the values of lo's parity) or 2q for an odd prime
-q dividing lo (the multiples of q of lo's parity).  Its values are
-factored collectively in two arrays: ``rest``, the values with their
+step 1 (every value) or 2m for an odd m dividing lo (the multiples of m of
+lo's parity; m = 1 gives step 2, the values of lo's parity).  Its values
+are factored collectively in two arrays: ``rest``, the values with their
 prime parts divided out as they are found, and ``sig``, the product of
 those parts' factors.  For each base prime p, every multiple of p divides
 ``rest`` by p and multiplies ``sig`` by sigma(p) = sigma*(p) = p + 1.
@@ -13,12 +13,14 @@ factor of p^k: p^k + 1 for sigma*, sigma(p^(k-1)) + p^k for sigma.  The
 swap is an exact division followed by a product, so no entry ever exceeds
 its final sum.  A p prime to step has its multiples of p^k every p^k
 entries.  With an even step, p = 2 divides no value (odd lo) or every
-value (even lo, whose 2-parts leave ``rest`` up front).  The q of step 2q
-divides every value, and its multiples of q^k recur every q^(k-1)
-entries.  What ``rest`` keeps after all base primes is 1 or a single prime
-r above sqrt(hi), which contributes r + 1 (a q above sqrt(hi) is such an
-r).  Everything is vectorized with numpy and int64; segments are
-independent, so the sieve parallelizes and restarts trivially.
+value (even lo, whose 2-parts leave ``rest`` up front).  For p^j exactly
+dividing m, every value gives up p^j up front (``rest`` is divided by it
+and ``sig`` multiplied by its factor), and the multiples of p^k, k > j,
+recur every p^(k-j) entries.  What ``rest`` keeps after all base primes is
+1 or a single prime r above sqrt(hi), which contributes r + 1 (a prime of
+m above sqrt(hi) is such an r).  Everything is vectorized with numpy and
+int64; segments are independent, so the sieve parallelizes and restarts
+trivially.
 """
 
 from __future__ import annotations
@@ -73,24 +75,25 @@ def _divisor_sum_segment(
     for p in primes.tolist():
         if p * p > top:
             break
-        # the multiples of p^k are the i with lo + step * i = 0 mod p^k;
-        # they recur every period entries from start
         if step % p:
-            base, stride, period = -lo, step, p
+            pk, prev = 1, 1
         elif p == 2:
             continue  # an even step: no value is even, or the 2-parts are out
         else:
-            # the odd prime q of step 2q divides lo and every value: the i
-            # with lo/q + 2i = 0 mod p^(k-1)
-            base, stride, period = -lo // p, step // p, 1
-        start = base * pow(stride, -1, period) % period
-        if start >= count:
-            continue
-        rest[start::period] //= p
-        sig[start::period] *= p + 1
-        # sig at a multiple of p^k holds prev, the factor of p^(k-1): divide
-        # it out exactly before multiplying by cur, so no entry overshoots
-        pk, prev = p, p + 1
+            # p^j exactly dividing the m of step 2m divides every value: it
+            # leaves rest up front and seeds sig with sigma*(p^j) or sigma(p^j)
+            pk = p
+            while step % (pk * p) == 0:
+                pk *= p
+            prev = pk + 1 if unitary else (pk * p - 1) // (p - 1)
+            rest //= pk
+            sig *= prev
+        # with p^j = pk, the multiples of p^k (k > j) are the i with
+        # lo/p^j + (step/p^j) * i = 0 mod p^(k-j); they recur every period
+        # entries from start.  sig at such a multiple holds prev, the factor
+        # of p^(k-1): divide it out exactly before multiplying by cur, so no
+        # entry overshoots
+        base, stride, period = -lo // pk, step // pk, 1
         while pk * p <= top:
             pk *= p
             period *= p
@@ -100,11 +103,12 @@ def _divisor_sum_segment(
             rest[start::period] //= p
             cur = pk + 1 if unitary else prev + pk
             view = sig[start::period]
-            view //= prev
+            if prev > 1:
+                view //= prev
             view *= cur
             prev = cur
     # the cofactor is 1 or a single prime r above sqrt(top), with
-    # sigma(r) = sigma*(r) = r + 1; this covers a q of step 2q above sqrt(top)
+    # sigma(r) = sigma*(r) = r + 1; this covers a prime of m above sqrt(top)
     rest += rest > 1
     sig *= rest
     return sig
@@ -115,21 +119,17 @@ def _check_span(lo: int, hi: int, step: int) -> None:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_SIEVE_VALUE:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
-    if step in (1, 2):
-        return
-    q = step // 2
-    # q < hi, so the primes up to sqrt(q) are a prefix of the kernel's own
-    if not (step % 4 == 2 and q > 1 and lo % q == 0 and (q % base_primes(isqrt(q))).all()):
+    if not (step == 1 or (step > 0 and step % 4 == 2 and lo % (step // 2) == 0)):
         raise ValueError(
-            f"need step 1, 2 or 2q with q an odd prime dividing lo, got step={step}, lo={lo}"
+            f"need step 1 or 2m with m odd and dividing lo, got step={step}, lo={lo}"
         )
 
 
 def divisor_sum_segment(lo: int, hi: int, unitary: bool, step: int = 1) -> np.ndarray:
     """sigma*(n) if unitary else sigma(n), for n = lo, lo + step, ... < hi.
 
-    step is 1 (every value), 2 (the values of lo's parity) or 2q for an odd
-    prime q dividing lo (the multiples of q of lo's parity).  Returns an
+    step is 1 (every value) or 2m for an odd m dividing lo (the multiples of
+    m of lo's parity; step 2 takes the values of lo's parity).  Returns an
     int64 array.
     """
     _check_span(lo, hi, step)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -5,6 +7,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,12 +178,13 @@ def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
 
 
 @pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2])
-@pytest.mark.parametrize("step", [1, 2, 6])
+@pytest.mark.parametrize("step", [1, 2, 6, 18])
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
 def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     # rest and the returned sums, plus the boolean mask of the cofactor step
-    if step == 6:
-        lo += 2 * (lo % 3)  # the first multiple of 3 from lo of lo's parity
+    if step > 1:
+        m = step // 2
+        lo += 2 * (-lo * pow(2, -1, m) % m)  # the first multiple of m from lo of lo's parity
     count = 1 << 18
     hi = lo + count * step
     primes = base_primes(math.isqrt(hi - 1))
@@ -209,15 +213,33 @@ def test_divisor_sum_segment_step_2q_matches_factorization(q, j, length, unitary
     assert seg.tolist() == _exact_sums(values, unitary)
 
 
-@pytest.mark.parametrize("q", [3, 5, 17])
+@settings(_PROPERTY, max_examples=200)
+@given(
+    m=st.sampled_from([9, 15, 25, 33, 129, 2049]),
+    j=st.integers(1, 10**7),
+    length=st.integers(1, 300),
+    unitary=st.booleans(),
+)
+def test_divisor_sum_segment_step_2m_matches_factorization(m, j, length, unitary):
+    # steps 18, 30, 50, 66, 258 and 4098 from a multiple m * j of m, odd or even
+    lo = m * j
+    values = range(lo, lo + 2 * m * length, 2 * m)
+    seg = divisor_sum_segment(lo, values.stop, unitary, step=2 * m)
+    assert seg.dtype == np.int64
+    assert seg.tolist() == _exact_sums(values, unitary)
+
+
+@pytest.mark.parametrize("q", [3, 5, 17, 9, 27])
 def test_sieve_kernel_step_2q_around_prime_powers(q):
-    # 128 multiples of q at step 2q around each q^k <= 10**12 and around the
-    # largest q^k in the sieve's range, from an odd and an even multiple: q
-    # divides every value, and multiples of q^k recur every q^(k-1) entries
+    # 128 multiples of q = p^j at step 2q around each p^k (k >= j) <= 10**12
+    # and around the largest p^k in the sieve's range, from an odd and an
+    # even multiple: p^j divides every value, and multiples of p^k recur
+    # every p^(k-j) entries
+    p = factorize(q).entries[0][0]
     step = 2 * q
     powers = [q]
-    while powers[-1] * q + 64 * step <= MAX_SIEVE_VALUE:
-        powers.append(powers[-1] * q)
+    while powers[-1] * p + 64 * step <= MAX_SIEVE_VALUE:
+        powers.append(powers[-1] * p)
     powers = [pk for pk in powers if pk <= 10**12] + powers[-1:]
     factors = {}
     for pk in powers:
@@ -229,21 +251,32 @@ def test_sieve_kernel_step_2q_around_prime_powers(q):
 
 @pytest.mark.parametrize(
     "lo, step",
-    [(7, 6), (16, 10), (9, 18), (25, 50), (15, 30), (3, 3), (4, 4), (5, 8), (15, 12),
-     (5, 0), (5, -2), (15, -6)],
-    ids=["3-not-dividing-lo", "5-not-dividing-lo", "q-9", "q-25", "q-15", "odd-step",
+    [(7, 6), (16, 10), (27, 30), (3, 3), (4, 4), (5, 8), (15, 12), (5, 0), (5, -2),
+     (15, -6)],
+    ids=["3-not-dividing-lo", "5-not-dividing-lo", "15-not-dividing-lo", "odd-step",
          "step-4", "step-8", "step-12", "step-0", "step-minus-2", "step-minus-6"],
 )
 def test_divisor_sum_segment_refuses_other_steps(lo, step):
-    # besides 1 and 2, only a step 2q with q an odd prime dividing lo
+    # besides 1, only a step 2m > 0 with m odd and dividing lo
     with pytest.raises(ValueError):
         divisor_sum_segment(lo, 200, True, step=step)
+
+
+@pytest.mark.parametrize("lo, step", [(9, 18), (25, 50), (15, 30)],
+                         ids=["q-9", "q-25", "q-15"])
+def test_divisor_sum_segment_accepts_odd_m_steps(lo, step):
+    # an odd m need not be prime: 9, 25 and 15 divide every value
+    values = range(lo, 200, step)
+    for unitary in (True, False):
+        seg = divisor_sum_segment(lo, 200, unitary, step=step)
+        assert seg.tolist() == _exact_sums(values, unitary)
 
 
 def test_divisor_sum_segment_accepts_step_2q(brute_tables_2e5):
     limit = 2 * 10**5
     sig, usig = brute_tables_2e5
-    for lo, step in ((3, 6), (6, 6), (15, 10), (641, 1282), (65537, 131074)):
+    for lo, step in ((3, 6), (6, 6), (15, 10), (641, 1282), (65537, 131074),
+                     (9, 18), (54, 18), (99, 66), (129, 258), (4294, 4294)):
         for unitary, table in ((True, usig), (False, sig)):
             seg = divisor_sum_segment(lo, limit + 1, unitary, step=step)
             assert (seg == table[lo::step]).all(), (lo, step, unitary)
@@ -455,13 +488,14 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
 
 
 def test_out_of_table_segment_sieved_once(sieve_spans):
-    # a zero budget leaves the 2**16-entry floor, odd values below 2**17;
-    # each block past it is sieved once per divisor sum, not once per class
+    # a zero budget leaves the 2**16-entry floor, odd values below 2**17
+    # (built from spans ending at 2**17); each scan block reaching past it is
+    # sieved once per divisor sum, not once per class or per segment
     run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER,
                             parity="odd", table_budget_bytes=0))
     assert len(sieve_spans) == len(set(sieve_spans))
-    scanned = Counter(span[:3] for span in sieve_spans if span[0] > 2**17)
-    assert scanned and set(scanned.values()) == {2}
+    scanned = Counter(span[:3] for span in sieve_spans if span[1] > 2**17)
+    assert scanned == {(1, 14 * 10**4 + 1, 2): 2}
 
 
 def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
@@ -545,17 +579,57 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
         return pool_class(max_workers=min(max_workers, 2), mp_context=mp_context)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", recorder)
-    common = dict(limit=10**5, segment_size=1 << 14, classes=CLASS_ORDER)
+    # three scan blocks of at most 2**18 n, two table chunks of 2**18 entries
+    common = dict(limit=6 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER)
     serial = run_search(SearchConfig(**common)).checkpoint_text
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     # both tables and the scan share the one pool
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
     assert requested == [3]
-    # a search of one segment and one table chunk runs in-process
+    # a search of one block and one table chunk runs in-process, however
+    # many segments it has
     run_search(SearchConfig(limit=1000, workers=2))
+    run_search(SearchConfig(limit=10**5, segment_size=1024, workers=2))
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
     assert requested == [3]
+
+
+class _InlinePool:
+    """A pool stand-in that runs each task when it is submitted and records
+    the most tasks submitted and not yet collected."""
+
+    def __init__(self, max_workers, mp_context):
+        self.open = self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.open += 1
+        self.peak = max(self.peak, self.open)
+        return SimpleNamespace(result=functools.partial(self._collect, fn(*args)))
+
+    def _collect(self, value):
+        self.open -= 1
+        return value
+
+
+def test_pool_keeps_few_tasks_in_flight(monkeypatch):
+    # the 18 blocks of an odd usp search to 10**7 pass through a pool of two
+    # processes with at most _IN_FLIGHT tasks per process submitted and not
+    # yet collected
+    pools = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    config = SearchConfig(limit=10**7, parity="odd", workers=2)
+    assert len(search._blocks(config.classes, "odd", 1, 10**7 + 1)) > 2 * search._IN_FLIGHT
+    assert [h.n for h in run_search(config).hits] == [9, 165]
+    assert len(pools) == 1 and pools[0].peak == 2 * search._IN_FLIGHT and pools[0].open == 0
 
 
 def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
@@ -797,68 +871,146 @@ def _brute_odd_usp(usig, limit):
 
 
 def test_closed_form_filter_matches_brute_oracle(monkeypatch, brute_tables_2e5):
-    # over the odd n <= 10**5 the filter keeps exactly the oracle's odd hits;
-    # beside unitary_perfect the scan walks every odd n
+    # over every odd n <= 10**5 the filter keeps exactly the oracle's odd hits
     limit = 10**5
     usp = _brute_odd_usp(brute_tables_2e5[1], limit)
     assert usp
     monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER[:2]), "parity": "odd",
                                            "tables": {}})
-    assert search._classify_segment(1, limit + 1) == [(x, "usp") for x in usp]
+    block = search._Block(1, limit + 1, 2, ())
+    assert sorted(search._classify_segment(block)) == [(x, "usp") for x in usp]
 
 
 def test_progression_scan_matches_brute_oracle(monkeypatch, brute_tables_2e5):
-    # usp alone walks the odd multiples of the progression primes, and an n
-    # in several (165 = 3 * 5 * 11) is reported once; also from lo past 1
+    # usp, alone or beside unitary_perfect, walks the odd multiples of the
+    # moduli, and an n in several (165 = 3 * 5 * 11 is a multiple of 5 and 33)
+    # is reported once; also from lo past 1
     limit = 10**5
     usp = _brute_odd_usp(brute_tables_2e5[1], limit)
-    monkeypatch.setattr(search, "_STATE", {"classes": {"usp"}, "parity": "odd", "tables": {}})
-    assert search._classify_segment(1, limit + 1) == [(x, "usp") for x in usp]
-    assert search._classify_segment(10, limit + 1) == [(x, "usp") for x in usp if x >= 10]
+    for classes, lo in itertools.product(({"usp"}, {"usp", "unitary_perfect"}), (1, 10)):
+        monkeypatch.setattr(search, "_STATE", {"classes": classes, "parity": "odd", "tables": {}})
+        blocks = search._blocks(classes, "odd", lo, limit + 1)
+        assert {block.step for block in blocks} == {2 * m for m in search._moduli(limit)}
+        hits = [h for block in blocks for h in search._classify_segment(block)]
+        assert sorted(hits) == [(x, "usp") for x in usp if x >= lo]
 
 
-def test_progression_primes_divide_every_candidate(brute_tables_2e5):
-    # 2^a + 1 divides every odd usp n, where 2^a || sigma*(n); the Fermat
-    # number F_k with 2^k || a divides 2^a + 1, so a progression prime divides
-    # every odd n that 2^a + 1 divides
+def test_moduli_divide_two_to_the_a_plus_one():
+    # a = 2^k * t with t odd: F_k divides 2^a + 1 when k >= 1, and 2^p + 1
+    # for the least prime p of a when k = 0
+    for a in range(2, 65):
+        moduli = search._moduli(2**a + 1)
+        assert any((2**a + 1) % m == 0 for m in moduli), a
+
+
+def test_moduli_divide_every_candidate(brute_tables_2e5):
+    # 2^a + 1 divides every odd usp n, where 2^a || sigma*(n); with a >= 2 a
+    # modulus up to n divides it, and with a = 1 the equation leaves n = 9
     limit = 2 * 10**5
     usig = brute_tables_2e5[1]
-    primes = search._progression_primes(limit)
-    assert primes == (3, 5, 17, 257, 65537)
     n = np.arange(1, limit + 1, 2)
     s = usig[n]
-    n = n[n % ((s & -s) + 1) == 0]
+    low = s & -s
+    a_is_one = n[(low == 2) & (3 * (s // 2 + 1) == 2 * n)]
+    assert a_is_one.tolist() == [9]
+    n = n[(low > 2) & (n % (low + 1) == 0)]
     covered = np.zeros(n.shape, dtype=bool)
-    for q in primes:
-        covered |= n % q == 0
+    for m in search._moduli(limit):
+        covered |= (n % m == 0) & (m <= n)
     assert n.size and covered.all()
-    assert set(_brute_odd_usp(usig, limit // 2)) <= set(n.tolist())
+    usp = _brute_odd_usp(usig, limit // 2)
+    assert all(any(x % m == 0 for m in search._moduli(x)) for x in usp)
 
 
-def test_progression_primes_gain_641_past_2_to_32():
-    # F_5 = 2**32 + 1 = 641 * 6700417 joins once the top value reaches it
-    assert search._progression_primes(2) == ()
-    assert search._progression_primes(3) == (3,)
-    assert search._progression_primes(2**32) == (3, 5, 17, 257, 65537)
-    assert search._progression_primes(2**32 + 1) == (3, 5, 17, 257, 641, 65537)
-    assert search._progression_primes(search.HARD_LIMIT) == (3, 5, 17, 257, 641, 65537)
+def test_moduli_up_to_hard_limit():
+    # b = 2, 4, 8, 16 and 32 (F_5 = 2**32 + 1 = 641 * 6700417 as itself), and
+    # the odd primes b up to 31
+    below = (5, 9, 17, 33, 129, 257, 2049, 8193, 65537, 131073, 524289, 8388609,
+             536870913, 2147483649)
+    assert search._moduli(4) == ()
+    assert search._moduli(5) == (5,)
+    assert search._moduli(2**32) == below
+    assert search._moduli(2**32 + 1) == below + (2**32 + 1,)
+    assert search._moduli(search.HARD_LIMIT) == below + (2**32 + 1,)
+    assert len(search._moduli(3 * 10**7)) == 12
 
 
 def test_odd_usp_search_sieves_progressions(sieve_spans):
-    # every span of an odd usp-only search is a progression of step 2q from an
-    # odd multiple of a progression prime q; together they sieve each odd
-    # multiple of each q once, under 0.6 of the odd n
+    # every span of an odd usp-only search is a progression of step 2m from an
+    # odd multiple of a modulus m; together they sieve each odd multiple of
+    # each m once, under 0.42 of the odd n
     limit = 10**6
     result = run_search(SearchConfig(limit=limit, segment_size=1 << 16, parity="odd"))
     assert [h.n for h in result.hits] == [9, 165]
-    primes = search._progression_primes(limit)
-    per_prime = Counter()
+    moduli = search._moduli(limit)
+    per_modulus = Counter()
     for lo, hi, step, unitary in sieve_spans:
-        q = step // 2
-        assert unitary and step == 2 * q and q in primes and lo % q == 0 and lo % 2
-        per_prime[q] += len(range(lo, hi, step))
-    assert per_prime == {q: len(range(q, limit + 1, 2 * q)) for q in primes}
-    assert sum(per_prime.values()) <= 0.6 * len(range(1, limit + 1, 2))
+        m = step // 2
+        assert unitary and step == 2 * m and m in moduli and lo % m == 0 and lo % 2
+        per_modulus[m] += len(range(lo, hi, step))
+    assert per_modulus == {m: len(range(m, limit + 1, 2 * m)) for m in moduli}
+    assert sum(per_modulus.values()) <= 0.42 * len(range(1, limit + 1, 2))
+
+
+def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
+    # no odd n is unitary perfect: the search scans no block and starts no
+    # pool, yet writes one empty line per segment
+    pools = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    config = SearchConfig(limit=10**4, segment_size=1024, classes=("unitary_perfect",),
+                          parity="odd", workers=2)
+    assert search._blocks(config.classes, "odd", 1, 10**4 + 1) == []
+    result = run_search(config)
+    assert sieve_spans == [] and pools == []
+    assert result.completed and result.checkpoint_text == render_checkpoint(10**4, 1024, [[]] * 10)
+
+
+def _one_segment_split(config):
+    """The checkpoint text of config, from the hits of one segment over every n."""
+    whole = dataclasses.replace(config, segment_size=config.limit, checkpoint_path=None,
+                                max_segments=None, resume=False, workers=1)
+    hits = run_search(whole).hits
+    size = config.segment_size
+    starts = range(1, config.limit + 1, size)
+    return render_checkpoint(config.limit, size,
+                             [[h for h in hits if lo <= h.n < lo + size] for lo in starts])
+
+
+#: (classes, parity, limit) of searches whose blocks cut across segments: the
+#: odd usp progressions of 5 and 9 take several blocks, all n three
+_MERGED_SEARCHES = [
+    (("usp",), "odd", 6 * 10**6),
+    (CLASS_ORDER, "all", 6 * 10**5),
+]
+
+
+@pytest.mark.parametrize("classes, parity, limit", _MERGED_SEARCHES, ids=["odd-usp", "all"])
+@pytest.mark.parametrize("segment_size", [1 << 12, 1 << 21], ids=["small", "large"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_merge_into_segments(classes, parity, limit, segment_size, workers):
+    # segments smaller and larger than a block (2**18 n at most) get the hits
+    # of one segment over every n, at each worker count
+    config = SearchConfig(limit=limit, segment_size=segment_size, classes=classes,
+                          parity=parity, workers=workers)
+    assert len(search._blocks(classes, parity, 1, limit + 1)) > 2
+    assert run_search(config).checkpoint_text == _one_segment_split(config)
+
+
+@pytest.mark.parametrize("classes, parity, limit", _MERGED_SEARCHES, ids=["odd-usp", "all"])
+def test_stop_inside_block_then_resume(tmp_path, classes, parity, limit):
+    # max_segments stops the run inside a block; the resumed run lays its
+    # blocks from the next segment, and the bytes equal an uninterrupted run
+    cp = str(tmp_path / "cp.txt")
+    common = dict(limit=limit, segment_size=10**5 + 1, classes=classes, parity=parity,
+                  checkpoint_path=cp, workers=2)
+    stop = 3
+    end = 1 + stop * (10**5 + 1)  # where the stopped run ends
+    assert any(b.lo < end < b.hi for b in search._blocks(classes, parity, 1, limit + 1))
+    partial = run_search(SearchConfig(max_segments=stop, **common))
+    assert partial.segments_done == stop and not partial.completed
+    resumed = run_search(SearchConfig(resume=True, **common))
+    assert resumed.completed
+    assert resumed.checkpoint_text == _one_segment_split(SearchConfig(**common))
 
 
 def _fake_sigma_star(monkeypatch, n, value):
