@@ -118,7 +118,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += 128
             r *= 2
@@ -126,7 +126,7 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"cycle search failed to split {n}")
@@ -174,11 +174,7 @@ def factorize(n: int) -> Factorization:
             m //= p
             e += 1
         counts[p] = e
-    if m > 1:
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            _split(m, counts)
+    _split(m, counts)
     return Factorization(tuple(sorted(counts.items())), n)
 
 

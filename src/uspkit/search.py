@@ -13,7 +13,8 @@ part of the slice, otherwise from the divisor-sum sieve of the enclosing
 block, run at most once per divisor sum per block.  The scan's memory is
 thus one block, whatever the segment size, and the sieve runs over the
 walked progressions only.  Segments are the checkpoint's unit: a segment is
-merged once every block that starts before its end has returned.
+merged once every block that starts before its end has returned, and a
+returned block that lets segments merge writes the checkpoint once.
 
 Each class then takes one of three tests.
 
@@ -36,23 +37,56 @@ is neither).  So neither unitary class builds a table under parity odd: its
 first applications all come from the block sieve, with no fallback, and
 unitary_perfect is not tested at all.
 
-The equation also confines the odd usp n to a few progressions.  Every
-factor p^e + 1 of sigma*(n) is even, so a >= omega(n).  If a = 1, then n =
-p^e and sigma*(n) = p^e + 1 = 2m', and 3(m' + 1) = 2n gives 3(p^e + 3) =
-4p^e: n = 9.  If a >= 2, 2^a + 1 is odd and divides 2n, so it divides n.
-Write a = 2^k * t with t odd.  If k >= 1, then with x = 2^(2^k), 2^a + 1 =
-x^t + 1, which the Fermat number F_k = x + 1 divides because t is odd.  If
-k = 0, let p be the least prime factor of a: 2^p + 1 divides 2^a + 1
-because a/p is odd.  So every odd usp n is an odd multiple of some modulus
-m = 2^b + 1 <= n with b >= 2 a power of two or an odd prime (9 itself is
-m = 2^3 + 1): 5, 9, 17, 33, 129, 257, 2049, 8193, 65537, ..., 15 of them up
-to HARD_LIMIT, F_5 = 2^32 + 1 among them as itself.  An odd search of usp,
-alone or beside unitary_perfect, therefore sieves only the odd multiples
-of each m up to the run's top value, with step 2m.  Those progressions
-hold about 1/5 + 1/9 + 1/17 + 1/33 + ... = 0.41 of the odd n, and an n in
-several of them is tested only in the one of its smallest m.  An odd
-search of unitary_perfect alone scans nothing, and beside any other class
-the odd search walks every odd n.
+The equation also confines the odd usp n to a few progressions.  Each
+p^e || n contributes the factor p^e + 1 to sigma*(n), so a is the sum of
+v2(p^e + 1) >= 1 over them: 1 iff p^e = 1 (mod 4), 2 iff p^e = 3 (mod 8),
+3 iff p^e = 7 (mod 16).  If a = 1, then n = p^e and sigma*(n) = p^e + 1 =
+2m', and 3(m' + 1) = 2n gives 3(p^e + 3) = 4p^e: n = 9.  If a >= 2, 2^a + 1
+is odd and divides 2n, so it divides n.
+
+No odd usp n has a = 2, 3 or 4.  The equation gives
+
+    sigma*(n)/n = (2^(a+1) / (2^a + 1)) * (1 - (2^a + 1) / (2n)),
+
+which increases with n, while each p^e || n multiplies sigma*(n)/n by
+1 + p^-e, at most 1 + 1/q for the least admissible prime power q.
+
+  a = 2: 5 | n, and 5^e contributes 1.  The other unit is one prime power
+    = 1 (mod 4) prime to 5, at least 9: the ratio is at most (6/5)(10/9) =
+    4/3, and (8/5)(1 - 5/(2n)) <= 4/3 forces n <= 15.
+  a = 3: 9 | n, so 3^e with e >= 2.  For e even 3^e contributes 1 and at
+    most 10/9, and the other two units come from one prime power = 3
+    (mod 8), at least 11, or two = 1 (mod 4), at least 5 and 13: at most
+    (10/9)(6/5)(14/13) = 56/39.  For e odd, 3^e contributes 2 and the
+    ratio is at most (28/27)(6/5) < 56/39.  (16/9)(1 - 9/(2n)) <= 56/39
+    forces n <= 23.
+  a = 4: 17 | n, and 17^e contributes 1 and at most 18/17.  The other three
+    units come from one prime power = 7 (mod 16), at most 8/7; or one = 3
+    (mod 8) and one = 1 (mod 4), at most (4/3)(6/5) = 8/5; or three = 1
+    (mod 4), at most (6/5)(10/9)(14/13).  So the ratio is at most
+    (18/17)(8/5) = 144/85, and (32/17)(1 - 17/(2n)) <= 144/85 forces
+    n <= 85.
+
+The odd multiples of 5, 9 and 17 below those bounds, 5, 15, 9, 17, 51 and
+85, have a = 1, 3, 1, 1, 3 and 2, none the a it would need.
+
+So an odd usp n other than 9 has a >= 5.  Write a = 2^k * t with t odd.
+If k >= 3, then with x = 2^(2^k), 2^a + 1 = x^t + 1, which the Fermat
+number F_k = x + 1 divides because t is odd.  If k = 1 or 2, then t > 1,
+and with p the least prime of t, 2^(2^k p) + 1 divides 2^a + 1 because
+a/(2^k p) is odd.  If k = 0, let p be the least prime of a: 2^p + 1 divides
+2^a + 1 when p >= 5; when p = 3, a/3 > 1, and with p' the least prime of
+a/3, 2^(3p') + 1 divides it.  So every odd usp n other than 9 is an odd
+multiple of some modulus m = 2^b + 1 <= n with b >= 5 a power of two or
+c * p for c in 1..4 and p an odd prime: 33, 65, 129, 257, 513, 1025, 2049,
+4097, ..., 18 of them up to 3 * 10^7 and 24 up to HARD_LIMIT, F_5 = 2^32 +
+1 among them as itself.  An odd search of usp, alone or beside
+unitary_perfect, therefore sieves only n = 9 and the odd multiples of each
+m up to the run's top value, with step 2m.  Those progressions hold about
+1/33 + 1/65 + 1/129 + ... = 0.061 of the odd n, and an n in several of
+them is tested only in the one of its smallest m.  An odd search of
+unitary_perfect alone scans nothing, and beside any other class the odd
+search walks every odd n.
 
 Every other second-order class looks its second application up.  A flat
 uint32 table of divisor sums of the odd values up to limit is built once
@@ -291,11 +325,15 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 _SCAN_BLOCK = 1 << 16
 
 def _moduli(top: int) -> tuple[int, ...]:
-    """Every 2^b + 1 <= top with b >= 2 a power of two or an odd prime (no odd
-    divisor strictly between 1 and b), increasing: each odd usp n is an odd
-    multiple of one (module docstring)."""
-    return tuple(2**b + 1 for b in range(2, top.bit_length())
-                 if 2**b < top and all(b % d for d in range(3, b, 2)))
+    """Every 2^b + 1 <= top with b >= 5 a power of two or c * p for c in 1..4
+    and p an odd prime, increasing: each odd usp n but 9 is an odd multiple
+    of one (module docstring)."""
+    def odd_prime(q: int) -> bool:
+        return q > 1 and q % 2 == 1 and all(q % d for d in range(3, q, 2))
+
+    return tuple(2**b + 1 for b in range(5, top.bit_length())
+                 if 2**b < top and (b & (b - 1) == 0
+                                    or any(b % c == 0 and odd_prime(b // c) for c in (1, 2, 3, 4))))
 
 
 def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -342,20 +380,22 @@ def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
     """The blocks of a run over [lo, hi), sorted by first n: equal blocks of
     at most _TABLE_CHUNK values of each progression that the scan walks."""
     variants = _tested(classes, parity)
+    blocks = []
     if not variants:
         progressions = []
     elif parity == "all":
         progressions = [(lo, 1, ())]
     elif parity == "odd" and [v.name for v in variants] == ["usp"]:
-        # the odd multiples of each modulus m, each n tested in the
-        # progression of its smallest m (module docstring)
+        # n = 9 on its own, and the odd multiples of each modulus m, each n
+        # tested in the progression of its smallest m (module docstring)
+        if lo <= 9 < hi:
+            blocks.append(_Block(9, 10, 18, ()))
         moduli = _moduli(hi - 1)
         progressions = [(lo + (m - lo) % (2 * m), 2 * m, moduli[:i])
                         for i, m in enumerate(moduli)]
     else:
         # from the first n of the requested parity
         progressions = [(lo if lo % 2 == (parity == "odd") else lo + 1, 2, ())]
-    blocks = []
     for start, step, skipped in progressions:
         count = len(range(start, hi, step))
         if count:
@@ -572,8 +612,11 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     def merge_before(bound: int) -> None:
         # merge each segment ending at or before bound: no block still out
-        # starts before that end, so all of its hits are found
+        # starts before that end, so all of its hits are found; then write
+        # the checkpoint once for all of them, so that the writes grow with
+        # the blocks, not with the segments
         nonlocal text, found, merged
+        first = merged
         while merged < len(ends) and ends[merged] <= bound:
             end = ends[merged]
             merged += 1
@@ -581,9 +624,9 @@ def run_search(config: SearchConfig) -> SearchResult:
                                   key=lambda h: (h[0], CLASS_ORDER.index(h[1])))
             found = [h for h in found if h[0] >= end]
             hits_by_segment.append([verify_hit(n, cls) for n, cls in seg_hits_raw])
-            if config.checkpoint_path:
-                text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
-                _write_atomic(config.checkpoint_path, text)
+        if merged > first and config.checkpoint_path:
+            text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
+            _write_atomic(config.checkpoint_path, text)
 
     # a run with no block to scan (max_segments 0, a completed checkpoint, an
     # odd unitary_perfect search) reads no table, so none is built and no

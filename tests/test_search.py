@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -619,7 +620,7 @@ class _InlinePool:
 
 
 def test_pool_keeps_few_tasks_in_flight(monkeypatch):
-    # the 18 blocks of an odd usp search to 10**7 pass through a pool of two
+    # the 19 blocks of an odd usp search to 10**7 pass through a pool of two
     # processes with at most _IN_FLIGHT tasks per process submitted and not
     # yet collected
     pools = []
@@ -650,27 +651,33 @@ def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
     assert builds == [] and pools == []
 
 
-def test_checkpoint_written_once_per_merged_segment(monkeypatch, tmp_path):
-    # each merged segment writes the checkpoint once, and a run that merges
-    # none (a completed resume, max_segments 0) writes it once in total
+def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
+    # a returned block that merges segments writes the checkpoint once for
+    # all of them, however many there are, and a run that merges none (a
+    # completed resume, max_segments 0) writes it once in total; each write
+    # holds every segment merged so far
     cp = tmp_path / "cp.txt"
-    common = dict(limit=10**4, segment_size=2048, checkpoint_path=str(cp))
-    baseline = run_search(SearchConfig(limit=10**4, segment_size=2048)).checkpoint_text
+    limit, size = 6 * 10**5, 2048
+    common = dict(limit=limit, segment_size=size, checkpoint_path=str(cp))
+    baseline = run_search(SearchConfig(limit=limit, segment_size=size)).checkpoint_text
     writes = []
     write_atomic = search._write_atomic
     monkeypatch.setattr(search, "_write_atomic",
                         lambda path, text: writes.append(text) or write_atomic(path, text))
     partial = run_search(SearchConfig(max_segments=2, **common))
-    assert len(writes) == 2 and writes[-1] == partial.checkpoint_text == cp.read_text()
+    assert writes == [partial.checkpoint_text] == [cp.read_text()]
     writes.clear()
     resumed = run_search(SearchConfig(resume=True, **common))
-    assert len(writes) == resumed.total_segments - 2
+    # three blocks of 2**18 n at most from 1 + 2 * size, each ending past
+    # dozens of segments
+    assert len(search._blocks(("usp",), "all", 1 + 2 * size, limit + 1)) == 3
+    assert [len(parse_checkpoint(text)[2]) for text in writes] == [98, 195, resumed.total_segments]
     assert writes[-1] == resumed.checkpoint_text == baseline == cp.read_text()
     for config in (SearchConfig(resume=True, **common), SearchConfig(max_segments=0, **common)):
         writes.clear()
         result = run_search(config)
         assert writes == [result.checkpoint_text] == [cp.read_text()]
-    assert writes == [render_checkpoint(10**4, 2048, [])]
+    assert writes == [render_checkpoint(limit, size, [])]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -836,6 +843,24 @@ def test_odd_unitary_checkpoint_golden(classes, limit, segment_size, workers):
     assert digest == _GOLDEN_ODD_UNITARY[classes, limit, segment_size]
 
 
+#: SHA-256 of the checkpoint text of the odd usp search at the default
+#: segment size, by limit; both hold the hits 9 and 165
+_GOLDEN_ODD_USP_AT_SCALE = {
+    10**8: "2f5c4a5d9f68a2e817999513188180c2c75cdcd1744e37942c01c1c655e2295c",
+    10**9: "76801a022ef6882dd2bd4d160685e35a226dda133db5bd7233dcfc308a44532f",
+}
+
+
+@pytest.mark.parametrize("limit", _GOLDEN_ODD_USP_AT_SCALE, ids=["1e8", "1e9"])
+def test_odd_usp_checkpoint_golden_at_scale(limit):
+    # the headline search and ten times it, where the progression of 33
+    # takes dozens of blocks: about 2 s with 2 workers at 10**9
+    result = run_search(SearchConfig(limit=limit, parity="odd", workers=2))
+    assert [h.n for h in result.hits] == [9, 165]
+    digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
+    assert digest == _GOLDEN_ODD_USP_AT_SCALE[limit]
+
+
 @pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
 def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
     # the odd usp and unitary_perfect hits read sigma*(n) alone: no table, no
@@ -890,66 +915,110 @@ def test_progression_scan_matches_brute_oracle(monkeypatch, brute_tables_2e5):
     for classes, lo in itertools.product(({"usp"}, {"usp", "unitary_perfect"}), (1, 10)):
         monkeypatch.setattr(search, "_STATE", {"classes": classes, "parity": "odd", "tables": {}})
         blocks = search._blocks(classes, "odd", lo, limit + 1)
-        assert {block.step for block in blocks} == {2 * m for m in search._moduli(limit)}
+        nine = {18} if lo <= 9 else set()
+        assert {block.step for block in blocks} == {2 * m for m in search._moduli(limit)} | nine
         hits = [h for block in blocks for h in search._classify_segment(block)]
         assert sorted(hits) == [(x, "usp") for x in usp if x >= lo]
 
 
 def test_moduli_divide_two_to_the_a_plus_one():
-    # a = 2^k * t with t odd: F_k divides 2^a + 1 when k >= 1, and 2^p + 1
-    # for the least prime p of a when k = 0
-    for a in range(2, 65):
+    # a = 2^k * t with t odd and a >= 5: F_k divides 2^a + 1 when k >= 3,
+    # 2^(2^k p) + 1 for the least prime p of t when k = 1 or 2, and 2^p + 1
+    # or 2^(3p') + 1 when k = 0
+    for a in range(5, 65):
         moduli = search._moduli(2**a + 1)
         assert any((2**a + 1) % m == 0 for m in moduli), a
 
 
 def test_moduli_divide_every_candidate(brute_tables_2e5):
-    # 2^a + 1 divides every odd usp n, where 2^a || sigma*(n); with a >= 2 a
-    # modulus up to n divides it, and with a = 1 the equation leaves n = 9
+    # 2^a + 1 divides every odd usp n, where 2^a || sigma*(n); with a >= 5 a
+    # modulus up to n divides it, with a = 1 the equation leaves n = 9, and
+    # with a = 2, 3 or 4 nothing
     limit = 2 * 10**5
     usig = brute_tables_2e5[1]
     n = np.arange(1, limit + 1, 2)
     s = usig[n]
     low = s & -s
-    a_is_one = n[(low == 2) & (3 * (s // 2 + 1) == 2 * n)]
-    assert a_is_one.tolist() == [9]
-    n = n[(low > 2) & (n % (low + 1) == 0)]
+    solves = (low + 1) * (s // low + 1) == 2 * n
+    assert n[solves & (low == 2)].tolist() == [9]
+    assert not (solves & (low > 2) & (low < 32)).any()
+    n = n[(low >= 32) & (n % (low + 1) == 0)]
     covered = np.zeros(n.shape, dtype=bool)
     for m in search._moduli(limit):
         covered |= (n % m == 0) & (m <= n)
     assert n.size and covered.all()
     usp = _brute_odd_usp(usig, limit // 2)
-    assert all(any(x % m == 0 for m in search._moduli(x)) for x in usp)
+    assert all(x == 9 or any(x % m == 0 for m in search._moduli(x)) for x in usp)
+
+
+def _v2(x):
+    return (x & -x).bit_length() - 1
+
+
+def test_lemma_bounds_from_least_prime_powers():
+    # for a = 2, 3 and 4: the largest sigma*(n)/n over sets of prime powers
+    # with distinct odd primes, a power of one prime of 2^a + 1 that 2^a + 1
+    # divides, and v2(q + 1) summing to a; the equation's ratio, increasing
+    # in n, reaches it only up to the cut-off, and the odd multiples of
+    # 2^a + 1 up to there have another a (search module docstring)
+    powers = [(p, p**e) for p in range(3, 200, 2) if is_prime(p)
+              for e in range(1, 6) if p**e < 200]
+
+    def best(a, used, start):
+        # the largest product of 1 + 1/q over the sets from powers[start:]
+        if a == 0:
+            return Fraction(1)
+        found = Fraction(0)
+        for i in range(start, len(powers)):
+            p, q = powers[i]
+            if p not in used and _v2(q + 1) <= a:
+                found = max(found, (1 + Fraction(1, q)) * best(a - _v2(q + 1), used | {p}, i + 1))
+        return found
+
+    expected = {2: (Fraction(4, 3), 15), 3: (Fraction(56, 39), 23), 4: (Fraction(144, 85), 85)}
+    for a, (bound, cutoff) in expected.items():
+        m = 2**a + 1
+        p = factorize(m).entries[0][0]
+        forced = [q for r, q in powers if r == p and q % m == 0]
+        got = max((1 + Fraction(1, q)) * best(a - _v2(q + 1), {p}, 0) for q in forced)
+        assert got == bound
+        ratio = lambda n: Fraction(2 ** (a + 1), m) * (1 - Fraction(m, 2 * n))
+        assert ratio(cutoff) <= bound < ratio(cutoff + 2)
+        for n in range(m, cutoff + 1, 2 * m):
+            assert _v2(unitary_sigma(factorize(n))) != a, n
 
 
 def test_moduli_up_to_hard_limit():
-    # b = 2, 4, 8, 16 and 32 (F_5 = 2**32 + 1 = 641 * 6700417 as itself), and
-    # the odd primes b up to 31
-    below = (5, 9, 17, 33, 129, 257, 2049, 8193, 65537, 131073, 524289, 8388609,
-             536870913, 2147483649)
-    assert search._moduli(4) == ()
-    assert search._moduli(5) == (5,)
+    # b >= 5 a power of two (F_5 = 2**32 + 1 = 641 * 6700417 as itself) or
+    # c * p for c in 1..4 and an odd prime p
+    below = tuple(2**b + 1 for b in (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20,
+                                     21, 22, 23, 26, 28, 29, 31))
+    assert search._moduli(32) == ()
+    assert search._moduli(33) == (33,)
     assert search._moduli(2**32) == below
     assert search._moduli(2**32 + 1) == below + (2**32 + 1,)
-    assert search._moduli(search.HARD_LIMIT) == below + (2**32 + 1,)
-    assert len(search._moduli(3 * 10**7)) == 12
+    assert search._moduli(search.HARD_LIMIT) == below + (2**32 + 1, 2**33 + 1)
+    assert len(search._moduli(3 * 10**7)) == 18
 
 
 def test_odd_usp_search_sieves_progressions(sieve_spans):
-    # every span of an odd usp-only search is a progression of step 2m from an
-    # odd multiple of a modulus m; together they sieve each odd multiple of
-    # each m once, under 0.42 of the odd n
+    # every span of an odd usp-only search but the one of n = 9 is a
+    # progression of step 2m from an odd multiple of a modulus m; together
+    # they sieve each odd multiple of each m once, under 0.07 of the odd n
     limit = 10**6
     result = run_search(SearchConfig(limit=limit, segment_size=1 << 16, parity="odd"))
     assert [h.n for h in result.hits] == [9, 165]
+    assert (9, 10, 18, True) in sieve_spans
     moduli = search._moduli(limit)
     per_modulus = Counter()
     for lo, hi, step, unitary in sieve_spans:
+        if (lo, hi, step) == (9, 10, 18):
+            continue
         m = step // 2
         assert unitary and step == 2 * m and m in moduli and lo % m == 0 and lo % 2
         per_modulus[m] += len(range(lo, hi, step))
     assert per_modulus == {m: len(range(m, limit + 1, 2 * m)) for m in moduli}
-    assert sum(per_modulus.values()) <= 0.42 * len(range(1, limit + 1, 2))
+    assert sum(per_modulus.values()) <= 0.07 * len(range(1, limit + 1, 2))
 
 
 def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
@@ -977,9 +1046,9 @@ def _one_segment_split(config):
 
 
 #: (classes, parity, limit) of searches whose blocks cut across segments: the
-#: odd usp progressions of 5 and 9 take several blocks, all n three
+#: odd usp progression of 33 takes two blocks, all n three
 _MERGED_SEARCHES = [
-    (("usp",), "odd", 6 * 10**6),
+    (("usp",), "odd", 2 * 10**7),
     (CLASS_ORDER, "all", 6 * 10**5),
 ]
 
@@ -1028,9 +1097,10 @@ def _fake_sigma_star(monkeypatch, n, value):
 
 def test_closed_form_candidate_still_verified(monkeypatch):
     # a sieve fault that passes the filter is caught by verify_hit: faking
-    # sigma*(15) = 2 * 9, the prime power m' = 9 gives (2 + 1) * (9 + 1) = 30
-    _fake_sigma_star(monkeypatch, 15, 2 * 9)
-    with pytest.raises(RuntimeError, match="sieve hit 15 "):
+    # sigma*(99) = 2**5 * 5 in the progression of 33, the prime m' = 5 gives
+    # (2**5 + 1) * (5 + 1) = 198
+    _fake_sigma_star(monkeypatch, 99, 2**5 * 5)
+    with pytest.raises(RuntimeError, match="sieve hit 99 "):
         run_search(SearchConfig(limit=1000, parity="odd"))
 
 
