@@ -3,7 +3,8 @@
 The search classifies the n <= limit of the requested parity in one scan,
 over the run's range: from the first segment still to do to the end of the
 last one.  Each progression the scan walks (the n of the requested parity,
-or for an odd usp search the odd multiples of each modulus below) is cut
+or for an odd usp search the odd n up to a cut-off and past it the odd
+multiples of each modulus below) is cut
 into equal sieve blocks of at most _TABLE_CHUNK values, and the blocks of
 every progression, sorted by first n, are the units of work.  A block is
 classified in slices of _SCAN_BLOCK.  Every slice takes the first
@@ -44,49 +45,53 @@ v2(p^e + 1) >= 1 over them: 1 iff p^e = 1 (mod 4), 2 iff p^e = 3 (mod 8),
 2m', and 3(m' + 1) = 2n gives 3(p^e + 3) = 4p^e: n = 9.  If a >= 2, 2^a + 1
 is odd and divides 2n, so it divides n.
 
-No odd usp n has a = 2, 3 or 4.  The equation gives
+The cut-off lemma: every odd usp n > 12325 has a = 8 or a >= 11.  For
+a >= 2 the equation gives
 
     sigma*(n)/n = (2^(a+1) / (2^a + 1)) * (1 - (2^a + 1) / (2n)),
 
-which increases with n, while each p^e || n multiplies sigma*(n)/n by
-1 + p^-e, at most 1 + 1/q for the least admissible prime power q.
+which increases with n.  On the other side sigma*(n)/n is the product of
+1 + 1/q over the q = p^e || n: prime powers of distinct odd primes whose
+v2(q + 1) sum to a, among them, for each r^f || 2^a + 1, some r^e with
+e >= f.  Let M_a be the largest such product.  When M_a < 2^(a+1) / (2^a +
+1), the equation's ratio stays at most M_a only up to
 
-  a = 2: 5 | n, and 5^e contributes 1.  The other unit is one prime power
-    = 1 (mod 4) prime to 5, at least 9: the ratio is at most (6/5)(10/9) =
-    4/3, and (8/5)(1 - 5/(2n)) <= 4/3 forces n <= 15.
-  a = 3: 9 | n, so 3^e with e >= 2.  For e even 3^e contributes 1 and at
-    most 10/9, and the other two units come from one prime power = 3
-    (mod 8), at least 11, or two = 1 (mod 4), at least 5 and 13: at most
-    (10/9)(6/5)(14/13) = 56/39.  For e odd, 3^e contributes 2 and the
-    ratio is at most (28/27)(6/5) < 56/39.  (16/9)(1 - 9/(2n)) <= 56/39
-    forces n <= 23.
-  a = 4: 17 | n, and 17^e contributes 1 and at most 18/17.  The other three
-    units come from one prime power = 7 (mod 16), at most 8/7; or one = 3
-    (mod 8) and one = 1 (mod 4), at most (4/3)(6/5) = 8/5; or three = 1
-    (mod 4), at most (6/5)(10/9)(14/13).  So the ratio is at most
-    (18/17)(8/5) = 144/85, and (32/17)(1 - 17/(2n)) <= 144/85 forces
-    n <= 85.
+    n <= (2^a + 1) / (2 * (1 - M_a * (2^a + 1) / 2^(a+1))).
 
-The odd multiples of 5, 9 and 17 below those bounds, 5, 15, 9, 17, 51 and
-85, have a = 1, 3, 1, 1, 3 and 2, none the a it would need.
+M_a is a maximum over finitely many sets.  v2(r^e + 1) is 1 for e even and
+v2(r + 1) for e odd, so a forced r^e can be lowered to r^f or r^(f+1), the
+least e >= f of its parity, with the same units and a larger factor.  A
+free q >= 200 with v2(q + 1) = v can be replaced by v unused primes = 1
+(mod 4) below 200, which add the same v units and whose product exceeds
+1 + 1/q; there are 21 such primes, and a set for a <= 10 holds at most 10
+primes.  So M_a is the exact maximum of a knapsack over the free prime
+powers below 200 and the forced r^f, r^(f+1):
 
-So an odd usp n other than 9 has a >= 5.  Write a = 2^k * t with t odd.
-If k >= 3, then with x = 2^(2^k), 2^a + 1 = x^t + 1, which the Fermat
-number F_k = x + 1 divides because t is odd.  If k = 1 or 2, then t > 1,
-and with p the least prime of t, 2^(2^k p) + 1 divides 2^a + 1 because
-a/(2^k p) is odd.  If k = 0, let p be the least prime of a: 2^p + 1 divides
-2^a + 1 when p >= 5; when p = 3, a/3 > 1, and with p' the least prime of
-a/3, 2^(3p') + 1 divides it.  So every odd usp n other than 9 is an odd
-multiple of some modulus m = 2^b + 1 <= n with b >= 5 a power of two or
-c * p for c in 1..4 and p an odd prime: 33, 65, 129, 257, 513, 1025, 2049,
-4097, ..., 18 of them up to 3 * 10^7 and 24 up to HARD_LIMIT, F_5 = 2^32 +
-1 among them as itself.  An odd search of usp, alone or beside
-unitary_perfect, therefore sieves only n = 9 and the odd multiples of each
-m up to the run's top value, with step 2m.  Those progressions hold about
-1/33 + 1/65 + 1/129 + ... = 0.061 of the odd n, and an n in several of
-them is tested only in the one of its smallest m.  An odd search of
-unitary_perfect alone scans nothing, and beside any other class the odd
-search walks every odd n.
+     a   2^a + 1    M_a                  n <=
+     2   5          4/3                  15
+     3   3^2        56/39                23
+     4   17         144/85               85
+     5   3 * 11     96/55                165
+     6   5 * 13     12096/6409           781
+     7   3 * 43     22377600/11850241    1331   (with 43^2)
+     9   3^3 * 19   20992/12597          1553   (with 3^4)
+    10   5^2 * 41   193536/101065        12325
+
+For a = 8, 11 and 12, M_a exceeds 2^(a+1) / (2^a + 1), and those a stay
+walked, as does every larger a.  With n = 9 for a = 1, every odd usp n >
+12325 has a = 8 or a >= 11 and is an odd multiple of m = 2^a + 1 <= n.
+(Below the cut-offs, the odd multiples of 2^a + 1 with that a solve the
+equation only at 165, a = 5.)
+
+An odd search of usp, alone or beside unitary_perfect, therefore walks
+every odd n <= 12325 as one block of step 2, and past it the odd multiples
+of each modulus m = 2^a + 1 <= top for a = 8 and a >= 11, with step 2m: 15
+moduli up to 3 * 10^7 and 24 up to HARD_LIMIT, about 1/257 + 1/2049 +
+1/4097 + ... = 0.0049 of the odd n.  In the progression of m only the n
+whose sigma*(n) has that a are tested, so an n in several progressions (a
+multiple of 2^24 + 1 = 97 * 257 * 673 is also one of 257) is tested in the
+one of its own a.  An odd search of unitary_perfect alone scans nothing,
+and beside any other class the odd search walks every odd n.
 
 Every other second-order class looks its second application up.  A flat
 uint32 table of divisor sums of the odd values up to limit is built once
@@ -324,16 +329,14 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 #: n classified at a time: the lookups' int64 temporaries stay in cache
 _SCAN_BLOCK = 1 << 16
 
-def _moduli(top: int) -> tuple[int, ...]:
-    """Every 2^b + 1 <= top with b >= 5 a power of two or c * p for c in 1..4
-    and p an odd prime, increasing: each odd usp n but 9 is an odd multiple
-    of one (module docstring)."""
-    def odd_prime(q: int) -> bool:
-        return q > 1 and q % 2 == 1 and all(q % d for d in range(3, q, 2))
+#: every odd usp n above this has a = 8 or a >= 11 (module docstring)
+_ODD_PREFIX = 12325
 
-    return tuple(2**b + 1 for b in range(5, top.bit_length())
-                 if 2**b < top and (b & (b - 1) == 0
-                                    or any(b % c == 0 and odd_prime(b // c) for c in (1, 2, 3, 4))))
+
+def _moduli(top: int) -> tuple[int, ...]:
+    """Every 2^a + 1 <= top with a = 8 or a >= 11, increasing: each odd usp n
+    above _ODD_PREFIX is an odd multiple of the one of its a (module docstring)."""
+    return tuple(2**a + 1 for a in range(8, top.bit_length()) if a not in (9, 10) and 2**a < top)
 
 
 def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -367,44 +370,40 @@ def _tested(classes, parity: str) -> list[Variant]:
 
 
 class _Block(NamedTuple):
-    """A sieve block: the n = lo, lo + step, ... < hi not divisible by a
-    modulus in skipped (those are tested in another progression)."""
+    """A sieve block: the n = lo, lo + step, ... < hi."""
 
     lo: int
     hi: int
     step: int
-    skipped: tuple[int, ...]
 
 
 def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
     """The blocks of a run over [lo, hi), sorted by first n: equal blocks of
     at most _TABLE_CHUNK values of each progression that the scan walks."""
     variants = _tested(classes, parity)
-    blocks = []
     if not variants:
         progressions = []
     elif parity == "all":
-        progressions = [(lo, 1, ())]
+        progressions = [(lo, hi, 1)]
     elif parity == "odd" and [v.name for v in variants] == ["usp"]:
-        # n = 9 on its own, and the odd multiples of each modulus m, each n
-        # tested in the progression of its smallest m (module docstring)
-        if lo <= 9 < hi:
-            blocks.append(_Block(9, 10, 18, ()))
-        moduli = _moduli(hi - 1)
-        progressions = [(lo + (m - lo) % (2 * m), 2 * m, moduli[:i])
-                        for i, m in enumerate(moduli)]
+        # every odd n up to _ODD_PREFIX, and past it the odd multiples of
+        # each modulus m (module docstring)
+        past = max(lo, _ODD_PREFIX + 1)
+        progressions = [(lo | 1, min(hi, _ODD_PREFIX + 1), 2)]
+        progressions += [(past + (m - past) % (2 * m), hi, 2 * m) for m in _moduli(hi - 1)]
     else:
         # from the first n of the requested parity
-        progressions = [(lo if lo % 2 == (parity == "odd") else lo + 1, 2, ())]
-    for start, step, skipped in progressions:
-        count = len(range(start, hi, step))
+        progressions = [(lo if lo % 2 == (parity == "odd") else lo + 1, hi, 2)]
+    blocks = []
+    for start, stop, step in progressions:
+        count = len(range(start, stop, step))
         if count:
             # equal blocks: a short last block's arrays would split the memory
             # freed by a full one, and the heap would grow
             parts = -(-count // _TABLE_CHUNK)
             width = step * -(-count // parts)
-            blocks.extend(_Block(b, min(hi, b + width), step, skipped)
-                          for b in range(start, hi, width))
+            blocks.extend(_Block(b, min(stop, b + width), step)
+                          for b in range(start, stop, width))
     return sorted(blocks)
 
 
@@ -413,7 +412,7 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     parity = _STATE["parity"]
     variants = _tested(_STATE["classes"], parity)
     tables = _STATE["tables"]
-    lo, hi, step, skipped = block
+    lo, hi, step = block
     hits: list[tuple[int, str]] = []
     # the block's divisor sums, sieved at most once per divisor sum and only
     # when a slice needs a first application the table lacks
@@ -440,11 +439,14 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
             elif _closed_form(variant, parity):
                 low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
                 odd = first >> np.bitwise_count(low - 1)  # m'
-                cand = np.flatnonzero((low + 1) * (odd + 1) == 2 * n)
-                # the equation decides once m' is known to be a prime
-                # power; an n in several progressions is tested in one
-                good = [n[j] for j in cand if all(n[j] % m for m in skipped)
-                        and prime_power(int(odd[j])) is not None]
+                solves = (low + 1) * (odd + 1) == 2 * n
+                if step > 2:
+                    # the progression of m = 2^a + 1 tests the n of that a
+                    # only, so an n in several is tested once
+                    solves &= low + 1 == step // 2
+                # the equation decides once m' is known to be a prime power
+                good = [n[j] for j in np.flatnonzero(solves)
+                        if prime_power(int(odd[j])) is not None]
             else:
                 # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
                 # odd divisor sum of first's 2-part divides the second

@@ -620,15 +620,15 @@ class _InlinePool:
 
 
 def test_pool_keeps_few_tasks_in_flight(monkeypatch):
-    # the 19 blocks of an odd usp search to 10**7 pass through a pool of two
+    # the 18 blocks of an odd usp search to 10**8 pass through a pool of two
     # processes with at most _IN_FLIGHT tasks per process submitted and not
     # yet collected
     pools = []
     monkeypatch.setattr(search, "ProcessPoolExecutor",
                         lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    config = SearchConfig(limit=10**7, parity="odd", workers=2)
-    assert len(search._blocks(config.classes, "odd", 1, 10**7 + 1)) > 2 * search._IN_FLIGHT
+    config = SearchConfig(limit=10**8, parity="odd", workers=2)
+    assert len(search._blocks(config.classes, "odd", 1, 10**8 + 1)) > 2 * search._IN_FLIGHT
     assert [h.n for h in run_search(config).hits] == [9, 165]
     assert len(pools) == 1 and pools[0].peak == 2 * search._IN_FLIGHT and pools[0].open == 0
 
@@ -844,17 +844,20 @@ def test_odd_unitary_checkpoint_golden(classes, limit, segment_size, workers):
 
 
 #: SHA-256 of the checkpoint text of the odd usp search at the default
-#: segment size, by limit; both hold the hits 9 and 165
+#: segment size, by limit; all hold the hits 9 and 165
 _GOLDEN_ODD_USP_AT_SCALE = {
     10**8: "2f5c4a5d9f68a2e817999513188180c2c75cdcd1744e37942c01c1c655e2295c",
     10**9: "76801a022ef6882dd2bd4d160685e35a226dda133db5bd7233dcfc308a44532f",
+    search.HARD_LIMIT:
+        "fa3383bac738eb6fa23ffea929109b27494ad80ee2f1847ce09ff1bb7ff78637",
 }
 
 
-@pytest.mark.parametrize("limit", _GOLDEN_ODD_USP_AT_SCALE, ids=["1e8", "1e9"])
+@pytest.mark.parametrize("limit", _GOLDEN_ODD_USP_AT_SCALE, ids=["1e8", "1e9", "1e10"])
 def test_odd_usp_checkpoint_golden_at_scale(limit):
-    # the headline search and ten times it, where the progression of 33
-    # takes dozens of blocks: about 2 s with 2 workers at 10**9
+    # the headline search, ten times it, where the progression of 257 takes
+    # several blocks, and HARD_LIMIT, with 24 moduli: about 4 s with 2
+    # workers at 10**10
     result = run_search(SearchConfig(limit=limit, parity="odd", workers=2))
     assert [h.n for h in result.hits] == [9, 165]
     digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
@@ -902,123 +905,167 @@ def test_closed_form_filter_matches_brute_oracle(monkeypatch, brute_tables_2e5):
     assert usp
     monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER[:2]), "parity": "odd",
                                            "tables": {}})
-    block = search._Block(1, limit + 1, 2, ())
+    block = search._Block(1, limit + 1, 2)
     assert sorted(search._classify_segment(block)) == [(x, "usp") for x in usp]
 
 
 def test_progression_scan_matches_brute_oracle(monkeypatch, brute_tables_2e5):
-    # usp, alone or beside unitary_perfect, walks the odd multiples of the
-    # moduli, and an n in several (165 = 3 * 5 * 11 is a multiple of 5 and 33)
-    # is reported once; also from lo past 1
+    # usp, alone or beside unitary_perfect, walks the odd n up to 12325 and
+    # past it the odd multiples of the moduli, and reports each hit once;
+    # also from lo past 1 and past 12325
     limit = 10**5
     usp = _brute_odd_usp(brute_tables_2e5[1], limit)
-    for classes, lo in itertools.product(({"usp"}, {"usp", "unitary_perfect"}), (1, 10)):
+    for classes, lo in itertools.product(({"usp"}, {"usp", "unitary_perfect"}), (1, 10, 20001)):
         monkeypatch.setattr(search, "_STATE", {"classes": classes, "parity": "odd", "tables": {}})
         blocks = search._blocks(classes, "odd", lo, limit + 1)
-        nine = {18} if lo <= 9 else set()
-        assert {block.step for block in blocks} == {2 * m for m in search._moduli(limit)} | nine
+        prefix = {2} if lo <= 12325 else set()
+        assert {block.step for block in blocks} == {2 * m for m in search._moduli(limit)} | prefix
         hits = [h for block in blocks for h in search._classify_segment(block)]
         assert sorted(hits) == [(x, "usp") for x in usp if x >= lo]
-
-
-def test_moduli_divide_two_to_the_a_plus_one():
-    # a = 2^k * t with t odd and a >= 5: F_k divides 2^a + 1 when k >= 3,
-    # 2^(2^k p) + 1 for the least prime p of t when k = 1 or 2, and 2^p + 1
-    # or 2^(3p') + 1 when k = 0
-    for a in range(5, 65):
-        moduli = search._moduli(2**a + 1)
-        assert any((2**a + 1) % m == 0 for m in moduli), a
-
-
-def test_moduli_divide_every_candidate(brute_tables_2e5):
-    # 2^a + 1 divides every odd usp n, where 2^a || sigma*(n); with a >= 5 a
-    # modulus up to n divides it, with a = 1 the equation leaves n = 9, and
-    # with a = 2, 3 or 4 nothing
-    limit = 2 * 10**5
-    usig = brute_tables_2e5[1]
-    n = np.arange(1, limit + 1, 2)
-    s = usig[n]
-    low = s & -s
-    solves = (low + 1) * (s // low + 1) == 2 * n
-    assert n[solves & (low == 2)].tolist() == [9]
-    assert not (solves & (low > 2) & (low < 32)).any()
-    n = n[(low >= 32) & (n % (low + 1) == 0)]
-    covered = np.zeros(n.shape, dtype=bool)
-    for m in search._moduli(limit):
-        covered |= (n % m == 0) & (m <= n)
-    assert n.size and covered.all()
-    usp = _brute_odd_usp(usig, limit // 2)
-    assert all(x == 9 or any(x % m == 0 for m in search._moduli(x)) for x in usp)
 
 
 def _v2(x):
     return (x & -x).bit_length() - 1
 
 
+def test_walk_tests_each_admissible_n_once(brute_tables_2e5):
+    # the blocks of an odd usp search, with the a filter of the progressions,
+    # test every odd n <= 12325 and, past it, every odd n whose a the lemma
+    # leaves and which 2^a + 1 divides, each exactly once, from any lo
+    limit = 2 * 10**5
+    usig = brute_tables_2e5[1]
+    n = np.arange(1, limit + 1, 2)
+    s = usig[n]
+    a = np.bitwise_count((s & -s) - 1).astype(np.int64)
+    admissible = (n <= 12325) | (((a == 8) | (a >= 11)) & (n % (2**a + 1) == 0))
+    for lo in (1, 10, 12325, 12326, 50001):
+        tested = Counter()
+        for block in search._blocks(("usp",), "odd", lo, limit + 1):
+            ns = np.arange(block.lo, block.hi, block.step)
+            if block.step > 2:
+                ns = ns[(2 ** a[ns // 2] + 1) == block.step // 2]
+            tested.update(ns.tolist())
+        assert set(tested.values()) == {1}
+        assert sorted(tested) == n[admissible & (n >= lo)].tolist()
+
+
+def test_moduli_divide_every_candidate(brute_tables_2e5):
+    # the odd n <= 2 * 10**5 that solve (2^a + 1)(m' + 1) = 2n for their own
+    # a, whether or not m' is a prime power, are 9 and 165, both up to the
+    # cut-off 12325 that the search walks whole
+    limit = 2 * 10**5
+    usig = brute_tables_2e5[1]
+    n = np.arange(1, limit + 1, 2)
+    s = usig[n]
+    low = s & -s
+    assert n[(low + 1) * (s // low + 1) == 2 * n].tolist() == [9, 165]
+    assert _brute_odd_usp(usig, limit // 2) == [9, 165]
+
+
+def _lemma_maximum(a):
+    """The largest product of 1 + 1/q over prime powers q of distinct odd
+    primes with v2(q + 1) summing to a and, for each r^f || 2^a + 1, some r^e
+    with e >= f: an exact knapsack over the free prime powers below 200 and
+    the forced r^f and r^(f+1) (search module docstring)."""
+    forced = dict(factorize(2**a + 1).entries)
+    best = {0: Fraction(1)}  # units -> the largest product with that many
+    for p in range(3, 200, 2):
+        if is_prime(p) and p not in forced:
+            best = _take_one(best, [p**e for e in range(1, 8) if p**e < 200], a, optional=True)
+    for r, f in forced.items():
+        best = _take_one(best, [r**f, r ** (f + 1)], a, optional=False)
+    return best.get(a, Fraction(0))
+
+
+def _take_one(best, options, a, optional):
+    """best after taking one of options, or none of them when optional."""
+    new = dict(best) if optional else {}
+    for units, product in best.items():
+        for q in options:
+            u = units + _v2(q + 1)
+            if u <= a and product * (1 + Fraction(1, q)) > new.get(u, 0):
+                new[u] = product * (1 + Fraction(1, q))
+    return new
+
+
 def test_lemma_bounds_from_least_prime_powers():
-    # for a = 2, 3 and 4: the largest sigma*(n)/n over sets of prime powers
-    # with distinct odd primes, a power of one prime of 2^a + 1 that 2^a + 1
-    # divides, and v2(q + 1) summing to a; the equation's ratio, increasing
-    # in n, reaches it only up to the cut-off, and the odd multiples of
-    # 2^a + 1 up to there have another a (search module docstring)
-    powers = [(p, p**e) for p in range(3, 200, 2) if is_prime(p)
-              for e in range(1, 6) if p**e < 200]
-
-    def best(a, used, start):
-        # the largest product of 1 + 1/q over the sets from powers[start:]
-        if a == 0:
-            return Fraction(1)
-        found = Fraction(0)
-        for i in range(start, len(powers)):
-            p, q = powers[i]
-            if p not in used and _v2(q + 1) <= a:
-                found = max(found, (1 + Fraction(1, q)) * best(a - _v2(q + 1), used | {p}, i + 1))
-        return found
-
-    expected = {2: (Fraction(4, 3), 15), 3: (Fraction(56, 39), 23), 4: (Fraction(144, 85), 85)}
+    # for a = 2..10 but 8: the largest sigma*(n)/n an odd n with that a can
+    # have, with every prime power of 2^a + 1 forced into n; the equation's
+    # ratio, increasing in n, reaches it only up to the cut-off, and up to
+    # there the odd multiples of 2^a + 1 with that a solve the equation only
+    # at 165; for a = 8, 11 and 12 the maximum is out of the ratio's reach,
+    # so those a are walked (search module docstring)
+    expected = {
+        2: (Fraction(4, 3), 15),
+        3: (Fraction(56, 39), 23),
+        4: (Fraction(144, 85), 85),
+        5: (Fraction(96, 55), 165),
+        6: (Fraction(12096, 6409), 781),
+        7: (Fraction(22377600, 11850241), 1331),
+        9: (Fraction(20992, 12597), 1553),
+        10: (Fraction(193536, 101065), 12325),
+    }
     for a, (bound, cutoff) in expected.items():
         m = 2**a + 1
-        p = factorize(m).entries[0][0]
-        forced = [q for r, q in powers if r == p and q % m == 0]
-        got = max((1 + Fraction(1, q)) * best(a - _v2(q + 1), {p}, 0) for q in forced)
-        assert got == bound
+        assert _lemma_maximum(a) == bound
         ratio = lambda n: Fraction(2 ** (a + 1), m) * (1 - Fraction(m, 2 * n))
-        assert ratio(cutoff) <= bound < ratio(cutoff + 2)
+        assert ratio(cutoff) <= bound < ratio(cutoff + 1)
+        solved = []
         for n in range(m, cutoff + 1, 2 * m):
-            assert _v2(unitary_sigma(factorize(n))) != a, n
+            s = unitary_sigma(factorize(n))
+            if _v2(s) == a and m * ((s >> a) + 1) == 2 * n:
+                solved.append(n)
+        assert solved == ([165] if a == 5 else []), a
+    assert max(cutoff for _, cutoff in expected.values()) == search._ODD_PREFIX == 12325
+    for a in (8, 11, 12):
+        assert _lemma_maximum(a) > Fraction(2 ** (a + 1), 2**a + 1)
 
 
 def test_moduli_up_to_hard_limit():
-    # b >= 5 a power of two (F_5 = 2**32 + 1 = 641 * 6700417 as itself) or
-    # c * p for c in 1..4 and an odd prime p
-    below = tuple(2**b + 1 for b in (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20,
-                                     21, 22, 23, 26, 28, 29, 31))
-    assert search._moduli(32) == ()
-    assert search._moduli(33) == (33,)
-    assert search._moduli(2**32) == below
-    assert search._moduli(2**32 + 1) == below + (2**32 + 1,)
-    assert search._moduli(search.HARD_LIMIT) == below + (2**32 + 1, 2**33 + 1)
-    assert len(search._moduli(3 * 10**7)) == 18
+    # 2^a + 1 for a = 8 and a >= 11 up to the top value: 15 moduli at
+    # 3 * 10**7 and 24 at HARD_LIMIT
+    assert search._moduli(256) == ()
+    assert search._moduli(257) == (257,)
+    assert search._moduli(2**11) == (257,)
+    assert search._moduli(3 * 10**7) == tuple(2**a + 1 for a in [8] + list(range(11, 25)))
+    assert search._moduli(search.HARD_LIMIT) == tuple(2**a + 1 for a in [8] + list(range(11, 34)))
+    assert len(search._moduli(search.HARD_LIMIT)) == 24
 
 
 def test_odd_usp_search_sieves_progressions(sieve_spans):
-    # every span of an odd usp-only search but the one of n = 9 is a
-    # progression of step 2m from an odd multiple of a modulus m; together
-    # they sieve each odd multiple of each m once, under 0.07 of the odd n
+    # an odd usp-only search sieves every odd n <= 12325 in one span of step
+    # 2, and past it the odd multiples of each modulus m once, each in spans
+    # of step 2m: under 0.02 of the odd n, that span included
     limit = 10**6
     result = run_search(SearchConfig(limit=limit, segment_size=1 << 16, parity="odd"))
     assert [h.n for h in result.hits] == [9, 165]
-    assert (9, 10, 18, True) in sieve_spans
+    assert (1, 12326, 2, True) in sieve_spans
     moduli = search._moduli(limit)
     per_modulus = Counter()
     for lo, hi, step, unitary in sieve_spans:
-        if (lo, hi, step) == (9, 10, 18):
+        if (lo, hi, step) == (1, 12326, 2):
             continue
         m = step // 2
-        assert unitary and step == 2 * m and m in moduli and lo % m == 0 and lo % 2
+        assert unitary and step == 2 * m and m in moduli and lo % m == 0 and lo % 2 and lo > 12325
         per_modulus[m] += len(range(lo, hi, step))
-    assert per_modulus == {m: len(range(m, limit + 1, 2 * m)) for m in moduli}
-    assert sum(per_modulus.values()) <= 0.07 * len(range(1, limit + 1, 2))
+    assert per_modulus == {m: len(range(m * (12325 // m + 1 | 1), limit + 1, 2 * m))
+                           for m in moduli}
+    assert 6163 + sum(per_modulus.values()) <= 0.02 * len(range(1, limit + 1, 2))
+
+
+def test_n_in_two_progressions_tested_for_its_own_a(monkeypatch):
+    # 2^24 + 1 = 97 * 257 * 673, so n = 3 * (2^24 + 1) lies in the
+    # progressions of 257 and of 2^24 + 1; faking sigma*(n) = 2^24 * 5, the
+    # equation holds with a = 24 and the prime m' = 5, and only the
+    # progression of 2^24 + 1 reports n
+    m = 2**24 + 1
+    n = 3 * m
+    _fake_sigma_star(monkeypatch, n, 2**24 * 5)
+    monkeypatch.setattr(search, "_STATE", {"classes": {"usp"}, "parity": "odd", "tables": {}})
+    blocks = search._blocks(("usp",), "odd", n, n + 1)
+    assert sorted(block.step for block in blocks) == [2 * 257, 2 * m]
+    assert [(block.step, search._classify_segment(block)) for block in blocks] == [
+        (2 * 257, []), (2 * m, [(n, "usp")])]
 
 
 def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
@@ -1046,9 +1093,9 @@ def _one_segment_split(config):
 
 
 #: (classes, parity, limit) of searches whose blocks cut across segments: the
-#: odd usp progression of 33 takes two blocks, all n three
+#: odd usp progression of 257 takes two blocks, all n three
 _MERGED_SEARCHES = [
-    (("usp",), "odd", 2 * 10**7),
+    (("usp",), "odd", 15 * 10**7),
     (CLASS_ORDER, "all", 6 * 10**5),
 ]
 
@@ -1097,8 +1144,8 @@ def _fake_sigma_star(monkeypatch, n, value):
 
 def test_closed_form_candidate_still_verified(monkeypatch):
     # a sieve fault that passes the filter is caught by verify_hit: faking
-    # sigma*(99) = 2**5 * 5 in the progression of 33, the prime m' = 5 gives
-    # (2**5 + 1) * (5 + 1) = 198
+    # sigma*(99) = 2**5 * 5 in the block of the odd n up to 12325, the prime
+    # m' = 5 gives (2**5 + 1) * (5 + 1) = 198
     _fake_sigma_star(monkeypatch, 99, 2**5 * 5)
     with pytest.raises(RuntimeError, match="sieve hit 99 "):
         run_search(SearchConfig(limit=1000, parity="odd"))
