@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import takewhile
 from math import gcd, isqrt, prod
 
@@ -37,6 +38,14 @@ _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_BOUND))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 #: gcd(n, _SMALL_PRODUCT) is the product of n's distinct primes below 10**4
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
+#: the same for the 25 primes below 100: 121 bits against 14,277
+_TINY_PRODUCT = prod(takewhile(lambda p: p < 100, _SMALL_PRIMES))
+
+#: Miller-Rabin verdicts kept, so that a prime that _split or prime_power
+#: has just proved costs one lookup when Factorization or TwoAQB checks it
+#: again.  A number below 2**64 has at most 15 distinct primes; the bound
+#: keeps the cache's memory fixed however many numbers a process tests.
+_MR_CACHE_SIZE = 64
 
 
 def _check_natural(n: int, name: str = "n") -> None:
@@ -49,13 +58,28 @@ def _check_natural(n: int, name: str = "n") -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all 0 <= n <= MAX_NATURAL."""
+    """Deterministic primality test, exact for all 0 <= n <= MAX_NATURAL.
+
+    n below 10**4 is looked up in the table of primes there.  A larger n
+    goes to Miller-Rabin, whose _MR_CACHE_SIZE most recent verdicts are
+    cached.
+    The cache is keyed only after the range check, which refuses bool:
+    True equals 1 and hashes alike, so a cache in front of the check could
+    answer is_prime(True) from an entry made for an int equal to 1 instead
+    of raising TypeError.
+    """
     _check_natural(n)
-    if n < 2:
-        return False
+    if n < _TRIAL_BOUND:
+        return n in _SMALL_PRIME_SET
+    return _miller_rabin(n)
+
+
+@lru_cache(maxsize=_MR_CACHE_SIZE)
+def _miller_rabin(n: int) -> bool:
+    """Primality of 10**4 <= n <= MAX_NATURAL by the deterministic witnesses."""
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
-            return n == p
+            return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -200,17 +224,20 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(n: int) -> tuple[int, int] | None:
     """(q, b) with n = q**b, q prime and b >= 1, or None if n is no prime power.
 
-    One gcd with the product of the primes below 10**4 settles every n with
-    a prime there: two such primes rule n out, and one must be the whole of
-    n.  Otherwise n below 10**8 is 1 or prime, and a larger n loses perfect
-    k-th powers for prime k, ascending, while (10**4)**k <= n; the remaining
-    base is a prime power only if it is prime, which is_prime decides
-    exactly in range.  Refuses what factorize refuses.
+    A gcd with the product of the primes below 100 and, only when that is
+    1, one with the product of the primes below 10**4 settle every n with a
+    prime below 10**4: two such primes rule n out, and one must be the whole
+    of n.  Otherwise n below 10**8 is 1 or prime, and a larger n loses
+    perfect k-th powers for prime k, ascending, while (10**4)**k <= n; the
+    remaining base is a prime power only if it is prime, which is_prime
+    decides exactly in range.  Refuses what factorize refuses.
     """
     _check_natural(n)
     if n == 0:
         raise ValueError("0 has no factorization")
-    g = gcd(n, _SMALL_PRODUCT)
+    g = gcd(n, _TINY_PRODUCT)
+    if g == 1:
+        g = gcd(n, _SMALL_PRODUCT)
     if g > 1:
         if g not in _SMALL_PRIME_SET:
             return None

@@ -213,17 +213,27 @@ def check_lemma_22(p_max: int = 500, e_max: int = 8) -> LemmaReport:
 
 
 def check_lemma_23(p_max: int = 10_000, e_max: int = 10) -> LemmaReport:
-    """Whenever p**e + 1 = 2**a * 3**b with b >= 1 (p odd prime): e = 1."""
+    """Whenever p**e + 1 = 2**a * 3**b with b >= 1 (p odd prime): e = 1.
+
+    Decided by division, with no factorization: shift out the power of
+    two, divide out 3, and see whether 1 is left with b >= 1.
+    """
     _require_bounds(p_max=p_max, e_max=e_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
     for p, e, pe in _odd_prime_powers_in_range(p_max, e_max):
-        d = decompose_2aqb(pe + 1)
-        if d is None or d.q != 3:
+        v = pe + 1
+        a = (v & -v).bit_length() - 1
+        v >>= a
+        b = 0
+        while v % 3 == 0:
+            v //= 3
+            b += 1
+        if v != 1 or b == 0:
             continue
         checked += 1
         if e != 1:
-            bad.append((p, e, d.a, d.b))
+            bad.append((p, e, a, b))
     return _report("2.3", f"p<={p_max},e<={e_max}", checked, bad, t0)
 
 

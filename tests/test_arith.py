@@ -35,6 +35,11 @@ def test_is_prime_examples():
     assert is_prime(8191)          # 2^13 - 1
     assert is_prime(4373)          # 2 * 3^7 - 1
     assert not is_prime(8191 * 8191)
+    # the table of primes below 10**4 hands over to Miller-Rabin at 10**4
+    assert is_prime(9973)
+    assert not is_prime(9999)
+    assert not is_prime(10_000)
+    assert is_prime(10_007)
 
 
 def test_is_prime_matches_sieve_below_10k():
@@ -59,6 +64,25 @@ def test_is_prime_range_contract():
     with pytest.raises(ValueError):
         is_prime(2**64)
     assert is_prime(MAX_NATURAL) is False
+    # True == 1: no answer cached for an int equal to 1 may stand in for the
+    # type check.  lru_cache keys an exact int by itself but an int subclass,
+    # bool among them, by a 1-tuple, so only the subclass would collide.
+    class Int(int):
+        pass
+
+    assert is_prime(1) is False
+    assert is_prime(Int(1)) is False
+    with pytest.raises(TypeError):
+        is_prime(True)
+
+
+def test_is_prime_answers_do_not_depend_on_cache_order():
+    # far more values than the bounded Miller-Rabin cache holds
+    values = list(range(10_001, 10_401)) + [2**61 - 1, 2**62 - 1, 3825123056546413051]
+    flags = set(primes_up_to(10_400)) | {2**61 - 1}
+    forward = [is_prime(n) for n in values]
+    backward = [is_prime(n) for n in reversed(values)][::-1]
+    assert forward == backward == [n in flags for n in values]
 
 
 def test_factorize_examples():

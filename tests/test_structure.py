@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uspkit import bruteforce
-from uspkit.arith import MAX_NATURAL, factorize, is_prime, prime_power, unitary_sigma
+from uspkit.arith import (
+    MAX_NATURAL,
+    factorize,
+    is_prime,
+    prime_power,
+    primes_up_to,
+    unitary_sigma,
+)
 from uspkit.structure import (
     LEMMA_CHECKS,
     TwoAQB,
@@ -129,7 +136,16 @@ def test_prime_power_of_composite_matches_oracle(data, a):
         k += 1
 
 
-@pytest.mark.parametrize("n", [3**40, 4294967291**2, 15**16, 35**3, MAX_NATURAL, 1])
+@pytest.mark.parametrize(
+    "n",
+    [
+        3**40, 4294967291**2, 15**16, 35**3, MAX_NATURAL, 1,
+        # primes below 10**4 but none below 100
+        101**9, 9973**4, 101 * 103, 101 * 10007, 9973 * 4294967291,
+        # one prime below 100 beside one above it
+        3 * 101, 97**3 * 9973, 3**5 * 10007,
+    ],
+)
 def test_prime_power_examples_match_oracle(n):
     for a in (0, 1, 64):
         _agree_with_oracle(n, a)
@@ -248,6 +264,33 @@ def test_lemma_22_clause_instances():
 def test_lemma_23_24_default_range_clean():
     assert check_lemma_23(10_000, 10).ok
     assert check_lemma_24(10_000, 10).ok
+
+
+def test_lemma_23_matches_decompose_oracle():
+    # the instances of 2.3 are the p**e + 1 whose 2**a * q**b form has q = 3
+    checked, bad = 0, []
+    for p in primes_up_to(3000)[1:]:
+        for e in range(1, 11):
+            if p**e + 1 > MAX_NATURAL:
+                break
+            d = decompose_2aqb(p**e + 1)
+            if d is not None and d.q == 3:
+                checked += 1
+                if e != 1:
+                    bad.append((p, e, d.a, d.b))
+    rep = check_lemma_23(3000, 10)
+    assert (rep.instances_checked, rep.counterexamples) == (checked, tuple(bad))
+    assert checked > 10
+
+
+def test_lemma_scans_at_proof_chain_ranges():
+    for check, args, instances in (
+        (check_lemma_22, (2000, 8), 223),
+        (check_lemma_23, (2 * 10**4, 10), 22),
+        (check_lemma_27, (1000, 8), 2549),
+    ):
+        rep = check(*args)
+        assert rep.ok and rep.instances_checked == instances
 
 
 def test_lemma_25_solution_set():
