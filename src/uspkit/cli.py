@@ -126,8 +126,13 @@ def _cmd_verify_lemma(args) -> int:
     ranges = {
         f"{flag[0]}_max": getattr(args, flag)
         for flag in ("pmax", "emax", "xmax", "amax", "qmax", "bmax")
-        if getattr(args, flag) is not None and f"{flag[0]}_max" in params
+        if getattr(args, flag) is not None
     }
+    unknown = [f"--{name[0]}max" for name in ranges if name not in params]
+    if args.q is not None and "q" not in params:
+        unknown.append("--q")
+    if unknown:
+        raise _UsageError(f"lemma {args.id} takes no {' '.join(unknown)}")
     if args.id == "5.1":
         qs = LEMMA_51_QS if args.q is None else (args.q,)
         reports = [check(q, **ranges) for q in qs]
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CheckpointError, OSError, ValueError, KeyError) as exc:
+    except (CheckpointError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -94,21 +94,21 @@ one of its own a.  An odd search of unitary_perfect alone scans nothing,
 and beside any other class the odd search walks every odd n.
 
 Every other second-order class looks its second application up.  A flat
-uint32 table of divisor sums of the odd values up to limit is built once
-per run, chunk by chunk: entry i holds sigma*(2i + 1) or sigma(2i + 1).  A
-lookup of m = 2^a * m' with m' odd multiplies the entry for m' by the
-2-part's factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) -
-1.  The inequality sigma(m) >= m + 1 means any n with a first application
-above 2n - 1 can be discarded before the second lookup, so a candidate's
-first application 2^a * m' has m' < n when a >= 1.  It is odd (a = 0) only
-when n is 1 or a power of two for sigma* (an odd prime power p^e
-contributes the even p^e + 1), or a square or twice a square for sigma:
-O(sqrt(limit)) values of n at any parity.  By multiplicativity the second
-application is the 2-part's factor times the divisor sum of m'; the factor
-is odd, so a hit needs it to divide n, and that prefilter discards most
-candidates before the second lookup.  A second application whose odd part
-lies past the table (those odd firsts, and every survivor past a
-memory-capped table) is computed by exact factorization.
+uint32 table of divisor sums of the odd values up to the run's last n, at
+most _TABLE_ENTRIES of them, is built once per run, chunk by chunk: entry i
+holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m'
+odd multiplies the entry for m' by the 2-part's factor, sigma*(2^a) = 2^a +
+1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.  The inequality sigma(m) >= m + 1
+means any n with a first application above 2n - 1 can be discarded before
+the second lookup, so a candidate's first application 2^a * m' has m' < n
+when a >= 1.  It is odd (a = 0) only when n is 1 or a power of two for
+sigma* (an odd prime power p^e contributes the even p^e + 1), or a square
+or twice a square for sigma: O(sqrt(limit)) values of n at any parity.  By
+multiplicativity the second application is the 2-part's factor times the
+divisor sum of m'; the factor is odd, so a hit needs it to divide n, and
+that prefilter discards most candidates before the second lookup.  A second
+application whose odd part lies past the table (those odd firsts, and every
+survivor past a memory-capped table) is computed by exact factorization.
 
 Each search makes one ordered map and runs the table build and the scan
 through it: the builtin map in one process, otherwise the map of one fork
@@ -251,7 +251,6 @@ class SearchConfig:
     workers: int = 1
     checkpoint_path: str | None = None
     resume: bool = False
-    table_budget_bytes: int = 1 << 30
     max_segments: int | None = None
 
     def __post_init__(self) -> None:
@@ -527,16 +526,21 @@ def _write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _table_sizes(config: SearchConfig) -> dict[bool, int]:
-    """Entries of each odd-part table the looked-up classes use, keyed by unitary."""
-    # every lookup with an odd part past limit is of an odd first
-    # application, which only a few n have (module docstring); index i holds
-    # 2i + 1, so the odd values up to limit take (limit + 1) // 2 entries
-    entries = min((config.limit + 1) // 2, max(config.table_budget_bytes // 4, 1 << 16))
+#: entries of a lookup table at most: 1 GiB of uint32
+_TABLE_ENTRIES = 1 << 28
+
+
+def _table_sizes(classes, parity: str, top: int) -> dict[bool, int]:
+    """Entries of each odd-part table the looked-up classes use, keyed by
+    unitary, for a run whose last n is top."""
+    # every lookup with an odd part past top is of an odd first application,
+    # which only a few n have (module docstring); index i holds 2i + 1, so
+    # the odd values up to top take (top + 1) // 2 entries
+    entries = min((top + 1) // 2, _TABLE_ENTRIES)
     return {
         variant.unitary: entries
         for variant in VARIANTS
-        if variant.name in config.classes and not _closed_form(variant, config.parity)
+        if variant.name in classes and not _closed_form(variant, parity)
     }
 
 
@@ -633,7 +637,7 @@ def run_search(config: SearchConfig) -> SearchResult:
     # a run with no block to scan (max_segments 0, a completed checkpoint, an
     # odd unitary_perfect search) reads no table, so none is built and no
     # pool is started
-    sizes = _table_sizes(config) if blocks else {}
+    sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
     # a process per task at most: a phase of one task gains nothing from a pool
     tasks = max([len(blocks)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])
     _STATE = {

@@ -12,9 +12,9 @@ more and swaps in place the factor of p^(k-1) that ``sig`` holds for the
 factor of p^k: p^k + 1 for sigma*, sigma(p^(k-1)) + p^k for sigma.  The
 swap is an exact division followed by a product, so no entry ever exceeds
 its final sum.  A p prime to step has its multiples of p^k every p^k
-entries.  With an even step, p = 2 divides no value (odd lo) or every
-value (even lo, whose 2-parts leave ``rest`` up front).  For p^j exactly
-dividing m, every value gives up p^j up front (``rest`` is divided by it
+entries.  A p dividing step but not lo is 2 at an odd lo: it divides no
+value.  Otherwise, for p^j exactly dividing step (p = 2 at an even lo, or
+a prime of m), every value gives up p^j up front (``rest`` is divided by it
 and ``sig`` multiplied by its factor), and the multiples of p^k, k > j,
 recur every p^(k-j) entries.  What ``rest`` keeps after all base primes is
 1 or a single prime r above sqrt(hi), which contributes r + 1 (a prime of
@@ -41,14 +41,16 @@ def base_primes(bound: int) -> np.ndarray:
     """Primes <= bound as an int64 array."""
     global _primes, _sieved_to
     if bound > _sieved_to:
-        # at least double, so a run of growing bounds re-sieves O(log) times
-        _sieved_to = max(bound, 2 * _sieved_to)
-        flags = np.ones(_sieved_to + 1, dtype=bool)
+        # at least double, so a run of growing bounds re-sieves O(log) times;
+        # the cache moves only once the new sieve exists, so a failed
+        # allocation leaves it as it was
+        top = max(bound, 2 * _sieved_to)
+        flags = np.ones(top + 1, dtype=bool)
         flags[:2] = False
-        for p in range(2, isqrt(_sieved_to) + 1):
+        for p in range(2, isqrt(top) + 1):
             if flags[p]:
                 flags[p * p :: p] = False
-        _primes = np.nonzero(flags)[0].astype(np.int64)
+        _primes, _sieved_to = np.nonzero(flags)[0].astype(np.int64), top
     return _primes[: np.searchsorted(_primes, bound, side="right")]
 
 
@@ -58,30 +60,17 @@ def _divisor_sum_segment(
     rest = np.arange(lo, hi, step, dtype=np.int64)
     count = rest.shape[0]
     top = int(rest[-1])
-    if step % 2 == 0 and lo % 2 == 0:
-        # p = 2 divides every value and is skipped below, so the 2-parts
-        # 2^a = rest & -rest leave rest up front and seed sig
-        sig = np.negative(rest)
-        sig &= rest
-        rest //= sig
-        if unitary:
-            sig += 1  # 2^a + 1
-        else:
-            sig <<= 1
-            sig -= 1  # 2^(a+1) - 1
-    else:
-        sig = np.ones(count, dtype=np.int64)
-
+    sig = np.ones(count, dtype=np.int64)
     for p in primes.tolist():
         if p * p > top:
             break
         if step % p:
             pk, prev = 1, 1
-        elif p == 2:
-            continue  # an even step: no value is even, or the 2-parts are out
+        elif lo % p:
+            continue  # p = 2 at an odd lo with an even step: no value is even
         else:
-            # p^j exactly dividing the m of step 2m divides every value: it
-            # leaves rest up front and seeds sig with sigma*(p^j) or sigma(p^j)
+            # p^j exactly dividing step divides every value: it leaves rest
+            # up front and seeds sig with sigma*(p^j) or sigma(p^j)
             pk = p
             while step % (pk * p) == 0:
                 pk *= p

@@ -68,6 +68,26 @@ def test_verify_lemma_refuses_bounds_below_one(capsys):
         assert err.startswith("error: ") and "must be >= 1" in err
 
 
+def test_verify_lemma_refuses_flags_it_does_not_take(capsys):
+    # a range flag the lemma's check does not take, or --q beside any lemma
+    # but 5.1, is a usage error, not a scan of the default range
+    for argv in (("2.5", "--pmax", "10"), ("2.4", "--q", "7"), ("2.2", "--xmax", "5"),
+                 ("2.7", "--qmax", "5", "--q", "7")):
+        code, out, err = run_cli(capsys, "verify-lemma", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and "takes no" in err
+
+
+def test_unallocatable_bound_exits_1(capsys):
+    # a prime sieve to 10**18 cannot be allocated (no 64-bit Linux maps 10**18
+    # bytes, so nothing is): an error line and exit 1, not a traceback
+    for argv in (("verify-lemma", "2.4", "--pmax", str(10**18)),
+                 ("qscan", "--qmax", str(10**18))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+
 def test_verify_lemma_51_large_b(capsys):
     code, out, _ = run_cli(capsys, "verify-lemma", "5.1", "--q", "7", "--bmax", "100000",
                            "--json")

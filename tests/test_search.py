@@ -74,6 +74,13 @@ def sieve_spans(monkeypatch):
     return spans
 
 
+@pytest.fixture
+def capped(monkeypatch):
+    """Call to cap every lookup table at 2**16 entries, the odd values below
+    2**17, for the rest of the test."""
+    return lambda: monkeypatch.setattr(search, "_TABLE_ENTRIES", 1 << 16)
+
+
 def test_sigma_star_segment_first_ten():
     assert list(sigma_star_segment(1, 11)) == [1, 3, 4, 5, 6, 12, 8, 9, 10, 18]
 
@@ -297,6 +304,19 @@ def test_base_primes_one_growing_cache(monkeypatch):
     assert base_primes(1).size == 0
 
 
+def test_failed_base_primes_growth_keeps_the_cache(monkeypatch):
+    # a sieve too large to allocate (no 64-bit Linux maps 10**18 bytes, so
+    # nothing is allocated) raises MemoryError and leaves the cache as it
+    # was, so later sums still find every base prime
+    monkeypatch.setattr(sieve, "_primes", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sieve, "_sieved_to", 1)
+    base_primes(1000)
+    with pytest.raises(MemoryError):
+        base_primes(10**18)
+    n = 100003 * 100019
+    assert divisor_sum_segment(n, n + 2, True, step=2).tolist() == [100004 * 100020]
+
+
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
 def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5, unitary):
     limit = 10**5
@@ -488,19 +508,20 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_out_of_table_segment_sieved_once(sieve_spans):
-    # a zero budget leaves the 2**16-entry floor, odd values below 2**17
-    # (built from spans ending at 2**17); each scan block reaching past it is
-    # sieved once per divisor sum, not once per class or per segment
+def test_out_of_table_segment_sieved_once(sieve_spans, capped):
+    # the capped table holds the odd values below 2**17 (built from spans
+    # ending at 2**17); each scan block reaching past it is sieved once per
+    # divisor sum, not once per class or per segment
+    capped()
     run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER,
-                            parity="odd", table_budget_bytes=0))
+                            parity="odd"))
     assert len(sieve_spans) == len(set(sieve_spans))
     scanned = Counter(span[:3] for span in sieve_spans if span[1] > 2**17)
     assert scanned == {(1, 14 * 10**4 + 1, 2): 2}
 
 
-def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
-    # under the 2**16-entry floor, first applications of n > 2**17 come from a
+def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped):
+    # under a 2**16-entry cap, first applications of n > 2**17 come from a
     # per-block sieve (step 1; the table is built from step-2 spans), and
     # second ones with an odd part past the table from exact factorization:
     # sigma(2 * 211**2) = 3 * 44733, for one
@@ -515,21 +536,25 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans):
 
     monkeypatch.setattr(search, "_exact_divisor_sum", counted)
     sieve_spans.clear()
-    capped = run_search(SearchConfig(table_budget_bytes=0, **common))
+    capped()
+    result = run_search(SearchConfig(**common))
     assert any(step == 1 for _, _, step, _ in sieve_spans)
     assert 3 * 44733 in exact
-    assert capped.checkpoint_text == full.checkpoint_text
+    assert result.checkpoint_text == full.checkpoint_text
 
 
-def test_capped_scan_sieves_one_block_at_a_time(sieve_spans):
-    # past the 2**16-entry floor a segment of 2**20 values is sieved one scan
+def test_capped_scan_sieves_one_block_at_a_time(sieve_spans, capped):
+    # past a 2**16-entry cap a segment of 2**20 values is sieved one scan
     # block at a time, so the scan's memory is one block whatever the segment
     common = dict(limit=10**6, segment_size=1 << 20, classes=CLASS_ORDER)
-    capped = run_search(SearchConfig(table_budget_bytes=0, **common))
+    full = run_search(SearchConfig(**common))
+    sieve_spans.clear()
+    capped()
+    result = run_search(SearchConfig(**common))
     assert any(step == 1 for _, _, step, _ in sieve_spans)  # the scan's blocks
     assert all(len(range(lo, hi, step)) <= search._TABLE_CHUNK
                for lo, hi, step, _ in sieve_spans)
-    assert capped.checkpoint_text == run_search(SearchConfig(**common)).checkpoint_text
+    assert result.checkpoint_text == full.checkpoint_text
 
 
 #: SHA-256 of the checkpoint text of all four classes at limit 3*10**5 with
@@ -543,10 +568,12 @@ _GOLDEN_CHECKPOINTS = {
 
 @pytest.mark.parametrize("parity", _GOLDEN_CHECKPOINTS)
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
-def test_checkpoint_bytes_golden(parity, workers, budget):
+@pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
+def test_checkpoint_bytes_golden(parity, workers, cap, capped):
+    if cap:
+        capped()
     result = run_search(SearchConfig(limit=3 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER,
-                                     parity=parity, workers=workers, **budget))
+                                     parity=parity, workers=workers))
     digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
     assert digest == _GOLDEN_CHECKPOINTS[parity]
 
@@ -561,12 +588,44 @@ _GOLDEN_CHECKPOINTS_1E6 = {
 
 @pytest.mark.parametrize("parity", _GOLDEN_CHECKPOINTS_1E6)
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
-def test_checkpoint_bytes_golden_1e6(parity, workers, budget):
+@pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
+def test_checkpoint_bytes_golden_1e6(parity, workers, cap, capped):
+    if cap:
+        capped()
     result = run_search(SearchConfig(limit=10**6, segment_size=1 << 16, classes=CLASS_ORDER,
-                                     parity=parity, workers=workers, **budget))
+                                     parity=parity, workers=workers))
     digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
     assert digest == _GOLDEN_CHECKPOINTS_1E6[parity]
+
+
+@pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
+def test_stopped_run_tables_end_at_its_last_n(monkeypatch, tmp_path, cap, capped):
+    # a run stopped by max_segments sizes its tables to its own last n, not
+    # to limit; the resumed run sizes them to limit, and its bytes are those
+    # of the uninterrupted run
+    if cap:
+        capped()
+    built = []
+    build_table = search._build_table
+
+    def recorded(unitary, omap=map):
+        table = build_table(unitary, omap)
+        built.append((unitary, table.shape[0]))
+        return table
+
+    monkeypatch.setattr(search, "_build_table", recorded)
+    size, stop = 1 << 16, 3
+    common = dict(limit=10**6, segment_size=size, classes=CLASS_ORDER,
+                  checkpoint_path=str(tmp_path / "cp.txt"), workers=2)
+    partial = run_search(SearchConfig(max_segments=stop, **common))
+    assert partial.segments_done == stop and not partial.completed
+    last = stop * size  # the stopped run's last n
+    assert built == [(u, min((last + 1) // 2, search._TABLE_ENTRIES)) for u in (True, False)]
+    built.clear()
+    resumed = run_search(SearchConfig(resume=True, **common))
+    assert built == [(u, min((10**6 + 1) // 2, search._TABLE_ENTRIES)) for u in (True, False)]
+    digest = hashlib.sha256(resumed.checkpoint_text.encode()).hexdigest()
+    assert digest == _GOLDEN_CHECKPOINTS_1E6["all"]
 
 
 def test_one_pool_bounded_by_cpu_count(monkeypatch):
@@ -697,7 +756,7 @@ def test_odd_sigma_table_capped_at_limit(monkeypatch):
     # limit and the odd squares with sigma(n) past it are factorized exactly
     limit = 3 * 10**5
     config = SearchConfig(limit=limit, classes=("super_perfect",), parity="odd")
-    assert search._table_sizes(config) == {False: (limit + 1) // 2}
+    assert search._table_sizes(config.classes, "odd", limit) == {False: (limit + 1) // 2}
     exact = []
     exact_divisor_sum = search._exact_divisor_sum
 
@@ -714,25 +773,25 @@ def test_odd_sigma_table_capped_at_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
-def test_table_sizes_limit_at_every_parity(parity):
-    # every looked-up class at every parity reads the odd values up to limit,
-    # capped by the budget with its 2**16-entry floor
-    for limit in (1, 10**5, 3 * 10**5 + 1, 10**8):
-        for r in range(1, len(CLASS_ORDER) + 1):
-            for classes in itertools.combinations(CLASS_ORDER, r):
-                looked_up = {v.unitary for v in VARIANTS if v.name in classes
-                             and not (parity == "odd" and v.unitary)}
-                config = SearchConfig(limit=limit, classes=classes, parity=parity)
-                assert search._table_sizes(config) == dict.fromkeys(looked_up, (limit + 1) // 2)
-                capped = SearchConfig(limit=limit, classes=classes, parity=parity,
-                                      table_budget_bytes=0)
-                assert search._table_sizes(capped) == dict.fromkeys(
-                    looked_up, min((limit + 1) // 2, 1 << 16))
+def test_table_sizes_limit_at_every_parity(parity, capped):
+    # every looked-up class at every parity reads the odd values up to the
+    # run's last n, at most 2**28 of them (1 GiB), or at most the cap
+    assert search._TABLE_ENTRIES == 1 << 28
+    for cap in (1 << 28, 1 << 16):
+        if cap == 1 << 16:
+            capped()
+        for top in (1, 10**5, 3 * 10**5 + 1, 10**8, search.HARD_LIMIT):
+            for r in range(1, len(CLASS_ORDER) + 1):
+                for classes in itertools.combinations(CLASS_ORDER, r):
+                    looked_up = {v.unitary for v in VARIANTS if v.name in classes
+                                 and not (parity == "odd" and v.unitary)}
+                    assert search._table_sizes(classes, parity, top) == dict.fromkeys(
+                        looked_up, min((top + 1) // 2, cap))
 
 
 @pytest.mark.parametrize("parity", ["all", "even"])
 def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
-    # under the default budget every first application comes from the table,
+    # under the default cap every first application comes from the table,
     # and a second lookup leaves it only for an odd first application past
     # limit: sigma*(n) is odd only for n = 1 or a power of two, sigma(n) only
     # for a square or twice a square, so exactly those few are factorized
@@ -864,8 +923,8 @@ def test_odd_usp_checkpoint_golden_at_scale(limit):
     assert digest == _GOLDEN_ODD_USP_AT_SCALE[limit]
 
 
-@pytest.mark.parametrize("budget", [{}, {"table_budget_bytes": 0}], ids=["default", "capped"])
-def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
+@pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
+def test_odd_unitary_search_builds_no_table(monkeypatch, cap, capped):
     # the odd usp and unitary_perfect hits read sigma*(n) alone: no table, no
     # exact fallback, and every hit still re-verified; the hits per segment
     # equal the odd hits of the table-backed search over all n
@@ -874,11 +933,12 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, budget):
     expected = render_checkpoint(10**6, 1 << 16, [
         [h for h in seg if h.n % 2] for seg in parse_checkpoint(full)[2]
     ])
-    odd_config = SearchConfig(parity="odd", **common, **budget)
-    assert search._table_sizes(odd_config) == {}
+    if cap:
+        capped()
+    odd_config = SearchConfig(parity="odd", **common)
+    assert search._table_sizes(odd_config.classes, "odd", 10**6) == {}
     # next to the non-unitary classes only the sigma table is built
-    mixed = SearchConfig(limit=10**6, classes=CLASS_ORDER, parity="odd", **budget)
-    assert search._table_sizes(mixed).keys() == {False}
+    assert search._table_sizes(CLASS_ORDER, "odd", 10**6).keys() == {False}
     calls = {"_build_table": [], "_exact_divisor_sum": [], "verify_hit": []}
     for name, record in calls.items():
         fn = getattr(search, name)
