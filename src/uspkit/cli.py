@@ -302,7 +302,7 @@ def build_parser() -> _Parser:
 
     p = add("report", _cmd_report, help="one-shot reproduction of the acceptance checks")
     p.add_argument("--full", action="store_true",
-                   help="include the limit-10^8 odd search (about 0.1 s with 2 workers on 2 vCPUs)")
+                   help="include the limit-10^8 odd search (about 2 ms on 2 vCPUs)")
     p.add_argument("--workers", type=int, default=2)
 
     return parser

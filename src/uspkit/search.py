@@ -2,98 +2,65 @@
 
 The search classifies the n <= limit of the requested parity in one scan,
 over the run's range: from the first segment still to do to the end of the
-last one.  Each progression the scan walks (the n of the requested parity,
-or for an odd usp search the odd n up to a cut-off and past it the odd
-multiples of each modulus below) is cut
-into equal sieve blocks of at most _TABLE_CHUNK values, and the blocks of
-every progression, sorted by first n, are the units of work.  A block is
-classified in slices of _SCAN_BLOCK.  Every slice takes the first
-application, sigma*(n) or sigma(n), by one rule: from the search's lookup
-table when it has one for that divisor sum and the table holds every odd
-part of the slice, otherwise from the divisor-sum sieve of the enclosing
-block, run at most once per divisor sum per block.  The scan's memory is
-thus one block, whatever the segment size, and the sieve runs over the
-walked progressions only.  Segments are the checkpoint's unit: a segment is
-merged once every block that starts before its end has returned, and a
+last one.  The n of the requested parity are cut into equal sieve blocks of
+at most _TABLE_CHUNK values, the units of work.  A block is classified in
+slices of _SCAN_BLOCK.  Every slice takes the first application, sigma*(n)
+or sigma(n), by one rule: from the search's lookup table when it has one
+for that divisor sum and the table holds every odd part of the slice,
+otherwise from the divisor-sum sieve of the enclosing block, run at most
+once per divisor sum per block.  The scan's memory is thus one block,
+whatever the segment size.  Segments are the checkpoint's unit: a segment
+is merged once every block that starts before its end has returned, and a
 returned block that lets segments merge writes the checkpoint once.
 
-Each class then takes one of three tests.
+A class applied once (unitary_perfect, perfect) is a hit when first = 2n;
+a second-order class looks its second application up (below).  Under
+parity odd neither unitary class is scanned: the odd usp n are listed from
+an equation, and no odd n is unitary_perfect.
 
-A class applied once (unitary_perfect, perfect) is a hit when first = 2n.
+Take odd n > 1 and write sigma*(n) = 2^a * m' with m' odd.  Every factor
+p^e + 1 of sigma*(n) is even, so a >= 1, and by multiplicativity
+sigma*(sigma*(n)) = (2^a + 1) * sigma*(m').  Each factor of sigma*(m') is
+even too, so 2^omega(m') divides sigma*(m'), while 2^a + 1 is odd and
+v2(2n) = 1: a usp n has omega(m') <= 1.  m' = 1 is impossible, since
+sigma*(sigma*(n)) would be the odd 2^a + 1; so m' = q^b is a prime power,
+sigma*(m') = q^b + 1, and
 
-Under parity odd, usp reads nothing but sigma*(n).  Take odd n > 1 and write
-sigma*(n) = 2^a * m' with m' odd.  Every factor p^e + 1 of sigma*(n) is
-even, so a >= 1, and by multiplicativity sigma*(sigma*(n)) = (2^a + 1) *
-sigma*(m').  Each factor of sigma*(m') is even too, so 2^omega(m') divides
-sigma*(m'), while 2^a + 1 is odd and v2(2n) = 1: a usp n has omega(m') <= 1.
-m' = 1 is impossible, since sigma*(sigma*(n)) would be the odd 2^a + 1; so
-m' is a prime power, sigma*(m') = m' + 1, and
+    (2^a + 1) * (q^b + 1) = 2n.
 
-    (2^a + 1) * (m' + 1) = 2n.
+Conversely, an n with sigma*(n) = 2^a * q^b satisfying that is usp, so the
+test is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n =
+p^e and p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with
+sigma*(1) = 1, is neither).
 
-Conversely, an n satisfying that with m' a prime power is usp, so the test
-is exact.  The same count on sigma*(n) = 2n gives omega(n) <= 1, n = p^e and
-p^e + 1 = 2p^e: no odd n is unitary_perfect (and n = 1, with sigma*(1) = 1,
-is neither).  So neither unitary class builds a table under parity odd: its
-first applications all come from the block sieve, with no fallback, and
-unitary_perfect is not tested at all.
+The equation fixes n once a and q^b are known, and q is fixed by a and one
+prime power of n.  Each p^e || n contributes p^e + 1 to sigma*(n), so a is
+the sum of v2(p^e + 1) >= 1 over them.  If a = 1, then n = p^e and
+3((p^e + 1)/2 + 1) = 2p^e: n = 9.  If a >= 2, 2^a + 1 is odd and divides
+2n, so it divides n.  2^a + 1 is a power of 3 only for a = 1 and 3: in
+3^k - 1 = 2^a an odd k leaves 2 (mod 4), and an even k makes 3^(k/2) - 1
+and 3^(k/2) + 1 powers of two 2 apart, 2 and 4.  So for a >= 2 but 3 take a
+prime r != 3 of 2^a + 1 (odd_usp takes the largest) with r^f || 2^a + 1,
+and for a = 3 take r = 3, f = 2.  Then r^e || n for some e >= f, and
+r^e + 1 divides 2^a * q^b.
 
-The equation also confines the odd usp n to a few progressions.  Each
-p^e || n contributes the factor p^e + 1 to sigma*(n), so a is the sum of
-v2(p^e + 1) >= 1 over them: 1 iff p^e = 1 (mod 4), 2 iff p^e = 3 (mod 8),
-3 iff p^e = 7 (mod 16).  If a = 1, then n = p^e and sigma*(n) = p^e + 1 =
-2m', and 3(m' + 1) = 2n gives 3(p^e + 3) = 4p^e: n = 9.  If a >= 2, 2^a + 1
-is odd and divides 2n, so it divides n.
+r^e + 1 is never a power of two.  For e even it is 2 (mod 4) and above 2.
+For e >= 3 odd it is r + 1 times the odd (r^e + 1)/(r + 1) > 1.  For e = 1,
+r + 1 = 2^p makes r = 2^p - 1 a Mersenne prime with p prime.  p = 2 gives
+r = 3, chosen only for a = 3 and then with e >= 2.  For p >= 3 the order of
+2 mod r is p, which is odd; 2^a = -1 (mod r) would make p divide 2a, so
+divide a, and then 2^a = 1 (mod r).  So r never divides 2^a + 1.
 
-The cut-off lemma: every odd usp n > 12325 has a = 8 or a >= 11.  For
-a >= 2 the equation gives
+The odd part of r^e + 1 is therefore q^y with y >= 1: it must be a prime
+power, it names q, and b >= y.  The candidates are n = (2^a + 1)(q^b +
+1)/2 for each a >= 2 with 2^a + 1 <= n, each e >= f with r^e <= n and each
+b >= y: O(log^3 limit) of them.  odd_usp keeps the odd n that r^e divides
+with sigma*(n) = 2^a * q^b, from factorize(n); 48 n reach that test up to
+10^8 and 68 up to HARD_LIMIT.  It is the equation itself, so the list is
+exact, and it never factorizes sigma*(n).  An odd search of usp takes its
+hits from odd_usp and merges them into their segments like scanned ones.
 
-    sigma*(n)/n = (2^(a+1) / (2^a + 1)) * (1 - (2^a + 1) / (2n)),
-
-which increases with n.  On the other side sigma*(n)/n is the product of
-1 + 1/q over the q = p^e || n: prime powers of distinct odd primes whose
-v2(q + 1) sum to a, among them, for each r^f || 2^a + 1, some r^e with
-e >= f.  Let M_a be the largest such product.  When M_a < 2^(a+1) / (2^a +
-1), the equation's ratio stays at most M_a only up to
-
-    n <= (2^a + 1) / (2 * (1 - M_a * (2^a + 1) / 2^(a+1))).
-
-M_a is a maximum over finitely many sets.  v2(r^e + 1) is 1 for e even and
-v2(r + 1) for e odd, so a forced r^e can be lowered to r^f or r^(f+1), the
-least e >= f of its parity, with the same units and a larger factor.  A
-free q >= 200 with v2(q + 1) = v can be replaced by v unused primes = 1
-(mod 4) below 200, which add the same v units and whose product exceeds
-1 + 1/q; there are 21 such primes, and a set for a <= 10 holds at most 10
-primes.  So M_a is the exact maximum of a knapsack over the free prime
-powers below 200 and the forced r^f, r^(f+1):
-
-     a   2^a + 1    M_a                  n <=
-     2   5          4/3                  15
-     3   3^2        56/39                23
-     4   17         144/85               85
-     5   3 * 11     96/55                165
-     6   5 * 13     12096/6409           781
-     7   3 * 43     22377600/11850241    1331   (with 43^2)
-     9   3^3 * 19   20992/12597          1553   (with 3^4)
-    10   5^2 * 41   193536/101065        12325
-
-For a = 8, 11 and 12, M_a exceeds 2^(a+1) / (2^a + 1), and those a stay
-walked, as does every larger a.  With n = 9 for a = 1, every odd usp n >
-12325 has a = 8 or a >= 11 and is an odd multiple of m = 2^a + 1 <= n.
-(Below the cut-offs, the odd multiples of 2^a + 1 with that a solve the
-equation only at 165, a = 5.)
-
-An odd search of usp, alone or beside unitary_perfect, therefore walks
-every odd n <= 12325 as one block of step 2, and past it the odd multiples
-of each modulus m = 2^a + 1 <= top for a = 8 and a >= 11, with step 2m: 15
-moduli up to 3 * 10^7 and 24 up to HARD_LIMIT, about 1/257 + 1/2049 +
-1/4097 + ... = 0.0049 of the odd n.  In the progression of m only the n
-whose sigma*(n) has that a are tested, so an n in several progressions (a
-multiple of 2^24 + 1 = 97 * 257 * 673 is also one of 257) is tested in the
-one of its own a.  An odd search of unitary_perfect alone scans nothing,
-and beside any other class the odd search walks every odd n.
-
-Every other second-order class looks its second application up.  A flat
+The scanned second-order classes look their second application up.  A flat
 uint32 table of divisor sums of the odd values up to the run's last n, at
 most _TABLE_ENTRIES of them, is built once per run, chunk by chunk: entry i
 holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m'
@@ -118,10 +85,11 @@ the pool forks, so the workers fill them in place and then classify
 blocks against them; no table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
-ordered merge, independent of the sieve that produced it, and odd hits of
-the doubly-applied unitary class additionally pass the structural check.
-Output order and checkpoint bytes depend only on (limit, segment_size,
-classes, parity), never on worker count or interruption points.
+ordered merge, independent of the sieve or the list that produced it, and
+odd hits of the doubly-applied unitary class additionally pass the
+structural check.  Output order and checkpoint bytes depend only on (limit,
+segment_size, classes, parity), never on worker count or interruption
+points.
 """
 
 from __future__ import annotations
@@ -242,6 +210,31 @@ def verify_hit(n: int, classification: str) -> SearchHit:
     )
 
 
+def odd_usp(lo: int, hi: int) -> list[int]:
+    """The odd usp n in [lo, hi), increasing, listed from (2^a + 1)(q^b + 1)
+    = 2n without a sieve (module docstring)."""
+    top = hi - 1
+    found = {9} if lo <= 9 < hi else set()  # a = 1
+    for a in range(2, (top - 1).bit_length()):  # 2^a + 1 <= top
+        m = 2**a + 1
+        # the largest prime r != 3 of m, with r^f || m; only m = 9 has none
+        r, f = max(((p, e) for p, e in factorize(m).entries if p != 3), default=(3, 2))
+        re = r**f
+        while re <= top:
+            odd = (re + 1) // ((re + 1) & -(re + 1))
+            qy = prime_power(odd)  # q^y, y >= 1: r^e + 1 is no power of two
+            if qy is not None:
+                q, y = qy
+                qb = q**y
+                while (n := m * (qb + 1) // 2) <= top:
+                    if (n >= lo and n % 2 and n % re == 0
+                            and unitary_sigma(factorize(n)) == (m - 1) * qb):
+                        found.add(n)
+                    qb *= q
+            re *= r
+    return sorted(found)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     limit: int
@@ -328,15 +321,6 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 #: n classified at a time: the lookups' int64 temporaries stay in cache
 _SCAN_BLOCK = 1 << 16
 
-#: every odd usp n above this has a = 8 or a >= 11 (module docstring)
-_ODD_PREFIX = 12325
-
-
-def _moduli(top: int) -> tuple[int, ...]:
-    """Every 2^a + 1 <= top with a = 8 or a >= 11, increasing: each odd usp n
-    above _ODD_PREFIX is an odd multiple of the one of its a (module docstring)."""
-    return tuple(2**a + 1 for a in range(8, top.bit_length()) if a not in (9, 10) and 2**a < top)
-
 
 def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
     """For values m = 2^a * m' >= 1 with m' odd: the table index (m' - 1) / 2
@@ -356,16 +340,11 @@ def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
-def _closed_form(variant: Variant, parity: str) -> bool:
-    """Whether the variant is classified from sigma*(n) alone (module docstring)."""
-    return parity == "odd" and variant.unitary
-
-
 def _tested(classes, parity: str) -> list[Variant]:
-    """The requested variants the scan tests: all but unitary_perfect under
-    parity odd, which no odd n is (module docstring)."""
-    return [v for v in VARIANTS if v.name in classes
-            and not (v.applications == 1 and _closed_form(v, parity))]
+    """The requested variants the scan tests: under parity odd none of the
+    unitary ones, since odd_usp lists the odd usp n and no odd n is
+    unitary_perfect (module docstring)."""
+    return [v for v in VARIANTS if v.name in classes and not (parity == "odd" and v.unitary)]
 
 
 class _Block(NamedTuple):
@@ -377,39 +356,29 @@ class _Block(NamedTuple):
 
 
 def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
-    """The blocks of a run over [lo, hi), sorted by first n: equal blocks of
-    at most _TABLE_CHUNK values of each progression that the scan walks."""
-    variants = _tested(classes, parity)
-    if not variants:
-        progressions = []
-    elif parity == "all":
-        progressions = [(lo, hi, 1)]
-    elif parity == "odd" and [v.name for v in variants] == ["usp"]:
-        # every odd n up to _ODD_PREFIX, and past it the odd multiples of
-        # each modulus m (module docstring)
-        past = max(lo, _ODD_PREFIX + 1)
-        progressions = [(lo | 1, min(hi, _ODD_PREFIX + 1), 2)]
-        progressions += [(past + (m - past) % (2 * m), hi, 2 * m) for m in _moduli(hi - 1)]
+    """The blocks of a run over [lo, hi): equal blocks of at most
+    _TABLE_CHUNK of the n of the requested parity, when the scan tests any
+    class."""
+    if not _tested(classes, parity):
+        return []
+    if parity == "all":
+        start, step = lo, 1
     else:
         # from the first n of the requested parity
-        progressions = [(lo if lo % 2 == (parity == "odd") else lo + 1, hi, 2)]
-    blocks = []
-    for start, stop, step in progressions:
-        count = len(range(start, stop, step))
-        if count:
-            # equal blocks: a short last block's arrays would split the memory
-            # freed by a full one, and the heap would grow
-            parts = -(-count // _TABLE_CHUNK)
-            width = step * -(-count // parts)
-            blocks.extend(_Block(b, min(stop, b + width), step)
-                          for b in range(start, stop, width))
-    return sorted(blocks)
+        start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
+    count = len(range(start, hi, step))
+    if not count:
+        return []
+    # equal blocks: a short last block's arrays would split the memory freed
+    # by a full one, and the heap would grow
+    parts = -(-count // _TABLE_CHUNK)
+    width = step * -(-count // parts)
+    return [_Block(b, min(hi, b + width), step) for b in range(start, hi, width)]
 
 
 def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     """(n, class) of the hits among the block's n."""
-    parity = _STATE["parity"]
-    variants = _tested(_STATE["classes"], parity)
+    variants = _tested(_STATE["classes"], _STATE["parity"])
     tables = _STATE["tables"]
     lo, hi, step = block
     hits: list[tuple[int, str]] = []
@@ -435,17 +404,6 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
             first = firsts[unitary]
             if variant.applications == 1:
                 good = n[first == 2 * n]
-            elif _closed_form(variant, parity):
-                low = first & -first  # 2^a, for sigma*(n) = 2^a * m' with m' odd
-                odd = first >> np.bitwise_count(low - 1)  # m'
-                solves = (low + 1) * (odd + 1) == 2 * n
-                if step > 2:
-                    # the progression of m = 2^a + 1 tests the n of that a
-                    # only, so an n in several is tested once
-                    solves &= low + 1 == step // 2
-                # the equation decides once m' is known to be a prime power
-                good = [n[j] for j in np.flatnonzero(solves)
-                        if prime_power(int(odd[j])) is not None]
             else:
                 # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
                 # odd divisor sum of first's 2-part divides the second
@@ -537,11 +495,7 @@ def _table_sizes(classes, parity: str, top: int) -> dict[bool, int]:
     # which only a few n have (module docstring); index i holds 2i + 1, so
     # the odd values up to top take (top + 1) // 2 entries
     entries = min((top + 1) // 2, _TABLE_ENTRIES)
-    return {
-        variant.unitary: entries
-        for variant in VARIANTS
-        if variant.name in classes and not _closed_form(variant, parity)
-    }
+    return {variant.unitary: entries for variant in _tested(classes, parity)}
 
 
 #: pool tasks in flight per process: enough that a long task at the head of
@@ -613,7 +567,10 @@ def run_search(config: SearchConfig) -> SearchResult:
     blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
 
     text = None  # the checkpoint text last written
-    found: list[tuple[int, str]] = []  # hits of the returned blocks, not yet merged
+    # hits of the returned blocks, and the listed odd usp n, not yet merged
+    found: list[tuple[int, str]] = []
+    if todo and config.parity == "odd" and "usp" in config.classes:
+        found = [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
     merged = 0  # segments of todo merged
 
     def merge_before(bound: int) -> None:
@@ -635,8 +592,8 @@ def run_search(config: SearchConfig) -> SearchResult:
             _write_atomic(config.checkpoint_path, text)
 
     # a run with no block to scan (max_segments 0, a completed checkpoint, an
-    # odd unitary_perfect search) reads no table, so none is built and no
-    # pool is started
+    # odd search of the unitary classes) reads no table, so none is built and
+    # no pool is started
     sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
     # a process per task at most: a phase of one task gains nothing from a pool
     tasks = max([len(blocks)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])

@@ -1,26 +1,23 @@
 """Segmented divisor-sum sieves.
 
 A segment is the arithmetic progression lo, lo + step, ... below hi, with
-step 1 (every value) or 2m for an odd m dividing lo (the multiples of m of
-lo's parity; m = 1 gives step 2, the values of lo's parity).  Its values
-are factored collectively in two arrays: ``rest``, the values with their
-prime parts divided out as they are found, and ``sig``, the product of
-those parts' factors.  For each base prime p, every multiple of p divides
+step 1 (every value) or 2 (the values of lo's parity).  Its values are
+factored collectively in two arrays: ``rest``, the values with their prime
+parts divided out as they are found, and ``sig``, the product of those
+parts' factors.  For each base prime p, every multiple of p divides
 ``rest`` by p and multiplies ``sig`` by sigma(p) = sigma*(p) = p + 1.
 Then, for k = 2, 3, ..., every multiple of p^k divides ``rest`` by p once
 more and swaps in place the factor of p^(k-1) that ``sig`` holds for the
 factor of p^k: p^k + 1 for sigma*, sigma(p^(k-1)) + p^k for sigma.  The
 swap is an exact division followed by a product, so no entry ever exceeds
 its final sum.  A p prime to step has its multiples of p^k every p^k
-entries.  A p dividing step but not lo is 2 at an odd lo: it divides no
-value.  Otherwise, for p^j exactly dividing step (p = 2 at an even lo, or
-a prime of m), every value gives up p^j up front (``rest`` is divided by it
-and ``sig`` multiplied by its factor), and the multiples of p^k, k > j,
-recur every p^(k-j) entries.  What ``rest`` keeps after all base primes is
-1 or a single prime r above sqrt(hi), which contributes r + 1 (a prime of
-m above sqrt(hi) is such an r).  Everything is vectorized with numpy and
-int64; segments are independent, so the sieve parallelizes and restarts
-trivially.
+entries.  At step 2, p = 2 divides no value from an odd lo; from an even
+lo every value gives up 2 up front (``rest`` is divided by it and ``sig``
+multiplied by 3), and the multiples of 2^k recur every 2^(k-1) entries.
+What ``rest`` keeps after all base primes is 1 or a single prime r above
+sqrt(hi), which contributes r + 1.  Everything is vectorized with numpy
+and int64; segments are independent, so the sieve parallelizes and
+restarts trivially.
 """
 
 from __future__ import annotations
@@ -67,16 +64,13 @@ def _divisor_sum_segment(
         if step % p:
             pk, prev = 1, 1
         elif lo % p:
-            continue  # p = 2 at an odd lo with an even step: no value is even
+            continue  # p = 2 at an odd lo with step 2: no value is even
         else:
-            # p^j exactly dividing step divides every value: it leaves rest
-            # up front and seeds sig with sigma*(p^j) or sigma(p^j)
-            pk = p
-            while step % (pk * p) == 0:
-                pk *= p
-            prev = pk + 1 if unitary else (pk * p - 1) // (p - 1)
-            rest //= pk
-            sig *= prev
+            # p = 2 at an even lo with step 2 divides every value: it leaves
+            # rest up front and seeds sig with sigma*(2) = sigma(2) = 3
+            pk, prev = 2, 3
+            rest //= 2
+            sig *= 3
         # with p^j = pk, the multiples of p^k (k > j) are the i with
         # lo/p^j + (step/p^j) * i = 0 mod p^(k-j); they recur every period
         # entries from start.  sig at such a multiple holds prev, the factor
@@ -97,7 +91,7 @@ def _divisor_sum_segment(
             view *= cur
             prev = cur
     # the cofactor is 1 or a single prime r above sqrt(top), with
-    # sigma(r) = sigma*(r) = r + 1; this covers a prime of m above sqrt(top)
+    # sigma(r) = sigma*(r) = r + 1
     rest += rest > 1
     sig *= rest
     return sig
@@ -108,17 +102,14 @@ def _check_span(lo: int, hi: int, step: int) -> None:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_SIEVE_VALUE:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
-    if not (step == 1 or (step > 0 and step % 4 == 2 and lo % (step // 2) == 0)):
-        raise ValueError(
-            f"need step 1 or 2m with m odd and dividing lo, got step={step}, lo={lo}"
-        )
+    if step not in (1, 2):
+        raise ValueError(f"need step 1 or 2, got step={step}")
 
 
 def divisor_sum_segment(lo: int, hi: int, unitary: bool, step: int = 1) -> np.ndarray:
     """sigma*(n) if unitary else sigma(n), for n = lo, lo + step, ... < hi.
 
-    step is 1 (every value) or 2m for an odd m dividing lo (the multiples of
-    m of lo's parity; step 2 takes the values of lo's parity).  Returns an
+    step is 1 (every value) or 2 (the values of lo's parity).  Returns an
     int64 array.
     """
     _check_span(lo, hi, step)

@@ -7,7 +7,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +19,7 @@ from uspkit.arith import (
     factorize,
     is_prime,
     omega,
+    prime_power,
     sigma_from_factorization,
     unitary_sigma,
 )
@@ -186,13 +186,10 @@ def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
 
 
 @pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2])
-@pytest.mark.parametrize("step", [1, 2, 6, 18])
+@pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
 def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     # rest and the returned sums, plus the boolean mask of the cofactor step
-    if step > 1:
-        m = step // 2
-        lo += 2 * (-lo * pow(2, -1, m) % m)  # the first multiple of m from lo of lo's parity
     count = 1 << 18
     hi = lo + count * step
     primes = base_primes(math.isqrt(hi - 1))
@@ -205,89 +202,18 @@ def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     assert peak < 3.5 * 8 * count
 
 
-@settings(_PROPERTY, max_examples=200)
-@given(
-    q=st.sampled_from([3, 5, 17, 257]),
-    j=st.integers(0, 10**7),
-    length=st.integers(1, 300),
-    unitary=st.booleans(),
-)
-def test_divisor_sum_segment_step_2q_matches_factorization(q, j, length, unitary):
-    # steps 6, 10, 34 and 514 from an odd multiple q(2j + 1) of q
-    lo = q * (2 * j + 1)
-    values = range(lo, lo + 2 * q * length, 2 * q)
-    seg = divisor_sum_segment(lo, values.stop, unitary, step=2 * q)
-    assert seg.dtype == np.int64
-    assert seg.tolist() == _exact_sums(values, unitary)
-
-
-@settings(_PROPERTY, max_examples=200)
-@given(
-    m=st.sampled_from([9, 15, 25, 33, 129, 2049]),
-    j=st.integers(1, 10**7),
-    length=st.integers(1, 300),
-    unitary=st.booleans(),
-)
-def test_divisor_sum_segment_step_2m_matches_factorization(m, j, length, unitary):
-    # steps 18, 30, 50, 66, 258 and 4098 from a multiple m * j of m, odd or even
-    lo = m * j
-    values = range(lo, lo + 2 * m * length, 2 * m)
-    seg = divisor_sum_segment(lo, values.stop, unitary, step=2 * m)
-    assert seg.dtype == np.int64
-    assert seg.tolist() == _exact_sums(values, unitary)
-
-
-@pytest.mark.parametrize("q", [3, 5, 17, 9, 27])
-def test_sieve_kernel_step_2q_around_prime_powers(q):
-    # 128 multiples of q = p^j at step 2q around each p^k (k >= j) <= 10**12
-    # and around the largest p^k in the sieve's range, from an odd and an
-    # even multiple: p^j divides every value, and multiples of p^k recur
-    # every p^(k-j) entries
-    p = factorize(q).entries[0][0]
-    step = 2 * q
-    powers = [q]
-    while powers[-1] * p + 64 * step <= MAX_SIEVE_VALUE:
-        powers.append(powers[-1] * p)
-    powers = [pk for pk in powers if pk <= 10**12] + powers[-1:]
-    factors = {}
-    for pk in powers:
-        lo = max(q, pk - 64 * step)
-        for start in (lo, lo + q):
-            for unitary in (True, False):
-                _check_kernel(start, start + 128 * step, step, unitary, factors)
-
-
 @pytest.mark.parametrize(
     "lo, step",
     [(7, 6), (16, 10), (27, 30), (3, 3), (4, 4), (5, 8), (15, 12), (5, 0), (5, -2),
-     (15, -6)],
+     (15, -6), (3, 6), (9, 18), (15, 30), (25, 50), (641, 1282)],
     ids=["3-not-dividing-lo", "5-not-dividing-lo", "15-not-dividing-lo", "odd-step",
-         "step-4", "step-8", "step-12", "step-0", "step-minus-2", "step-minus-6"],
+         "step-4", "step-8", "step-12", "step-0", "step-minus-2", "step-minus-6",
+         "step-6", "step-18", "step-30", "step-50", "step-1282"],
 )
 def test_divisor_sum_segment_refuses_other_steps(lo, step):
-    # besides 1, only a step 2m > 0 with m odd and dividing lo
-    with pytest.raises(ValueError):
-        divisor_sum_segment(lo, 200, True, step=step)
-
-
-@pytest.mark.parametrize("lo, step", [(9, 18), (25, 50), (15, 30)],
-                         ids=["q-9", "q-25", "q-15"])
-def test_divisor_sum_segment_accepts_odd_m_steps(lo, step):
-    # an odd m need not be prime: 9, 25 and 15 divide every value
-    values = range(lo, 200, step)
-    for unitary in (True, False):
-        seg = divisor_sum_segment(lo, 200, unitary, step=step)
-        assert seg.tolist() == _exact_sums(values, unitary)
-
-
-def test_divisor_sum_segment_accepts_step_2q(brute_tables_2e5):
-    limit = 2 * 10**5
-    sig, usig = brute_tables_2e5
-    for lo, step in ((3, 6), (6, 6), (15, 10), (641, 1282), (65537, 131074),
-                     (9, 18), (54, 18), (99, 66), (129, 258), (4294, 4294)):
-        for unitary, table in ((True, usig), (False, sig)):
-            seg = divisor_sum_segment(lo, limit + 1, unitary, step=step)
-            assert (seg == table[lo::step]).all(), (lo, step, unitary)
+    # only steps 1 and 2, also a step 2m from a multiple of the odd m
+    with pytest.raises(ValueError, match="need step 1 or 2"):
+        divisor_sum_segment(lo, lo + 200, True, step=step)
 
 
 def test_base_primes_one_growing_cache(monkeypatch):
@@ -513,11 +439,10 @@ def test_out_of_table_segment_sieved_once(sieve_spans, capped):
     # ending at 2**17); each scan block reaching past it is sieved once per
     # divisor sum, not once per class or per segment
     capped()
-    run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER,
-                            parity="odd"))
+    run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER))
     assert len(sieve_spans) == len(set(sieve_spans))
     scanned = Counter(span[:3] for span in sieve_spans if span[1] > 2**17)
-    assert scanned == {(1, 14 * 10**4 + 1, 2): 2}
+    assert scanned == {(1, 14 * 10**4 + 1, 1): 2}
 
 
 def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped):
@@ -679,16 +604,18 @@ class _InlinePool:
 
 
 def test_pool_keeps_few_tasks_in_flight(monkeypatch):
-    # the 18 blocks of an odd usp search to 10**8 pass through a pool of two
-    # processes with at most _IN_FLIGHT tasks per process submitted and not
-    # yet collected
+    # the 25 table chunks and 25 scan blocks of an even usp search to
+    # 2 * 10**5, in blocks of 2**12 n, pass through a pool of two processes
+    # with at most _IN_FLIGHT tasks per process submitted and not yet collected
+    config = SearchConfig(limit=2 * 10**5, parity="even", workers=2)
+    expected = run_search(dataclasses.replace(config, workers=1)).checkpoint_text
     pools = []
     monkeypatch.setattr(search, "ProcessPoolExecutor",
                         lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    config = SearchConfig(limit=10**8, parity="odd", workers=2)
-    assert len(search._blocks(config.classes, "odd", 1, 10**8 + 1)) > 2 * search._IN_FLIGHT
-    assert [h.n for h in run_search(config).hits] == [9, 165]
+    monkeypatch.setattr(search, "_TABLE_CHUNK", 1 << 12)
+    assert len(search._blocks(config.classes, "even", 1, 2 * 10**5 + 1)) > 2 * search._IN_FLIGHT
+    assert run_search(config).checkpoint_text == expected
     assert len(pools) == 1 and pools[0].peak == 2 * search._IN_FLIGHT and pools[0].open == 0
 
 
@@ -914,20 +841,49 @@ _GOLDEN_ODD_USP_AT_SCALE = {
 
 @pytest.mark.parametrize("limit", _GOLDEN_ODD_USP_AT_SCALE, ids=["1e8", "1e9", "1e10"])
 def test_odd_usp_checkpoint_golden_at_scale(limit):
-    # the headline search, ten times it, where the progression of 257 takes
-    # several blocks, and HARD_LIMIT, with 24 moduli: about 4 s with 2
-    # workers at 10**10
+    # the headline search, ten times it, and HARD_LIMIT: milliseconds each,
+    # since the hits are listed, not sieved
     result = run_search(SearchConfig(limit=limit, parity="odd", workers=2))
     assert [h.n for h in result.hits] == [9, 165]
     digest = hashlib.sha256(result.checkpoint_text.encode()).hexdigest()
     assert digest == _GOLDEN_ODD_USP_AT_SCALE[limit]
 
 
+#: the usp below 10**8 over all n, the search of Sitaramaiah and Subbarao,
+#: and the SHA-256 of its checkpoint text at the default segment size
+_USP_1E8_HITS = [
+    2, 9, 165, 238, 1640, 4320, 10250, 10824, 13500, 23760, 58500, 66912, 425880, 520128,
+    873180, 931392, 1899744, 2129400, 2253888, 3276000, 4580064, 4668300, 13722800,
+    15459840, 40360320,
+]
+_USP_1E8_DIGEST = "9c96935e2c83a71a6aad8457e2cddd63a7a16b7aafec9bfa30380cd501917cf9"
+
+
+def test_usp_checkpoint_golden_1e8_all_n():
+    # the table-backed scan of every n <= 10**8: about 4 s with 2 workers
+    result = run_search(SearchConfig(limit=10**8, classes=("usp",), parity="all", workers=2))
+    assert [h.n for h in result.hits] == _USP_1E8_HITS
+    assert hashlib.sha256(result.checkpoint_text.encode()).hexdigest() == _USP_1E8_DIGEST
+
+
+def test_scanned_odd_usp_hits_match_the_list():
+    # the parity-all search still scans the odd n through the tables; for
+    # every class set with usp its odd usp hits are the listed ones
+    limit = 10**6
+    listed = search.odd_usp(1, limit + 1)
+    others = [c for c in CLASS_ORDER if c != "usp"]
+    for r in range(len(others) + 1):
+        for rest in itertools.combinations(others, r):
+            hits = run_search(SearchConfig(limit=limit, classes=("usp",) + rest)).hits
+            assert [h.n for h in hits if h.classification == "usp" and h.n % 2] == listed
+
+
 @pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
-def test_odd_unitary_search_builds_no_table(monkeypatch, cap, capped):
-    # the odd usp and unitary_perfect hits read sigma*(n) alone: no table, no
-    # exact fallback, and every hit still re-verified; the hits per segment
-    # equal the odd hits of the table-backed search over all n
+def test_odd_unitary_search_builds_no_table(monkeypatch, sieve_spans, cap, capped):
+    # the odd usp hits come from odd_usp and no odd n is unitary_perfect: no
+    # table, no sieve, no pool, no exact fallback, and every hit still
+    # re-verified; the hits per segment equal the odd hits of the
+    # table-backed search over all n
     common = dict(limit=10**6, segment_size=1 << 16, classes=("usp", "unitary_perfect"))
     full = run_search(SearchConfig(**common)).checkpoint_text
     expected = render_checkpoint(10**6, 1 << 16, [
@@ -943,8 +899,12 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, cap, capped):
     for name, record in calls.items():
         fn = getattr(search, name)
         monkeypatch.setattr(search, name, lambda *a, fn=fn, rec=record: rec.append(a) or fn(*a))
-    odd = run_search(odd_config)
+    sieve_spans.clear()
+    pools = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    odd = run_search(dataclasses.replace(odd_config, workers=2))
     assert calls["_build_table"] == [] and calls["_exact_divisor_sum"] == []
+    assert sieve_spans == [] and pools == []
     assert calls["verify_hit"] == [(9, "usp"), (165, "usp")]
     assert odd.checkpoint_text == expected
 
@@ -958,174 +918,75 @@ def _brute_odd_usp(usig, limit):
     return n[(s < 2 * n) & (usig[np.minimum(s, 2 * limit)] == 2 * n)].tolist()
 
 
-def test_closed_form_filter_matches_brute_oracle(monkeypatch, brute_tables_2e5):
-    # over every odd n <= 10**5 the filter keeps exactly the oracle's odd hits
+def test_closed_form_filter_matches_brute_oracle(brute_tables_2e5):
+    # over every odd n <= 10**5 the list holds exactly the oracle's odd hits,
+    # also from lo past 1 and up to hi below limit
     limit = 10**5
     usp = _brute_odd_usp(brute_tables_2e5[1], limit)
     assert usp
-    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER[:2]), "parity": "odd",
-                                           "tables": {}})
-    block = search._Block(1, limit + 1, 2)
-    assert sorted(search._classify_segment(block)) == [(x, "usp") for x in usp]
-
-
-def test_progression_scan_matches_brute_oracle(monkeypatch, brute_tables_2e5):
-    # usp, alone or beside unitary_perfect, walks the odd n up to 12325 and
-    # past it the odd multiples of the moduli, and reports each hit once;
-    # also from lo past 1 and past 12325
-    limit = 10**5
-    usp = _brute_odd_usp(brute_tables_2e5[1], limit)
-    for classes, lo in itertools.product(({"usp"}, {"usp", "unitary_perfect"}), (1, 10, 20001)):
-        monkeypatch.setattr(search, "_STATE", {"classes": classes, "parity": "odd", "tables": {}})
-        blocks = search._blocks(classes, "odd", lo, limit + 1)
-        prefix = {2} if lo <= 12325 else set()
-        assert {block.step for block in blocks} == {2 * m for m in search._moduli(limit)} | prefix
-        hits = [h for block in blocks for h in search._classify_segment(block)]
-        assert sorted(hits) == [(x, "usp") for x in usp if x >= lo]
-
-
-def _v2(x):
-    return (x & -x).bit_length() - 1
-
-
-def test_walk_tests_each_admissible_n_once(brute_tables_2e5):
-    # the blocks of an odd usp search, with the a filter of the progressions,
-    # test every odd n <= 12325 and, past it, every odd n whose a the lemma
-    # leaves and which 2^a + 1 divides, each exactly once, from any lo
-    limit = 2 * 10**5
-    usig = brute_tables_2e5[1]
-    n = np.arange(1, limit + 1, 2)
-    s = usig[n]
-    a = np.bitwise_count((s & -s) - 1).astype(np.int64)
-    admissible = (n <= 12325) | (((a == 8) | (a >= 11)) & (n % (2**a + 1) == 0))
-    for lo in (1, 10, 12325, 12326, 50001):
-        tested = Counter()
-        for block in search._blocks(("usp",), "odd", lo, limit + 1):
-            ns = np.arange(block.lo, block.hi, block.step)
-            if block.step > 2:
-                ns = ns[(2 ** a[ns // 2] + 1) == block.step // 2]
-            tested.update(ns.tolist())
-        assert set(tested.values()) == {1}
-        assert sorted(tested) == n[admissible & (n >= lo)].tolist()
+    for lo, hi in ((1, limit + 1), (9, 10), (10, limit + 1), (1, 165), (166, limit + 1)):
+        assert search.odd_usp(lo, hi) == [x for x in usp if lo <= x < hi]
 
 
 def test_moduli_divide_every_candidate(brute_tables_2e5):
     # the odd n <= 2 * 10**5 that solve (2^a + 1)(m' + 1) = 2n for their own
-    # a, whether or not m' is a prime power, are 9 and 165, both up to the
-    # cut-off 12325 that the search walks whole
+    # a, whether or not m' is a prime power, are 9 (a = 1) and 165, a
+    # multiple of 2^5 + 1, the modulus odd_usp starts from
     limit = 2 * 10**5
     usig = brute_tables_2e5[1]
     n = np.arange(1, limit + 1, 2)
     s = usig[n]
     low = s & -s
     assert n[(low + 1) * (s // low + 1) == 2 * n].tolist() == [9, 165]
+    assert unitary_sigma(factorize(9)) == 2 * 5 and unitary_sigma(factorize(165)) == 2**5 * 9
+    assert 165 % (2**5 + 1) == 0
     assert _brute_odd_usp(usig, limit // 2) == [9, 165]
 
 
-def _lemma_maximum(a):
-    """The largest product of 1 + 1/q over prime powers q of distinct odd
-    primes with v2(q + 1) summing to a and, for each r^f || 2^a + 1, some r^e
-    with e >= f: an exact knapsack over the free prime powers below 200 and
-    the forced r^f and r^(f+1) (search module docstring)."""
-    forced = dict(factorize(2**a + 1).entries)
-    best = {0: Fraction(1)}  # units -> the largest product with that many
-    for p in range(3, 200, 2):
-        if is_prime(p) and p not in forced:
-            best = _take_one(best, [p**e for e in range(1, 8) if p**e < 200], a, optional=True)
-    for r, f in forced.items():
-        best = _take_one(best, [r**f, r ** (f + 1)], a, optional=False)
-    return best.get(a, Fraction(0))
+def test_power_of_three_only_at_a_1_and_3():
+    # 2^a + 1 has a prime r != 3 for every a >= 2 but 3 (search module
+    # docstring), so odd_usp's default r = 3 serves a = 3 alone
+    powers_of_three = {3**k for k in range(1, 260)}
+    assert [a for a in range(1, 401) if 2**a + 1 in powers_of_three] == [1, 3]
 
 
-def _take_one(best, options, a, optional):
-    """best after taking one of options, or none of them when optional."""
-    new = dict(best) if optional else {}
-    for units, product in best.items():
-        for q in options:
-            u = units + _v2(q + 1)
-            if u <= a and product * (1 + Fraction(1, q)) > new.get(u, 0):
-                new[u] = product * (1 + Fraction(1, q))
-    return new
+def test_no_mersenne_prime_divides_two_power_plus_one():
+    # the order of 2 mod 2^p - 1 is p, so for odd p 2^a = -1 never holds;
+    # checked for every odd p <= 127, the Mersenne primes 2^3 - 1, ...,
+    # 2^127 - 1 among them
+    assert [(p, a) for p in range(3, 128, 2) for a in range(1, 401)
+            if (2**a + 1) % (2**p - 1) == 0] == []
 
 
-def test_lemma_bounds_from_least_prime_powers():
-    # for a = 2..10 but 8: the largest sigma*(n)/n an odd n with that a can
-    # have, with every prime power of 2^a + 1 forced into n; the equation's
-    # ratio, increasing in n, reaches it only up to the cut-off, and up to
-    # there the odd multiples of 2^a + 1 with that a solve the equation only
-    # at 165; for a = 8, 11 and 12 the maximum is out of the ratio's reach,
-    # so those a are walked (search module docstring)
-    expected = {
-        2: (Fraction(4, 3), 15),
-        3: (Fraction(56, 39), 23),
-        4: (Fraction(144, 85), 85),
-        5: (Fraction(96, 55), 165),
-        6: (Fraction(12096, 6409), 781),
-        7: (Fraction(22377600, 11850241), 1331),
-        9: (Fraction(20992, 12597), 1553),
-        10: (Fraction(193536, 101065), 12325),
-    }
-    for a, (bound, cutoff) in expected.items():
-        m = 2**a + 1
-        assert _lemma_maximum(a) == bound
-        ratio = lambda n: Fraction(2 ** (a + 1), m) * (1 - Fraction(m, 2 * n))
-        assert ratio(cutoff) <= bound < ratio(cutoff + 1)
-        solved = []
-        for n in range(m, cutoff + 1, 2 * m):
-            s = unitary_sigma(factorize(n))
-            if _v2(s) == a and m * ((s >> a) + 1) == 2 * n:
-                solved.append(n)
-        assert solved == ([165] if a == 5 else []), a
-    assert max(cutoff for _, cutoff in expected.values()) == search._ODD_PREFIX == 12325
-    for a in (8, 11, 12):
-        assert _lemma_maximum(a) > Fraction(2 ** (a + 1), 2**a + 1)
+def test_prime_power_plus_one_never_power_of_two():
+    # r^e + 1 for odd prime r and e >= 2, r^e <= 10**7, always has an odd prime
+    limit = 10**7
+    found = []
+    for r in base_primes(math.isqrt(limit))[1:].tolist():
+        re = r * r
+        while re <= limit:
+            if (re + 1) & re == 0:
+                found.append(re)
+            re *= r
+    assert found == []
 
 
-def test_moduli_up_to_hard_limit():
-    # 2^a + 1 for a = 8 and a >= 11 up to the top value: 15 moduli at
-    # 3 * 10**7 and 24 at HARD_LIMIT
-    assert search._moduli(256) == ()
-    assert search._moduli(257) == (257,)
-    assert search._moduli(2**11) == (257,)
-    assert search._moduli(3 * 10**7) == tuple(2**a + 1 for a in [8] + list(range(11, 25)))
-    assert search._moduli(search.HARD_LIMIT) == tuple(2**a + 1 for a in [8] + list(range(11, 34)))
-    assert len(search._moduli(search.HARD_LIMIT)) == 24
-
-
-def test_odd_usp_search_sieves_progressions(sieve_spans):
-    # an odd usp-only search sieves every odd n <= 12325 in one span of step
-    # 2, and past it the odd multiples of each modulus m once, each in spans
-    # of step 2m: under 0.02 of the odd n, that span included
-    limit = 10**6
-    result = run_search(SearchConfig(limit=limit, segment_size=1 << 16, parity="odd"))
-    assert [h.n for h in result.hits] == [9, 165]
-    assert (1, 12326, 2, True) in sieve_spans
-    moduli = search._moduli(limit)
-    per_modulus = Counter()
-    for lo, hi, step, unitary in sieve_spans:
-        if (lo, hi, step) == (1, 12326, 2):
-            continue
-        m = step // 2
-        assert unitary and step == 2 * m and m in moduli and lo % m == 0 and lo % 2 and lo > 12325
-        per_modulus[m] += len(range(lo, hi, step))
-    assert per_modulus == {m: len(range(m * (12325 // m + 1 | 1), limit + 1, 2 * m))
-                           for m in moduli}
-    assert 6163 + sum(per_modulus.values()) <= 0.02 * len(range(1, limit + 1, 2))
-
-
-def test_n_in_two_progressions_tested_for_its_own_a(monkeypatch):
-    # 2^24 + 1 = 97 * 257 * 673, so n = 3 * (2^24 + 1) lies in the
-    # progressions of 257 and of 2^24 + 1; faking sigma*(n) = 2^24 * 5, the
-    # equation holds with a = 24 and the prime m' = 5, and only the
-    # progression of 2^24 + 1 reports n
-    m = 2**24 + 1
-    n = 3 * m
-    _fake_sigma_star(monkeypatch, n, 2**24 * 5)
-    monkeypatch.setattr(search, "_STATE", {"classes": {"usp"}, "parity": "odd", "tables": {}})
-    blocks = search._blocks(("usp",), "odd", n, n + 1)
-    assert sorted(block.step for block in blocks) == [2 * 257, 2 * m]
-    assert [(block.step, search._classify_segment(block)) for block in blocks] == [
-        (2 * 257, []), (2 * m, [(n, "usp")])]
+def test_odd_usp_matches_step_2_sieve():
+    # the brute-force side: sigma*(n) of every odd n <= 10**7 from the plain
+    # step-2 sieve, then the equation (2^a + 1)(m' + 1) = 2n with m' a prime
+    # power; the enumeration lists exactly those n
+    limit = 10**7
+    solved = []
+    for lo in range(1, limit + 1, 1 << 21):
+        hi = min(limit + 1, lo + (1 << 21))
+        n = np.arange(lo, hi, 2, dtype=np.int64)
+        s = divisor_sum_segment(lo, hi, True, step=2)
+        low = s & -s
+        odd = s // low
+        for j in np.flatnonzero((low + 1) * (odd + 1) == 2 * n):
+            if prime_power(int(odd[j])) is not None:
+                solved.append(int(n[j]))
+    assert solved == search.odd_usp(1, limit + 1) == [9, 165]
 
 
 def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
@@ -1152,10 +1013,11 @@ def _one_segment_split(config):
                              [[h for h in hits if lo <= h.n < lo + size] for lo in starts])
 
 
-#: (classes, parity, limit) of searches whose blocks cut across segments: the
-#: odd usp progression of 257 takes two blocks, all n three
+#: (classes, parity, limit) of searches whose blocks cut across segments:
+#: three blocks each, of the odd n for super_perfect, with the listed odd
+#: usp hits merged in, and of all n
 _MERGED_SEARCHES = [
-    (("usp",), "odd", 15 * 10**7),
+    (("usp", "super_perfect"), "odd", 15 * 10**5),
     (CLASS_ORDER, "all", 6 * 10**5),
 ]
 
@@ -1189,33 +1051,38 @@ def test_stop_inside_block_then_resume(tmp_path, classes, parity, limit):
     assert resumed.checkpoint_text == _one_segment_split(SearchConfig(**common))
 
 
-def _fake_sigma_star(monkeypatch, n, value):
-    """Make the search's sieve report sigma*(n) = value."""
-    sieve_sum = search.divisor_sum_segment
-
-    def faulty(lo, hi, unitary, step=1):
-        seg = sieve_sum(lo, hi, unitary, step=step)
-        if lo <= n < hi:
-            seg[(n - lo) // step] = value
-        return seg
-
-    monkeypatch.setattr(search, "divisor_sum_segment", faulty)
+def test_odd_usp_stop_then_resume(tmp_path):
+    # an odd usp search has no block; max_segments still stops it after the
+    # segments asked for, and the resumed bytes equal the uninterrupted run's
+    cp = str(tmp_path / "cp.txt")
+    common = dict(limit=10**5, segment_size=1025, parity="odd", checkpoint_path=cp)
+    for stop, hits in ((0, []), (1, [9, 165]), (50, [9, 165])):
+        partial = run_search(SearchConfig(max_segments=stop, **common))
+        assert partial.segments_done == stop and [h.n for h in partial.hits] == hits
+        resumed = run_search(SearchConfig(resume=True, workers=2, **common))
+        assert resumed.completed and [h.n for h in resumed.hits] == [9, 165]
+        digest = hashlib.sha256(resumed.checkpoint_text.encode()).hexdigest()
+        assert digest == _GOLDEN_ODD_UNITARY[("usp",), 10**5, 1025]
 
 
 def test_closed_form_candidate_still_verified(monkeypatch):
-    # a sieve fault that passes the filter is caught by verify_hit: faking
-    # sigma*(99) = 2**5 * 5 in the block of the odd n up to 12325, the prime
-    # m' = 5 gives (2**5 + 1) * (5 + 1) = 198
-    _fake_sigma_star(monkeypatch, 99, 2**5 * 5)
+    # a fault in the list is caught by verify_hit: 99 = 3^2 * 11 is odd and a
+    # multiple of 2^5 + 1, but sigma*(99) = 10 * 12 is not 2^5 * q^b
+    odd_usp = search.odd_usp
+    monkeypatch.setattr(search, "odd_usp", lambda lo, hi: sorted(odd_usp(lo, hi) + [99]))
     with pytest.raises(RuntimeError, match="sieve hit 99 "):
         run_search(SearchConfig(limit=1000, parity="odd"))
 
 
 def test_closed_form_needs_prime_power(monkeypatch):
-    # sigma*(33) = 2 * 21 would meet (2 + 1) * (21 + 1) = 66, but 21 = 3 * 7
-    # is no prime power, so sigma*(21) = 32 and 33 is no candidate
-    _fake_sigma_star(monkeypatch, 33, 2 * 21)
-    assert [h.n for h in find_usp(1000, parity="odd")] == [9, 165]
+    # sigma*(55) = 2^2 * 21 would meet (2^2 + 1) * (21 + 1) = 110, but 21 = 3 * 7
+    # is no prime power: the list names q from prime powers only, so 55 is
+    # never a candidate, even with that sigma*(55) faked
+    assert prime_power(21) is None
+    unitary_sigma_ = search.unitary_sigma
+    monkeypatch.setattr(search, "unitary_sigma",
+                        lambda f: 2**2 * 21 if f.value == 55 else unitary_sigma_(f))
+    assert search.odd_usp(1, 1000) == [9, 165]
 
 
 @settings(_PROPERTY, max_examples=200)
