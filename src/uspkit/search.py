@@ -4,14 +4,19 @@ The search classifies the n <= limit of the requested parity in one scan,
 over the run's range: from the first segment still to do to the end of the
 last one.  The n of the requested parity are cut into equal sieve blocks of
 at most _TABLE_CHUNK values, the units of work.  A block is classified in
-slices of _SCAN_BLOCK.  Every slice takes the first application, sigma*(n)
-or sigma(n), by one rule: from the search's lookup table when it has one
-for that divisor sum and the table holds every odd part of the slice,
-otherwise from the divisor-sum sieve of the enclosing block, run at most
-once per divisor sum per block.  The scan's memory is thus one block,
-whatever the segment size.  Segments are the checkpoint's unit: a segment
-is merged once every block that starts before its end has returned, and a
-returned block that lets segments merge writes the checkpoint once.
+slices of _SCAN_BLOCK, each a progression n = s, s + step, ... with step 1
+or 2.  Every slice takes the first application, sigma*(n) or sigma(n), by
+one rule: from the search's lookup table when the table holds every odd
+part of the slice, otherwise from the divisor-sum sieve of the enclosing
+block, run at most once per divisor sum per block.  The table serves a
+slice one 2-adic class at a time: the n with v2(n) = a recur every
+2^(a+1) / step values of the slice and their odd parts are consecutive odd
+values, so their sums are one contiguous run of the table times the
+2-part's factor (below), written at that stride; no n is split into its
+2-part and odd part.  The scan's memory is thus one block, whatever the
+segment size.  Segments are the checkpoint's unit: a segment is merged
+once every block that starts before its end has returned, and a returned
+block that lets segments merge writes the checkpoint once.
 
 A class applied once (unitary_perfect, perfect) is a hit when first = 2n;
 a second-order class looks its second application up (below).  Under
@@ -72,8 +77,15 @@ when a >= 1.  It is odd (a = 0) only when n is 1 or a power of two for
 sigma* (an odd prime power p^e contributes the even p^e + 1), or a square
 or twice a square for sigma: O(sqrt(limit)) values of n at any parity.  By
 multiplicativity the second application is the 2-part's factor times the
-divisor sum of m'; the factor is odd, so a hit needs it to divide n, and
-that prefilter discards most candidates before the second lookup.  A second
+divisor sum of m'; the factor is odd, so a hit needs it to divide n.  That
+prefilter walks the factors, not the n: for each a >= 1 whose factor 2^a +
+1 or 2^(a+1) - 1 is at most the slice's last n, its multiples are every
+factor-th n of the slice, and those among them with v2(first) = a survive,
+beside the few odd first applications (factor 1).  Each n has one v2(first),
+so this is the prefilter exactly, and it touches about 1.8 (sigma*) or 1.6
+(sigma) slice lengths.  Of all n up to 4*10^6, 6.4% (sigma*) and 2.6%
+(sigma) survive it; only they are compared with 2n and looked up a second
+time.  A second
 application whose odd part lies past the table (those odd firsts, and every
 survivor past a memory-capped table) is computed by exact factorization.
 
@@ -198,9 +210,7 @@ def verify_hit(n: int, classification: str) -> SearchHit:
         f = factored[value] if value in factored else factorize(value)
         value = _divisor_sum(f, variant.unitary)
     if value != 2 * n:
-        raise RuntimeError(
-            f"sieve hit {n} ({classification}) fails exact recomputation"
-        )
+        raise RuntimeError(f"hit {n} ({classification}) fails exact recomputation")
     structure = None
     if classification == "usp" and n % 2 == 1:
         structure = check_usp_structure(n, fs)
@@ -340,6 +350,55 @@ def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
+def _progression_lookup(
+    table: np.ndarray, s: int, count: int, step: int, unitary: bool
+) -> np.ndarray | None:
+    """Divisor sums of the count values n = s, s + step, ... served by the
+    odd-part table, or None when the table lacks the odd part of one of them.
+
+    The n with v2(n) = a recur every 2^(a+1) / step values, and their odd
+    parts are consecutive odd values: one contiguous run of the table, times
+    the 2-part's factor (as _split gives it).
+    """
+    top = s + step * (count - 1)
+    sums = np.empty(count, dtype=np.int64)
+    for a in range(top.bit_length()):  # 2^a <= top
+        low = 1 << a
+        offset = (low - s) % (2 * low)  # from s to its first n = 2^a (mod 2^(a+1))
+        if offset % step or offset // step >= count:
+            continue  # no n of the progression, or of these count, has v2(n) = a
+        i0, stride = offset // step, 2 * low // step
+        run = len(range(i0, count, stride))
+        j0 = (s + step * i0) >> (a + 1)  # the table index of its odd part
+        if j0 + run > table.shape[0]:
+            return None
+        factor = low + (a > 0) if unitary else 2 * low - 1
+        # the int64 factor keeps the product out of uint32
+        np.multiply(table[j0 : j0 + run], np.int64(factor), out=sums[i0::stride])
+    return sums
+
+
+def _prefilter(first: np.ndarray, s: int, step: int, unitary: bool) -> np.ndarray:
+    """The indices i, increasing, of the n = s + step * i whose first
+    application first[i] has a 2-part factor dividing n.
+
+    The factor of 2^a is 1 for a = 0, and otherwise 2^a + 1 or 2^(a+1) - 1:
+    odd, so its multiples n are every factor-th value of the progression,
+    among which those with v2(first) = a survive.
+    """
+    top = s + step * (first.shape[0] - 1)
+    parts = [np.flatnonzero((first & 1) == 1)]
+    for a in range(1, top.bit_length()):
+        low = 1 << a
+        factor = low + 1 if unitary else 2 * low - 1
+        if factor > top:
+            break
+        i0 = -s * pow(step, -1, factor) % factor  # the first n = 0 (mod factor)
+        two_parts = first[i0::factor] & (2 * low - 1)
+        parts.append(i0 + factor * np.flatnonzero(two_parts == low))
+    return np.sort(np.concatenate(parts))
+
+
 def _tested(classes, parity: str) -> list[Variant]:
     """The requested variants the scan tests: under parity odd none of the
     unitary ones, since odd_usp lists the odd usp n and no odd n is
@@ -387,30 +446,29 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     sieved: dict[bool, np.ndarray] = {}
     for s in range(lo, hi, step * _SCAN_BLOCK):
         n = np.arange(s, min(hi, s + step * _SCAN_BLOCK), step, dtype=np.int64)
+        count = n.shape[0]
         # the first application, once per divisor sum whichever classes read it
         firsts: dict[bool, np.ndarray] = {}
         for unitary in {v.unitary for v in variants}:
-            if unitary in tables:
-                first, inside = _lookup(tables[unitary], n, unitary)
-                if inside.all():
-                    firsts[unitary] = first
-                    continue
-            if unitary not in sieved:
-                sieved[unitary] = divisor_sum_segment(lo, hi, unitary, step=step)
-            i = (s - lo) // step
-            firsts[unitary] = sieved[unitary][i : i + n.shape[0]]
+            first = _progression_lookup(tables[unitary], s, count, step, unitary)
+            if first is None:
+                if unitary not in sieved:
+                    sieved[unitary] = divisor_sum_segment(lo, hi, unitary, step=step)
+                i = (s - lo) // step
+                first = sieved[unitary][i : i + count]
+            firsts[unitary] = first
         for variant in variants:
             unitary = variant.unitary
             first = firsts[unitary]
             if variant.applications == 1:
                 good = n[first == 2 * n]
             else:
-                # sigma(m) >= m + 1, so a hit needs first <= 2n - 1; and the
-                # odd divisor sum of first's 2-part divides the second
-                # application, so a hit needs it to divide n (module docstring)
-                cand = first < 2 * n
-                mm, nn = first[cand], n[cand]
-                keep = nn % _split(mm, unitary)[1] == 0
+                # the odd divisor sum of first's 2-part divides the second
+                # application, so a hit needs it to divide n; and sigma(m) >=
+                # m + 1, so a hit needs first <= 2n - 1 (module docstring)
+                idx = _prefilter(first, s, step, unitary)
+                mm, nn = first[idx], n[idx]
+                keep = mm < 2 * nn
                 mm, nn = mm[keep], nn[keep]
                 second, inside = _lookup(tables[unitary], mm, unitary)
                 for j in np.flatnonzero(~inside):

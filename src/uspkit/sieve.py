@@ -12,8 +12,9 @@ factor of p^k: p^k + 1 for sigma*, sigma(p^(k-1)) + p^k for sigma.  The
 swap is an exact division followed by a product, so no entry ever exceeds
 its final sum.  A p prime to step has its multiples of p^k every p^k
 entries.  At step 2, p = 2 divides no value from an odd lo; from an even
-lo every value gives up 2 up front (``rest`` is divided by it and ``sig``
-multiplied by 3), and the multiples of 2^k recur every 2^(k-1) entries.
+lo every value's 2-part 2^a, ``rest & -rest``, leaves ``rest`` up front in
+whole-array operations, and ``sig`` starts at its factor, 2^a + 1 for
+sigma* or 2^(a+1) - 1 for sigma.
 What ``rest`` keeps after all base primes is 1 or a single prime r above
 sqrt(hi), which contributes r + 1.  Everything is vectorized with numpy
 and int64; segments are independent, so the sieve parallelizes and
@@ -57,35 +58,38 @@ def _divisor_sum_segment(
     rest = np.arange(lo, hi, step, dtype=np.int64)
     count = rest.shape[0]
     top = int(rest[-1])
-    sig = np.ones(count, dtype=np.int64)
+    if step == 2 and lo % 2 == 0:
+        # every value is even: its 2-part 2^a = rest & -rest leaves rest at
+        # once and seeds sig with sigma*(2^a) = 2^a + 1 or sigma(2^a) =
+        # 2^(a+1) - 1
+        sig = -rest
+        sig &= rest
+        rest //= sig
+        if unitary:
+            sig += 1
+        else:
+            sig *= 2
+            sig -= 1
+    else:
+        sig = np.ones(count, dtype=np.int64)
     for p in primes.tolist():
         if p * p > top:
             break
-        if step % p:
-            pk, prev = 1, 1
-        elif lo % p:
-            continue  # p = 2 at an odd lo with step 2: no value is even
-        else:
-            # p = 2 at an even lo with step 2 divides every value: it leaves
-            # rest up front and seeds sig with sigma*(2) = sigma(2) = 3
-            pk, prev = 2, 3
-            rest //= 2
-            sig *= 3
-        # with p^j = pk, the multiples of p^k (k > j) are the i with
-        # lo/p^j + (step/p^j) * i = 0 mod p^(k-j); they recur every period
-        # entries from start.  sig at such a multiple holds prev, the factor
-        # of p^(k-1): divide it out exactly before multiplying by cur, so no
-        # entry overshoots
-        base, stride, period = -lo // pk, step // pk, 1
+        if step % p == 0:
+            continue  # p = 2 at step 2: no value is even, or its 2-part is out
+        # the multiples of p^k are the i with lo + step * i = 0 mod p^k; they
+        # recur every p^k entries from start.  sig at such a multiple holds
+        # prev, the factor of p^(k-1): divide it out exactly before
+        # multiplying by cur, so no entry overshoots
+        pk, prev = 1, 1
         while pk * p <= top:
             pk *= p
-            period *= p
-            start = base * pow(stride, -1, period) % period
+            start = -lo * pow(step, -1, pk) % pk
             if start >= count:
                 break
-            rest[start::period] //= p
+            rest[start::pk] //= p
             cur = pk + 1 if unitary else prev + pk
-            view = sig[start::period]
+            view = sig[start::pk]
             if prev > 1:
                 view //= prev
             view *= cur

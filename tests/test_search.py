@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uspkit import bruteforce, search, sieve
@@ -780,6 +780,76 @@ def test_prefilter_keeps_every_brute_hit():
         assert got == {c: [n for n in ns if n % 2 in keep] for c, ns in expected.items()}
 
 
+@settings(_PROPERTY, max_examples=200)
+@given(
+    s=st.integers(1, 10**5),
+    count=st.integers(1, 3 * search._SCAN_BLOCK),
+    step=st.sampled_from([1, 2]),
+    unitary=st.booleans(),
+)
+# slices whose largest odd part is the table's last value 99999 or the next
+# odd value, at step 1 and at step 2 from an even s (n = 2 * 99999 and
+# 2 * 100001); and one whose last n, 15, is the factor 2^4 - 1 of the
+# survivor's sigma(15) = 2^3 * 3
+@example(s=99_000, count=1_000, step=1, unitary=True)
+@example(s=99_001, count=1_001, step=1, unitary=False)
+@example(s=199_000, count=500, step=2, unitary=True)
+@example(s=199_002, count=501, step=2, unitary=False)
+@example(s=1, count=15, step=1, unitary=False)
+def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count, step, unitary):
+    # the scan's first applications and prefilter walk the progression's
+    # 2-adic classes; they must agree with _lookup and _split value by value,
+    # and refuse exactly the slices the table does not serve, those that
+    # reach past its last odd value 10**5 - 1 among them
+    sig, usig = brute_tables_1e5
+    table = (usig if unitary else sig)[1::2].astype(np.uint32)
+    n = np.arange(s, s + step * count, step, dtype=np.int64)
+    sums, inside = search._lookup(table, n, unitary)
+    first = search._progression_lookup(table, s, count, step, unitary)
+    assert (first is None) == (not inside.all())
+    firsts = [divisor_sum_segment(s, s + step * count, unitary, step=step)]
+    if first is not None:
+        assert first.dtype == np.int64 and (first == sums).all()
+        firsts.append(first)
+    for first in firsts:
+        survivors = search._prefilter(first, s, step, unitary)
+        expected = np.flatnonzero(n % search._split(first, unitary)[1] == 0)
+        assert np.array_equal(survivors, expected)
+
+
+def test_progression_lookup_products_past_uint32():
+    # table entries are uint32; the run's product with the 2-part's factor
+    # is taken in int64, so sigma(2^a * m') past 2^32 stays exact
+    table = np.full(4, 2**32 - 1, dtype=np.uint32)
+    first = search._progression_lookup(table, 1, 8, 1, False)
+    assert first.tolist() == [(2 ** (n & -n).bit_length() - 1) * (2**32 - 1)
+                              for n in range(1, 9)]
+
+
+def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
+    # one in-table block of 2**18 values, all four classes at parity all:
+    # a slice holds n, both first applications and 2n as int64 arrays of
+    # _SCAN_BLOCK values, and the prefilter's and second lookup's arrays are
+    # smaller; five such arrays bound the peak (taking the first
+    # applications through _lookup's split of every n needs more than eight)
+    lo, hi = 1, (1 << 18) + 1
+    tables = {unitary: np.zeros((hi + 1) // 2, dtype=np.uint32) for unitary in (True, False)}
+    monkeypatch.setattr(search, "_STATE",
+                        {"classes": set(CLASS_ORDER), "parity": "all", "tables": tables})
+    for unitary in tables:
+        search._build_table(unitary)
+    sieve_spans.clear()
+    tracemalloc.start()
+    try:
+        hits = search._classify_segment(search._Block(lo, hi, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sieve_spans  # every first application came from the tables
+    assert {(9, "usp"), (6, "unitary_perfect"), (16, "super_perfect"), (8128, "perfect")} <= set(hits)
+    assert peak < 5 * 8 * search._SCAN_BLOCK
+
+
 #: SHA-256 of the checkpoint text of odd searches of the unitary classes, by
 #: (classes, limit, segment_size); the table-free scan writes these bytes
 _GOLDEN_ODD_UNITARY = {
@@ -1070,7 +1140,7 @@ def test_closed_form_candidate_still_verified(monkeypatch):
     # multiple of 2^5 + 1, but sigma*(99) = 10 * 12 is not 2^5 * q^b
     odd_usp = search.odd_usp
     monkeypatch.setattr(search, "odd_usp", lambda lo, hi: sorted(odd_usp(lo, hi) + [99]))
-    with pytest.raises(RuntimeError, match="sieve hit 99 "):
+    with pytest.raises(RuntimeError, match=r"^hit 99 \(usp\) fails exact recomputation$"):
         run_search(SearchConfig(limit=1000, parity="odd"))
 
 
