@@ -1,27 +1,32 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-The search classifies the n <= limit of the requested parity in one scan,
+The search classifies the n <= limit of the scanned parity in one scan,
 over the run's range: from the first segment still to do to the end of the
-last one.  The n of the requested parity are cut into equal sieve blocks of
-at most _TABLE_CHUNK values, the units of work.  A block is classified in
-slices of _SCAN_BLOCK, each a progression n = s, s + step, ... with step 1
-or 2.  Every slice takes the first application, sigma*(n) or sigma(n), by
-one rule: from the search's lookup table when the table holds every odd
-part of the slice, otherwise from the divisor-sum sieve of the enclosing
-block, run at most once per divisor sum per block.  The table serves a
-slice one 2-adic class at a time: the n with v2(n) = a recur every
-2^(a+1) / step values of the slice and their odd parts are consecutive odd
-values, so their sums are one contiguous run of the table times the
-2-part's factor (below), written at that stride; no n is split into its
-2-part and odd part.  The scan's memory is thus one block, whatever the
-segment size.  Segments are the checkpoint's unit: a segment is merged
-once every block that starts before its end has returned, and a returned
-block that lets segments merge writes the checkpoint once.
+last one.  The scanned parity is the requested one, except that parity all
+scans only the even n when every requested class is unitary (below).  Its
+n are cut into equal sieve blocks of at most _TABLE_CHUNK values, the
+units of work.  A block is classified in slices of _SCAN_BLOCK, each a
+progression n = s, s + step, ... with step 1 or 2.  Every slice takes the
+first application, sigma*(n) or sigma(n), by one rule: from the search's
+lookup table when the table holds every odd part of the slice, otherwise
+from the divisor-sum sieve of the enclosing block, run at most once per
+block for every divisor sum the classes read and taken to int64 before any
+product.  The table serves a slice one 2-adic class at a time: the n with
+v2(n) = a recur every 2^(a+1) / step values of the slice and their odd
+parts are consecutive odd values, so their sums are one contiguous run of
+the table times the 2-part's factor (below), written at that stride; no n
+is split into its 2-part and odd part.  The scan's memory is thus one
+block, whatever the segment size.  Segments are the checkpoint's unit: a
+segment is merged once every block that starts before its end has
+returned, and a returned block that lets segments merge writes the
+checkpoint once.
 
 A class applied once (unitary_perfect, perfect) is a hit when first = 2n;
-a second-order class looks its second application up (below).  Under
-parity odd neither unitary class is scanned: the odd usp n are listed from
-an equation, and no odd n is unitary_perfect.
+a second-order class looks its second application up (below).  No odd n is
+scanned for a unitary class: the odd usp n are listed from an equation, and
+no odd n is unitary_perfect.  So under parity odd neither unitary class is
+scanned, and under parity all a search of unitary classes only scans the
+even n, at step 2.
 
 Take odd n > 1 and write sigma*(n) = 2^a * m' with m' odd.  Every factor
 p^e + 1 of sigma*(n) is even, so a >= 1, and by multiplicativity
@@ -67,32 +72,34 @@ hits from odd_usp and merges them into their segments like scanned ones.
 
 The scanned second-order classes look their second application up.  A flat
 uint32 table of divisor sums of the odd values up to the run's last n, at
-most _TABLE_ENTRIES of them, is built once per run, chunk by chunk: entry i
-holds sigma*(2i + 1) or sigma(2i + 1).  A lookup of m = 2^a * m' with m'
-odd multiplies the entry for m' by the 2-part's factor, sigma*(2^a) = 2^a +
-1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.  The inequality sigma(m) >= m + 1
-means any n with a first application above 2n - 1 can be discarded before
-the second lookup, so a candidate's first application 2^a * m' has m' < n
-when a >= 1.  It is odd (a = 0) only when n is 1 or a power of two for
-sigma* (an odd prime power p^e contributes the even p^e + 1), or a square
-or twice a square for sigma: O(sqrt(limit)) values of n at any parity.  By
-multiplicativity the second application is the 2-part's factor times the
-divisor sum of m'; the factor is odd, so a hit needs it to divide n.  That
-prefilter walks the factors, not the n: for each a >= 1 whose factor 2^a +
-1 or 2^(a+1) - 1 is at most the slice's last n, its multiples are every
-factor-th n of the slice, and those among them with v2(first) = a survive,
-beside the few odd first applications (factor 1).  Each n has one v2(first),
-so this is the prefilter exactly, and it touches about 1.8 (sigma*) or 1.6
-(sigma) slice lengths.  Of all n up to 4*10^6, 6.4% (sigma*) and 2.6%
-(sigma) survive it; only they are compared with 2n and looked up a second
-time.  A second
-application whose odd part lies past the table (those odd firsts, and every
-survivor past a memory-capped table) is computed by exact factorization.
+most _TABLE_ENTRIES of them, is built once per run for each divisor sum
+the scan reads: entry i holds sigma*(2i + 1) or sigma(2i + 1).  The tables
+are the rows of one array, filled chunk by chunk, each chunk of every row
+from one sieve pass that shares its division by the primes.  A lookup of
+m = 2^a * m' with m' odd multiplies the entry for m' by the 2-part's
+factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.  The
+inequality sigma(m) >= m + 1 means any n with a first application above
+2n - 1 can be discarded before the second lookup, so a candidate's first
+application 2^a * m' has m' < n when a >= 1.  It is odd (a = 0) only when
+n is 1 or a power of two for sigma* (an odd prime power p^e contributes
+the even p^e + 1), or a square or twice a square for sigma: O(sqrt(limit))
+values of n at any parity.  By multiplicativity the second application is
+the 2-part's factor times the divisor sum of m'; the factor is odd, so a
+hit needs it to divide n.  That prefilter walks the factors, not the n:
+for each a >= 1 whose factor 2^a + 1 or 2^(a+1) - 1 is at most the slice's
+last n, its multiples are every factor-th n of the slice, and those among
+them with v2(first) = a survive, beside the few odd first applications
+(factor 1).  Each n has one v2(first), so this is the prefilter exactly,
+and it touches about 1.8 (sigma*) or 1.6 (sigma) slice lengths.  Of all n
+up to 4*10^6, 6.4% (sigma*) and 2.6% (sigma) survive it; only they are
+compared with 2n and looked up a second time.  A second application whose
+odd part lies past the table (those odd firsts, and every survivor past a
+memory-capped table) is computed by exact factorization.
 
 Each search makes one ordered map and runs the table build and the scan
 through it: the builtin map in one process, otherwise the map of one fork
 process pool of at most os.cpu_count() workers, which yields results in
-submission order.  The tables live in shared anonymous memory mapped before
+submission order.  The tables live in one shared anonymous map made before
 the pool forks, so the workers fill them in place and then classify
 blocks against them; no table chunk travels between processes.
 
@@ -285,10 +292,10 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # table construction
 
-#: the running search's classes, parity and odd-part tables (keyed by
-#: unitary), set by run_search before its pool forks so that the workers
-#: inherit them; the tables are shared memory that every process writes and
-#: reads in place
+#: the running search's classes, scanned parity and odd-part tables, set by
+#: run_search before its pool forks so that the workers inherit them: "table"
+#: is one shared (tables, entries) uint32 array that every process writes and
+#: reads in place, and "tables" maps unitary to its row
 _STATE: dict | None = None
 
 #: odd values per table-build task, and at most n per sieve block of the
@@ -297,23 +304,25 @@ _STATE: dict | None = None
 _TABLE_CHUNK = 1 << 18
 
 
-def _fill_chunk(unitary: bool, i: int) -> None:
-    table = _STATE["tables"][unitary]
-    lo, hi = 2 * i + 1, 2 * min(table.shape[0], i + _TABLE_CHUNK)
-    seg = divisor_sum_segment(lo, hi, unitary, step=2)
+def _fill_chunk(i: int) -> None:
+    table = _STATE["table"]
+    lo, hi = 2 * i + 1, 2 * min(table.shape[1], i + _TABLE_CHUNK)
+    # every table's chunk from one sieve pass
+    seg = divisor_sum_segment(lo, hi, tuple(_STATE["tables"]), step=2)
     if seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
-    table[i : i + seg.shape[0]] = seg
+    table[:, i : i + seg.shape[0]] = seg.T
 
 
-def _build_table(unitary: bool, omap=map) -> np.ndarray:
-    """Fill the state's table with sigma*(2i + 1) if unitary else sigma(2i + 1)
-    at index i, one task per _TABLE_CHUNK entries run through omap."""
-    starts = range(0, _STATE["tables"][unitary].shape[0], _TABLE_CHUNK)
+def _build_table(omap=map) -> np.ndarray:
+    """Fill the state's tables, row by row sigma*(2i + 1) or sigma(2i + 1) at
+    index i, one task per _TABLE_CHUNK entries of every row run through
+    omap; returns the (tables, entries) array."""
+    table = _STATE["table"]
     # draining the map runs (builtin map) or awaits (pool) every task, and
     # raises a task's OverflowError here
-    list(omap(_fill_chunk, [unitary] * len(starts), starts))
-    return _STATE["tables"][unitary]
+    list(omap(_fill_chunk, range(0, table.shape[1], _TABLE_CHUNK)))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +415,14 @@ def _tested(classes, parity: str) -> list[Variant]:
     return [v for v in VARIANTS if v.name in classes and not (parity == "odd" and v.unitary)]
 
 
+def _scan_parity(classes, parity: str) -> str:
+    """The parity of the n the scan visits: the even n alone under parity all
+    when every requested class is unitary, for the same reason as _tested."""
+    if parity == "all" and all(_VARIANT_BY_NAME[c].unitary for c in classes):
+        return "even"
+    return parity
+
+
 class _Block(NamedTuple):
     """A sieve block: the n = lo, lo + step, ... < hi."""
 
@@ -441,21 +458,23 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     tables = _STATE["tables"]
     lo, hi, step = block
     hits: list[tuple[int, str]] = []
-    # the block's divisor sums, sieved at most once per divisor sum and only
-    # when a slice needs a first application the table lacks
-    sieved: dict[bool, np.ndarray] = {}
+    # the block's divisor sums, every one the variants read from one sieve
+    # pass, run at most once and only when a slice needs a first application
+    # the tables lack (they all hold the same odd values)
+    sieved = None
     for s in range(lo, hi, step * _SCAN_BLOCK):
         n = np.arange(s, min(hi, s + step * _SCAN_BLOCK), step, dtype=np.int64)
         count = n.shape[0]
         # the first application, once per divisor sum whichever classes read it
         firsts: dict[bool, np.ndarray] = {}
-        for unitary in {v.unitary for v in variants}:
+        for j, unitary in enumerate(tables):
             first = _progression_lookup(tables[unitary], s, count, step, unitary)
             if first is None:
-                if unitary not in sieved:
-                    sieved[unitary] = divisor_sum_segment(lo, hi, unitary, step=step)
+                if sieved is None:
+                    sieved = divisor_sum_segment(lo, hi, tuple(tables), step=step)
                 i = (s - lo) // step
-                first = sieved[unitary][i : i + count]
+                # int64 before any product
+                first = sieved[i : i + count, j].astype(np.int64, copy=False)
             firsts[unitary] = first
         for variant in variants:
             unitary = variant.unitary
@@ -622,12 +641,14 @@ def run_search(config: SearchConfig) -> SearchResult:
     if config.max_segments is not None:
         todo = todo[: config.max_segments]
     ends = [min(config.limit + 1, lo + config.segment_size) for lo in todo]
-    blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
+    scanned = _scan_parity(config.classes, config.parity)
+    blocks = _blocks(config.classes, scanned, todo[0], ends[-1]) if todo else []
 
     text = None  # the checkpoint text last written
     # hits of the returned blocks, and the listed odd usp n, not yet merged
     found: list[tuple[int, str]] = []
-    if todo and config.parity == "odd" and "usp" in config.classes:
+    if todo and "usp" in config.classes and config.parity != "even" and scanned != "all":
+        # the scan tests no odd n for usp
         found = [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
     merged = 0  # segments of todo merged
 
@@ -652,21 +673,20 @@ def run_search(config: SearchConfig) -> SearchResult:
     # a run with no block to scan (max_segments 0, a completed checkpoint, an
     # odd search of the unitary classes) reads no table, so none is built and
     # no pool is started
-    sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
+    sizes = _table_sizes(config.classes, scanned, ends[-1] - 1) if blocks else {}
+    entries = max(sizes.values(), default=0)  # the same for every table
     # a process per task at most: a phase of one task gains nothing from a pool
-    tasks = max([len(blocks)] + [-(-size // _TABLE_CHUNK) for size in sizes.values()])
-    _STATE = {
-        "classes": set(config.classes),
-        "parity": config.parity,
-        "tables": {
-            unitary: np.frombuffer(mmap.mmap(-1, 4 * size), dtype=np.uint32)
-            for unitary, size in sizes.items()
-        },
-    }
+    tasks = max(len(blocks), -(-entries // _TABLE_CHUNK))
+    _STATE = {"classes": set(config.classes), "parity": scanned, "tables": {}}
+    if sizes:
+        # every table a row of one shared anonymous map
+        table = np.ndarray((len(sizes), entries), dtype=np.uint32,
+                           buffer=mmap.mmap(-1, 4 * len(sizes) * entries))
+        _STATE.update(table=table, tables=dict(zip(sizes, table)))
     try:
         with _ordered_map(min(config.workers, os.cpu_count() or 1, tasks)) as omap:
-            for unitary in sizes:
-                _build_table(unitary, omap)
+            if sizes:
+                _build_table(omap)
             # after a block, the next one's first n bounds the segments done;
             # after the last, every segment is
             bounds = [block.lo for block in blocks[1:]] + [config.limit + 1]

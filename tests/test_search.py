@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,9 +67,9 @@ def sieve_spans(monkeypatch):
     spans = []
     kernel = sieve._divisor_sum_segment
 
-    def recorded(lo, hi, step, primes, unitary):
-        spans.append((lo, hi, step, unitary))
-        return kernel(lo, hi, step, primes, unitary)
+    def recorded(lo, hi, step, primes, sums):
+        spans.extend((lo, hi, step, unitary) for unitary in sums)
+        return kernel(lo, hi, step, primes, sums)
 
     monkeypatch.setattr(sieve, "_divisor_sum_segment", recorded)
     return spans
@@ -141,7 +142,8 @@ def _check_kernel(lo, hi, step, unitary, factors):
             factors[n] = factorize(n)
     top = values[-1]
     primes = sorted({p for n in values for p, _ in factors[n].entries if p * p <= top})
-    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), unitary)
+    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), (unitary,))
+    seg = seg[:, 0]
     exact = unitary_sigma if unitary else sigma_from_factorization
     assert seg.tolist() == [exact(factors[n]) for n in values], (lo, hi, step, unitary)
 
@@ -185,21 +187,91 @@ def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
             assert (seg == table[lo::step]).all(), (lo, step, unitary)
 
 
-@pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2])
+@pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2, 2**29 + 1, 2**29 + 2])
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
 def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     # rest and the returned sums, plus the boolean mask of the cofactor step
+    # (and the 2-part of an even lo), in uint32 below 2**29 and int64 past it
     count = 1 << 18
     hi = lo + count * step
+    width = 4 if hi <= 2**29 else 8
     primes = base_primes(math.isqrt(hi - 1))
     tracemalloc.start()
     try:
-        sieve._divisor_sum_segment(lo, hi, step, primes, unitary)
+        seg = sieve._divisor_sum_segment(lo, hi, step, primes, (unitary,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * count
+    assert seg.dtype.itemsize == width
+    assert peak < 3.5 * width * count
+
+
+def test_fused_table_chunk_holds_its_two_rows():
+    # the table's last chunk, below 2**29, both sums from one pass: two
+    # uint32 rows, the last holding rest until the shared product is copied
+    # over it, and the cofactor mask
+    count = search._TABLE_CHUNK
+    hi = 2 * search._TABLE_ENTRIES
+    lo = hi - 2 * count + 1
+    primes = base_primes(math.isqrt(hi - 1))
+    tracemalloc.start()
+    try:
+        seg = sieve._divisor_sum_segment(lo, hi, 2, primes, (True, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seg.shape == (count, 2) and seg.dtype == np.uint32
+    assert peak < 2.5 * 4 * count
+
+
+#: the tuples of divisor sums a caller can ask the kernel for
+_SUMS = [(True,), (False,), (True, False), (False, True)]
+
+
+@settings(_PROPERTY, max_examples=120)
+@given(
+    lo=st.one_of(st.integers(1, 10**6), st.integers(2**29 - 4000, 2**29 + 4000)),
+    length=st.integers(1, 300),
+    step=st.sampled_from([1, 2]),
+    sums=st.sampled_from(_SUMS),
+)
+@example(lo=2**29 - 200, length=200, step=1, sums=(True, False))  # hi = 2**29
+@example(lo=2**29 - 199, length=200, step=1, sums=(False, True))  # hi = 2**29 + 1
+@example(lo=2**29 - 199, length=199, step=2, sums=(True, False))  # odd lo, hi = 2**29
+@example(lo=2**29 - 200, length=201, step=2, sums=(True, False))  # even lo, hi = 2**29 + 1
+@example(lo=2**29 - 200, length=200, step=2, sums=(False,))
+@example(lo=2**29 - 199, length=200, step=2, sums=(True,))
+def test_fused_kernel_matches_factorization(lo, length, step, sums):
+    # each column of one pass equals the factorize-based sums and the
+    # one-sum call of that sum; the columns are uint32 exactly when hi <= 2**29
+    hi = lo + length
+    seg = divisor_sum_segment(lo, hi, sums, step=step)
+    values = range(lo, hi, step)
+    assert seg.shape == (len(values), len(sums))
+    assert seg.dtype == (np.uint32 if hi <= 2**29 else np.int64)
+    for j, unitary in enumerate(sums):
+        assert seg[:, j].tolist() == _exact_sums(values, unitary)
+        assert (seg[:, j] == divisor_sum_segment(lo, hi, unitary, step=step)).all()
+
+
+def test_uint32_threshold_is_proved():
+    # below the threshold a value has at most k distinct primes, k the most
+    # whose primorial stays below it, so sigma*(n) <= sigma(n) < n * the
+    # product of p / (p - 1) over the first k primes; that must stay below
+    # 2**32, which fails at 2**30
+    def bound(threshold):
+        primes, primorial, ratio = [p for p in range(2, 100) if is_prime(p)], 1, Fraction(1)
+        for p in primes:
+            if primorial * p >= threshold:
+                break
+            primorial *= p
+            ratio *= Fraction(p, p - 1)
+        return (threshold - 1) * ratio
+
+    assert sieve._UINT32_HI == 2**29
+    assert bound(sieve._UINT32_HI) < 2**32 <= bound(2 * sieve._UINT32_HI)
+    assert bound(sieve._UINT32_HI) < Fraction(612, 100) * 2**29
 
 
 @pytest.mark.parametrize(
@@ -247,9 +319,9 @@ def test_failed_base_primes_growth_keeps_the_cache(monkeypatch):
 def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5, unitary):
     limit = 10**5
     sig, usig = brute_tables_1e5
-    empty = np.zeros((limit + 1) // 2, dtype=np.uint32)
-    monkeypatch.setattr(search, "_STATE", {"tables": {unitary: empty}})
-    table = search._build_table(unitary)
+    empty = np.zeros((1, (limit + 1) // 2), dtype=np.uint32)
+    monkeypatch.setattr(search, "_STATE", {"table": empty, "tables": {unitary: empty[0]}})
+    table = search._build_table()[0]
     m = np.arange(1, limit + 1, dtype=np.int64)
     sums, inside = search._lookup(table, m, unitary)
     assert inside.all()
@@ -533,9 +605,9 @@ def test_stopped_run_tables_end_at_its_last_n(monkeypatch, tmp_path, cap, capped
     built = []
     build_table = search._build_table
 
-    def recorded(unitary, omap=map):
-        table = build_table(unitary, omap)
-        built.append((unitary, table.shape[0]))
+    def recorded(omap=map):
+        table = build_table(omap)
+        built.extend((unitary, row.shape[0]) for unitary, row in search._STATE["tables"].items())
         return table
 
     monkeypatch.setattr(search, "_build_table", recorded)
@@ -642,10 +714,13 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     # all of them, however many there are, and a run that merges none (a
     # completed resume, max_segments 0) writes it once in total; each write
     # holds every segment merged so far
+    # (perfect keeps the scan over all n: a search of unitary classes only
+    # scans the even n)
     cp = tmp_path / "cp.txt"
-    limit, size = 6 * 10**5, 2048
-    common = dict(limit=limit, segment_size=size, checkpoint_path=str(cp))
-    baseline = run_search(SearchConfig(limit=limit, segment_size=size)).checkpoint_text
+    limit, size, classes = 6 * 10**5, 2048, ("usp", "perfect")
+    common = dict(limit=limit, segment_size=size, classes=classes, checkpoint_path=str(cp))
+    baseline = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes))
+    baseline = baseline.checkpoint_text
     writes = []
     write_atomic = search._write_atomic
     monkeypatch.setattr(search, "_write_atomic",
@@ -656,7 +731,7 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     resumed = run_search(SearchConfig(resume=True, **common))
     # three blocks of 2**18 n at most from 1 + 2 * size, each ending past
     # dozens of segments
-    assert len(search._blocks(("usp",), "all", 1 + 2 * size, limit + 1)) == 3
+    assert len(search._blocks(classes, "all", 1 + 2 * size, limit + 1)) == 3
     assert [len(parse_checkpoint(text)[2]) for text in writes] == [98, 195, resumed.total_segments]
     assert writes[-1] == resumed.checkpoint_text == baseline == cp.read_text()
     for config in (SearchConfig(resume=True, **common), SearchConfig(max_segments=0, **common)):
@@ -826,6 +901,29 @@ def test_progression_lookup_products_past_uint32():
                               for n in range(1, 9)]
 
 
+def test_narrow_fallback_block_products_past_uint32(monkeypatch):
+    # a block just below 2**29 past a 4-entry table: its first applications
+    # come from one uint32 sieve pass and are taken to int64 before any
+    # product, so the exact second applications past 2**32 (13 of them
+    # here) stay exact and the block has no hit
+    table = np.zeros((2, 4), dtype=np.uint32)
+    tables = dict(zip((True, False), table))
+    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER), "parity": "all",
+                                           "table": table, "tables": tables})
+    search._build_table()
+    seconds = []
+    exact_divisor_sum = search._exact_divisor_sum
+
+    def counted(m, unitary):
+        seconds.append(exact_divisor_sum(m, unitary))
+        return seconds[-1]
+
+    monkeypatch.setattr(search, "_exact_divisor_sum", counted)
+    hi = 2**29
+    assert search._classify_segment(search._Block(hi - 2**16, hi, 1)) == []
+    assert sum(second >= 2**32 for second in seconds) == 13
+
+
 def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
     # one in-table block of 2**18 values, all four classes at parity all:
     # a slice holds n, both first applications and 2n as int64 arrays of
@@ -833,11 +931,11 @@ def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
     # smaller; five such arrays bound the peak (taking the first
     # applications through _lookup's split of every n needs more than eight)
     lo, hi = 1, (1 << 18) + 1
-    tables = {unitary: np.zeros((hi + 1) // 2, dtype=np.uint32) for unitary in (True, False)}
-    monkeypatch.setattr(search, "_STATE",
-                        {"classes": set(CLASS_ORDER), "parity": "all", "tables": tables})
-    for unitary in tables:
-        search._build_table(unitary)
+    table = np.zeros((2, (hi + 1) // 2), dtype=np.uint32)
+    tables = dict(zip((True, False), table))
+    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER), "parity": "all",
+                                           "table": table, "tables": tables})
+    search._build_table()
     sieve_spans.clear()
     tracemalloc.start()
     try:
@@ -937,7 +1035,8 @@ def test_usp_checkpoint_golden_1e8_all_n():
 
 
 def test_scanned_odd_usp_hits_match_the_list():
-    # the parity-all search still scans the odd n through the tables; for
+    # a parity-all search with a sigma class scans the odd n through the
+    # tables, and one of unitary classes only takes them from odd_usp; for
     # every class set with usp its odd usp hits are the listed ones
     limit = 10**6
     listed = search.odd_usp(1, limit + 1)
@@ -946,6 +1045,28 @@ def test_scanned_odd_usp_hits_match_the_list():
         for rest in itertools.combinations(others, r):
             hits = run_search(SearchConfig(limit=limit, classes=("usp",) + rest)).hits
             assert [h.n for h in hits if h.classification == "usp" and h.n % 2] == listed
+
+
+@pytest.mark.parametrize("classes", [("usp",), ("unitary_perfect",), ("usp", "unitary_perfect")])
+def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
+    # every requested class unitary: the scan lays step-2 blocks from even
+    # starts only and the odd usp n are listed, yet the checkpoint equals
+    # that of a search with perfect beside them, which scans every n
+    limit, size = 10**6, 1 << 16
+    blocks = []
+    classify = search._classify_segment
+    monkeypatch.setattr(search, "_classify_segment",
+                        lambda block: blocks.append(block) or classify(block))
+    result = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes))
+    assert len(blocks) > 1 and all(step == 2 and lo % 2 == 0 for lo, _, step in blocks)
+    blocks.clear()
+    full = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes + ("perfect",)))
+    assert blocks and all(step == 1 for _, _, step in blocks)
+    assert result.checkpoint_text == render_checkpoint(limit, size, [
+        [h for h in seg if h.classification in classes]
+        for seg in parse_checkpoint(full.checkpoint_text)[2]
+    ])
+    assert any(h.n % 2 for h in result.hits) == ("usp" in classes)
 
 
 @pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
