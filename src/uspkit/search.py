@@ -1,18 +1,26 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-The search classifies the n <= limit of the scanned parity in one scan,
+The search classifies the n <= limit of the requested parity in one scan,
 over the run's range: from the first segment still to do to the end of the
-last one.  The scanned parity is the requested one, except that parity all
-scans only the even n when every requested class is unitary (below).  Its
-n are cut into equal sieve blocks of at most _TABLE_CHUNK values, the
-units of work.  A block is classified in slices of _SCAN_BLOCK, each a
-progression n = s, s + step, ... with step 1 or 2.  Every slice takes the
-first application, sigma*(n) or sigma(n), by one rule: from the search's
-lookup table when the table holds every odd part of the slice, otherwise
-from the divisor-sum sieve of the enclosing block, run at most once per
-block for every divisor sum the classes read and taken to int64 before any
-product.  The table serves a slice one 2-adic class at a time: the n with
-v2(n) = a recur every 2^(a+1) / step values of the slice and their odd
+last one.  The units of work are sieve blocks.  A block holds the n = lo,
+lo + 2, ... < hi of one parity, at most _TABLE_CHUNK of them; each
+parity's n are cut into equal blocks, and the blocks of both parities run
+in order of lo.  A block's parity decides the classes it tests: an even
+block tests every requested class, an odd block only the sigma classes
+(super_perfect, perfect).  No unitary class ever sees an odd n: no odd n is
+unitary_perfect, and the odd usp n are listed from an equation (below), so
+the odd usp hits of every search come from odd_usp.  Odd blocks are thus
+laid only when a sigma class is requested and the parity is not even, and
+even blocks unless the parity is odd.
+
+A block is classified in slices of _SCAN_BLOCK n.  Every slice takes the
+first application, sigma*(n) or sigma(n), of each divisor sum its block's
+classes read, by one rule: from the search's lookup table when the table
+holds every odd part of the slice, otherwise from the divisor-sum sieve of
+the enclosing block, run at most once per block for every divisor sum the
+block reads and taken to int64 before any product.  The table serves a
+slice one 2-adic class at a time: the n with v2(n) = a recur every 2^a
+values of an even slice (every n of an odd slice has a = 0) and their odd
 parts are consecutive odd values, so their sums are one contiguous run of
 the table times the 2-part's factor (below), written at that stride; no n
 is split into its 2-part and odd part.  The scan's memory is thus one
@@ -22,11 +30,7 @@ returned, and a returned block that lets segments merge writes the
 checkpoint once.
 
 A class applied once (unitary_perfect, perfect) is a hit when first = 2n;
-a second-order class looks its second application up (below).  No odd n is
-scanned for a unitary class: the odd usp n are listed from an equation, and
-no odd n is unitary_perfect.  So under parity odd neither unitary class is
-scanned, and under parity all a search of unitary classes only scans the
-even n, at step 2.
+a second-order class looks its second application up (below).
 
 Take odd n > 1 and write sigma*(n) = 2^a * m' with m' odd.  Every factor
 p^e + 1 of sigma*(n) is even, so a >= 1, and by multiplicativity
@@ -67,8 +71,8 @@ power, it names q, and b >= y.  The candidates are n = (2^a + 1)(q^b +
 b >= y: O(log^3 limit) of them.  odd_usp keeps the odd n that r^e divides
 with sigma*(n) = 2^a * q^b, from factorize(n); 48 n reach that test up to
 10^8 and 68 up to HARD_LIMIT.  It is the equation itself, so the list is
-exact, and it never factorizes sigma*(n).  An odd search of usp takes its
-hits from odd_usp and merges them into their segments like scanned ones.
+exact, and it never factorizes sigma*(n).  A search of usp over the odd n
+merges these hits into their segments like scanned ones.
 
 The scanned second-order classes look their second application up.  A flat
 uint32 table of divisor sums of the odd values up to the run's last n, at
@@ -292,10 +296,10 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # table construction
 
-#: the running search's classes, scanned parity and odd-part tables, set by
-#: run_search before its pool forks so that the workers inherit them: "table"
-#: is one shared (tables, entries) uint32 array that every process writes and
-#: reads in place, and "tables" maps unitary to its row
+#: the running search's classes and odd-part tables, set by run_search
+#: before its pool forks so that the workers inherit them: "table" is one
+#: shared (tables, entries) uint32 array that every process writes and reads
+#: in place, and "tables" maps unitary to its row
 _STATE: dict | None = None
 
 #: odd values per table-build task, and at most n per sieve block of the
@@ -341,12 +345,17 @@ def _exact_divisor_sum(m: int, unitary: bool) -> int:
 _SCAN_BLOCK = 1 << 16
 
 
+def _two_part_factor(low, unitary: bool):
+    """sigma*(2^a) or sigma(2^a) of low = 2^a, an int or an int64 array: 2^a
+    + 1 for a >= 1 and 1 for a = 0, or 2^(a+1) - 1."""
+    return low + (low > 1) if unitary else 2 * low - 1
+
+
 def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
     """For values m = 2^a * m' >= 1 with m' odd: the table index (m' - 1) / 2
-    of m', and the divisor sum of the 2-part, 2^a + 1 (a >= 1) or 2^(a+1) - 1."""
+    of m', and the divisor sum of the 2-part."""
     low = m & -m  # 2^a
-    factor = low + (low > 1) if unitary else 2 * low - 1
-    return m >> np.bitwise_count(low - 1) >> 1, factor
+    return m >> np.bitwise_count(low - 1) >> 1, _two_part_factor(low, unitary)
 
 
 def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -359,120 +368,109 @@ def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
-def _progression_lookup(
-    table: np.ndarray, s: int, count: int, step: int, unitary: bool
-) -> np.ndarray | None:
-    """Divisor sums of the count values n = s, s + step, ... served by the
+def _progression_lookup(table: np.ndarray, s: int, count: int, unitary: bool) -> np.ndarray | None:
+    """Divisor sums of the count values n = s, s + 2, ... served by the
     odd-part table, or None when the table lacks the odd part of one of them.
 
-    The n with v2(n) = a recur every 2^(a+1) / step values, and their odd
-    parts are consecutive odd values: one contiguous run of the table, times
-    the 2-part's factor (as _split gives it).
+    The n with v2(n) = a recur every 2^a values, and their odd parts are
+    consecutive odd values: one contiguous run of the table, times the
+    2-part's factor.
     """
-    top = s + step * (count - 1)
+    top = s + 2 * (count - 1)
     sums = np.empty(count, dtype=np.int64)
     for a in range(top.bit_length()):  # 2^a <= top
         low = 1 << a
         offset = (low - s) % (2 * low)  # from s to its first n = 2^a (mod 2^(a+1))
-        if offset % step or offset // step >= count:
+        if offset % 2 or offset // 2 >= count:
             continue  # no n of the progression, or of these count, has v2(n) = a
-        i0, stride = offset // step, 2 * low // step
-        run = len(range(i0, count, stride))
-        j0 = (s + step * i0) >> (a + 1)  # the table index of its odd part
+        i0 = offset // 2
+        run = len(range(i0, count, low))
+        j0 = (s + 2 * i0) >> (a + 1)  # the table index of its odd part
         if j0 + run > table.shape[0]:
             return None
-        factor = low + (a > 0) if unitary else 2 * low - 1
         # the int64 factor keeps the product out of uint32
-        np.multiply(table[j0 : j0 + run], np.int64(factor), out=sums[i0::stride])
+        factor = np.int64(_two_part_factor(low, unitary))
+        np.multiply(table[j0 : j0 + run], factor, out=sums[i0::low])
     return sums
 
 
-def _prefilter(first: np.ndarray, s: int, step: int, unitary: bool) -> np.ndarray:
-    """The indices i, increasing, of the n = s + step * i whose first
-    application first[i] has a 2-part factor dividing n.
+def _prefilter(first: np.ndarray, s: int, unitary: bool) -> np.ndarray:
+    """The indices i, increasing, of the n = s + 2i whose first application
+    first[i] has a 2-part factor dividing n.
 
-    The factor of 2^a is 1 for a = 0, and otherwise 2^a + 1 or 2^(a+1) - 1:
-    odd, so its multiples n are every factor-th value of the progression,
-    among which those with v2(first) = a survive.
+    The factor of 2^a is 1 for a = 0, and otherwise odd: its multiples n are
+    every factor-th value of the progression, among which those with
+    v2(first) = a survive.
     """
-    top = s + step * (first.shape[0] - 1)
+    top = s + 2 * (first.shape[0] - 1)
     parts = [np.flatnonzero((first & 1) == 1)]
     for a in range(1, top.bit_length()):
         low = 1 << a
-        factor = low + 1 if unitary else 2 * low - 1
+        factor = _two_part_factor(low, unitary)
         if factor > top:
             break
-        i0 = -s * pow(step, -1, factor) % factor  # the first n = 0 (mod factor)
+        i0 = -s * pow(2, -1, factor) % factor  # the first n = 0 (mod factor)
         two_parts = first[i0::factor] & (2 * low - 1)
         parts.append(i0 + factor * np.flatnonzero(two_parts == low))
     return np.sort(np.concatenate(parts))
 
 
-def _tested(classes, parity: str) -> list[Variant]:
-    """The requested variants the scan tests: under parity odd none of the
-    unitary ones, since odd_usp lists the odd usp n and no odd n is
-    unitary_perfect (module docstring)."""
-    return [v for v in VARIANTS if v.name in classes and not (parity == "odd" and v.unitary)]
-
-
-def _scan_parity(classes, parity: str) -> str:
-    """The parity of the n the scan visits: the even n alone under parity all
-    when every requested class is unitary, for the same reason as _tested."""
-    if parity == "all" and all(_VARIANT_BY_NAME[c].unitary for c in classes):
-        return "even"
-    return parity
+def _tested(classes, odd: bool) -> list[Variant]:
+    """The requested variants a block tests: on odd n none of the unitary
+    ones, since odd_usp lists the odd usp n and no odd n is unitary_perfect
+    (module docstring)."""
+    return [v for v in VARIANTS if v.name in classes and not (odd and v.unitary)]
 
 
 class _Block(NamedTuple):
-    """A sieve block: the n = lo, lo + step, ... < hi."""
+    """A sieve block: the n = lo, lo + 2, ... < hi, all of lo's parity."""
 
     lo: int
     hi: int
-    step: int
 
 
 def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
-    """The blocks of a run over [lo, hi): equal blocks of at most
-    _TABLE_CHUNK of the n of the requested parity, when the scan tests any
-    class."""
-    if not _tested(classes, parity):
-        return []
-    if parity == "all":
-        start, step = lo, 1
-    else:
-        # from the first n of the requested parity
-        start, step = (lo if lo % 2 == (parity == "odd") else lo + 1), 2
-    count = len(range(start, hi, step))
-    if not count:
-        return []
-    # equal blocks: a short last block's arrays would split the memory freed
-    # by a full one, and the heap would grow
-    parts = -(-count // _TABLE_CHUNK)
-    width = step * -(-count // parts)
-    return [_Block(b, min(hi, b + width), step) for b in range(start, hi, width)]
+    """The blocks of a run over [lo, hi), sorted by lo: for each parity that
+    the run requests and whose n test some class, equal blocks of at most
+    _TABLE_CHUNK of its n."""
+    blocks = []
+    for odd in (False, True):
+        if parity == ("even" if odd else "odd") or not _tested(classes, odd):
+            continue
+        start = lo + (lo % 2 != odd)  # the first n of this parity
+        count = len(range(start, hi, 2))
+        if count:
+            # equal blocks: a short last block's arrays would split the
+            # memory freed by a full one, and the heap would grow
+            parts = -(-count // _TABLE_CHUNK)
+            width = 2 * -(-count // parts)
+            blocks += [_Block(b, min(hi, b + width)) for b in range(start, hi, width)]
+    return sorted(blocks)
 
 
 def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     """(n, class) of the hits among the block's n."""
-    variants = _tested(_STATE["classes"], _STATE["parity"])
+    lo, hi = block
+    variants = _tested(_STATE["classes"], lo % 2 == 1)
     tables = _STATE["tables"]
-    lo, hi, step = block
+    # the divisor sums the variants read, in table order
+    sums = tuple(u for u in tables if any(v.unitary == u for v in variants))
     hits: list[tuple[int, str]] = []
     # the block's divisor sums, every one the variants read from one sieve
     # pass, run at most once and only when a slice needs a first application
     # the tables lack (they all hold the same odd values)
     sieved = None
-    for s in range(lo, hi, step * _SCAN_BLOCK):
-        n = np.arange(s, min(hi, s + step * _SCAN_BLOCK), step, dtype=np.int64)
+    for s in range(lo, hi, 2 * _SCAN_BLOCK):
+        n = np.arange(s, min(hi, s + 2 * _SCAN_BLOCK), 2, dtype=np.int64)
         count = n.shape[0]
         # the first application, once per divisor sum whichever classes read it
         firsts: dict[bool, np.ndarray] = {}
-        for j, unitary in enumerate(tables):
-            first = _progression_lookup(tables[unitary], s, count, step, unitary)
+        for j, unitary in enumerate(sums):
+            first = _progression_lookup(tables[unitary], s, count, unitary)
             if first is None:
                 if sieved is None:
-                    sieved = divisor_sum_segment(lo, hi, tuple(tables), step=step)
-                i = (s - lo) // step
+                    sieved = divisor_sum_segment(lo, hi, sums, step=2)
+                i = (s - lo) // 2
                 # int64 before any product
                 first = sieved[i : i + count, j].astype(np.int64, copy=False)
             firsts[unitary] = first
@@ -485,7 +483,7 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
                 # the odd divisor sum of first's 2-part divides the second
                 # application, so a hit needs it to divide n; and sigma(m) >=
                 # m + 1, so a hit needs first <= 2n - 1 (module docstring)
-                idx = _prefilter(first, s, step, unitary)
+                idx = _prefilter(first, s, unitary)
                 mm, nn = first[idx], n[idx]
                 keep = mm < 2 * nn
                 mm, nn = mm[keep], nn[keep]
@@ -572,7 +570,9 @@ def _table_sizes(classes, parity: str, top: int) -> dict[bool, int]:
     # which only a few n have (module docstring); index i holds 2i + 1, so
     # the odd values up to top take (top + 1) // 2 entries
     entries = min((top + 1) // 2, _TABLE_ENTRIES)
-    return {variant.unitary: entries for variant in _tested(classes, parity)}
+    # even blocks, laid unless the parity is odd, test every class that odd
+    # blocks test
+    return {variant.unitary: entries for variant in _tested(classes, parity == "odd")}
 
 
 #: pool tasks in flight per process: enough that a long task at the head of
@@ -641,14 +641,12 @@ def run_search(config: SearchConfig) -> SearchResult:
     if config.max_segments is not None:
         todo = todo[: config.max_segments]
     ends = [min(config.limit + 1, lo + config.segment_size) for lo in todo]
-    scanned = _scan_parity(config.classes, config.parity)
-    blocks = _blocks(config.classes, scanned, todo[0], ends[-1]) if todo else []
+    blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
 
     text = None  # the checkpoint text last written
     # hits of the returned blocks, and the listed odd usp n, not yet merged
     found: list[tuple[int, str]] = []
-    if todo and "usp" in config.classes and config.parity != "even" and scanned != "all":
-        # the scan tests no odd n for usp
+    if todo and "usp" in config.classes and config.parity != "even":
         found = [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
     merged = 0  # segments of todo merged
 
@@ -673,11 +671,11 @@ def run_search(config: SearchConfig) -> SearchResult:
     # a run with no block to scan (max_segments 0, a completed checkpoint, an
     # odd search of the unitary classes) reads no table, so none is built and
     # no pool is started
-    sizes = _table_sizes(config.classes, scanned, ends[-1] - 1) if blocks else {}
+    sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
     entries = max(sizes.values(), default=0)  # the same for every table
     # a process per task at most: a phase of one task gains nothing from a pool
     tasks = max(len(blocks), -(-entries // _TABLE_CHUNK))
-    _STATE = {"classes": set(config.classes), "parity": scanned, "tables": {}}
+    _STATE = {"classes": set(config.classes), "tables": {}}
     if sizes:
         # every table a row of one shared anonymous map
         table = np.ndarray((len(sizes), entries), dtype=np.uint32,

@@ -128,15 +128,22 @@ def _divisor_sum_segment(
     # sigma(r) = sigma*(r) = r + 1
     rest += rest > 1
     shared *= rest
-    del rest  # spent: its row, or the 2-part factors below, take its room
+    del rest  # spent: its row takes the shared product, or its array is freed
     out[1:] = shared
     for sig, unitary in zip(out, sums):
         if low is not None:
-            # sigma*(2^a) = 2^a + 1 or sigma(2^a) = 2^(a+1) - 1, in one array
-            factor = low + 1 if unitary else low << 1
-            if not unitary:
-                factor -= 1
-            sig *= factor
+            # sigma*(2^a) = 2^a + 1 or sigma(2^a) = 2^(a+1) - 1, made in
+            # low's place and undone after, so no factor array sits beside it
+            if unitary:
+                low += 1
+                sig *= low
+                low -= 1
+            else:
+                low <<= 1
+                low -= 1
+                sig *= low
+                low += 1
+                low >>= 1
         for p, pk, start in powers:
             # sig at a multiple of p^k holds prev, the factor of p^(k-1):
             # divide it out exactly before multiplying by cur, so no entry

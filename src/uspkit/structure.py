@@ -97,7 +97,9 @@ def zsigmondy(a: int, b: int, n: int) -> ZsigmondyResult:
         raise ValueError(f"a={a} and b={b} are not coprime")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if a**n > MAX_NATURAL:
+    # a >= 2, so n >= 64 puts a**n past MAX_NATURAL = 2**64 - 1: refused
+    # before a power whose cost grows with n is computed
+    if n >= MAX_NATURAL.bit_length() or a**n > MAX_NATURAL:
         raise ValueError(f"{a}**{n} exceeds the supported range")
     if (a, b, n) == (2, 1, 6):
         return ZsigmondyResult(ZsigmondyKind.EXC_2_1_6)
@@ -279,7 +281,8 @@ def check_lemma_25(x_max: int = 60) -> LemmaReport:
 def check_lemma_26(a_max: int = 40) -> LemmaReport:
     """Every prime factor of 2**a + 1 is 1, 3, or 5 (mod 8)."""
     _require_bounds(a_max=a_max)
-    if 2**a_max + 1 > MAX_NATURAL:
+    # 2**a + 1 <= MAX_NATURAL = 2**64 - 1 exactly when a <= 63
+    if a_max >= MAX_NATURAL.bit_length():
         raise ValueError(f"a_max={a_max} puts 2**a + 1 out of range")
     t0 = time.perf_counter()
     checked, bad = 0, []

@@ -1,4 +1,5 @@
 import json
+import time
 
 from uspkit.cli import main
 
@@ -84,6 +85,18 @@ def test_unallocatable_bound_exits_1(capsys):
     for argv in (("verify-lemma", "2.4", "--pmax", str(10**18)),
                  ("qscan", "--qmax", str(10**18))):
         code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+
+def test_out_of_range_power_refused_before_it_is_computed(capsys):
+    # 3**(10**7) and 2**(10**7) are never computed: the exponent alone puts
+    # them past 2**64 - 1, so both exit 1 at once
+    for argv in (("zsigmondy", "3", "1", str(10**7)),
+                 ("verify-lemma", "2.6", "--amax", str(10**7))):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
 

@@ -187,6 +187,18 @@ def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
             assert (seg == table[lo::step]).all(), (lo, step, unitary)
 
 
+def _kernel_peak(lo, hi, step, sums):
+    """The sieve kernel's sums over lo, lo + step, ... < hi, and the peak
+    bytes that tracemalloc reads while it runs."""
+    primes = base_primes(math.isqrt(hi - 1))
+    tracemalloc.start()
+    try:
+        seg = sieve._divisor_sum_segment(lo, hi, step, primes, sums)
+        return seg, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2, 2**29 + 1, 2**29 + 2])
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
@@ -194,17 +206,20 @@ def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     # rest and the returned sums, plus the boolean mask of the cofactor step
     # (and the 2-part of an even lo), in uint32 below 2**29 and int64 past it
     count = 1 << 18
-    hi = lo + count * step
-    width = 4 if hi <= 2**29 else 8
-    primes = base_primes(math.isqrt(hi - 1))
-    tracemalloc.start()
-    try:
-        seg = sieve._divisor_sum_segment(lo, hi, step, primes, (unitary,))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    width = 4 if lo + count * step <= 2**29 else 8
+    seg, peak = _kernel_peak(lo, lo + count * step, step, (unitary,))
     assert seg.dtype.itemsize == width
     assert peak < 3.5 * width * count
+
+
+@pytest.mark.parametrize("lo", [10**7 + 2, 2**29 + 2], ids=["narrow", "wide"])
+def test_sieve_kernel_both_sums_at_even_lo_hold_three_rows(lo):
+    # the two sum rows, rest in the last of them, and the 2-part of each
+    # value, which becomes each sum's factor in place: no factor array
+    count = 1 << 18
+    seg, peak = _kernel_peak(lo, lo + 2 * count, 2, (True, False))
+    assert seg.shape == (count, 2)
+    assert peak < 3.5 * seg.dtype.itemsize * count
 
 
 def test_fused_table_chunk_holds_its_two_rows():
@@ -213,14 +228,7 @@ def test_fused_table_chunk_holds_its_two_rows():
     # over it, and the cofactor mask
     count = search._TABLE_CHUNK
     hi = 2 * search._TABLE_ENTRIES
-    lo = hi - 2 * count + 1
-    primes = base_primes(math.isqrt(hi - 1))
-    tracemalloc.start()
-    try:
-        seg = sieve._divisor_sum_segment(lo, hi, 2, primes, (True, False))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    seg, peak = _kernel_peak(hi - 2 * count + 1, hi, 2, (True, False))
     assert seg.shape == (count, 2) and seg.dtype == np.uint32
     assert peak < 2.5 * 4 * count
 
@@ -508,20 +516,21 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
 
 def test_out_of_table_segment_sieved_once(sieve_spans, capped):
     # the capped table holds the odd values below 2**17 (built from spans
-    # ending at 2**17); each scan block reaching past it is sieved once per
-    # divisor sum, not once per class or per segment
+    # ending at 2**17); the odd block reaches past it and is sieved once, for
+    # sigma alone, not once per class or per segment, and the even block's
+    # odd parts stay below 7 * 10**4, in the table
     capped()
     run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER))
     assert len(sieve_spans) == len(set(sieve_spans))
-    scanned = Counter(span[:3] for span in sieve_spans if span[1] > 2**17)
-    assert scanned == {(1, 14 * 10**4 + 1, 1): 2}
+    scanned = Counter(span for span in sieve_spans if span[1] > 2**17)
+    assert scanned == {(1, 14 * 10**4 + 1, 2, False): 1}
 
 
 def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped):
-    # under a 2**16-entry cap, first applications of n > 2**17 come from a
-    # per-block sieve (step 1; the table is built from step-2 spans), and
-    # second ones with an odd part past the table from exact factorization:
-    # sigma(2 * 211**2) = 3 * 44733, for one
+    # under a 2**16-entry cap, first applications of odd n > 2**17 come from
+    # the odd block's sieve (the table is built from spans ending at 2**17),
+    # and second ones with an odd part past the table from exact
+    # factorization: sigma(2 * 211**2) = 3 * 44733, for one
     common = dict(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER)
     full = run_search(SearchConfig(**common))
     exact = []
@@ -535,21 +544,23 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped
     sieve_spans.clear()
     capped()
     result = run_search(SearchConfig(**common))
-    assert any(step == 1 for _, _, step, _ in sieve_spans)
+    assert (1, 14 * 10**4 + 1, 2, False) in sieve_spans
     assert 3 * 44733 in exact
     assert result.checkpoint_text == full.checkpoint_text
 
 
 def test_capped_scan_sieves_one_block_at_a_time(sieve_spans, capped):
     # past a 2**16-entry cap a segment of 2**20 values is sieved one scan
-    # block at a time, so the scan's memory is one block whatever the segment
+    # block at a time, so the scan's memory is one block whatever the
+    # segment
     common = dict(limit=10**6, segment_size=1 << 20, classes=CLASS_ORDER)
     full = run_search(SearchConfig(**common))
     sieve_spans.clear()
     capped()
     result = run_search(SearchConfig(**common))
-    assert any(step == 1 for _, _, step, _ in sieve_spans)  # the scan's blocks
-    assert all(len(range(lo, hi, step)) <= search._TABLE_CHUNK
+    # the scan's blocks, of both parities
+    assert {lo % 2 for lo, hi, _, _ in sieve_spans if hi > 2**17} == {0, 1}
+    assert all(step == 2 and len(range(lo, hi, step)) <= search._TABLE_CHUNK
                for lo, hi, step, _ in sieve_spans)
     assert result.checkpoint_text == full.checkpoint_text
 
@@ -636,7 +647,7 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
         return pool_class(max_workers=min(max_workers, 2), mp_context=mp_context)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", recorder)
-    # three scan blocks of at most 2**18 n, two table chunks of 2**18 entries
+    # four scan blocks of at most 2**18 n, two table chunks of 2**18 entries
     common = dict(limit=6 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER)
     serial = run_search(SearchConfig(**common)).checkpoint_text
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
@@ -714,8 +725,8 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     # all of them, however many there are, and a run that merges none (a
     # completed resume, max_segments 0) writes it once in total; each write
     # holds every segment merged so far
-    # (perfect keeps the scan over all n: a search of unitary classes only
-    # scans the even n)
+    # (perfect lays odd blocks beside the even ones, so the two parities'
+    # blocks alternate)
     cp = tmp_path / "cp.txt"
     limit, size, classes = 6 * 10**5, 2048, ("usp", "perfect")
     common = dict(limit=limit, segment_size=size, classes=classes, checkpoint_path=str(cp))
@@ -729,10 +740,12 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     assert writes == [partial.checkpoint_text] == [cp.read_text()]
     writes.clear()
     resumed = run_search(SearchConfig(resume=True, **common))
-    # three blocks of 2**18 n at most from 1 + 2 * size, each ending past
-    # dozens of segments
-    assert len(search._blocks(classes, "all", 1 + 2 * size, limit + 1)) == 3
-    assert [len(parse_checkpoint(text)[2]) for text in writes] == [98, 195, resumed.total_segments]
+    # two blocks of 2**18 n at most per parity from 1 + 2 * size, odd and
+    # even alternating; each even one ends past dozens of segments, and each
+    # odd one, returned just before the even block one n later, merges none
+    blocks = search._blocks(classes, "all", 1 + 2 * size, limit + 1)
+    assert [b.lo % 2 for b in blocks] == [1, 0, 1, 0]
+    assert [len(parse_checkpoint(text)[2]) for text in writes] == [147, resumed.total_segments]
     assert writes[-1] == resumed.checkpoint_text == baseline == cp.read_text()
     for config in (SearchConfig(resume=True, **common), SearchConfig(max_segments=0, **common)):
         writes.clear()
@@ -826,13 +839,14 @@ def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
 @given(a=st.integers(0, 28), odd=st.integers(0, 10**9))  # m < 2**59
 def test_two_part_factor_matches_factorization(a, odd):
     # m = 2^a * m' with m' odd: sigma*(m) = sigma*(2^a) sigma*(m') and
-    # sigma(m) = (2^(a+1) - 1) sigma(m'); the lookup and the prefilter both
-    # take the 2-part's factor and m''s table index from _split
+    # sigma(m) = (2^(a+1) - 1) sigma(m'); the lookups and the prefilter all
+    # take the 2-part's factor from _two_part_factor, on ints or arrays
     m_odd = 2 * odd + 1
     m = 2**a * m_odd
     for unitary, two_part in ((True, 2**a + (a > 0)), (False, 2 ** (a + 1) - 1)):
         idx, factor = search._split(np.array([m], dtype=np.int64), unitary)
         assert (int(idx[0]), int(factor[0])) == (odd, two_part)
+        assert search._two_part_factor(2**a, unitary) == two_part
         assert _exact_sums([m], unitary) == [two_part * _exact_sums([m_odd], unitary)[0]]
         assert _exact_sums([2**a], unitary) == [two_part]
 
@@ -859,35 +873,34 @@ def test_prefilter_keeps_every_brute_hit():
 @given(
     s=st.integers(1, 10**5),
     count=st.integers(1, 3 * search._SCAN_BLOCK),
-    step=st.sampled_from([1, 2]),
     unitary=st.booleans(),
 )
 # slices whose largest odd part is the table's last value 99999 or the next
-# odd value, at step 1 and at step 2 from an even s (n = 2 * 99999 and
-# 2 * 100001); and one whose last n, 15, is the factor 2^4 - 1 of the
-# survivor's sigma(15) = 2^3 * 3
-@example(s=99_000, count=1_000, step=1, unitary=True)
-@example(s=99_001, count=1_001, step=1, unitary=False)
-@example(s=199_000, count=500, step=2, unitary=True)
-@example(s=199_002, count=501, step=2, unitary=False)
-@example(s=1, count=15, step=1, unitary=False)
-def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count, step, unitary):
+# odd value, from an odd s (n = 99999 and 100001) and from an even s (n =
+# 2 * 99999 and 2 * 100001); and one whose last n, 15, is the factor 2^4 - 1
+# of the survivor's sigma(15) = 2^3 * 3
+@example(s=97_001, count=1_500, unitary=True)
+@example(s=99_003, count=500, unitary=False)
+@example(s=199_000, count=500, unitary=True)
+@example(s=199_002, count=501, unitary=False)
+@example(s=1, count=8, unitary=False)
+def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count, unitary):
     # the scan's first applications and prefilter walk the progression's
     # 2-adic classes; they must agree with _lookup and _split value by value,
     # and refuse exactly the slices the table does not serve, those that
     # reach past its last odd value 10**5 - 1 among them
     sig, usig = brute_tables_1e5
     table = (usig if unitary else sig)[1::2].astype(np.uint32)
-    n = np.arange(s, s + step * count, step, dtype=np.int64)
+    n = np.arange(s, s + 2 * count, 2, dtype=np.int64)
     sums, inside = search._lookup(table, n, unitary)
-    first = search._progression_lookup(table, s, count, step, unitary)
+    first = search._progression_lookup(table, s, count, unitary)
     assert (first is None) == (not inside.all())
-    firsts = [divisor_sum_segment(s, s + step * count, unitary, step=step)]
+    firsts = [divisor_sum_segment(s, s + 2 * count, unitary, step=2)]
     if first is not None:
         assert first.dtype == np.int64 and (first == sums).all()
         firsts.append(first)
     for first in firsts:
-        survivors = search._prefilter(first, s, step, unitary)
+        survivors = search._prefilter(first, s, unitary)
         expected = np.flatnonzero(n % search._split(first, unitary)[1] == 0)
         assert np.array_equal(survivors, expected)
 
@@ -896,19 +909,20 @@ def test_progression_lookup_products_past_uint32():
     # table entries are uint32; the run's product with the 2-part's factor
     # is taken in int64, so sigma(2^a * m') past 2^32 stays exact
     table = np.full(4, 2**32 - 1, dtype=np.uint32)
-    first = search._progression_lookup(table, 1, 8, 1, False)
+    first = search._progression_lookup(table, 2, 8, False)
     assert first.tolist() == [(2 ** (n & -n).bit_length() - 1) * (2**32 - 1)
-                              for n in range(1, 9)]
+                              for n in range(2, 17, 2)]
 
 
 def test_narrow_fallback_block_products_past_uint32(monkeypatch):
-    # a block just below 2**29 past a 4-entry table: its first applications
-    # come from one uint32 sieve pass and are taken to int64 before any
-    # product, so the exact second applications past 2**32 (13 of them
-    # here) stay exact and the block has no hit
+    # the even and the odd block of the 2**16 values just below 2**29, past a
+    # 4-entry table: their first applications come from one uint32 sieve
+    # pass each and are taken to int64 before any product, so the exact
+    # second applications past 2**32 (13 of them here, all sigma) stay exact
+    # and neither block has a hit
     table = np.zeros((2, 4), dtype=np.uint32)
     tables = dict(zip((True, False), table))
-    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER), "parity": "all",
+    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
                                            "table": table, "tables": tables})
     search._build_table()
     seconds = []
@@ -920,31 +934,32 @@ def test_narrow_fallback_block_products_past_uint32(monkeypatch):
 
     monkeypatch.setattr(search, "_exact_divisor_sum", counted)
     hi = 2**29
-    assert search._classify_segment(search._Block(hi - 2**16, hi, 1)) == []
+    for lo in (hi - 2**16, hi - 2**16 + 1):
+        assert search._classify_segment(search._Block(lo, hi)) == []
     assert sum(second >= 2**32 for second in seconds) == 13
 
 
 def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
-    # one in-table block of 2**18 values, all four classes at parity all:
-    # a slice holds n, both first applications and 2n as int64 arrays of
-    # _SCAN_BLOCK values, and the prefilter's and second lookup's arrays are
-    # smaller; five such arrays bound the peak (taking the first
+    # the two in-table blocks of 2**18 n each, odd and even, all four
+    # classes: a slice holds n, both first applications and 2n as int64
+    # arrays of _SCAN_BLOCK values, and the prefilter's and second lookup's
+    # arrays are smaller; five such arrays bound the peak (taking the first
     # applications through _lookup's split of every n needs more than eight)
-    lo, hi = 1, (1 << 18) + 1
+    hi = (1 << 19) + 1
     table = np.zeros((2, (hi + 1) // 2), dtype=np.uint32)
     tables = dict(zip((True, False), table))
-    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER), "parity": "all",
+    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
                                            "table": table, "tables": tables})
     search._build_table()
     sieve_spans.clear()
     tracemalloc.start()
     try:
-        hits = search._classify_segment(search._Block(lo, hi, 1))
+        hits = [hit for lo in (1, 2) for hit in search._classify_segment(search._Block(lo, hi))]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert not sieve_spans  # every first application came from the tables
-    assert {(9, "usp"), (6, "unitary_perfect"), (16, "super_perfect"), (8128, "perfect")} <= set(hits)
+    assert {(2, "usp"), (6, "unitary_perfect"), (16, "super_perfect"), (8128, "perfect")} <= set(hits)
     assert peak < 5 * 8 * search._SCAN_BLOCK
 
 
@@ -1035,9 +1050,9 @@ def test_usp_checkpoint_golden_1e8_all_n():
 
 
 def test_scanned_odd_usp_hits_match_the_list():
-    # a parity-all search with a sigma class scans the odd n through the
-    # tables, and one of unitary classes only takes them from odd_usp; for
-    # every class set with usp its odd usp hits are the listed ones
+    # no block tests usp on an odd n, whether or not a sigma class lays odd
+    # blocks beside it: for every class set with usp, at parity all, the odd
+    # usp hits are the ones odd_usp lists
     limit = 10**6
     listed = search.odd_usp(1, limit + 1)
     others = [c for c in CLASS_ORDER if c != "usp"]
@@ -1049,24 +1064,68 @@ def test_scanned_odd_usp_hits_match_the_list():
 
 @pytest.mark.parametrize("classes", [("usp",), ("unitary_perfect",), ("usp", "unitary_perfect")])
 def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
-    # every requested class unitary: the scan lays step-2 blocks from even
-    # starts only and the odd usp n are listed, yet the checkpoint equals
-    # that of a search with perfect beside them, which scans every n
+    # every requested class unitary: the scan lays blocks from even starts
+    # only and the odd usp n are listed; perfect beside them lays odd blocks
+    # and the same even ones, and its checkpoint holds the same hits
     limit, size = 10**6, 1 << 16
     blocks = []
     classify = search._classify_segment
     monkeypatch.setattr(search, "_classify_segment",
                         lambda block: blocks.append(block) or classify(block))
     result = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes))
-    assert len(blocks) > 1 and all(step == 2 and lo % 2 == 0 for lo, _, step in blocks)
+    even = list(blocks)
+    assert len(even) > 1 and all(lo % 2 == 0 for lo, _ in even)
     blocks.clear()
     full = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes + ("perfect",)))
-    assert blocks and all(step == 1 for _, _, step in blocks)
+    assert [b for b in blocks if b.lo % 2 == 0] == even
+    assert any(lo % 2 for lo, _ in blocks)
+
     assert result.checkpoint_text == render_checkpoint(limit, size, [
         [h for h in seg if h.classification in classes]
         for seg in parse_checkpoint(full.checkpoint_text)[2]
     ])
     assert any(h.n % 2 for h in result.hits) == ("usp" in classes)
+
+
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
+def test_no_odd_n_reaches_a_unitary_class(monkeypatch, parity):
+    # for every class set: the blocks hold the n of one parity at step 2,
+    # and cover each scanned parity's n once; every slice looked up in the
+    # sigma* table starts at an even n, so no unitary class sees an odd one;
+    # odd blocks are laid exactly when a sigma class is requested and the
+    # parity is not even, even ones unless it is odd; and the hits are the
+    # oracle's, the odd usp ones listed
+    limit = 3000
+    oracle = bruteforce.classify_brute(limit)
+    blocks, slices = [], []
+    classify, lookup = search._classify_segment, search._progression_lookup
+    monkeypatch.setattr(search, "_classify_segment",
+                        lambda block: blocks.append(block) or classify(block))
+    monkeypatch.setattr(search, "_progression_lookup",
+                        lambda table, s, count, unitary: slices.append((s, count, unitary))
+                        or lookup(table, s, count, unitary))
+    for r in range(1, len(CLASS_ORDER) + 1):
+        for classes in itertools.combinations(CLASS_ORDER, r):
+            blocks.clear()
+            slices.clear()
+            hits = run_search(SearchConfig(limit=limit, segment_size=1024, classes=classes,
+                                           parity=parity)).hits
+            sigma = any(not search._VARIANT_BY_NAME[c].unitary for c in classes)
+            laid = {odd: [b for b in blocks if b.lo % 2 == odd] for odd in (0, 1)}
+            assert bool(laid[1]) == (sigma and parity != "even")
+            assert bool(laid[0]) == (parity != "odd")
+            for odd, own in laid.items():
+                scanned = [n for b in own for n in range(b.lo, b.hi, 2)]
+                assert scanned == (list(range(2 - odd, limit + 1, 2)) if own else [])
+            assert all(s % 2 == 0 for s, _, unitary in slices if unitary)
+            for unitary in {search._VARIANT_BY_NAME[c].unitary for c in classes}:
+                looked_up = [s + 2 * i for s, count, u in slices if u == unitary
+                             for i in range(count)]
+                assert looked_up == [n for b in blocks for n in range(b.lo, b.hi, 2)
+                                     if not (unitary and n % 2)]
+            keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
+            assert sorted((h.n, h.classification) for h in hits) == sorted(
+                (n, c) for c in classes for n in oracle[c] if n % 2 in keep)
 
 
 @pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
@@ -1205,8 +1264,8 @@ def _one_segment_split(config):
 
 
 #: (classes, parity, limit) of searches whose blocks cut across segments:
-#: three blocks each, of the odd n for super_perfect, with the listed odd
-#: usp hits merged in, and of all n
+#: three blocks or more each, of the odd n for super_perfect, with the
+#: listed odd usp hits merged in, and of both parities
 _MERGED_SEARCHES = [
     (("usp", "super_perfect"), "odd", 15 * 10**5),
     (CLASS_ORDER, "all", 6 * 10**5),
