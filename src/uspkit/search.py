@@ -75,10 +75,10 @@ exact, and it never factorizes sigma*(n).  A search of usp over the odd n
 merges these hits into their segments like scanned ones.
 
 The scanned second-order classes look their second application up.  A flat
-uint32 table of divisor sums of the odd values up to the run's last n, at
-most _TABLE_ENTRIES of them, is built once per run for each divisor sum
-the scan reads: entry i holds sigma*(2i + 1) or sigma(2i + 1).  The tables
-are the rows of one array, filled chunk by chunk, each chunk of every row
+uint32 table of divisor sums of odd values, at most _TABLE_ENTRIES of them
+(its length is below), is built once per run for each divisor sum the scan
+reads: entry i holds sigma*(2i + 1) or sigma(2i + 1).  The tables are rows
+of one map, filled chunk by chunk, each chunk of every row that reaches it
 from one sieve pass that shares its division by the primes.  A lookup of
 m = 2^a * m' with m' odd multiplies the entry for m' by the 2-part's
 factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.  The
@@ -99,6 +99,22 @@ up to 4*10^6, 6.4% (sigma*) and 2.6% (sigma) survive it; only they are
 compared with 2n and looked up a second time.  A second application whose
 odd part lies past the table (those odd firsts, and every survivor past a
 memory-capped table) is computed by exact factorization.
+
+Each table stops at the largest odd part its readers need; take top as the
+run's last n.  An even n <= top has its odd part at most top/2, and so does
+a survivor's first application 2^a * m' with a >= 2, since m' < 2n/4.  So
+odd values past top/2 are read only by odd blocks, which exist only for the
+sigma classes when the parity is not even, and by survivors with a <= 1.
+The sigma* table therefore holds the odd values up to top/2, and so does
+the sigma table unless odd blocks read it; then it holds those up to top.
+The lookups this sends past a table are exact factorizations, and few.  For
+sigma*, only even n are scanned, and a survivor with a = 0 is n = 2^b.  One
+with a = 1 has a single odd prime power p^e || n, with p^e = 1 (mod 4) so
+that p^e + 1 = 2 (mod 4), and its factor sigma*(2) = 3 divides n, so p = 3
+and e is even: n = 2^b * 3^(2e).  For sigma at parity even, a survivor
+with a = 1 has its factor sigma(2) = 3 dividing the even n, so 6 | n,
+sigma(n) >= 2n and it fails first < 2n; only the odd first applications
+(n a square or twice a square) leave the table.
 
 Each search makes one ordered map and runs the table build and the scan
 through it: the builtin map in one process, otherwise the map of one fork
@@ -298,8 +314,8 @@ class SearchResult:
 
 #: the running search's classes and odd-part tables, set by run_search
 #: before its pool forks so that the workers inherit them: "table" is one
-#: shared (tables, entries) uint32 array that every process writes and reads
-#: in place, and "tables" maps unitary to its row
+#: shared uint32 map that every process writes and reads in place, and
+#: "tables" maps unitary to its row, a view of the map of its own length
 _STATE: dict | None = None
 
 #: odd values per table-build task, and at most n per sieve block of the
@@ -309,24 +325,28 @@ _TABLE_CHUNK = 1 << 18
 
 
 def _fill_chunk(i: int) -> None:
-    table = _STATE["table"]
-    lo, hi = 2 * i + 1, 2 * min(table.shape[1], i + _TABLE_CHUNK)
-    # every table's chunk from one sieve pass
-    seg = divisor_sum_segment(lo, hi, tuple(_STATE["tables"]), step=2)
-    if seg.max(initial=0) >= 1 << 32:
+    # the rows that reach entry i, each filled to its own end from one sieve
+    # pass over the odd values of the longest
+    rows = {u: row for u, row in _STATE["tables"].items() if row.shape[0] > i}
+    end = min(i + _TABLE_CHUNK, max(row.shape[0] for row in rows.values()))
+    lo, hi = 2 * i + 1, 2 * end
+    seg = divisor_sum_segment(lo, hi, tuple(rows), step=2)
+    # uint32 sums are exact (sieve docstring); wider ones must still fit
+    if seg.dtype != np.uint32 and seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
-    table[:, i : i + seg.shape[0]] = seg.T
+    for j, row in enumerate(rows.values()):
+        row[i:end] = seg[: row.shape[0] - i, j]
 
 
 def _build_table(omap=map) -> np.ndarray:
-    """Fill the state's tables, row by row sigma*(2i + 1) or sigma(2i + 1) at
-    index i, one task per _TABLE_CHUNK entries of every row run through
-    omap; returns the (tables, entries) array."""
-    table = _STATE["table"]
+    """Fill the state's tables, each row sigma*(2i + 1) or sigma(2i + 1) at
+    index i, one task per _TABLE_CHUNK entries of the longest row run
+    through omap; returns the map that holds every row."""
+    longest = max(row.shape[0] for row in _STATE["tables"].values())
     # draining the map runs (builtin map) or awaits (pool) every task, and
     # raises a task's OverflowError here
-    list(omap(_fill_chunk, range(0, table.shape[1], _TABLE_CHUNK)))
-    return table
+    list(omap(_fill_chunk, range(0, longest, _TABLE_CHUNK)))
+    return _STATE["table"]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +478,8 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     hits: list[tuple[int, str]] = []
     # the block's divisor sums, every one the variants read from one sieve
     # pass, run at most once and only when a slice needs a first application
-    # the tables lack (they all hold the same odd values)
+    # the tables lack (an odd block reads sigma alone, and every table holds
+    # the odd parts of an even block's n up to the one cap)
     sieved = None
     for s in range(lo, hi, 2 * _SCAN_BLOCK):
         n = np.arange(s, min(hi, s + 2 * _SCAN_BLOCK), 2, dtype=np.int64)
@@ -565,14 +586,17 @@ _TABLE_ENTRIES = 1 << 28
 
 def _table_sizes(classes, parity: str, top: int) -> dict[bool, int]:
     """Entries of each odd-part table the looked-up classes use, keyed by
-    unitary, for a run whose last n is top."""
-    # every lookup with an odd part past top is of an odd first application,
-    # which only a few n have (module docstring); index i holds 2i + 1, so
-    # the odd values up to top take (top + 1) // 2 entries
-    entries = min((top + 1) // 2, _TABLE_ENTRIES)
+    unitary, for a run whose last n is top (module docstring)."""
+    # index i holds 2i + 1, so the odd values up to x take (x + 1) // 2
+    # entries: an even n <= top has its odd part at most top // 2, and only
+    # odd blocks, laid for the sigma classes when the parity is not even,
+    # read further
+    half = (top // 2 + 1) // 2
+    whole = (top + 1) // 2 if parity != "even" else half
     # even blocks, laid unless the parity is odd, test every class that odd
     # blocks test
-    return {variant.unitary: entries for variant in _tested(classes, parity == "odd")}
+    return {variant.unitary: min(half if variant.unitary else whole, _TABLE_ENTRIES)
+            for variant in _tested(classes, parity == "odd")}
 
 
 #: pool tasks in flight per process: enough that a long task at the head of
@@ -672,15 +696,16 @@ def run_search(config: SearchConfig) -> SearchResult:
     # odd search of the unitary classes) reads no table, so none is built and
     # no pool is started
     sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
-    entries = max(sizes.values(), default=0)  # the same for every table
+    longest = max(sizes.values(), default=0)  # the table build's tasks
     # a process per task at most: a phase of one task gains nothing from a pool
-    tasks = max(len(blocks), -(-entries // _TABLE_CHUNK))
+    tasks = max(len(blocks), -(-longest // _TABLE_CHUNK))
     _STATE = {"classes": set(config.classes), "tables": {}}
     if sizes:
-        # every table a row of one shared anonymous map
-        table = np.ndarray((len(sizes), entries), dtype=np.uint32,
-                           buffer=mmap.mmap(-1, 4 * len(sizes) * entries))
-        _STATE.update(table=table, tables=dict(zip(sizes, table)))
+        # every table a row of one shared anonymous map, one after another
+        entries = sum(sizes.values())
+        table = np.ndarray(entries, dtype=np.uint32, buffer=mmap.mmap(-1, 4 * entries))
+        rows = np.split(table, np.cumsum(list(sizes.values()))[:-1])
+        _STATE.update(table=table, tables=dict(zip(sizes, rows)))
     try:
         with _ordered_map(min(config.workers, os.cpu_count() or 1, tasks)) as omap:
             if sizes:

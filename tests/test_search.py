@@ -606,34 +606,60 @@ def test_checkpoint_bytes_golden_1e6(parity, workers, cap, capped):
     assert digest == _GOLDEN_CHECKPOINTS_1E6[parity]
 
 
-@pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
-def test_stopped_run_tables_end_at_its_last_n(monkeypatch, tmp_path, cap, capped):
-    # a run stopped by max_segments sizes its tables to its own last n, not
-    # to limit; the resumed run sizes them to limit, and its bytes are those
-    # of the uninterrupted run
-    if cap:
-        capped()
+def _odd_values(last):
+    """Entries of a table of the odd values up to last: index i holds 2i + 1."""
+    return len(range(1, last + 1, 2))
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """(unitary, entries) of every row each table build fills, and the bytes
+    of the map it returns."""
     built = []
     build_table = search._build_table
 
     def recorded(omap=map):
         table = build_table(omap)
-        built.extend((unitary, row.shape[0]) for unitary, row in search._STATE["tables"].items())
+        rows = search._STATE["tables"].items()
+        built.append(([(unitary, row.shape[0]) for unitary, row in rows], table.nbytes))
         return table
 
     monkeypatch.setattr(search, "_build_table", recorded)
+    return built
+
+
+@pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
+def test_stopped_run_tables_end_at_its_last_n(tmp_path, built_rows, cap, capped):
+    # a run stopped by max_segments sizes its tables to its own last n, not
+    # to limit; the resumed run sizes them to limit, and its bytes are those
+    # of the uninterrupted run.  Each row has its own length: sigma* is read
+    # only at even n, whose odd parts are at most half the last n, while odd
+    # blocks read sigma up to the last n; the map holds just the rows
+    if cap:
+        capped()
     size, stop = 1 << 16, 3
     common = dict(limit=10**6, segment_size=size, classes=CLASS_ORDER,
                   checkpoint_path=str(tmp_path / "cp.txt"), workers=2)
     partial = run_search(SearchConfig(max_segments=stop, **common))
     assert partial.segments_done == stop and not partial.completed
-    last = stop * size  # the stopped run's last n
-    assert built == [(u, min((last + 1) // 2, search._TABLE_ENTRIES)) for u in (True, False)]
-    built.clear()
     resumed = run_search(SearchConfig(resume=True, **common))
-    assert built == [(u, min((10**6 + 1) // 2, search._TABLE_ENTRIES)) for u in (True, False)]
+    rows = []
+    for last in (stop * size, 10**6):  # the stopped run's last n, then limit's
+        lengths = [min(_odd_values(top), search._TABLE_ENTRIES) for top in (last // 2, last)]
+        rows.append((list(zip((True, False), lengths)), 4 * sum(lengths)))
+    assert built_rows == rows
     digest = hashlib.sha256(resumed.checkpoint_text.encode()).hexdigest()
     assert digest == _GOLDEN_CHECKPOINTS_1E6["all"]
+
+
+@pytest.mark.parametrize("parity", ["all", "even"])
+def test_usp_search_builds_one_half_row(built_rows, parity):
+    # usp alone reads sigma* at even n only, the odd usp n being listed: one
+    # row, of the odd values up to half the last n, is the whole map
+    top = 10**5 + 3
+    run_search(SearchConfig(limit=top, parity=parity))
+    entries = (top // 2 + 1) // 2
+    assert built_rows == [([(True, entries)], 4 * entries)]
 
 
 def test_one_pool_bounded_by_cpu_count(monkeypatch):
@@ -789,27 +815,35 @@ def test_odd_sigma_table_capped_at_limit(monkeypatch):
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_table_sizes_limit_at_every_parity(parity, capped):
-    # every looked-up class at every parity reads the odd values up to the
-    # run's last n, at most 2**28 of them (1 GiB), or at most the cap
+    # every looked-up class reads the odd parts of the even n up to the run's
+    # last n, at most half of it; sigma is also read at odd n when the
+    # parity is not even, up to the last n itself.  Rows are at most 2**28
+    # entries (1 GiB), or at most the cap
     assert search._TABLE_ENTRIES == 1 << 28
     for cap in (1 << 28, 1 << 16):
         if cap == 1 << 16:
             capped()
-        for top in (1, 10**5, 3 * 10**5 + 1, 10**8, search.HARD_LIMIT):
+        for top in (1, 2, 3, 10**5, 3 * 10**5 + 1, 10**8, search.HARD_LIMIT):
             for r in range(1, len(CLASS_ORDER) + 1):
                 for classes in itertools.combinations(CLASS_ORDER, r):
-                    looked_up = {v.unitary for v in VARIANTS if v.name in classes
-                                 and not (parity == "odd" and v.unitary)}
-                    assert search._table_sizes(classes, parity, top) == dict.fromkeys(
-                        looked_up, min((top + 1) // 2, cap))
+                    expected = {}
+                    for v in VARIANTS:
+                        if v.name in classes and not (parity == "odd" and v.unitary):
+                            odd_n = parity != "even" and not v.unitary
+                            last = top if odd_n else top // 2
+                            expected[v.unitary] = min(_odd_values(last), cap)
+                    assert search._table_sizes(classes, parity, top) == expected
 
 
 @pytest.mark.parametrize("parity", ["all", "even"])
 def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
-    # under the default cap every first application comes from the table,
-    # and a second lookup leaves it only for an odd first application past
-    # limit: sigma*(n) is odd only for n = 1 or a power of two, sigma(n) only
-    # for a square or twice a square, so exactly those few are factorized
+    # under the default cap every first application comes from a table, and
+    # a second lookup leaves its row only for a prefilter survivor whose odd
+    # part lies past the row: the sigma* row ends at limit // 2, the sigma
+    # row at limit when odd n are scanned and at limit // 2 otherwise.  Those
+    # survivors are exactly the families of the search docstring: n = 2^b
+    # and n = 2^b * 3^(2e) for sigma*, and for sigma the n that are a square
+    # or twice a square with an odd first application
     limit = 3 * 10**5
     exact = []
     exact_divisor_sum = search._exact_divisor_sum
@@ -822,17 +856,45 @@ def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
     config = SearchConfig(limit=limit, segment_size=1 << 14, classes=CLASS_ORDER, parity=parity)
     run_search(config)
     assert all(step == 2 and hi <= limit + 1 for _, hi, step, _ in sieve_spans)
-    odd_first = {1} | {2**k for k in range(limit.bit_length())}
-    odd_first |= {c * k * k for c in (1, 2) for k in range(1, math.isqrt(limit) + 1)}
+
+    def row_end(unitary):
+        return limit if parity == "all" and not unitary else limit // 2
+
+    def past_row(ns, firsts, unitary):
+        # (first, unitary) of each scanned n whose first application passes
+        # the prefilter and first < 2n, with its odd part past the row
+        low = firsts & -firsts
+        factor = np.where(low > 1, low + 1, 1) if unitary else 2 * low - 1
+        keep = (ns % factor == 0) & (firsts < 2 * ns) & (firsts // low > row_end(unitary))
+        return [(int(m), unitary) for m in firsts[keep]]
+
+    # every n <= limit: the unitary classes and, at parity even, all classes
+    # see even n only; the first applications from the step-1 sieve, which
+    # the tests above check against factorize (factorizing every n takes
+    # seconds)
+    n = np.arange(1, limit + 1, dtype=np.int64)
+    scanned = {u: n[(n % 2 == 0) | (parity == "all" and not u)] for u in (True, False)}
     expected = [
-        (first, unitary)
-        for n in odd_first if n <= limit and (parity == "all" or n % 2 == 0)
-        for unitary in (True, False)
-        for first in _exact_sums([n], unitary)
-        if first % 2 and limit < first < 2 * n
+        m for u, ns in scanned.items()
+        for m in past_row(ns, divisor_sum_segment(1, limit + 1, u)[ns - 1], u)
     ]
-    assert all(m % 2 and m > limit for m, _ in exact)
-    assert exact and sorted(exact) == sorted(expected)
+    assert sorted(exact) == sorted(expected)
+    # the families, from factorize: n = 2^b and 2^b * 9^e, and the squares
+    # and twice the squares that are scanned
+    powers = [2**b for b in range(1, limit.bit_length())]
+    nines = [p * 9**e for p in powers for e in range(1, 6) if p * 9**e <= limit]
+    squares = [c * k * k for c in (1, 2) for k in range(1, math.isqrt(limit) + 1)]
+    families = {
+        True: (powers, nines),
+        False: ([m for m in squares if m <= limit and (parity == "all" or m % 2 == 0)],),
+    }
+    for unitary, groups in families.items():
+        found = [
+            past_row(np.array(ns), np.array(_exact_sums(ns, unitary)), unitary)
+            for ns in groups
+        ]
+        assert all(found)  # every family occurs
+        assert sorted(sum(found, [])) == sorted(m for m in exact if m[1] == unitary)
 
 
 @settings(_PROPERTY, max_examples=200)
