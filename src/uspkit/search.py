@@ -5,29 +5,29 @@ over the run's range: from the first segment still to do to the end of the
 last one.  The units of work are sieve blocks.  A block holds the n = lo,
 lo + 2, ... < hi of one parity, at most _TABLE_CHUNK of them; each
 parity's n are cut into equal blocks, and the blocks of both parities run
-in order of lo.  A block's parity decides the classes it tests: an even
-block tests every requested class, an odd block only the sigma classes
-(super_perfect, perfect).  No unitary class ever sees an odd n: no odd n is
-unitary_perfect, and the odd usp n are listed from an equation (below), so
-the odd usp hits of every search come from odd_usp.  Odd blocks are thus
-laid only when a sigma class is requested and the parity is not even, and
-even blocks unless the parity is odd.
+in order of lo.  A block's parity decides the classes it tests, and so the
+one divisor sum it reads: an even block tests the unitary classes (usp,
+unitary_perfect) and reads sigma*, an odd block the sigma classes
+(super_perfect, perfect) and reads sigma.  The hits the blocks do not test
+are listed from equations (below): no odd n is unitary_perfect, the odd
+usp n come from odd_usp, and the even perfect and super_perfect n from
+even_sigma.  Even blocks are thus laid only when a unitary class is
+requested and the parity is not odd, odd blocks only when a sigma class is
+requested and the parity is not even.
 
 A block is classified in slices of _SCAN_BLOCK n.  Every slice takes the
-first application, sigma*(n) or sigma(n), of each divisor sum its block's
-classes read, by one rule: from the search's lookup table when the table
-holds every odd part of the slice, otherwise from the divisor-sum sieve of
-the enclosing block, run at most once per block for every divisor sum the
-block reads and taken to int64 before any product.  The table serves a
-slice one 2-adic class at a time: the n with v2(n) = a recur every 2^a
-values of an even slice (every n of an odd slice has a = 0) and their odd
-parts are consecutive odd values, so their sums are one contiguous run of
-the table times the 2-part's factor (below), written at that stride; no n
-is split into its 2-part and odd part.  The scan's memory is thus one
-block, whatever the segment size.  Segments are the checkpoint's unit: a
-segment is merged once every block that starts before its end has
-returned, and a returned block that lets segments merge writes the
-checkpoint once.
+first application, sigma*(n) or sigma(n), by one rule: from the search's
+lookup table when the table holds every odd part of the slice, otherwise
+from the divisor-sum sieve of the enclosing block, run at most once per
+block and taken to int64 before any product.  The table serves a slice
+one 2-adic class at a time: the n with v2(n) = a recur every 2^a values of
+an even slice (every n of an odd slice has a = 0) and their odd parts are
+consecutive odd values, so their sums are one contiguous run of the table
+times the 2-part's factor (below), written at that stride; no n is split
+into its 2-part and odd part.  The scan's memory is thus one block,
+whatever the segment size.  Segments are the checkpoint's unit: a segment
+is merged once every block that starts before its end has returned, and a
+returned block that lets segments merge writes the checkpoint once.
 
 A class applied once (unitary_perfect, perfect) is a hit when first = 2n;
 a second-order class looks its second application up (below).
@@ -74,6 +74,29 @@ with sigma*(n) = 2^a * q^b, from factorize(n); 48 n reach that test up to
 exact, and it never factorizes sigma*(n).  A search of usp over the odd n
 merges these hits into their segments like scanned ones.
 
+The sigma classes at even n are listed too.  Write an even n = 2^k * m
+with k >= 1 and m odd, and q = 2^(k+1) - 1 >= 3, so sigma(n) = q *
+sigma(m).  If n is perfect, q * sigma(m) = 2^(k+1) * m, so q divides m and
+sigma(m) = m + m/q; m and m/q are distinct divisors of m, so they are all
+of them and m = q is prime.  If n is super perfect and m > 1, sigma(n) has
+the distinct divisors q * sigma(m) and sigma(m), so sigma(sigma(n)) >= (q +
+1) * sigma(m) = 2^(k+1) * sigma(m) > 2^(k+1) * m = 2n; so m = 1, and
+sigma(q) = 2n = q + 1 makes q prime.  With p = k + 1, the even perfect n
+are 2^(p-1) * (2^p - 1) and the even super perfect n are 2^(p-1), for each
+Mersenne prime 2^p - 1 (Euclid and Euler; Suryanarayana), and conversely
+each of these is a hit.  even_sigma lists them p by p through
+is_mersenne_prime, O(log limit) tests, and a search over the even n merges
+them into their segments like the odd usp hits.
+
+An odd super perfect n has an odd sigma(n) (Kanold).  Suppose sigma(n) =
+2^a * m with a >= 1 and m odd, and let q = 2^(a+1) - 1 >= 3.  Then
+sigma(sigma(n)) = q * sigma(m) = 2n, so q divides the odd n, and m > 1,
+since m = 1 would make 2n = q odd.  So sigma(n)/n = 2^(a+1) * m / (q *
+sigma(m)) = ((q + 1)/q) * m/sigma(m) < (q + 1)/q, while the divisor q of n
+gives sigma(n)/n >= sigma(q)/q >= (q + 1)/q: a contradiction.  An odd n has
+an odd sigma(n) exactly when it is a square, so an odd block looks a second
+application up for O(sqrt(limit)) n at most.
+
 The scanned second-order classes look their second application up.  A flat
 uint32 table of divisor sums of odd values, at most _TABLE_ENTRIES of them
 (its length is below), is built once per run for each divisor sum the scan
@@ -83,38 +106,33 @@ from one sieve pass that shares its division by the primes.  A lookup of
 m = 2^a * m' with m' odd multiplies the entry for m' by the 2-part's
 factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.  The
 inequality sigma(m) >= m + 1 means any n with a first application above
-2n - 1 can be discarded before the second lookup, so a candidate's first
-application 2^a * m' has m' < n when a >= 1.  It is odd (a = 0) only when
-n is 1 or a power of two for sigma* (an odd prime power p^e contributes
-the even p^e + 1), or a square or twice a square for sigma: O(sqrt(limit))
-values of n at any parity.  By multiplicativity the second application is
-the 2-part's factor times the divisor sum of m'; the factor is odd, so a
-hit needs it to divide n.  That prefilter walks the factors, not the n:
-for each a >= 1 whose factor 2^a + 1 or 2^(a+1) - 1 is at most the slice's
-last n, its multiples are every factor-th n of the slice, and those among
-them with v2(first) = a survive, beside the few odd first applications
-(factor 1).  Each n has one v2(first), so this is the prefilter exactly,
-and it touches about 1.8 (sigma*) or 1.6 (sigma) slice lengths.  Of all n
-up to 4*10^6, 6.4% (sigma*) and 2.6% (sigma) survive it; only they are
+2n - 1 can be discarded before the second lookup.  A super_perfect
+candidate is an odd n with an odd first application (above).  A usp
+candidate is an even n, and its second application is the 2-part's factor
+times sigma*(m') by multiplicativity; the factor is odd, so a hit needs it
+to divide n.  That prefilter walks the factors, not the n: for each a >= 1
+whose factor 2^a + 1 is at most the slice's last n, its multiples are every
+factor-th n of the slice, and those among them with v2(first) = a survive,
+beside the few odd first applications (factor 1).  Each n has one
+v2(first), so this is the prefilter exactly, and it touches about 1.8
+slice lengths.  Of the even n up to 4*10^6, 6.8% survive it; only they are
 compared with 2n and looked up a second time.  A second application whose
-odd part lies past the table (those odd firsts, and every survivor past a
+odd part lies past the table (below, and every candidate past a
 memory-capped table) is computed by exact factorization.
 
 Each table stops at the largest odd part its readers need; take top as the
-run's last n.  An even n <= top has its odd part at most top/2, and so does
-a survivor's first application 2^a * m' with a >= 2, since m' < 2n/4.  So
-odd values past top/2 are read only by odd blocks, which exist only for the
-sigma classes when the parity is not even, and by survivors with a <= 1.
-The sigma* table therefore holds the odd values up to top/2, and so does
-the sigma table unless odd blocks read it; then it holds those up to top.
-The lookups this sends past a table are exact factorizations, and few.  For
-sigma*, only even n are scanned, and a survivor with a = 0 is n = 2^b.  One
+run's last n.  The sigma* table is read by even blocks only.  An even n <=
+top has its odd part at most top/2, and so does a usp candidate's first
+application 2^a * m' with a >= 2, since m' < 2n/4; so the sigma* table
+holds the odd values up to top/2.  A candidate with a = 0 is n = 2^b (an
+odd prime power p^e contributes the even p^e + 1 to sigma*(n)), and one
 with a = 1 has a single odd prime power p^e || n, with p^e = 1 (mod 4) so
 that p^e + 1 = 2 (mod 4), and its factor sigma*(2) = 3 divides n, so p = 3
-and e is even: n = 2^b * 3^(2e).  For sigma at parity even, a survivor
-with a = 1 has its factor sigma(2) = 3 dividing the even n, so 6 | n,
-sigma(n) >= 2n and it fails first < 2n; only the odd first applications
-(n a square or twice a square) leave the table.
+and e is even: n = 2^b * 3^(2e).  Only these leave the table.  The sigma
+table is read by odd blocks only and holds the odd values up to top; the
+odd first applications of its candidates lie below 2n, and those past top
+leave it.  The lookups sent past a table are exact factorizations, and
+few.
 
 Each search makes one ordered map and runs the table build and the scan
 through it: the builtin map in one process, otherwise the map of one fork
@@ -151,6 +169,7 @@ import numpy as np
 from .arith import (
     Factorization,
     factorize,
+    is_mersenne_prime,
     prime_power,
     sigma_from_factorization,
     unitary_sigma,
@@ -272,6 +291,19 @@ def odd_usp(lo: int, hi: int) -> list[int]:
     return sorted(found)
 
 
+def even_sigma(lo: int, hi: int) -> list[tuple[int, str]]:
+    """(n, class) of the even super_perfect n = 2^(p-1) and perfect n =
+    2^(p-1) * (2^p - 1) in [lo, hi), 2^p - 1 a Mersenne prime, increasing
+    (module docstring)."""
+    found = []
+    for p in range(2, hi.bit_length() + 1):  # every p with 2^(p-1) < hi
+        q = 2**p - 1
+        if is_mersenne_prime(q):
+            found += [(n, c) for n, c in ((2 ** (p - 1), "super_perfect"),
+                                          (2 ** (p - 1) * q, "perfect")) if lo <= n < hi]
+    return sorted(found)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     limit: int
@@ -331,7 +363,10 @@ def _fill_chunk(i: int) -> None:
     end = min(i + _TABLE_CHUNK, max(row.shape[0] for row in rows.values()))
     lo, hi = 2 * i + 1, 2 * end
     seg = divisor_sum_segment(lo, hi, tuple(rows), step=2)
-    # uint32 sums are exact (sieve docstring); wider ones must still fit
+    # uint32 sums are exact (sieve docstring); wider ones must still fit.  A
+    # row holds at most _TABLE_ENTRIES = 2^28 entries, so every chunk ends at
+    # or below 2^29 and the sieve returns uint32: only a stand-in sieve that
+    # returns wider sums, as the overflow test's does, reaches this check
     if seg.dtype != np.uint32 and seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
     for j, row in enumerate(rows.values()):
@@ -414,19 +449,19 @@ def _progression_lookup(table: np.ndarray, s: int, count: int, unitary: bool) ->
     return sums
 
 
-def _prefilter(first: np.ndarray, s: int, unitary: bool) -> np.ndarray:
+def _prefilter(first: np.ndarray, s: int) -> np.ndarray:
     """The indices i, increasing, of the n = s + 2i whose first application
-    first[i] has a 2-part factor dividing n.
+    first[i] = sigma*(n) has a 2-part factor dividing n.
 
-    The factor of 2^a is 1 for a = 0, and otherwise odd: its multiples n are
-    every factor-th value of the progression, among which those with
-    v2(first) = a survive.
+    The factor of 2^a is 1 for a = 0, and otherwise the odd 2^a + 1: its
+    multiples n are every factor-th value of the progression, among which
+    those with v2(first) = a survive.
     """
     top = s + 2 * (first.shape[0] - 1)
     parts = [np.flatnonzero((first & 1) == 1)]
     for a in range(1, top.bit_length()):
         low = 1 << a
-        factor = _two_part_factor(low, unitary)
+        factor = _two_part_factor(low, True)
         if factor > top:
             break
         i0 = -s * pow(2, -1, factor) % factor  # the first n = 0 (mod factor)
@@ -436,10 +471,16 @@ def _prefilter(first: np.ndarray, s: int, unitary: bool) -> np.ndarray:
 
 
 def _tested(classes, odd: bool) -> list[Variant]:
-    """The requested variants a block tests: on odd n none of the unitary
-    ones, since odd_usp lists the odd usp n and no odd n is unitary_perfect
-    (module docstring)."""
-    return [v for v in VARIANTS if v.name in classes and not (odd and v.unitary)]
+    """The requested variants a block tests: the unitary ones on even n, the
+    sigma ones on odd n; the other hits are listed (module docstring)."""
+    return [v for v in VARIANTS if v.name in classes and v.unitary != odd]
+
+
+def _laid(classes, parity: str) -> list[bool]:
+    """odd for each parity whose blocks a run lays: those the run requests
+    whose n test some class."""
+    return [odd for odd in (False, True)
+            if parity != ("even" if odd else "odd") and _tested(classes, odd)]
 
 
 class _Block(NamedTuple):
@@ -454,9 +495,7 @@ def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
     the run requests and whose n test some class, equal blocks of at most
     _TABLE_CHUNK of its n."""
     blocks = []
-    for odd in (False, True):
-        if parity == ("even" if odd else "odd") or not _tested(classes, odd):
-            continue
+    for odd in _laid(classes, parity):
         start = lo + (lo % 2 != odd)  # the first n of this parity
         count = len(range(start, hi, 2))
         if count:
@@ -471,44 +510,36 @@ def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
 def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     """(n, class) of the hits among the block's n."""
     lo, hi = block
-    variants = _tested(_STATE["classes"], lo % 2 == 1)
-    tables = _STATE["tables"]
-    # the divisor sums the variants read, in table order
-    sums = tuple(u for u in tables if any(v.unitary == u for v in variants))
+    # an even block reads sigma* alone, an odd one sigma alone
+    unitary = lo % 2 == 0
+    variants = _tested(_STATE["classes"], not unitary)
+    table = _STATE["tables"][unitary]
     hits: list[tuple[int, str]] = []
-    # the block's divisor sums, every one the variants read from one sieve
-    # pass, run at most once and only when a slice needs a first application
-    # the tables lack (an odd block reads sigma alone, and every table holds
-    # the odd parts of an even block's n up to the one cap)
+    # the block's divisor sum, sieved at most once and only when a slice
+    # needs a first application the table lacks
     sieved = None
     for s in range(lo, hi, 2 * _SCAN_BLOCK):
         n = np.arange(s, min(hi, s + 2 * _SCAN_BLOCK), 2, dtype=np.int64)
         count = n.shape[0]
-        # the first application, once per divisor sum whichever classes read it
-        firsts: dict[bool, np.ndarray] = {}
-        for j, unitary in enumerate(sums):
-            first = _progression_lookup(tables[unitary], s, count, unitary)
-            if first is None:
-                if sieved is None:
-                    sieved = divisor_sum_segment(lo, hi, sums, step=2)
-                i = (s - lo) // 2
-                # int64 before any product
-                first = sieved[i : i + count, j].astype(np.int64, copy=False)
-            firsts[unitary] = first
+        first = _progression_lookup(table, s, count, unitary)
+        if first is None:
+            if sieved is None:
+                sieved = divisor_sum_segment(lo, hi, (unitary,), step=2)[:, 0]
+            i = (s - lo) // 2
+            # int64 before any product
+            first = sieved[i : i + count].astype(np.int64, copy=False)
         for variant in variants:
-            unitary = variant.unitary
-            first = firsts[unitary]
             if variant.applications == 1:
                 good = n[first == 2 * n]
             else:
-                # the odd divisor sum of first's 2-part divides the second
-                # application, so a hit needs it to divide n; and sigma(m) >=
-                # m + 1, so a hit needs first <= 2n - 1 (module docstring)
-                idx = _prefilter(first, s, unitary)
+                # a usp hit needs the odd divisor sum of first's 2-part to
+                # divide n, an odd super_perfect hit an odd first; and sigma(m)
+                # >= m + 1, so a hit needs first <= 2n - 1 (module docstring)
+                idx = _prefilter(first, s) if unitary else np.flatnonzero(first & 1)
                 mm, nn = first[idx], n[idx]
                 keep = mm < 2 * nn
                 mm, nn = mm[keep], nn[keep]
-                second, inside = _lookup(tables[unitary], mm, unitary)
+                second, inside = _lookup(table, mm, unitary)
                 for j in np.flatnonzero(~inside):
                     second[j] = _exact_divisor_sum(int(mm[j]), unitary)
                 good = nn[second == 2 * nn]
@@ -585,18 +616,13 @@ _TABLE_ENTRIES = 1 << 28
 
 
 def _table_sizes(classes, parity: str, top: int) -> dict[bool, int]:
-    """Entries of each odd-part table the looked-up classes use, keyed by
-    unitary, for a run whose last n is top (module docstring)."""
+    """Entries of the odd-part table that each laid parity's blocks read,
+    keyed by unitary (sigma* for even blocks, sigma for odd ones), for a run
+    whose last n is top (module docstring)."""
     # index i holds 2i + 1, so the odd values up to x take (x + 1) // 2
-    # entries: an even n <= top has its odd part at most top // 2, and only
-    # odd blocks, laid for the sigma classes when the parity is not even,
-    # read further
-    half = (top // 2 + 1) // 2
-    whole = (top + 1) // 2 if parity != "even" else half
-    # even blocks, laid unless the parity is odd, test every class that odd
-    # blocks test
-    return {variant.unitary: min(half if variant.unitary else whole, _TABLE_ENTRIES)
-            for variant in _tested(classes, parity == "odd")}
+    # entries: an even n <= top has its odd part at most top // 2
+    return {not odd: min(((top if odd else top // 2) + 1) // 2, _TABLE_ENTRIES)
+            for odd in _laid(classes, parity)}
 
 
 #: pool tasks in flight per process: enough that a long task at the head of
@@ -668,10 +694,12 @@ def run_search(config: SearchConfig) -> SearchResult:
     blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
 
     text = None  # the checkpoint text last written
-    # hits of the returned blocks, and the listed odd usp n, not yet merged
+    # hits of the returned blocks, and the listed ones, not yet merged
     found: list[tuple[int, str]] = []
     if todo and "usp" in config.classes and config.parity != "even":
-        found = [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
+        found += [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
+    if todo and config.parity != "odd":
+        found += [hit for hit in even_sigma(todo[0], ends[-1]) if hit[1] in config.classes]
     merged = 0  # segments of todo merged
 
     def merge_before(bound: int) -> None:
@@ -693,8 +721,8 @@ def run_search(config: SearchConfig) -> SearchResult:
             _write_atomic(config.checkpoint_path, text)
 
     # a run with no block to scan (max_segments 0, a completed checkpoint, an
-    # odd search of the unitary classes) reads no table, so none is built and
-    # no pool is started
+    # odd search of the unitary classes, an even one of the sigma classes)
+    # reads no table, so none is built and no pool is started
     sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
     longest = max(sizes.values(), default=0)  # the table build's tasks
     # a process per task at most: a phase of one task gains nothing from a pool

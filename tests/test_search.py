@@ -530,7 +530,8 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped
     # under a 2**16-entry cap, first applications of odd n > 2**17 come from
     # the odd block's sieve (the table is built from spans ending at 2**17),
     # and second ones with an odd part past the table from exact
-    # factorization: sigma(2 * 211**2) = 3 * 44733, for one
+    # factorization: the odd first application sigma(361**2) = 137561 of an
+    # odd square, for one, which the uncapped sigma row up to 14 * 10**4 holds
     common = dict(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER)
     full = run_search(SearchConfig(**common))
     exact = []
@@ -545,7 +546,7 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped
     capped()
     result = run_search(SearchConfig(**common))
     assert (1, 14 * 10**4 + 1, 2, False) in sieve_spans
-    assert 3 * 44733 in exact
+    assert sigma_from_factorization(factorize(361**2)) == 137561 in exact
     assert result.checkpoint_text == full.checkpoint_text
 
 
@@ -782,14 +783,25 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table_overflow_refused(monkeypatch, workers):
-    # a divisor sum past uint32 stops the build, also from a pool worker; a
-    # usp search over all n builds a table of 2**19 entries, two chunks
+    # a divisor sum past uint32 stops the build, also from a pool worker and
+    # in a later chunk: a usp search over all n <= 2**21 builds a sigma* row
+    # of 2**19 entries, two chunks, and the stand-in sieve returns sums past
+    # 2**32 for the second only.  Real chunks end at or below 2**29, so the
+    # sieve itself never returns such wide sums to the build
+    assert search._table_sizes(("usp",), "all", 1 << 21) == {True: 2 * search._TABLE_CHUNK}
+    chunks = []
+
     def too_big(lo, hi, unitary, step):
+        chunks.append(lo)
+        if lo == 1:
+            return divisor_sum_segment(lo, hi, unitary, step)
         return np.full(len(range(lo, hi, step)), 1 << 32, dtype=np.int64)
 
     monkeypatch.setattr(search, "divisor_sum_segment", too_big)
-    with pytest.raises(OverflowError):
-        run_search(SearchConfig(limit=1 << 20, parity="all", workers=workers))
+    with pytest.raises(OverflowError, match=rf"^divisor sums in \[{2**19 + 1}, {2**20}\) exceed"):
+        run_search(SearchConfig(limit=1 << 21, parity="all", workers=workers))
+    # with two workers both chunks ran in the pool, not in this process
+    assert chunks == ([1, 2**19 + 1] if workers == 1 else [])
 
 
 def test_odd_sigma_table_capped_at_limit(monkeypatch):
@@ -815,10 +827,11 @@ def test_odd_sigma_table_capped_at_limit(monkeypatch):
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_table_sizes_limit_at_every_parity(parity, capped):
-    # every looked-up class reads the odd parts of the even n up to the run's
-    # last n, at most half of it; sigma is also read at odd n when the
-    # parity is not even, up to the last n itself.  Rows are at most 2**28
-    # entries (1 GiB), or at most the cap
+    # even blocks, laid for the unitary classes when the parity is not odd,
+    # read sigma* at the odd parts of the even n up to the run's last n, at
+    # most half of it; odd blocks, laid for the sigma classes when the parity
+    # is not even, read sigma up to the last n itself.  Rows are at most
+    # 2**28 entries (1 GiB), or at most the cap
     assert search._TABLE_ENTRIES == 1 << 28
     for cap in (1 << 28, 1 << 16):
         if cap == 1 << 16:
@@ -826,24 +839,24 @@ def test_table_sizes_limit_at_every_parity(parity, capped):
         for top in (1, 2, 3, 10**5, 3 * 10**5 + 1, 10**8, search.HARD_LIMIT):
             for r in range(1, len(CLASS_ORDER) + 1):
                 for classes in itertools.combinations(CLASS_ORDER, r):
+                    sums = {v.unitary for v in VARIANTS if v.name in classes}
                     expected = {}
-                    for v in VARIANTS:
-                        if v.name in classes and not (parity == "odd" and v.unitary):
-                            odd_n = parity != "even" and not v.unitary
-                            last = top if odd_n else top // 2
-                            expected[v.unitary] = min(_odd_values(last), cap)
+                    if True in sums and parity != "odd":
+                        expected[True] = min(_odd_values(top // 2), cap)
+                    if False in sums and parity != "even":
+                        expected[False] = min(_odd_values(top), cap)
                     assert search._table_sizes(classes, parity, top) == expected
 
 
-@pytest.mark.parametrize("parity", ["all", "even"])
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
     # under the default cap every first application comes from a table, and
-    # a second lookup leaves its row only for a prefilter survivor whose odd
-    # part lies past the row: the sigma* row ends at limit // 2, the sigma
-    # row at limit when odd n are scanned and at limit // 2 otherwise.  Those
-    # survivors are exactly the families of the search docstring: n = 2^b
-    # and n = 2^b * 3^(2e) for sigma*, and for sigma the n that are a square
-    # or twice a square with an odd first application
+    # a second lookup leaves its row only for a candidate whose odd part lies
+    # past the row: the sigma* row, read at even n, ends at limit // 2, and
+    # the sigma row, read at odd n, at limit.  Those candidates are exactly
+    # the families of the search docstring: n = 2^b and n = 2^b * 3^(2e) for
+    # sigma*, and for sigma the odd squares whose odd first application
+    # passes limit
     limit = 3 * 10**5
     exact = []
     exact_divisor_sum = search._exact_divisor_sum
@@ -857,37 +870,37 @@ def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
     run_search(config)
     assert all(step == 2 and hi <= limit + 1 for _, hi, step, _ in sieve_spans)
 
-    def row_end(unitary):
-        return limit if parity == "all" and not unitary else limit // 2
-
     def past_row(ns, firsts, unitary):
-        # (first, unitary) of each scanned n whose first application passes
-        # the prefilter and first < 2n, with its odd part past the row
+        # (first, unitary) of each scanned n whose first application is a
+        # candidate (the usp prefilter and first < 2n for sigma*, an odd
+        # first below 2n for sigma), with its odd part past the row
         low = firsts & -firsts
-        factor = np.where(low > 1, low + 1, 1) if unitary else 2 * low - 1
-        keep = (ns % factor == 0) & (firsts < 2 * ns) & (firsts // low > row_end(unitary))
+        if unitary:
+            keep = (ns % np.where(low > 1, low + 1, 1) == 0) & (firsts // low > limit // 2)
+        else:
+            keep = (low == 1) & (firsts > limit)
+        keep &= firsts < 2 * ns
         return [(int(m), unitary) for m in firsts[keep]]
 
-    # every n <= limit: the unitary classes and, at parity even, all classes
-    # see even n only; the first applications from the step-1 sieve, which
-    # the tests above check against factorize (factorizing every n takes
-    # seconds)
+    # the unitary classes see the even n and the sigma classes the odd n, of
+    # the parities scanned; the first applications from the step-1 sieve,
+    # which the tests above check against factorize (factorizing every n
+    # takes seconds)
     n = np.arange(1, limit + 1, dtype=np.int64)
-    scanned = {u: n[(n % 2 == 0) | (parity == "all" and not u)] for u in (True, False)}
+    scanned = {True: n[(n % 2 == 0) & (parity != "odd")],
+               False: n[(n % 2 == 1) & (parity != "even")]}
     expected = [
         m for u, ns in scanned.items()
         for m in past_row(ns, divisor_sum_segment(1, limit + 1, u)[ns - 1], u)
     ]
     assert sorted(exact) == sorted(expected)
-    # the families, from factorize: n = 2^b and 2^b * 9^e, and the squares
-    # and twice the squares that are scanned
+    # the families, from factorize: n = 2^b and 2^b * 9^e, and the odd
+    # squares, each where its parity is scanned
     powers = [2**b for b in range(1, limit.bit_length())]
     nines = [p * 9**e for p in powers for e in range(1, 6) if p * 9**e <= limit]
-    squares = [c * k * k for c in (1, 2) for k in range(1, math.isqrt(limit) + 1)]
-    families = {
-        True: (powers, nines),
-        False: ([m for m in squares if m <= limit and (parity == "all" or m % 2 == 0)],),
-    }
+    squares = [k * k for k in range(1, math.isqrt(limit) + 1, 2)]
+    families = {True: (powers, nines) if parity != "odd" else (),
+                False: (squares,) if parity != "even" else ()}
     for unitary, groups in families.items():
         found = [
             past_row(np.array(ns), np.array(_exact_sums(ns, unitary)), unitary)
@@ -939,18 +952,18 @@ def test_prefilter_keeps_every_brute_hit():
 )
 # slices whose largest odd part is the table's last value 99999 or the next
 # odd value, from an odd s (n = 99999 and 100001) and from an even s (n =
-# 2 * 99999 and 2 * 100001); and one whose last n, 15, is the factor 2^4 - 1
-# of the survivor's sigma(15) = 2^3 * 3
+# 2 * 99999 and 2 * 100001); and a short one from s = 1
 @example(s=97_001, count=1_500, unitary=True)
 @example(s=99_003, count=500, unitary=False)
 @example(s=199_000, count=500, unitary=True)
 @example(s=199_002, count=501, unitary=False)
 @example(s=1, count=8, unitary=False)
 def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count, unitary):
-    # the scan's first applications and prefilter walk the progression's
-    # 2-adic classes; they must agree with _lookup and _split value by value,
-    # and refuse exactly the slices the table does not serve, those that
-    # reach past its last odd value 10**5 - 1 among them
+    # the scan's first applications and the sigma* prefilter walk the
+    # progression's 2-adic classes; they must agree with _lookup and _split
+    # value by value, and the lookups refuse exactly the slices the table
+    # does not serve, those that reach past its last odd value 10**5 - 1
+    # among them
     sig, usig = brute_tables_1e5
     table = (usig if unitary else sig)[1::2].astype(np.uint32)
     n = np.arange(s, s + 2 * count, 2, dtype=np.int64)
@@ -961,8 +974,8 @@ def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count
     if first is not None:
         assert first.dtype == np.int64 and (first == sums).all()
         firsts.append(first)
-    for first in firsts:
-        survivors = search._prefilter(first, s, unitary)
+    for first in firsts if unitary else ():
+        survivors = search._prefilter(first, s)
         expected = np.flatnonzero(n % search._split(first, unitary)[1] == 0)
         assert np.array_equal(survivors, expected)
 
@@ -976,36 +989,51 @@ def test_progression_lookup_products_past_uint32():
                               for n in range(2, 17, 2)]
 
 
-def test_narrow_fallback_block_products_past_uint32(monkeypatch):
-    # the even and the odd block of the 2**16 values just below 2**29, past a
-    # 4-entry table: their first applications come from one uint32 sieve
-    # pass each and are taken to int64 before any product, so the exact
-    # second applications past 2**32 (13 of them here, all sigma) stay exact
-    # and neither block has a hit
+def test_narrow_fallback_block_products_past_uint32(monkeypatch, sieve_spans):
+    # the even and the odd block of the 2**17 values just below 2**29, past a
+    # 4-entry table: each takes its first applications from one uint32 sieve
+    # pass of its one divisor sum and takes them to int64 before any
+    # product, so its second applications, all from exact factorization
+    # here, are held exactly past 2**32.  No true second application of a
+    # narrow block gets there (first < 2**30, and below 2**30 sigma*(m) <
+    # 3.75m, and sigma(m) < 3.1m for odd m), so the stand-in factorization
+    # returns each exact sum plus 2**32; neither block has a hit
     table = np.zeros((2, 4), dtype=np.uint32)
     tables = dict(zip((True, False), table))
     monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
                                            "table": table, "tables": tables})
     search._build_table()
-    seconds = []
-    exact_divisor_sum = search._exact_divisor_sum
+    sieve_spans.clear()
+    shifted, held = [], []
+    exact_divisor_sum, lookup = search._exact_divisor_sum, search._lookup
 
-    def counted(m, unitary):
-        seconds.append(exact_divisor_sum(m, unitary))
-        return seconds[-1]
+    def shifted_sum(m, unitary):
+        shifted.append((exact_divisor_sum(m, unitary) + 2**32, unitary))
+        return shifted[-1][0]
 
-    monkeypatch.setattr(search, "_exact_divisor_sum", counted)
+    def recorded(table, m, unitary):
+        assert m.dtype == np.int64
+        held.append(lookup(table, m, unitary) + (unitary,))
+        return held[-1][:2]
+
+    monkeypatch.setattr(search, "_exact_divisor_sum", shifted_sum)
+    monkeypatch.setattr(search, "_lookup", recorded)
     hi = 2**29
-    for lo in (hi - 2**16, hi - 2**16 + 1):
-        assert search._classify_segment(search._Block(lo, hi)) == []
-    assert sum(second >= 2**32 for second in seconds) == 13
+    blocks = [search._Block(hi - 2**17, hi), search._Block(hi - 2**17 + 1, hi)]
+    assert [search._classify_segment(block) for block in blocks] == [[], []]
+    assert sieve_spans == [(lo, hi, 2, lo % 2 == 0) for lo, _ in blocks]
+    # both divisor sums fall back (23169**2 is the odd block's one odd
+    # square), and the int64 seconds keep every sum past 2**32
+    assert {unitary for _, unitary in shifted} == {True, False}
+    assert [(int(x), unitary) for second, inside, unitary in held
+            for x in second[~inside]] == shifted
 
 
 def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
     # the two in-table blocks of 2**18 n each, odd and even, all four
-    # classes: a slice holds n, both first applications and 2n as int64
+    # classes: a slice holds n, its one first application and 2n as int64
     # arrays of _SCAN_BLOCK values, and the prefilter's and second lookup's
-    # arrays are smaller; five such arrays bound the peak (taking the first
+    # arrays are smaller; four such arrays bound the peak (taking the first
     # applications through _lookup's split of every n needs more than eight)
     hi = (1 << 19) + 1
     table = np.zeros((2, (hi + 1) // 2), dtype=np.uint32)
@@ -1016,13 +1044,17 @@ def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
     sieve_spans.clear()
     tracemalloc.start()
     try:
-        hits = [hit for lo in (1, 2) for hit in search._classify_segment(search._Block(lo, hi))]
+        hits = [search._classify_segment(search._Block(lo, hi)) for lo in (1, 2)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert not sieve_spans  # every first application came from the tables
-    assert {(2, "usp"), (6, "unitary_perfect"), (16, "super_perfect"), (8128, "perfect")} <= set(hits)
-    assert peak < 5 * 8 * search._SCAN_BLOCK
+    # the even block holds the usp and unitary perfect n below 2**19, and the
+    # odd block none: no odd perfect or super perfect n is known
+    usp = [(n, "usp") for n in _USP_1E8_HITS if n % 2 == 0 and n < hi]
+    unitary_perfect = [(n, "unitary_perfect") for n in (6, 60, 90, 87360)]
+    assert hits[0] == [] and sorted(hits[1]) == sorted(usp + unitary_perfect)
+    assert peak < 4 * 8 * search._SCAN_BLOCK
 
 
 #: SHA-256 of the checkpoint text of odd searches of the unitary classes, by
@@ -1150,41 +1182,51 @@ def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
-def test_no_odd_n_reaches_a_unitary_class(monkeypatch, parity):
+def test_each_block_reads_one_divisor_sum(monkeypatch, parity):
     # for every class set: the blocks hold the n of one parity at step 2,
-    # and cover each scanned parity's n once; every slice looked up in the
-    # sigma* table starts at an even n, so no unitary class sees an odd one;
-    # odd blocks are laid exactly when a sigma class is requested and the
-    # parity is not even, even ones unless it is odd; and the hits are the
-    # oracle's, the odd usp ones listed
+    # and cover each scanned parity's n once; even blocks are laid exactly
+    # when a unitary class is requested and the parity is not odd, odd ones
+    # when a sigma class is requested and the parity is not even; every
+    # lookup of an even block, first or second, reads the sigma* table and
+    # every lookup of an odd block the sigma table; and the hits are the
+    # oracle's, the odd usp and the even sigma ones listed
     limit = 3000
     oracle = bruteforce.classify_brute(limit)
-    blocks, slices = [], []
-    classify, lookup = search._classify_segment, search._progression_lookup
+    blocks, slices, reads = [], [], []
+    classify = search._classify_segment
+    progression_lookup, lookup = search._progression_lookup, search._lookup
+
+    def recorded_lookup(table, m, unitary):
+        reads.append((blocks[-1], unitary))
+        return lookup(table, m, unitary)
+
+    def recorded_progression_lookup(table, s, count, unitary):
+        reads.append((blocks[-1], unitary))
+        slices.append((s, count))
+        return progression_lookup(table, s, count, unitary)
+
     monkeypatch.setattr(search, "_classify_segment",
                         lambda block: blocks.append(block) or classify(block))
-    monkeypatch.setattr(search, "_progression_lookup",
-                        lambda table, s, count, unitary: slices.append((s, count, unitary))
-                        or lookup(table, s, count, unitary))
+    monkeypatch.setattr(search, "_lookup", recorded_lookup)
+    monkeypatch.setattr(search, "_progression_lookup", recorded_progression_lookup)
     for r in range(1, len(CLASS_ORDER) + 1):
         for classes in itertools.combinations(CLASS_ORDER, r):
             blocks.clear()
             slices.clear()
+            reads.clear()
             hits = run_search(SearchConfig(limit=limit, segment_size=1024, classes=classes,
                                            parity=parity)).hits
-            sigma = any(not search._VARIANT_BY_NAME[c].unitary for c in classes)
+            sums = {search._VARIANT_BY_NAME[c].unitary for c in classes}
             laid = {odd: [b for b in blocks if b.lo % 2 == odd] for odd in (0, 1)}
-            assert bool(laid[1]) == (sigma and parity != "even")
-            assert bool(laid[0]) == (parity != "odd")
+            assert bool(laid[0]) == (True in sums and parity != "odd")
+            assert bool(laid[1]) == (False in sums and parity != "even")
             for odd, own in laid.items():
                 scanned = [n for b in own for n in range(b.lo, b.hi, 2)]
                 assert scanned == (list(range(2 - odd, limit + 1, 2)) if own else [])
-            assert all(s % 2 == 0 for s, _, unitary in slices if unitary)
-            for unitary in {search._VARIANT_BY_NAME[c].unitary for c in classes}:
-                looked_up = [s + 2 * i for s, count, u in slices if u == unitary
-                             for i in range(count)]
-                assert looked_up == [n for b in blocks for n in range(b.lo, b.hi, 2)
-                                     if not (unitary and n % 2)]
+            # one first lookup per n, and every lookup of the block's own sum
+            assert [s + 2 * i for s, count in slices for i in range(count)] == [
+                n for b in blocks for n in range(b.lo, b.hi, 2)]
+            assert all(unitary == (block.lo % 2 == 0) for block, unitary in reads)
             keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
             assert sorted((h.n, h.classification) for h in hits) == sorted(
                 (n, c) for c in classes for n in oracle[c] if n % 2 in keep)
@@ -1395,6 +1437,76 @@ def test_closed_form_needs_prime_power(monkeypatch):
     monkeypatch.setattr(search, "unitary_sigma",
                         lambda f: 2**2 * 21 if f.value == 55 else unitary_sigma_(f))
     assert search.odd_usp(1, 1000) == [9, 165]
+
+
+@pytest.fixture(scope="module")
+def brute_sigma_hits_2e5(brute_tables_4e5):
+    """(n, class) of the super perfect and perfect n <= 2 * 10**5, by
+    classify_brute's test on divisor-sweep tables up to 4 * 10**5: sigma(m)
+    > m for m > 1, so a super perfect n has sigma(n) < 2n (classify_brute
+    itself sweeps to the largest sigma(n), some 10 s here)."""
+    limit = 2 * 10**5
+    sig = brute_tables_4e5[0]
+    n = np.arange(1, limit + 1)
+    first = sig[n]
+    super_perfect = n[(first < 2 * n) & (sig[np.minimum(first, 2 * limit)] == 2 * n)]
+    perfect = n[first == 2 * n]
+    return sorted([(int(x), "super_perfect") for x in super_perfect]
+                  + [(int(x), "perfect") for x in perfect])
+
+
+@settings(_PROPERTY, max_examples=100)
+@given(
+    limit=st.integers(1, 2 * 10**5),
+    parity=st.sampled_from(["all", "odd", "even"]),
+    workers=st.sampled_from([1, 2]),
+    segment_size=st.sampled_from([1024, 1 << 14, 1 << 22]),
+)
+# either side of the perfect 8128 and of the super perfect 2**16
+@example(limit=8127, parity="all", workers=1, segment_size=1024)
+@example(limit=8128, parity="even", workers=2, segment_size=1024)
+@example(limit=65535, parity="all", workers=2, segment_size=1 << 14)
+@example(limit=65536, parity="even", workers=1, segment_size=1 << 14)
+def test_sigma_search_matches_brute_oracle(brute_sigma_hits_2e5, limit, parity, workers,
+                                           segment_size):
+    # the even hits listed from the Mersenne primes and the odd n scanned
+    # for an odd first application are together exactly the oracle's hits
+    keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
+    result = run_search(SearchConfig(limit=limit, classes=("super_perfect", "perfect"),
+                                     parity=parity, workers=workers, segment_size=segment_size))
+    assert sorted((h.n, h.classification) for h in result.hits) == [
+        (n, c) for n, c in brute_sigma_hits_2e5 if n <= limit and n % 2 in keep]
+
+
+def test_even_sigma_search_lays_no_block(monkeypatch):
+    # the even super perfect and perfect n are listed, so a search of the
+    # sigma classes over the even n lays no block, builds no table and
+    # starts no pool, up to HARD_LIMIT; its hits are 2^(p-1) and 2^(p-1) *
+    # (2^p - 1) for the Mersenne primes 2^p - 1, and each is re-verified
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parity-even sigma search reads no table")
+
+    for name in ("_build_table", "_classify_segment", "ProcessPoolExecutor"):
+        monkeypatch.setattr(search, name, refuse)
+    verified = []
+    verify = search.verify_hit
+    monkeypatch.setattr(search, "verify_hit",
+                        lambda n, cls: verified.append((n, cls)) or verify(n, cls))
+    limit, classes = search.HARD_LIMIT, ("super_perfect", "perfect")
+    assert search._blocks(classes, "even", 1, limit + 1) == []
+    result = run_search(SearchConfig(limit=limit, classes=classes, parity="even", workers=2))
+    mersenne_exponents = [2, 3, 5, 7, 13, 17, 19, 31]  # 2^(p-1) <= 10**10
+    expected = sorted(
+        [(2 ** (p - 1), "super_perfect") for p in mersenne_exponents]
+        + [(n, "perfect") for p in mersenne_exponents if (n := 2 ** (p - 1) * (2**p - 1)) <= limit]
+    )
+    assert [(h.n, h.classification) for h in result.hits] == expected == verified
+    assert search.even_sigma(1, limit + 1) == expected
+    assert search.even_sigma(7, 8128) == [(16, "super_perfect"), (28, "perfect"), (64, "super_perfect"),
+                                          (496, "perfect"), (4096, "super_perfect")]
+    # one class alone keeps only its own listed hits
+    perfect = run_search(SearchConfig(limit=limit, classes=("perfect",), parity="even")).hits
+    assert [(h.n, h.classification) for h in perfect] == [h for h in expected if h[1] == "perfect"]
 
 
 @settings(_PROPERTY, max_examples=200)
