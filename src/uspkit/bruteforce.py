@@ -66,16 +66,19 @@ def divisor_sum_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 def classify_brute(limit: int) -> dict[str, list[int]]:
     """Perfect-variant hit lists up to limit from the divisor-sweep tables."""
-    sig, usig = divisor_sum_tables(limit)
-    # second applications need sigma values a few times past limit
-    top = int(max(sig[1:].max(initial=1), usig[1:].max(initial=1)))
-    sig2, usig2 = divisor_sum_tables(top)
+    # sigma(m) and sigma*(m) exceed m for m > 1, so a first application of
+    # 2n or more is no second-order hit: tables up to 2 * limit serve every
+    # second application that can be, and the others are clipped to the end
+    # and masked
+    top = 2 * limit
+    sig, usig = divisor_sum_tables(top)
     ns = np.arange(limit + 1)
+    first, ufirst = sig[: limit + 1], usig[: limit + 1]
     out = {
-        "usp": np.nonzero(usig2[usig[: limit + 1]] == 2 * ns)[0],
-        "unitary_perfect": np.nonzero(usig[: limit + 1] == 2 * ns)[0],
-        "super_perfect": np.nonzero(sig2[sig[: limit + 1]] == 2 * ns)[0],
-        "perfect": np.nonzero(sig[: limit + 1] == 2 * ns)[0],
+        "usp": np.nonzero((ufirst < 2 * ns) & (usig[np.minimum(ufirst, top)] == 2 * ns))[0],
+        "unitary_perfect": np.nonzero(ufirst == 2 * ns)[0],
+        "super_perfect": np.nonzero((first < 2 * ns) & (sig[np.minimum(first, top)] == 2 * ns))[0],
+        "perfect": np.nonzero(first == 2 * ns)[0],
     }
     return {k: [int(x) for x in v if x >= 1] for k, v in out.items()}
 

@@ -1,36 +1,33 @@
 """Segmented, parallel, resumable search for perfect-number variants.
 
-The search classifies the n <= limit of the requested parity in one scan,
-over the run's range: from the first segment still to do to the end of the
-last one.  The units of work are sieve blocks.  A block holds the n = lo,
-lo + 2, ... < hi of one parity, at most _TABLE_CHUNK of them; each
-parity's n are cut into equal blocks, and the blocks of both parities run
-in order of lo.  A block's parity decides the classes it tests, and so the
-one divisor sum it reads: an even block tests the unitary classes (usp,
-unitary_perfect) and reads sigma*, an odd block the sigma classes
-(super_perfect, perfect) and reads sigma.  The hits the blocks do not test
-are listed from equations (below): no odd n is unitary_perfect, the odd
-usp n come from odd_usp, and the even perfect and super_perfect n from
-even_sigma.  Even blocks are thus laid only when a unitary class is
-requested and the parity is not odd, odd blocks only when a sigma class is
-requested and the parity is not even.
+The search classifies the n <= limit of the requested parity over the
+run's range: from the first segment still to do to the end of the last
+one.  Only the unitary classes (usp, unitary_perfect) at even n are
+scanned; every other hit is listed from an equation (below).  No odd n is
+unitary_perfect, the odd usp n come from odd_usp, the even perfect and
+super_perfect n from even_sigma and the odd ones from odd_sigma.  The
+units of the scan are sieve blocks.  A block holds the even n = lo, lo + 2,
+... < hi, at most _TABLE_CHUNK of them: the even n of the range are cut
+into equal blocks, run in order of lo, and blocks are laid only when a
+unitary class is requested and the parity is not odd.  Every block reads
+one divisor sum, sigma*.
 
 A block is classified in slices of _SCAN_BLOCK n.  Every slice takes the
-first application, sigma*(n) or sigma(n), by one rule: from the search's
-lookup table when the table holds every odd part of the slice, otherwise
-from the divisor-sum sieve of the enclosing block, run at most once per
-block and taken to int64 before any product.  The table serves a slice
-one 2-adic class at a time: the n with v2(n) = a recur every 2^a values of
-an even slice (every n of an odd slice has a = 0) and their odd parts are
-consecutive odd values, so their sums are one contiguous run of the table
-times the 2-part's factor (below), written at that stride; no n is split
-into its 2-part and odd part.  The scan's memory is thus one block,
-whatever the segment size.  Segments are the checkpoint's unit: a segment
-is merged once every block that starts before its end has returned, and a
-returned block that lets segments merge writes the checkpoint once.
+first application sigma*(n) by one rule: from the search's lookup table
+when the table holds every odd part of the slice, otherwise from the
+divisor-sum sieve of the enclosing block, run at most once per block and
+taken to int64 before any product.  The table serves a slice one 2-adic
+class at a time: the n with v2(n) = a recur every 2^a values of the slice
+and their odd parts are consecutive odd values, so their sums are one
+contiguous run of the table times the 2-part's factor (below), written at
+that stride; no n is split into its 2-part and odd part.  The scan's
+memory is thus one block, whatever the segment size.  Segments are the
+checkpoint's unit: a segment is merged once every block that starts before
+its end has returned, and a returned block that lets segments merge writes
+the checkpoint once.
 
-A class applied once (unitary_perfect, perfect) is a hit when first = 2n;
-a second-order class looks its second application up (below).
+A class applied once (unitary_perfect) is a hit when first = 2n; usp looks
+its second application up (below).
 
 Take odd n > 1 and write sigma*(n) = 2^a * m' with m' odd.  Every factor
 p^e + 1 of sigma*(n) is even, so a >= 1, and by multiplicativity
@@ -93,24 +90,44 @@ An odd super perfect n has an odd sigma(n) (Kanold).  Suppose sigma(n) =
 sigma(sigma(n)) = q * sigma(m) = 2n, so q divides the odd n, and m > 1,
 since m = 1 would make 2n = q odd.  So sigma(n)/n = 2^(a+1) * m / (q *
 sigma(m)) = ((q + 1)/q) * m/sigma(m) < (q + 1)/q, while the divisor q of n
-gives sigma(n)/n >= sigma(q)/q >= (q + 1)/q: a contradiction.  An odd n has
-an odd sigma(n) exactly when it is a square, so an odd block looks a second
-application up for O(sqrt(limit)) n at most.
+gives sigma(n)/n >= sigma(q)/q >= (q + 1)/q: a contradiction.  For an odd
+prime q, sigma(q^e) is a sum of e + 1 odd terms, odd exactly when e is
+even; so an odd n has an odd sigma(n) exactly when it is a square.
 
-The scanned second-order classes look their second application up.  A flat
-uint32 table of divisor sums of odd values, at most _TABLE_ENTRIES of them
-(its length is below), is built once per run for each divisor sum the scan
-reads: entry i holds sigma*(2i + 1) or sigma(2i + 1).  The tables are rows
-of one map, filled chunk by chunk, each chunk of every row that reaches it
-from one sieve pass that shares its division by the primes.  A lookup of
-m = 2^a * m' with m' odd multiplies the entry for m' by the 2-part's
-factor, sigma*(2^a) = 2^a + 1 for a >= 1 or sigma(2^a) = 2^(a+1) - 1.  The
-inequality sigma(m) >= m + 1 means any n with a first application above
-2n - 1 can be discarded before the second lookup.  A super_perfect
-candidate is an odd n with an odd first application (above).  A usp
-candidate is an even n, and its second application is the 2-part's factor
-times sigma*(m') by multiplicativity; the factor is odd, so a hit needs it
-to divide n.  That prefilter walks the factors, not the n: for each a >= 1
+Euler's form lists the rest.  Let u be odd with sigma(u) = 2 (mod 4).
+Then exactly one factor sigma(q^e) of sigma(u) is even: one prime power
+p^k || u has k odd, and u = p^k * s^2 with p not dividing s.  If p = 3
+(mod 4), 4 divides p + 1, which divides sigma(p^k) = (1 + p)(1 + p^2 +
+... + p^(k-1)); so p = 1 (mod 4), each of the k + 1 terms of sigma(p^k)
+is 1 (mod 4), and sigma(p^k) = 2 (mod 4) needs k = 1 (mod 4).  Then u = 1
+(mod 4), gcd(p^k, sigma(p^k)) = 1, and 1 < sigma(p^k)/p^k < p/(p - 1) <=
+5/4.
+
+Write m for an odd number and u = sigma(m^2), which is odd.  An odd super
+perfect n is a square m^2 with sigma(u) = 2m^2 = 2 (mod 4), so u has
+Euler's form, u = 1 (mod 4), and u < 2m^2 since sigma(u) > u (u = 1 is no
+hit).  An odd perfect n has sigma(n) = 2n = 2 (mod 4), so n = p^k * m^2 in
+Euler's form and sigma(p^k) * u = 2 * p^k * m^2.  So p^k divides u, u =
+2m^2 * p^k/sigma(p^k) lies in (8m^2/5, 2m^2), and n >= 5m^2.  odd_sigma
+sieves u for the odd m <= sqrt(top) and factorizes u only when m^2 is in
+range with u = 1 (mod 4) and u < 2m^2, or when 5m^2 <= top and 8m^2 < 5u <
+10m^2.  Then m^2 is super perfect exactly when sigma(u) = 2m^2, and p^k *
+m^2 is perfect exactly when sigma(p^k) * u = 2 * p^k * m^2, for each p^k
+(k <= v_p(u)) with p = k = 1 (mod 4) and p not dividing m.  These are the
+defining equations, so the list is exact; it factorizes O(sqrt(limit))
+values, and a search of the sigma classes over the odd n merges its hits
+like the other lists.
+
+The usp scan looks its second application up.  A flat uint32 table of
+sigma* of odd values, at most _TABLE_ENTRIES of them (its length is below),
+is built once per run, chunk by chunk, each chunk from one sieve pass:
+entry i holds sigma*(2i + 1).  A lookup of m = 2^a * m' with m' odd
+multiplies the entry for m' by the 2-part's factor sigma*(2^a), which is
+2^a + 1 for a >= 1.  The inequality sigma*(m) >= m + 1 means any n with a
+first application above 2n - 1 can be discarded before the second lookup.
+A usp candidate's second application is the 2-part's factor times
+sigma*(m') by multiplicativity; the factor is odd, so a hit needs it to
+divide n.  That prefilter walks the factors, not the n: for each a >= 1
 whose factor 2^a + 1 is at most the slice's last n, its multiples are every
 factor-th n of the slice, and those among them with v2(first) = a survive,
 beside the few odd first applications (factor 1).  Each n has one
@@ -120,26 +137,22 @@ compared with 2n and looked up a second time.  A second application whose
 odd part lies past the table (below, and every candidate past a
 memory-capped table) is computed by exact factorization.
 
-Each table stops at the largest odd part its readers need; take top as the
-run's last n.  The sigma* table is read by even blocks only.  An even n <=
-top has its odd part at most top/2, and so does a usp candidate's first
-application 2^a * m' with a >= 2, since m' < 2n/4; so the sigma* table
-holds the odd values up to top/2.  A candidate with a = 0 is n = 2^b (an
-odd prime power p^e contributes the even p^e + 1 to sigma*(n)), and one
-with a = 1 has a single odd prime power p^e || n, with p^e = 1 (mod 4) so
-that p^e + 1 = 2 (mod 4), and its factor sigma*(2) = 3 divides n, so p = 3
-and e is even: n = 2^b * 3^(2e).  Only these leave the table.  The sigma
-table is read by odd blocks only and holds the odd values up to top; the
-odd first applications of its candidates lie below 2n, and those past top
-leave it.  The lookups sent past a table are exact factorizations, and
-few.
+The table stops at the largest odd part its readers need; take top as the
+run's last n.  An even n <= top has its odd part at most top/2, and so does
+a usp candidate's first application 2^a * m' with a >= 2, since m' < 2n/4;
+so the table holds the odd values up to top/2.  A candidate with a = 0 is
+n = 2^b (an odd prime power p^e contributes the even p^e + 1 to
+sigma*(n)), and one with a = 1 has a single odd prime power p^e || n, with
+p^e = 1 (mod 4) so that p^e + 1 = 2 (mod 4), and its factor sigma*(2) = 3
+divides n, so p = 3 and e is even: n = 2^b * 3^(2e).  Only these leave the
+table, and their lookups are exact factorizations.
 
 Each search makes one ordered map and runs the table build and the scan
 through it: the builtin map in one process, otherwise the map of one fork
 process pool of at most os.cpu_count() workers, which yields results in
-submission order.  The tables live in one shared anonymous map made before
-the pool forks, so the workers fill them in place and then classify
-blocks against them; no table chunk travels between processes.
+submission order.  The table lives in one shared anonymous map made before
+the pool forks, so the workers fill it in place and then classify blocks
+against it; no table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve or the list that produced it, and
@@ -162,6 +175,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -174,7 +188,7 @@ from .arith import (
     sigma_from_factorization,
     unitary_sigma,
 )
-from .sieve import divisor_sum_segment
+from .sieve import base_primes, divisor_sum_segment
 from .structure import UspStructureVerdict, check_usp_structure
 
 
@@ -304,6 +318,53 @@ def even_sigma(lo: int, hi: int) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _odd_square_sigmas(last: int) -> np.ndarray:
+    """sigma(m^2) of the odd m = 1, 3, ... <= last, at index (m - 1) / 2: each
+    odd prime p <= last multiplies the m that p^e divides exactly by
+    sigma(p^(2e)) = (p^(2e+1) - 1)/(p - 1)."""
+    sums = np.ones((last + 1) // 2, dtype=np.int64)
+    for p in base_primes(last)[1:].tolist():
+        pe, below = p, 1  # p^e, and the sigma(p^(2e-2)) its multiples hold
+        while pe <= last:
+            # the odd multiples of p^e are every p^e-th odd m from p^e
+            here = (pe * pe * p - 1) // (p - 1)
+            run = sums[(pe - 1) // 2 :: pe]
+            run //= below
+            run *= here
+            pe, below = pe * p, here
+    return sums
+
+
+def _odd_sigma_candidates(lo: int, hi: int):
+    """(n, class, s) for each odd n in [lo, hi) that Euler's form leaves as
+    a super_perfect or perfect candidate (module docstring), with s =
+    sigma(sigma(n)) or sigma(n): n is a hit exactly when s = 2n."""
+    top = hi - 1
+    last = isqrt(top)
+    for m, u in zip(range(1, last + 1, 2), _odd_square_sigmas(last).tolist()):
+        m2 = m * m
+        square = lo <= m2 and u % 4 == 1 and u < 2 * m2
+        euler = 5 * m2 <= top and 8 * m2 < 5 * u < 10 * m2
+        if not (square or euler):
+            continue
+        fu = factorize(u)
+        if square:
+            yield m2, "super_perfect", sigma_from_factorization(fu)
+        if euler:
+            for p, e in fu.entries:
+                if p % 4 == 1 and m % p:
+                    for k in range(1, e + 1, 4):
+                        if lo <= (n := p**k * m2) <= top:
+                            yield n, "perfect", (p ** (k + 1) - 1) // (p - 1) * u
+
+
+def odd_sigma(lo: int, hi: int) -> list[tuple[int, str]]:
+    """(n, class) of the odd super_perfect and perfect n in [lo, hi),
+    increasing, listed from sigma(m^2) over the odd m <= sqrt(hi - 1)
+    (module docstring)."""
+    return sorted((n, c) for n, c, s in _odd_sigma_candidates(lo, hi) if s == 2 * n)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     limit: int
@@ -344,10 +405,9 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # table construction
 
-#: the running search's classes and odd-part tables, set by run_search
-#: before its pool forks so that the workers inherit them: "table" is one
-#: shared uint32 map that every process writes and reads in place, and
-#: "tables" maps unitary to its row, a view of the map of its own length
+#: the running search's classes and sigma* table, set by run_search before
+#: its pool forks so that the workers inherit them: "table" is one shared
+#: uint32 map that every process writes and reads in place
 _STATE: dict | None = None
 
 #: odd values per table-build task, and at most n per sieve block of the
@@ -357,31 +417,27 @@ _TABLE_CHUNK = 1 << 18
 
 
 def _fill_chunk(i: int) -> None:
-    # the rows that reach entry i, each filled to its own end from one sieve
-    # pass over the odd values of the longest
-    rows = {u: row for u, row in _STATE["tables"].items() if row.shape[0] > i}
-    end = min(i + _TABLE_CHUNK, max(row.shape[0] for row in rows.values()))
+    table = _STATE["table"]
+    end = min(i + _TABLE_CHUNK, table.shape[0])
     lo, hi = 2 * i + 1, 2 * end
-    seg = divisor_sum_segment(lo, hi, tuple(rows), step=2)
-    # uint32 sums are exact (sieve docstring); wider ones must still fit.  A
-    # row holds at most _TABLE_ENTRIES = 2^28 entries, so every chunk ends at
-    # or below 2^29 and the sieve returns uint32: only a stand-in sieve that
-    # returns wider sums, as the overflow test's does, reaches this check
+    seg = divisor_sum_segment(lo, hi, (True,), step=2)[:, 0]
+    # uint32 sums are exact (sieve docstring); wider ones must still fit.  The
+    # table holds at most _TABLE_ENTRIES = 2^28 entries, so every chunk ends
+    # at or below 2^29 and the sieve returns uint32: only a stand-in sieve
+    # that returns wider sums, as the overflow test's does, reaches this check
     if seg.dtype != np.uint32 and seg.max(initial=0) >= 1 << 32:
         raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
-    for j, row in enumerate(rows.values()):
-        row[i:end] = seg[: row.shape[0] - i, j]
+    table[i:end] = seg
 
 
 def _build_table(omap=map) -> np.ndarray:
-    """Fill the state's tables, each row sigma*(2i + 1) or sigma(2i + 1) at
-    index i, one task per _TABLE_CHUNK entries of the longest row run
-    through omap; returns the map that holds every row."""
-    longest = max(row.shape[0] for row in _STATE["tables"].values())
+    """Fill the state's table with sigma*(2i + 1) at index i, one task per
+    _TABLE_CHUNK entries run through omap, and return it."""
+    table = _STATE["table"]
     # draining the map runs (builtin map) or awaits (pool) every task, and
     # raises a task's OverflowError here
-    list(omap(_fill_chunk, range(0, longest, _TABLE_CHUNK)))
-    return _STATE["table"]
+    list(omap(_fill_chunk, range(0, table.shape[0], _TABLE_CHUNK)))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -392,40 +448,40 @@ def _divisor_sum(f: Factorization, unitary: bool) -> int:
     return unitary_sigma(f) if unitary else sigma_from_factorization(f)
 
 
-def _exact_divisor_sum(m: int, unitary: bool) -> int:
-    return _divisor_sum(factorize(m), unitary)
+def _exact_divisor_sum(m: int) -> int:
+    return unitary_sigma(factorize(m))
 
 
 #: n classified at a time: the lookups' int64 temporaries stay in cache
 _SCAN_BLOCK = 1 << 16
 
 
-def _two_part_factor(low, unitary: bool):
-    """sigma*(2^a) or sigma(2^a) of low = 2^a, an int or an int64 array: 2^a
-    + 1 for a >= 1 and 1 for a = 0, or 2^(a+1) - 1."""
-    return low + (low > 1) if unitary else 2 * low - 1
+def _two_part_factor(low):
+    """sigma*(2^a) of low = 2^a, an int or an int64 array: 2^a + 1 for a >=
+    1 and 1 for a = 0."""
+    return low + (low > 1)
 
 
-def _split(m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
+def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For values m = 2^a * m' >= 1 with m' odd: the table index (m' - 1) / 2
-    of m', and the divisor sum of the 2-part."""
+    of m', and sigma* of the 2-part."""
     low = m & -m  # 2^a
-    return m >> np.bitwise_count(low - 1) >> 1, _two_part_factor(low, unitary)
+    return m >> np.bitwise_count(low - 1) >> 1, _two_part_factor(low)
 
 
-def _lookup(table: np.ndarray, m: np.ndarray, unitary: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Divisor sums of the values m >= 1 served by the odd-part table.
+def _lookup(table: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma* of the values m >= 1 served by the odd-part table.
 
     Returns the sums and the mask of values whose odd part the table holds;
     sums outside the mask are meaningless.
     """
-    idx, factor = _split(m, unitary)
+    idx, factor = _split(m)
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
-def _progression_lookup(table: np.ndarray, s: int, count: int, unitary: bool) -> np.ndarray | None:
-    """Divisor sums of the count values n = s, s + 2, ... served by the
-    odd-part table, or None when the table lacks the odd part of one of them.
+def _progression_lookup(table: np.ndarray, s: int, count: int) -> np.ndarray | None:
+    """sigma* of the count values n = s, s + 2, ... served by the odd-part
+    table, or None when the table lacks the odd part of one of them.
 
     The n with v2(n) = a recur every 2^a values, and their odd parts are
     consecutive odd values: one contiguous run of the table, times the
@@ -444,7 +500,7 @@ def _progression_lookup(table: np.ndarray, s: int, count: int, unitary: bool) ->
         if j0 + run > table.shape[0]:
             return None
         # the int64 factor keeps the product out of uint32
-        factor = np.int64(_two_part_factor(low, unitary))
+        factor = np.int64(_two_part_factor(low))
         np.multiply(table[j0 : j0 + run], factor, out=sums[i0::low])
     return sums
 
@@ -461,7 +517,7 @@ def _prefilter(first: np.ndarray, s: int) -> np.ndarray:
     parts = [np.flatnonzero((first & 1) == 1)]
     for a in range(1, top.bit_length()):
         low = 1 << a
-        factor = _two_part_factor(low, True)
+        factor = _two_part_factor(low)
         if factor > top:
             break
         i0 = -s * pow(2, -1, factor) % factor  # the first n = 0 (mod factor)
@@ -470,61 +526,46 @@ def _prefilter(first: np.ndarray, s: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _tested(classes, odd: bool) -> list[Variant]:
-    """The requested variants a block tests: the unitary ones on even n, the
-    sigma ones on odd n; the other hits are listed (module docstring)."""
-    return [v for v in VARIANTS if v.name in classes and v.unitary != odd]
-
-
-def _laid(classes, parity: str) -> list[bool]:
-    """odd for each parity whose blocks a run lays: those the run requests
-    whose n test some class."""
-    return [odd for odd in (False, True)
-            if parity != ("even" if odd else "odd") and _tested(classes, odd)]
-
-
 class _Block(NamedTuple):
-    """A sieve block: the n = lo, lo + 2, ... < hi, all of lo's parity."""
+    """A sieve block: the even n = lo, lo + 2, ... < hi."""
 
     lo: int
     hi: int
 
 
 def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
-    """The blocks of a run over [lo, hi), sorted by lo: for each parity that
-    the run requests and whose n test some class, equal blocks of at most
-    _TABLE_CHUNK of its n."""
-    blocks = []
-    for odd in _laid(classes, parity):
-        start = lo + (lo % 2 != odd)  # the first n of this parity
-        count = len(range(start, hi, 2))
-        if count:
-            # equal blocks: a short last block's arrays would split the
-            # memory freed by a full one, and the heap would grow
-            parts = -(-count // _TABLE_CHUNK)
-            width = 2 * -(-count // parts)
-            blocks += [_Block(b, min(hi, b + width)) for b in range(start, hi, width)]
-    return sorted(blocks)
+    """The blocks of a run over [lo, hi), sorted by lo: equal blocks of at
+    most _TABLE_CHUNK of its even n when it tests a unitary class there,
+    otherwise none (module docstring)."""
+    if parity == "odd" or not any(_VARIANT_BY_NAME[c].unitary for c in classes):
+        return []
+    start = lo + lo % 2  # the first even n
+    count = len(range(start, hi, 2))
+    if not count:
+        return []
+    # equal blocks: a short last block's arrays would split the memory freed
+    # by a full one, and the heap would grow
+    parts = -(-count // _TABLE_CHUNK)
+    width = 2 * -(-count // parts)
+    return [_Block(b, min(hi, b + width)) for b in range(start, hi, width)]
 
 
 def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     """(n, class) of the hits among the block's n."""
     lo, hi = block
-    # an even block reads sigma* alone, an odd one sigma alone
-    unitary = lo % 2 == 0
-    variants = _tested(_STATE["classes"], not unitary)
-    table = _STATE["tables"][unitary]
+    variants = [v for v in VARIANTS if v.unitary and v.name in _STATE["classes"]]
+    table = _STATE["table"]
     hits: list[tuple[int, str]] = []
-    # the block's divisor sum, sieved at most once and only when a slice
-    # needs a first application the table lacks
+    # the block's sigma*, sieved at most once and only when a slice needs a
+    # first application the table lacks
     sieved = None
     for s in range(lo, hi, 2 * _SCAN_BLOCK):
         n = np.arange(s, min(hi, s + 2 * _SCAN_BLOCK), 2, dtype=np.int64)
         count = n.shape[0]
-        first = _progression_lookup(table, s, count, unitary)
+        first = _progression_lookup(table, s, count)
         if first is None:
             if sieved is None:
-                sieved = divisor_sum_segment(lo, hi, (unitary,), step=2)[:, 0]
+                sieved = divisor_sum_segment(lo, hi, (True,), step=2)[:, 0]
             i = (s - lo) // 2
             # int64 before any product
             first = sieved[i : i + count].astype(np.int64, copy=False)
@@ -532,16 +573,16 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
             if variant.applications == 1:
                 good = n[first == 2 * n]
             else:
-                # a usp hit needs the odd divisor sum of first's 2-part to
-                # divide n, an odd super_perfect hit an odd first; and sigma(m)
-                # >= m + 1, so a hit needs first <= 2n - 1 (module docstring)
-                idx = _prefilter(first, s) if unitary else np.flatnonzero(first & 1)
+                # a usp hit needs the odd sigma* of first's 2-part to divide
+                # n, and sigma*(m) >= m + 1, so it needs first <= 2n - 1
+                # (module docstring)
+                idx = _prefilter(first, s)
                 mm, nn = first[idx], n[idx]
                 keep = mm < 2 * nn
                 mm, nn = mm[keep], nn[keep]
-                second, inside = _lookup(table, mm, unitary)
+                second, inside = _lookup(table, mm)
                 for j in np.flatnonzero(~inside):
-                    second[j] = _exact_divisor_sum(int(mm[j]), unitary)
+                    second[j] = _exact_divisor_sum(int(mm[j]))
                 good = nn[second == 2 * nn]
             hits.extend((int(x), variant.name) for x in good)
     return hits
@@ -615,14 +656,12 @@ def _write_atomic(path: str, text: str) -> None:
 _TABLE_ENTRIES = 1 << 28
 
 
-def _table_sizes(classes, parity: str, top: int) -> dict[bool, int]:
-    """Entries of the odd-part table that each laid parity's blocks read,
-    keyed by unitary (sigma* for even blocks, sigma for odd ones), for a run
-    whose last n is top (module docstring)."""
+def _table_size(top: int) -> int:
+    """Entries of the sigma* table that the blocks of a run whose last n is
+    top read (module docstring)."""
     # index i holds 2i + 1, so the odd values up to x take (x + 1) // 2
     # entries: an even n <= top has its odd part at most top // 2
-    return {not odd: min(((top if odd else top // 2) + 1) // 2, _TABLE_ENTRIES)
-            for odd in _laid(classes, parity)}
+    return min((top // 2 + 1) // 2, _TABLE_ENTRIES)
 
 
 #: pool tasks in flight per process: enough that a long task at the head of
@@ -700,6 +739,8 @@ def run_search(config: SearchConfig) -> SearchResult:
         found += [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
     if todo and config.parity != "odd":
         found += [hit for hit in even_sigma(todo[0], ends[-1]) if hit[1] in config.classes]
+    if todo and config.parity != "even" and {"super_perfect", "perfect"} & set(config.classes):
+        found += [hit for hit in odd_sigma(todo[0], ends[-1]) if hit[1] in config.classes]
     merged = 0  # segments of todo merged
 
     def merge_before(bound: int) -> None:
@@ -720,23 +761,20 @@ def run_search(config: SearchConfig) -> SearchResult:
             text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
             _write_atomic(config.checkpoint_path, text)
 
-    # a run with no block to scan (max_segments 0, a completed checkpoint, an
-    # odd search of the unitary classes, an even one of the sigma classes)
-    # reads no table, so none is built and no pool is started
-    sizes = _table_sizes(config.classes, config.parity, ends[-1] - 1) if blocks else {}
-    longest = max(sizes.values(), default=0)  # the table build's tasks
+    # a run with no block to scan (max_segments 0, a completed checkpoint, a
+    # search of the sigma classes or at parity odd) reads no table, so none
+    # is built and no pool is started
+    entries = _table_size(ends[-1] - 1) if blocks else 0
     # a process per task at most: a phase of one task gains nothing from a pool
-    tasks = max(len(blocks), -(-longest // _TABLE_CHUNK))
-    _STATE = {"classes": set(config.classes), "tables": {}}
-    if sizes:
-        # every table a row of one shared anonymous map, one after another
-        entries = sum(sizes.values())
-        table = np.ndarray(entries, dtype=np.uint32, buffer=mmap.mmap(-1, 4 * entries))
-        rows = np.split(table, np.cumsum(list(sizes.values()))[:-1])
-        _STATE.update(table=table, tables=dict(zip(sizes, rows)))
+    tasks = max(len(blocks), -(-entries // _TABLE_CHUNK))
+    _STATE = {"classes": set(config.classes)}
+    if entries:
+        # a shared anonymous map, which the forked workers fill in place
+        _STATE["table"] = np.ndarray(entries, dtype=np.uint32,
+                                     buffer=mmap.mmap(-1, 4 * entries))
     try:
         with _ordered_map(min(config.workers, os.cpu_count() or 1, tasks)) as omap:
-            if sizes:
+            if entries:
                 _build_table(omap)
             # after a block, the next one's first n bounds the segments done;
             # after the last, every segment is

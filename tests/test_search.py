@@ -223,9 +223,9 @@ def test_sieve_kernel_both_sums_at_even_lo_hold_three_rows(lo):
 
 
 def test_fused_table_chunk_holds_its_two_rows():
-    # the table's last chunk, below 2**29, both sums from one pass: two
-    # uint32 rows, the last holding rest until the shared product is copied
-    # over it, and the cofactor mask
+    # a chunk of the odd values at the table's end, below 2**29, both sums
+    # from one pass of the sieve: two uint32 rows, the last holding rest
+    # until the shared product is copied over it, and the cofactor mask
     count = search._TABLE_CHUNK
     hi = 2 * search._TABLE_ENTRIES
     seg, peak = _kernel_peak(hi - 2 * count + 1, hi, 2, (True, False))
@@ -323,19 +323,17 @@ def test_failed_base_primes_growth_keeps_the_cache(monkeypatch):
     assert divisor_sum_segment(n, n + 2, True, step=2).tolist() == [100004 * 100020]
 
 
-@pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
-def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5, unitary):
+def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5):
     limit = 10**5
-    sig, usig = brute_tables_1e5
-    empty = np.zeros((1, (limit + 1) // 2), dtype=np.uint32)
-    monkeypatch.setattr(search, "_STATE", {"table": empty, "tables": {unitary: empty[0]}})
-    table = search._build_table()[0]
+    usig = brute_tables_1e5[1]
+    monkeypatch.setattr(search, "_STATE", {"table": np.zeros((limit + 1) // 2, dtype=np.uint32)})
+    table = search._build_table()
     m = np.arange(1, limit + 1, dtype=np.int64)
-    sums, inside = search._lookup(table, m, unitary)
+    sums, inside = search._lookup(table, m)
     assert inside.all()
-    assert (sums == (usig if unitary else sig)[1:]).all()
+    assert (sums == usig[1:]).all()
     # the first odd value past the table, alone and times a power of two
-    _, inside = search._lookup(table, np.array([limit + 1, 8 * (limit + 1)]), unitary)
+    _, inside = search._lookup(table, np.array([limit + 1, 8 * (limit + 1)]))
     assert not inside.any()
 
 
@@ -516,37 +514,41 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
 
 def test_out_of_table_segment_sieved_once(sieve_spans, capped):
     # the capped table holds the odd values below 2**17 (built from spans
-    # ending at 2**17); the odd block reaches past it and is sieved once, for
-    # sigma alone, not once per class or per segment, and the even block's
-    # odd parts stay below 7 * 10**4, in the table
+    # ending at 2**17), the odd parts of the even n up to 2**18; both even
+    # blocks up to 6 * 10**5 reach past it, and each is sieved once, for
+    # sigma* alone, not once per class or per segment
     capped()
-    run_search(SearchConfig(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER))
+    limit = 6 * 10**5
+    run_search(SearchConfig(limit=limit, segment_size=4096, classes=CLASS_ORDER))
     assert len(sieve_spans) == len(set(sieve_spans))
     scanned = Counter(span for span in sieve_spans if span[1] > 2**17)
-    assert scanned == {(1, 14 * 10**4 + 1, 2, False): 1}
+    blocks = search._blocks(CLASS_ORDER, "all", 1, limit + 1)
+    assert len(blocks) == 2 and blocks[0].hi > 2**18
+    assert scanned == {(lo, hi, 2, True): 1 for lo, hi in blocks}
 
 
 def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped):
-    # under a 2**16-entry cap, first applications of odd n > 2**17 come from
-    # the odd block's sieve (the table is built from spans ending at 2**17),
-    # and second ones with an odd part past the table from exact
-    # factorization: the odd first application sigma(361**2) = 137561 of an
-    # odd square, for one, which the uncapped sigma row up to 14 * 10**4 holds
-    common = dict(limit=14 * 10**4, segment_size=4096, classes=CLASS_ORDER)
+    # under a 2**16-entry cap, first applications of even n > 2**18 come
+    # from the block's sieve (the table is built from spans ending at
+    # 2**17), and second ones with an odd part past the table from exact
+    # factorization: the first application sigma*(291290) = 2**2 * 131085
+    # of a usp candidate (5 divides 291290), for one, whose odd part the
+    # uncapped table of the odd values up to 3 * 10**5 holds
+    common = dict(limit=6 * 10**5, segment_size=4096, classes=CLASS_ORDER)
     full = run_search(SearchConfig(**common))
     exact = []
     exact_divisor_sum = search._exact_divisor_sum
 
-    def counted(m, unitary):
+    def counted(m):
         exact.append(m)
-        return exact_divisor_sum(m, unitary)
+        return exact_divisor_sum(m)
 
     monkeypatch.setattr(search, "_exact_divisor_sum", counted)
     sieve_spans.clear()
     capped()
     result = run_search(SearchConfig(**common))
-    assert (1, 14 * 10**4 + 1, 2, False) in sieve_spans
-    assert sigma_from_factorization(factorize(361**2)) == 137561 in exact
+    assert (2, 300002, 2, True) in sieve_spans
+    assert unitary_sigma(factorize(291290)) == 4 * 131085 in exact
     assert result.checkpoint_text == full.checkpoint_text
 
 
@@ -559,10 +561,10 @@ def test_capped_scan_sieves_one_block_at_a_time(sieve_spans, capped):
     sieve_spans.clear()
     capped()
     result = run_search(SearchConfig(**common))
-    # the scan's blocks, of both parities
-    assert {lo % 2 for lo, hi, _, _ in sieve_spans if hi > 2**17} == {0, 1}
-    assert all(step == 2 and len(range(lo, hi, step)) <= search._TABLE_CHUNK
-               for lo, hi, step, _ in sieve_spans)
+    # the scan's blocks, all even, each for sigma* alone
+    assert {lo % 2 for lo, hi, _, _ in sieve_spans if hi > 2**17} == {0}
+    assert all(step == 2 and unitary and len(range(lo, hi, step)) <= search._TABLE_CHUNK
+               for lo, hi, step, unitary in sieve_spans)
     assert result.checkpoint_text == full.checkpoint_text
 
 
@@ -613,16 +615,15 @@ def _odd_values(last):
 
 
 @pytest.fixture
-def built_rows(monkeypatch):
-    """(unitary, entries) of every row each table build fills, and the bytes
-    of the map it returns."""
+def built_tables(monkeypatch):
+    """(entries, bytes) of the table each table build fills and returns."""
     built = []
     build_table = search._build_table
 
     def recorded(omap=map):
         table = build_table(omap)
-        rows = search._STATE["tables"].items()
-        built.append(([(unitary, row.shape[0]) for unitary, row in rows], table.nbytes))
+        assert table is search._STATE["table"]
+        built.append((table.shape[0], table.nbytes))
         return table
 
     monkeypatch.setattr(search, "_build_table", recorded)
@@ -630,12 +631,11 @@ def built_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [False, True], ids=["default", "capped"])
-def test_stopped_run_tables_end_at_its_last_n(tmp_path, built_rows, cap, capped):
-    # a run stopped by max_segments sizes its tables to its own last n, not
-    # to limit; the resumed run sizes them to limit, and its bytes are those
-    # of the uninterrupted run.  Each row has its own length: sigma* is read
-    # only at even n, whose odd parts are at most half the last n, while odd
-    # blocks read sigma up to the last n; the map holds just the rows
+def test_stopped_run_tables_end_at_its_last_n(tmp_path, built_tables, cap, capped):
+    # a run stopped by max_segments sizes its table to its own last n, not
+    # to limit; the resumed run sizes it to limit, and its bytes are those
+    # of the uninterrupted run.  sigma* is read only at even n, whose odd
+    # parts are at most half the last n, and no other table is built
     if cap:
         capped()
     size, stop = 1 << 16, 3
@@ -644,23 +644,21 @@ def test_stopped_run_tables_end_at_its_last_n(tmp_path, built_rows, cap, capped)
     partial = run_search(SearchConfig(max_segments=stop, **common))
     assert partial.segments_done == stop and not partial.completed
     resumed = run_search(SearchConfig(resume=True, **common))
-    rows = []
-    for last in (stop * size, 10**6):  # the stopped run's last n, then limit's
-        lengths = [min(_odd_values(top), search._TABLE_ENTRIES) for top in (last // 2, last)]
-        rows.append((list(zip((True, False), lengths)), 4 * sum(lengths)))
-    assert built_rows == rows
+    # the stopped run's last n, then limit's
+    entries = [min(_odd_values(last // 2), search._TABLE_ENTRIES) for last in (stop * size, 10**6)]
+    assert built_tables == [(e, 4 * e) for e in entries]
     digest = hashlib.sha256(resumed.checkpoint_text.encode()).hexdigest()
     assert digest == _GOLDEN_CHECKPOINTS_1E6["all"]
 
 
 @pytest.mark.parametrize("parity", ["all", "even"])
-def test_usp_search_builds_one_half_row(built_rows, parity):
-    # usp alone reads sigma* at even n only, the odd usp n being listed: one
-    # row, of the odd values up to half the last n, is the whole map
+def test_usp_search_builds_one_half_row(built_tables, parity):
+    # usp reads sigma* at even n only, the odd usp n being listed: the table
+    # holds the odd values up to half the last n
     top = 10**5 + 3
     run_search(SearchConfig(limit=top, parity=parity))
     entries = (top // 2 + 1) // 2
-    assert built_rows == [([(True, entries)], 4 * entries)]
+    assert built_tables == [(entries, 4 * entries)]
 
 
 def test_one_pool_bounded_by_cpu_count(monkeypatch):
@@ -674,11 +672,12 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
         return pool_class(max_workers=min(max_workers, 2), mp_context=mp_context)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", recorder)
-    # four scan blocks of at most 2**18 n, two table chunks of 2**18 entries
-    common = dict(limit=6 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER)
+    # three scan blocks of at most 2**18 even n, two table chunks of 2**18
+    # entries
+    common = dict(limit=12 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER)
     serial = run_search(SearchConfig(**common)).checkpoint_text
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    # both tables and the scan share the one pool
+    # the table and the scan share the one pool
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
     assert requested == [3]
     # a search of one block and one table chunk runs in-process, however
@@ -751,9 +750,7 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     # a returned block that merges segments writes the checkpoint once for
     # all of them, however many there are, and a run that merges none (a
     # completed resume, max_segments 0) writes it once in total; each write
-    # holds every segment merged so far
-    # (perfect lays odd blocks beside the even ones, so the two parities'
-    # blocks alternate)
+    # holds every segment merged so far, the listed perfect n among them
     cp = tmp_path / "cp.txt"
     limit, size, classes = 6 * 10**5, 2048, ("usp", "perfect")
     common = dict(limit=limit, segment_size=size, classes=classes, checkpoint_path=str(cp))
@@ -767,11 +764,10 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     assert writes == [partial.checkpoint_text] == [cp.read_text()]
     writes.clear()
     resumed = run_search(SearchConfig(resume=True, **common))
-    # two blocks of 2**18 n at most per parity from 1 + 2 * size, odd and
-    # even alternating; each even one ends past dozens of segments, and each
-    # odd one, returned just before the even block one n later, merges none
+    # two even blocks of 2**18 n at most from 1 + 2 * size, each ending
+    # past dozens of segments
     blocks = search._blocks(classes, "all", 1 + 2 * size, limit + 1)
-    assert [b.lo % 2 for b in blocks] == [1, 0, 1, 0]
+    assert [b.lo % 2 for b in blocks] == [0, 0]
     assert [len(parse_checkpoint(text)[2]) for text in writes] == [147, resumed.total_segments]
     assert writes[-1] == resumed.checkpoint_text == baseline == cp.read_text()
     for config in (SearchConfig(resume=True, **common), SearchConfig(max_segments=0, **common)):
@@ -784,18 +780,18 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table_overflow_refused(monkeypatch, workers):
     # a divisor sum past uint32 stops the build, also from a pool worker and
-    # in a later chunk: a usp search over all n <= 2**21 builds a sigma* row
-    # of 2**19 entries, two chunks, and the stand-in sieve returns sums past
+    # in a later chunk: a usp search over all n <= 2**21 builds a sigma*
+    # table of 2**19 entries, two chunks, and the stand-in sieve returns sums past
     # 2**32 for the second only.  Real chunks end at or below 2**29, so the
     # sieve itself never returns such wide sums to the build
-    assert search._table_sizes(("usp",), "all", 1 << 21) == {True: 2 * search._TABLE_CHUNK}
+    assert search._table_size(1 << 21) == 2 * search._TABLE_CHUNK
     chunks = []
 
-    def too_big(lo, hi, unitary, step):
+    def too_big(lo, hi, sums, step):
         chunks.append(lo)
         if lo == 1:
-            return divisor_sum_segment(lo, hi, unitary, step)
-        return np.full(len(range(lo, hi, step)), 1 << 32, dtype=np.int64)
+            return divisor_sum_segment(lo, hi, sums, step)
+        return np.full((len(range(lo, hi, step)), len(sums)), 1 << 32, dtype=np.int64)
 
     monkeypatch.setattr(search, "divisor_sum_segment", too_big)
     with pytest.raises(OverflowError, match=rf"^divisor sums in \[{2**19 + 1}, {2**20}\) exceed"):
@@ -804,138 +800,116 @@ def test_table_overflow_refused(monkeypatch, workers):
     assert chunks == ([1, 2**19 + 1] if workers == 1 else [])
 
 
-def test_odd_sigma_table_capped_at_limit(monkeypatch):
-    # for odd n, sigma(n) is odd only for squares, so the sigma table stops at
-    # limit and the odd squares with sigma(n) past it are factorized exactly
+def test_odd_sigma_factorizes_only_candidates(monkeypatch, brute_tables_4e5):
+    # the odd sigma classes read no table: odd_sigma sieves u = sigma(m^2)
+    # for the odd m <= sqrt(limit), and factorizes u, in order of m, only
+    # where Euler's form leaves m^2 (u = 1 (mod 4), u < 2m^2) or some
+    # p^k * m^2 (5m^2 <= limit, 8m^2 < 5u < 10m^2) as a candidate (module
+    # docstring): O(sqrt(limit)) values
     limit = 3 * 10**5
-    config = SearchConfig(limit=limit, classes=("super_perfect",), parity="odd")
-    assert search._table_sizes(config.classes, "odd", limit) == {False: (limit + 1) // 2}
-    exact = []
-    exact_divisor_sum = search._exact_divisor_sum
-
-    def counted(m, unitary):
-        exact.append(m)
-        return exact_divisor_sum(m, unitary)
-
-    monkeypatch.setattr(search, "_exact_divisor_sum", counted)
-    assert run_search(config).hits == []
-    odd_square_sigmas = {
-        sigma_from_factorization(factorize(k * k)) for k in range(1, math.isqrt(limit) + 1, 2)
-    }
-    assert exact and set(exact) <= odd_square_sigmas
+    sig = brute_tables_4e5[0]
+    roots = range(1, math.isqrt(limit) + 1, 2)
+    assert search._odd_square_sigmas(roots[-1]).tolist() == [int(sig[m * m]) for m in roots]
+    factorized = []
+    monkeypatch.setattr(search, "factorize", lambda n: factorized.append(n) or factorize(n))
+    assert search.odd_sigma(1, limit + 1) == []
+    expected = []
+    for m in roots:
+        u, m2 = int(sig[m * m]), m * m
+        if (u % 4 == 1 and u < 2 * m2) or (5 * m2 <= limit and 8 * m2 < 5 * u < 10 * m2):
+            expected.append(u)
+    assert factorized == expected
+    # the filter keeps some of the u and drops others
+    assert 0 < len(expected) < len(roots)
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_table_sizes_limit_at_every_parity(parity, capped):
-    # even blocks, laid for the unitary classes when the parity is not odd,
-    # read sigma* at the odd parts of the even n up to the run's last n, at
-    # most half of it; odd blocks, laid for the sigma classes when the parity
-    # is not even, read sigma up to the last n itself.  Rows are at most
-    # 2**28 entries (1 GiB), or at most the cap
+    # blocks are laid, of the even n, when a unitary class is requested and
+    # the parity is not odd, and read sigma* at the odd parts of the even n
+    # up to the run's last n, at most half of it.  The table is at most 2**28
+    # entries (1 GiB), or at most the cap
     assert search._TABLE_ENTRIES == 1 << 28
     for cap in (1 << 28, 1 << 16):
         if cap == 1 << 16:
             capped()
         for top in (1, 2, 3, 10**5, 3 * 10**5 + 1, 10**8, search.HARD_LIMIT):
-            for r in range(1, len(CLASS_ORDER) + 1):
-                for classes in itertools.combinations(CLASS_ORDER, r):
-                    sums = {v.unitary for v in VARIANTS if v.name in classes}
-                    expected = {}
-                    if True in sums and parity != "odd":
-                        expected[True] = min(_odd_values(top // 2), cap)
-                    if False in sums and parity != "even":
-                        expected[False] = min(_odd_values(top), cap)
-                    assert search._table_sizes(classes, parity, top) == expected
+            assert search._table_size(top) == min(_odd_values(top // 2), cap)
+    for r in range(1, len(CLASS_ORDER) + 1):
+        for classes in itertools.combinations(CLASS_ORDER, r):
+            unitary = any(search._VARIANT_BY_NAME[c].unitary for c in classes)
+            for top in (1, 2, 10**5):
+                laid = unitary and parity != "odd" and top >= 2
+                assert bool(search._blocks(classes, parity, 1, top + 1)) == laid
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
-    # under the default cap every first application comes from a table, and
-    # a second lookup leaves its row only for a candidate whose odd part lies
-    # past the row: the sigma* row, read at even n, ends at limit // 2, and
-    # the sigma row, read at odd n, at limit.  Those candidates are exactly
-    # the families of the search docstring: n = 2^b and n = 2^b * 3^(2e) for
-    # sigma*, and for sigma the odd squares whose odd first application
-    # passes limit
+    # under the default cap every first application comes from the table,
+    # and a second lookup leaves it only for a usp candidate whose odd part
+    # lies past limit // 2, where the table ends.  Those candidates are
+    # exactly the families of the search docstring, n = 2^b, whose first
+    # application 2^b + 1 is odd, and n = 2^b * 3^(2e); at parity odd no
+    # block is laid and nothing is factorized
     limit = 3 * 10**5
     exact = []
     exact_divisor_sum = search._exact_divisor_sum
 
-    def counted(m, unitary):
-        exact.append((m, unitary))
-        return exact_divisor_sum(m, unitary)
+    def counted(m):
+        exact.append(m)
+        return exact_divisor_sum(m)
 
     monkeypatch.setattr(search, "_exact_divisor_sum", counted)
     config = SearchConfig(limit=limit, segment_size=1 << 14, classes=CLASS_ORDER, parity=parity)
     run_search(config)
     assert all(step == 2 and hi <= limit + 1 for _, hi, step, _ in sieve_spans)
 
-    def past_row(ns, firsts, unitary):
-        # (first, unitary) of each scanned n whose first application is a
-        # candidate (the usp prefilter and first < 2n for sigma*, an odd
-        # first below 2n for sigma), with its odd part past the row
+    def past_table(ns, firsts):
+        # the first application of each scanned n that is a candidate (the
+        # usp prefilter and first < 2n) with its odd part past the table
         low = firsts & -firsts
-        if unitary:
-            keep = (ns % np.where(low > 1, low + 1, 1) == 0) & (firsts // low > limit // 2)
-        else:
-            keep = (low == 1) & (firsts > limit)
+        keep = (ns % np.where(low > 1, low + 1, 1) == 0) & (firsts // low > limit // 2)
         keep &= firsts < 2 * ns
-        return [(int(m), unitary) for m in firsts[keep]]
+        return [int(m) for m in firsts[keep]]
 
-    # the unitary classes see the even n and the sigma classes the odd n, of
-    # the parities scanned; the first applications from the step-1 sieve,
-    # which the tests above check against factorize (factorizing every n
-    # takes seconds)
-    n = np.arange(1, limit + 1, dtype=np.int64)
-    scanned = {True: n[(n % 2 == 0) & (parity != "odd")],
-               False: n[(n % 2 == 1) & (parity != "even")]}
-    expected = [
-        m for u, ns in scanned.items()
-        for m in past_row(ns, divisor_sum_segment(1, limit + 1, u)[ns - 1], u)
-    ]
-    assert sorted(exact) == sorted(expected)
-    # the families, from factorize: n = 2^b and 2^b * 9^e, and the odd
-    # squares, each where its parity is scanned
+    # the even n, where the parity scans them; their first applications from
+    # the step-1 sieve, which the tests above check against factorize
+    # (factorizing every n takes seconds)
+    n = np.arange(2, limit + 1, 2, dtype=np.int64) if parity != "odd" else np.zeros(0, np.int64)
+    assert sorted(exact) == sorted(past_table(n, divisor_sum_segment(1, limit + 1, True)[n - 1]))
+    # the families, from factorize: n = 2^b and 2^b * 9^e, each of which occurs
     powers = [2**b for b in range(1, limit.bit_length())]
     nines = [p * 9**e for p in powers for e in range(1, 6) if p * 9**e <= limit]
-    squares = [k * k for k in range(1, math.isqrt(limit) + 1, 2)]
-    families = {True: (powers, nines) if parity != "odd" else (),
-                False: (squares,) if parity != "even" else ()}
-    for unitary, groups in families.items():
-        found = [
-            past_row(np.array(ns), np.array(_exact_sums(ns, unitary)), unitary)
-            for ns in groups
-        ]
-        assert all(found)  # every family occurs
-        assert sorted(sum(found, [])) == sorted(m for m in exact if m[1] == unitary)
+    found = [past_table(np.array(ns), np.array(_exact_sums(ns, True))) for ns in (powers, nines)]
+    assert all(found)
+    assert sorted(exact) == (sorted(sum(found, [])) if parity != "odd" else [])
 
 
 @settings(_PROPERTY, max_examples=200)
 @given(a=st.integers(0, 28), odd=st.integers(0, 10**9))  # m < 2**59
 def test_two_part_factor_matches_factorization(a, odd):
-    # m = 2^a * m' with m' odd: sigma*(m) = sigma*(2^a) sigma*(m') and
-    # sigma(m) = (2^(a+1) - 1) sigma(m'); the lookups and the prefilter all
-    # take the 2-part's factor from _two_part_factor, on ints or arrays
+    # m = 2^a * m' with m' odd: sigma*(m) = sigma*(2^a) sigma*(m'); the
+    # lookups and the prefilter all take the 2-part's factor from
+    # _two_part_factor, on ints or arrays
     m_odd = 2 * odd + 1
     m = 2**a * m_odd
-    for unitary, two_part in ((True, 2**a + (a > 0)), (False, 2 ** (a + 1) - 1)):
-        idx, factor = search._split(np.array([m], dtype=np.int64), unitary)
-        assert (int(idx[0]), int(factor[0])) == (odd, two_part)
-        assert search._two_part_factor(2**a, unitary) == two_part
-        assert _exact_sums([m], unitary) == [two_part * _exact_sums([m_odd], unitary)[0]]
-        assert _exact_sums([2**a], unitary) == [two_part]
+    two_part = 2**a + (a > 0)
+    idx, factor = search._split(np.array([m], dtype=np.int64))
+    assert (int(idx[0]), int(factor[0])) == (odd, two_part)
+    assert search._two_part_factor(2**a) == two_part
+    assert _exact_sums([m], True) == [two_part * _exact_sums([m_odd], True)[0]]
+    assert _exact_sums([2**a], True) == [two_part]
 
 
 def test_prefilter_keeps_every_brute_hit():
-    # a second-order hit n has the 2-part's factor of its first application
-    # dividing n, at every parity; the table search then finds every oracle
-    # hit of the parity (all n: test_classification_matches_brute_oracle_small)
+    # a usp hit n has the 2-part's factor of its first application dividing
+    # n, at every parity; the search then finds every oracle hit of the
+    # parity (all n: test_classification_matches_brute_oracle_small)
     limit = 2 * 10**4
     expected = bruteforce.classify_brute(limit)
-    for name, unitary in (("usp", True), ("super_perfect", False)):
-        ns = expected[name]
-        first = np.array(_exact_sums(ns, unitary), dtype=np.int64)
-        assert (np.array(ns) % search._split(first, unitary)[1] == 0).all()
+    ns = expected["usp"]
+    first = np.array(_exact_sums(ns, True), dtype=np.int64)
+    assert (np.array(ns) % search._split(first)[1] == 0).all()
     for parity, keep in (("odd", {1}), ("even", {0})):
         hits = run_search(SearchConfig(limit=limit, classes=CLASS_ORDER, parity=parity)).hits
         got = {c: [] for c in CLASS_ORDER}
@@ -945,115 +919,100 @@ def test_prefilter_keeps_every_brute_hit():
 
 
 @settings(_PROPERTY, max_examples=200)
-@given(
-    s=st.integers(1, 10**5),
-    count=st.integers(1, 3 * search._SCAN_BLOCK),
-    unitary=st.booleans(),
-)
+@given(s=st.integers(1, 10**5), count=st.integers(1, 3 * search._SCAN_BLOCK))
 # slices whose largest odd part is the table's last value 99999 or the next
 # odd value, from an odd s (n = 99999 and 100001) and from an even s (n =
 # 2 * 99999 and 2 * 100001); and a short one from s = 1
-@example(s=97_001, count=1_500, unitary=True)
-@example(s=99_003, count=500, unitary=False)
-@example(s=199_000, count=500, unitary=True)
-@example(s=199_002, count=501, unitary=False)
-@example(s=1, count=8, unitary=False)
-def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count, unitary):
-    # the scan's first applications and the sigma* prefilter walk the
-    # progression's 2-adic classes; they must agree with _lookup and _split
-    # value by value, and the lookups refuse exactly the slices the table
-    # does not serve, those that reach past its last odd value 10**5 - 1
-    # among them
-    sig, usig = brute_tables_1e5
-    table = (usig if unitary else sig)[1::2].astype(np.uint32)
+@example(s=97_001, count=1_500)
+@example(s=99_003, count=500)
+@example(s=199_000, count=500)
+@example(s=199_002, count=501)
+@example(s=1, count=8)
+def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count):
+    # the scan's first applications and the prefilter walk the progression's
+    # 2-adic classes; they must agree with _lookup and _split value by
+    # value, and the lookups refuse exactly the slices the table does not
+    # serve, those that reach past its last odd value 10**5 - 1 among them
+    table = brute_tables_1e5[1][1::2].astype(np.uint32)
     n = np.arange(s, s + 2 * count, 2, dtype=np.int64)
-    sums, inside = search._lookup(table, n, unitary)
-    first = search._progression_lookup(table, s, count, unitary)
+    sums, inside = search._lookup(table, n)
+    first = search._progression_lookup(table, s, count)
     assert (first is None) == (not inside.all())
-    firsts = [divisor_sum_segment(s, s + 2 * count, unitary, step=2)]
+    firsts = [divisor_sum_segment(s, s + 2 * count, True, step=2)]
     if first is not None:
         assert first.dtype == np.int64 and (first == sums).all()
         firsts.append(first)
-    for first in firsts if unitary else ():
+    for first in firsts:
         survivors = search._prefilter(first, s)
-        expected = np.flatnonzero(n % search._split(first, unitary)[1] == 0)
+        expected = np.flatnonzero(n % search._split(first)[1] == 0)
         assert np.array_equal(survivors, expected)
 
 
 def test_progression_lookup_products_past_uint32():
     # table entries are uint32; the run's product with the 2-part's factor
-    # is taken in int64, so sigma(2^a * m') past 2^32 stays exact
+    # is taken in int64, so sigma*(2^a * m') past 2^32 stays exact
     table = np.full(4, 2**32 - 1, dtype=np.uint32)
-    first = search._progression_lookup(table, 2, 8, False)
-    assert first.tolist() == [(2 ** (n & -n).bit_length() - 1) * (2**32 - 1)
-                              for n in range(2, 17, 2)]
+    first = search._progression_lookup(table, 2, 8)
+    assert first.tolist() == [((n & -n) + 1) * (2**32 - 1) for n in range(2, 17, 2)]
 
 
 def test_narrow_fallback_block_products_past_uint32(monkeypatch, sieve_spans):
-    # the even and the odd block of the 2**17 values just below 2**29, past a
-    # 4-entry table: each takes its first applications from one uint32 sieve
-    # pass of its one divisor sum and takes them to int64 before any
-    # product, so its second applications, all from exact factorization
-    # here, are held exactly past 2**32.  No true second application of a
-    # narrow block gets there (first < 2**30, and below 2**30 sigma*(m) <
-    # 3.75m, and sigma(m) < 3.1m for odd m), so the stand-in factorization
-    # returns each exact sum plus 2**32; neither block has a hit
-    table = np.zeros((2, 4), dtype=np.uint32)
-    tables = dict(zip((True, False), table))
+    # the even block of the 2**17 values just below 2**29, past a 4-entry
+    # table: it takes its first applications from one uint32 sieve pass of
+    # sigma* and takes them to int64 before any product, so its second
+    # applications, all from exact factorization here, are held exactly
+    # past 2**32.  No true second application of a narrow block gets there
+    # (first < 2**30, and below 2**30 sigma*(m) < 3.75m), so the stand-in
+    # factorization returns each exact sum plus 2**32; the block has no hit
     monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
-                                           "table": table, "tables": tables})
+                                           "table": np.zeros(4, dtype=np.uint32)})
     search._build_table()
     sieve_spans.clear()
     shifted, held = [], []
     exact_divisor_sum, lookup = search._exact_divisor_sum, search._lookup
 
-    def shifted_sum(m, unitary):
-        shifted.append((exact_divisor_sum(m, unitary) + 2**32, unitary))
-        return shifted[-1][0]
+    def shifted_sum(m):
+        shifted.append(exact_divisor_sum(m) + 2**32)
+        return shifted[-1]
 
-    def recorded(table, m, unitary):
+    def recorded(table, m):
         assert m.dtype == np.int64
-        held.append(lookup(table, m, unitary) + (unitary,))
-        return held[-1][:2]
+        held.append(lookup(table, m))
+        return held[-1]
 
     monkeypatch.setattr(search, "_exact_divisor_sum", shifted_sum)
     monkeypatch.setattr(search, "_lookup", recorded)
     hi = 2**29
-    blocks = [search._Block(hi - 2**17, hi), search._Block(hi - 2**17 + 1, hi)]
-    assert [search._classify_segment(block) for block in blocks] == [[], []]
-    assert sieve_spans == [(lo, hi, 2, lo % 2 == 0) for lo, _ in blocks]
-    # both divisor sums fall back (23169**2 is the odd block's one odd
-    # square), and the int64 seconds keep every sum past 2**32
-    assert {unitary for _, unitary in shifted} == {True, False}
-    assert [(int(x), unitary) for second, inside, unitary in held
-            for x in second[~inside]] == shifted
+    block = search._Block(hi - 2**17, hi)
+    assert search._classify_segment(block) == []
+    assert sieve_spans == [(block.lo, hi, 2, True)]
+    # the candidates fall back, and the int64 seconds keep every sum past 2**32
+    assert shifted
+    assert [int(x) for second, inside in held for x in second[~inside]] == shifted
 
 
 def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
-    # the two in-table blocks of 2**18 n each, odd and even, all four
-    # classes: a slice holds n, its one first application and 2n as int64
-    # arrays of _SCAN_BLOCK values, and the prefilter's and second lookup's
-    # arrays are smaller; four such arrays bound the peak (taking the first
+    # the in-table block of the 2**18 even n up to 2**19, all four classes: a
+    # slice holds n, its one first application and 2n as int64 arrays of
+    # _SCAN_BLOCK values, and the prefilter's and second lookup's arrays are
+    # smaller; four such arrays bound the peak (taking the first
     # applications through _lookup's split of every n needs more than eight)
     hi = (1 << 19) + 1
-    table = np.zeros((2, (hi + 1) // 2), dtype=np.uint32)
-    tables = dict(zip((True, False), table))
     monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
-                                           "table": table, "tables": tables})
+                                           "table": np.zeros((hi + 1) // 2, dtype=np.uint32)})
     search._build_table()
     sieve_spans.clear()
     tracemalloc.start()
     try:
-        hits = [search._classify_segment(search._Block(lo, hi)) for lo in (1, 2)]
+        hits = search._classify_segment(search._Block(2, hi))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not sieve_spans  # every first application came from the tables
-    # the even block holds the usp and unitary perfect n below 2**19, and the
-    # odd block none: no odd perfect or super perfect n is known
+    assert not sieve_spans  # every first application came from the table
+    # the block holds the even usp and unitary perfect n below 2**19
     usp = [(n, "usp") for n in _USP_1E8_HITS if n % 2 == 0 and n < hi]
     unitary_perfect = [(n, "unitary_perfect") for n in (6, 60, 90, 87360)]
-    assert hits[0] == [] and sorted(hits[1]) == sorted(usp + unitary_perfect)
+    assert sorted(hits) == sorted(usp + unitary_perfect)
     assert peak < 4 * 8 * search._SCAN_BLOCK
 
 
@@ -1144,9 +1103,9 @@ def test_usp_checkpoint_golden_1e8_all_n():
 
 
 def test_scanned_odd_usp_hits_match_the_list():
-    # no block tests usp on an odd n, whether or not a sigma class lays odd
-    # blocks beside it: for every class set with usp, at parity all, the odd
-    # usp hits are the ones odd_usp lists
+    # no block tests usp on an odd n, whatever classes are asked beside it:
+    # for every class set with usp, at parity all, the odd usp hits are the
+    # ones odd_usp lists
     limit = 10**6
     listed = search.odd_usp(1, limit + 1)
     others = [c for c in CLASS_ORDER if c != "usp"]
@@ -1159,8 +1118,8 @@ def test_scanned_odd_usp_hits_match_the_list():
 @pytest.mark.parametrize("classes", [("usp",), ("unitary_perfect",), ("usp", "unitary_perfect")])
 def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
     # every requested class unitary: the scan lays blocks from even starts
-    # only and the odd usp n are listed; perfect beside them lays odd blocks
-    # and the same even ones, and its checkpoint holds the same hits
+    # only and the odd usp n are listed; perfect beside them lays the same
+    # even blocks and no other, and its checkpoint holds the same hits
     limit, size = 10**6, 1 << 16
     blocks = []
     classify = search._classify_segment
@@ -1171,8 +1130,7 @@ def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
     assert len(even) > 1 and all(lo % 2 == 0 for lo, _ in even)
     blocks.clear()
     full = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes + ("perfect",)))
-    assert [b for b in blocks if b.lo % 2 == 0] == even
-    assert any(lo % 2 for lo, _ in blocks)
+    assert blocks == even
 
     assert result.checkpoint_text == render_checkpoint(limit, size, [
         [h for h in seg if h.classification in classes]
@@ -1182,51 +1140,41 @@ def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
-def test_each_block_reads_one_divisor_sum(monkeypatch, parity):
-    # for every class set: the blocks hold the n of one parity at step 2,
-    # and cover each scanned parity's n once; even blocks are laid exactly
-    # when a unitary class is requested and the parity is not odd, odd ones
-    # when a sigma class is requested and the parity is not even; every
-    # lookup of an even block, first or second, reads the sigma* table and
-    # every lookup of an odd block the sigma table; and the hits are the
-    # oracle's, the odd usp and the even sigma ones listed
+def test_each_block_reads_one_divisor_sum(monkeypatch, sieve_spans, parity):
+    # for every class set: the blocks hold even n at step 2 and cover the
+    # even n once, and are laid exactly when a unitary class is requested
+    # and the parity is not odd; every slice takes its first applications
+    # from the table, which is sieved for sigma* alone, and nothing sieves
+    # sigma; and the hits are the oracle's, the odd usp and every sigma hit
+    # listed
     limit = 3000
     oracle = bruteforce.classify_brute(limit)
-    blocks, slices, reads = [], [], []
+    blocks, slices = [], []
     classify = search._classify_segment
-    progression_lookup, lookup = search._progression_lookup, search._lookup
+    progression_lookup = search._progression_lookup
 
-    def recorded_lookup(table, m, unitary):
-        reads.append((blocks[-1], unitary))
-        return lookup(table, m, unitary)
-
-    def recorded_progression_lookup(table, s, count, unitary):
-        reads.append((blocks[-1], unitary))
+    def recorded_progression_lookup(table, s, count):
         slices.append((s, count))
-        return progression_lookup(table, s, count, unitary)
+        return progression_lookup(table, s, count)
 
     monkeypatch.setattr(search, "_classify_segment",
                         lambda block: blocks.append(block) or classify(block))
-    monkeypatch.setattr(search, "_lookup", recorded_lookup)
     monkeypatch.setattr(search, "_progression_lookup", recorded_progression_lookup)
     for r in range(1, len(CLASS_ORDER) + 1):
         for classes in itertools.combinations(CLASS_ORDER, r):
             blocks.clear()
             slices.clear()
-            reads.clear()
+            sieve_spans.clear()
             hits = run_search(SearchConfig(limit=limit, segment_size=1024, classes=classes,
                                            parity=parity)).hits
-            sums = {search._VARIANT_BY_NAME[c].unitary for c in classes}
-            laid = {odd: [b for b in blocks if b.lo % 2 == odd] for odd in (0, 1)}
-            assert bool(laid[0]) == (True in sums and parity != "odd")
-            assert bool(laid[1]) == (False in sums and parity != "even")
-            for odd, own in laid.items():
-                scanned = [n for b in own for n in range(b.lo, b.hi, 2)]
-                assert scanned == (list(range(2 - odd, limit + 1, 2)) if own else [])
-            # one first lookup per n, and every lookup of the block's own sum
-            assert [s + 2 * i for s, count in slices for i in range(count)] == [
-                n for b in blocks for n in range(b.lo, b.hi, 2)]
-            assert all(unitary == (block.lo % 2 == 0) for block, unitary in reads)
+            unitary = any(search._VARIANT_BY_NAME[c].unitary for c in classes)
+            scanned = [n for b in blocks for n in range(b.lo, b.hi, 2)]
+            laid = unitary and parity != "odd"
+            assert scanned == (list(range(2, limit + 1, 2)) if laid else [])
+            # one first lookup per n
+            assert [s + 2 * i for s, count in slices for i in range(count)] == scanned
+            assert all(unitary for _, _, _, unitary in sieve_spans)
+            assert bool(sieve_spans) == laid
             keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
             assert sorted((h.n, h.classification) for h in hits) == sorted(
                 (n, c) for c in classes for n in oracle[c] if n % 2 in keep)
@@ -1246,9 +1194,9 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, sieve_spans, cap, cappe
     if cap:
         capped()
     odd_config = SearchConfig(parity="odd", **common)
-    assert search._table_sizes(odd_config.classes, "odd", 10**6) == {}
-    # next to the non-unitary classes only the sigma table is built
-    assert search._table_sizes(CLASS_ORDER, "odd", 10**6).keys() == {False}
+    # no block at parity odd, whatever the classes
+    assert search._blocks(odd_config.classes, "odd", 1, 10**6 + 1) == []
+    assert search._blocks(CLASS_ORDER, "odd", 1, 10**6 + 1) == []
     calls = {"_build_table": [], "_exact_divisor_sum": [], "verify_hit": []}
     for name, record in calls.items():
         fn = getattr(search, name)
@@ -1368,11 +1316,11 @@ def _one_segment_split(config):
 
 
 #: (classes, parity, limit) of searches whose blocks cut across segments:
-#: three blocks or more each, of the odd n for super_perfect, with the
-#: listed odd usp hits merged in, and of both parities
+#: three blocks or more each, of the even n, with the listed hits merged in:
+#: the odd usp n and the super perfect n of both parities, and every class
 _MERGED_SEARCHES = [
-    (("usp", "super_perfect"), "odd", 15 * 10**5),
-    (CLASS_ORDER, "all", 6 * 10**5),
+    (("usp", "super_perfect"), "all", 15 * 10**5),
+    (CLASS_ORDER, "all", 12 * 10**5),
 ]
 
 
@@ -1442,9 +1390,8 @@ def test_closed_form_needs_prime_power(monkeypatch):
 @pytest.fixture(scope="module")
 def brute_sigma_hits_2e5(brute_tables_4e5):
     """(n, class) of the super perfect and perfect n <= 2 * 10**5, by
-    classify_brute's test on divisor-sweep tables up to 4 * 10**5: sigma(m)
-    > m for m > 1, so a super perfect n has sigma(n) < 2n (classify_brute
-    itself sweeps to the largest sigma(n), some 10 s here)."""
+    classify_brute's test on the session's divisor-sweep tables up to 4 *
+    10**5: sigma(m) > m for m > 1, so a super perfect n has sigma(n) < 2n."""
     limit = 2 * 10**5
     sig = brute_tables_4e5[0]
     n = np.arange(1, limit + 1)
@@ -1507,6 +1454,97 @@ def test_even_sigma_search_lays_no_block(monkeypatch):
     # one class alone keeps only its own listed hits
     perfect = run_search(SearchConfig(limit=limit, classes=("perfect",), parity="even")).hits
     assert [(h.n, h.classification) for h in perfect] == [h for h in expected if h[1] == "perfect"]
+
+
+@pytest.fixture(scope="module")
+def odd_sigma_conditions_2e5(brute_tables_4e5):
+    """(n, class) of the odd n <= 2 * 10**5 that meet the necessary conditions
+    of the search docstring, read from the divisor-sweep table: super_perfect
+    for sigma(n) = 1 (mod 4) below 2n, and perfect for sigma(n) = 2 (mod 4)
+    with n = p^k * m^2 in Euler's form, 8m^2 < 5 sigma(m^2) < 10m^2 and p^k
+    dividing sigma(m^2)."""
+    sig = brute_tables_4e5[0]
+    n = np.arange(1, 2 * 10**5 + 1, 2)
+    first = sig[n]
+    squares = n[(first % 4 == 1) & (first < 2 * n)].tolist()
+    assert all(math.isqrt(x) ** 2 == x for x in n[first % 2 == 1].tolist())  # Kanold's squares
+    found = [(x, "super_perfect") for x in squares]
+    for x in n[first % 4 == 2].tolist():
+        [(p, k)] = [(p, e) for p, e in factorize(x).entries if e % 2]
+        assert p % 4 == k % 4 == 1  # Euler's form
+        m2 = x // p**k
+        u = int(sig[m2])
+        if 8 * m2 < 5 * u < 10 * m2 and u % p**k == 0:
+            found.append((x, "perfect"))
+    return sorted(found)
+
+
+@settings(_PROPERTY, max_examples=100)
+@given(lo=st.integers(1, 2 * 10**5), hi=st.integers(1, 2 * 10**5))
+# hi at the odd square 445**2, a super perfect candidate, and lo there; hi
+# at 5 * 75**2, where m = 75 starts to count for perfect n, whose candidate
+# 13 * 75**2 = 73125 comes from lo past 75**2 and from lo at it
+@example(lo=1, hi=445**2)
+@example(lo=445**2, hi=445**2 + 1)
+@example(lo=1, hi=5 * 75**2)
+@example(lo=75**2 + 1, hi=13 * 75**2 + 1)
+@example(lo=13 * 75**2, hi=13 * 75**2 + 1)
+def test_odd_sigma_matches_brute_oracle(brute_tables_4e5, brute_sigma_hits_2e5,
+                                        odd_sigma_conditions_2e5, lo, hi):
+    # the list is the oracle's odd super perfect and perfect n (none are
+    # known); its candidates are exactly the odd n in [lo, hi) that meet
+    # the necessary conditions, each with the sum it is tested by
+    lo, hi = sorted((lo, hi))
+    sig = brute_tables_4e5[0]
+    assert search.odd_sigma(lo, hi) == [
+        h for h in brute_sigma_hits_2e5 if h[0] % 2 and lo <= h[0] < hi]
+    candidates = list(search._odd_sigma_candidates(lo, hi))
+    assert sorted((n, c) for n, c, _ in candidates) == [
+        h for h in odd_sigma_conditions_2e5 if lo <= h[0] < hi]
+    for n, c, s in candidates:
+        assert s == (sig[sig[n]] if c == "super_perfect" else sig[n])
+
+
+def test_odd_sigma_candidates_at_their_bounds():
+    # past the oracle's range: 5 * 1089**2 is the least perfect candidate n
+    # = 5m^2 (5 divides sigma(1089**2), which lies in the band), listed once
+    # hi passes it; and 13 * 195**2 is none, since 13 divides 195 too: it is
+    # 3^2 * 5^2 * 13^3, whose sigma is 0 (mod 4)
+    def perfect(lo, hi):
+        return [n for n, c, _ in search._odd_sigma_candidates(lo, hi) if c == "perfect"]
+
+    n = 5 * 1089**2
+    assert n in perfect(n, n + 1) and n not in perfect(1, n)
+    assert not [x for x in perfect(1, n) if x % 5 == 0 and math.isqrt(x // 5) ** 2 == x // 5]
+    assert 13 * 195**2 not in perfect(1, 13 * 195**2 + 1)
+    assert sigma_from_factorization(factorize(13 * 195**2)) % 4 == 0
+
+
+@pytest.mark.parametrize("parity", ["all", "odd"])
+def test_odd_sigma_search_lays_no_block(monkeypatch, parity):
+    # the odd super perfect and perfect n are listed, so a search of the
+    # sigma classes lays no block, builds no table and starts no pool at any
+    # parity; to 10**9 its hits are the even ones, 2^(p-1) and 2^(p-1) *
+    # (2^p - 1) for the Mersenne primes 2^p - 1, each re-verified
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sigma search reads no table")
+
+    for name in ("_build_table", "_classify_segment", "ProcessPoolExecutor"):
+        monkeypatch.setattr(search, name, refuse)
+    verified = []
+    verify = search.verify_hit
+    monkeypatch.setattr(search, "verify_hit",
+                        lambda n, cls: verified.append((n, cls)) or verify(n, cls))
+    limit, classes = 10**9, ("super_perfect", "perfect")
+    assert search._blocks(classes, parity, 1, limit + 1) == []
+    result = run_search(SearchConfig(limit=limit, classes=classes, parity=parity, workers=2))
+    mersenne_exponents = [2, 3, 5, 7, 13, 17, 19]  # 2^(p-1) <= 10**9
+    expected = sorted(
+        [(2 ** (p - 1), "super_perfect") for p in mersenne_exponents]
+        + [(n, "perfect") for p in mersenne_exponents if (n := 2 ** (p - 1) * (2**p - 1)) <= limit]
+    ) if parity == "all" else []
+    assert [(h.n, h.classification) for h in result.hits] == expected == verified
+    assert search.odd_sigma(1, limit + 1) == []
 
 
 @settings(_PROPERTY, max_examples=200)
