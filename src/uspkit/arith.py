@@ -10,13 +10,12 @@ for inputs under 2**64.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import compress, takewhile
 from math import gcd, isqrt, prod
-
-from .sieve import base_primes
 
 #: Largest input accepted by the primality/factorization routines.  The
 #: deterministic witness set is proven complete for all n < 2**64.
@@ -29,9 +28,37 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TRIAL_BOUND = 10_000
 
 
+# one Eratosthenes sieve, grown on demand; every bound is served by a prefix
+_primes: list[int] = []
+_sieved_to = 1
+
+#: bytes.translate table that turns a composite flag into a prime flag
+_FLIP = bytes([1, 0]) + bytes(254)
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, ascending, as Python ints (so p**e never wraps)."""
-    return base_primes(bound).tolist()
+    global _primes, _sieved_to
+    if bound > _sieved_to:
+        # at least double, so a run of growing bounds re-sieves O(log) times;
+        # the cache moves only once the new sieve exists, so a failed
+        # allocation leaves it as it was
+        top = max(bound, 2 * _sieved_to)
+        # composite[i] flags 2i + 1, odd values only, with 1 flagged too.  A
+        # zeroed bytearray(size) refuses an impossible size with a clean
+        # MemoryError, which a repeated one-byte pattern does not on CPython
+        # 3.11
+        size = (top + 1) // 2
+        composite = bytearray(size)
+        composite[0] = 1
+        for i in range(1, (isqrt(top) + 1) // 2):
+            if not composite[i]:
+                p = 2 * i + 1
+                start = p * p // 2
+                composite[start::p] = b"\x01" * ((size - 1 - start) // p + 1)
+        odd = compress(range(1, top + 1, 2), composite.translate(_FLIP))
+        _primes, _sieved_to = [2, *odd], top
+    return _primes[: bisect_right(_primes, bound)]
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_BOUND))

@@ -172,7 +172,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
@@ -185,10 +185,11 @@ from .arith import (
     factorize,
     is_mersenne_prime,
     prime_power,
+    primes_up_to,
     sigma_from_factorization,
     unitary_sigma,
 )
-from .sieve import base_primes, divisor_sum_segment
+from .sieve import divisor_sum_segment
 from .structure import UspStructureVerdict, check_usp_structure
 
 
@@ -323,7 +324,7 @@ def _odd_square_sigmas(last: int) -> np.ndarray:
     odd prime p <= last multiplies the m that p^e divides exactly by
     sigma(p^(2e)) = (p^(2e+1) - 1)/(p - 1)."""
     sums = np.ones((last + 1) // 2, dtype=np.int64)
-    for p in base_primes(last)[1:].tolist():
+    for p in primes_up_to(last)[1:]:
         pe, below = p, 1  # p^e, and the sigma(p^(2e-2)) its multiples hold
         while pe <= last:
             # the odd multiples of p^e are every p^e-th odd m from p^e
@@ -420,22 +421,16 @@ def _fill_chunk(i: int) -> None:
     table = _STATE["table"]
     end = min(i + _TABLE_CHUNK, table.shape[0])
     lo, hi = 2 * i + 1, 2 * end
-    seg = divisor_sum_segment(lo, hi, (True,), step=2)[:, 0]
-    # uint32 sums are exact (sieve docstring); wider ones must still fit.  The
-    # table holds at most _TABLE_ENTRIES = 2^28 entries, so every chunk ends
-    # at or below 2^29 and the sieve returns uint32: only a stand-in sieve
-    # that returns wider sums, as the overflow test's does, reaches this check
-    if seg.dtype != np.uint32 and seg.max(initial=0) >= 1 << 32:
-        raise OverflowError(f"divisor sums in [{lo}, {hi}) exceed uint32")
-    table[i:end] = seg
+    # every chunk ends at or below 2 * _TABLE_ENTRIES = 2^29, where the
+    # sieve's sums are uint32 and exact (sieve docstring)
+    table[i:end] = divisor_sum_segment(lo, hi, True, step=2)
 
 
 def _build_table(omap=map) -> np.ndarray:
     """Fill the state's table with sigma*(2i + 1) at index i, one task per
     _TABLE_CHUNK entries run through omap, and return it."""
     table = _STATE["table"]
-    # draining the map runs (builtin map) or awaits (pool) every task, and
-    # raises a task's OverflowError here
+    # draining the map runs (builtin map) or awaits (pool) every task
     list(omap(_fill_chunk, range(0, table.shape[0], _TABLE_CHUNK)))
     return table
 
@@ -565,7 +560,7 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
         first = _progression_lookup(table, s, count)
         if first is None:
             if sieved is None:
-                sieved = divisor_sum_segment(lo, hi, (True,), step=2)[:, 0]
+                sieved = divisor_sum_segment(lo, hi, True, step=2)
             i = (s - lo) // 2
             # int64 before any product
             first = sieved[i : i + count].astype(np.int64, copy=False)
@@ -642,11 +637,17 @@ def parse_checkpoint(text: str) -> tuple[int, int, list[list[SearchHit]]]:
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or replace leaves no temp file behind
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

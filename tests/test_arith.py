@@ -1,6 +1,7 @@
+import ast
 import random
 import re
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -40,6 +41,54 @@ def test_is_prime_examples():
     assert not is_prime(9999)
     assert not is_prime(10_000)
     assert is_prime(10_007)
+
+
+def test_primes_up_to_one_growing_cache(monkeypatch):
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_sieved_to", 1)
+    small = primes_up_to(1000)
+    big = primes_up_to(5000)  # grows the one sieve
+    again = primes_up_to(1000)
+    # the cache was sieved once past 5000 and serves both bounds after it
+    assert arith._sieved_to == 5000 and arith._primes == big
+    for got, bound in ((small, 1000), (big, 5000), (again, 1000)):
+        assert got == [p for p in range(2, bound + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+    assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+    # every answer is a copy: changing one leaves the cache as it was
+    again.clear()
+    assert primes_up_to(1000) == small
+
+
+def test_failed_primes_up_to_growth_keeps_the_cache(monkeypatch):
+    # a sieve too large to allocate (no 64-bit Linux maps 10**18 bytes, so
+    # nothing is allocated) raises MemoryError and leaves the cache as it
+    # was, so later sums still find every base prime
+    from uspkit.sieve import divisor_sum_segment
+
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_sieved_to", 1)
+    primes_up_to(1000)
+    with pytest.raises(MemoryError):
+        primes_up_to(10**18)
+    assert arith._sieved_to == 1000
+    n = 100003 * 100019
+    assert divisor_sum_segment(n, n + 2, True, step=2).tolist() == [100004 * 100020]
+
+
+def test_arith_imports_neither_numpy_nor_the_sieve():
+    # the exact-integer layer sits below the numpy sieve, not on it
+    with open(arith.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            if node.level and not node.module:  # from . import sieve
+                imported.update("." + alias.name for alias in node.names)
+    assert not {name for name in imported
+                if name.split(".")[0] == "numpy" or name in (".sieve", "uspkit.sieve")}
 
 
 def test_is_prime_matches_sieve_below_10k():

@@ -194,3 +194,15 @@ def test_io_errors_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path, capsys):
+    # the checkpoint path is a directory, so replacing it fails after the
+    # temp file is written: exit 1 with an error line, and no .tmp left over
+    target = tmp_path / "cp"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "search", "usp", "--limit", "100",
+                             "--checkpoint", str(target))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cp"]

@@ -67,9 +67,9 @@ def sieve_spans(monkeypatch):
     spans = []
     kernel = sieve._divisor_sum_segment
 
-    def recorded(lo, hi, step, primes, sums):
-        spans.extend((lo, hi, step, unitary) for unitary in sums)
-        return kernel(lo, hi, step, primes, sums)
+    def recorded(lo, hi, step, primes, unitary):
+        spans.append((lo, hi, step, unitary))
+        return kernel(lo, hi, step, primes, unitary)
 
     monkeypatch.setattr(sieve, "_divisor_sum_segment", recorded)
     return spans
@@ -122,10 +122,37 @@ def test_segments_agree_with_factorization():
     unitary=st.booleans(),
 )
 def test_divisor_sum_segment_matches_factorization(lo, length, step, unitary):
-    values = range(lo, lo + length, step)
-    seg = divisor_sum_segment(lo, lo + length, unitary, step=step)
-    assert seg.dtype == np.int64
-    assert seg.tolist() == _exact_sums(values, unitary)
+    # the sums equal the factorize-based ones, uint32 exactly when hi <= 2**29
+    hi = lo + length
+    seg = divisor_sum_segment(lo, hi, unitary, step=step)
+    assert seg.dtype == (np.uint32 if hi <= 2**29 else np.int64)
+    assert seg.tolist() == _exact_sums(range(lo, hi, step), unitary)
+
+
+@settings(_PROPERTY, max_examples=120)
+@given(
+    lo=st.integers(2**29 - 4000, 2**29 + 4000),
+    length=st.integers(1, 300),
+    step=st.sampled_from([1, 2]),
+    unitary=st.booleans(),
+)
+@example(lo=2**29 - 200, length=200, step=1, unitary=True)  # hi = 2**29
+@example(lo=2**29 - 199, length=200, step=1, unitary=False)  # hi = 2**29 + 1
+@example(lo=2**29 - 199, length=199, step=2, unitary=True)  # odd lo, hi = 2**29
+@example(lo=2**29 - 200, length=201, step=2, unitary=False)  # even lo, hi = 2**29 + 1
+@example(lo=2**29 - 200, length=200, step=2, unitary=False)
+@example(lo=2**29 - 199, length=200, step=2, unitary=True)
+def test_fused_kernel_matches_factorization(lo, length, step, unitary):
+    # the kernel factors the values and forms their sum in one fused pass:
+    # about the 2**29 switch from uint32 to int64 its sums equal the
+    # factorize-based ones, and at step 1 the int64 wrappers' sums
+    hi = lo + length
+    seg = divisor_sum_segment(lo, hi, unitary, step=step)
+    assert seg.dtype == (np.uint32 if hi <= 2**29 else np.int64)
+    assert seg.tolist() == _exact_sums(range(lo, hi, step), unitary)
+    if step == 1:
+        wide = (sigma_star_segment if unitary else sigma_segment)(lo, hi)
+        assert wide.dtype == np.int64 and (wide == seg).all()
 
 
 def _check_kernel(lo, hi, step, unitary, factors):
@@ -142,8 +169,7 @@ def _check_kernel(lo, hi, step, unitary, factors):
             factors[n] = factorize(n)
     top = values[-1]
     primes = sorted({p for n in values for p, _ in factors[n].entries if p * p <= top})
-    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), (unitary,))
-    seg = seg[:, 0]
+    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), unitary)
     exact = unitary_sigma if unitary else sigma_from_factorization
     assert seg.tolist() == [exact(factors[n]) for n in values], (lo, hi, step, unitary)
 
@@ -187,13 +213,13 @@ def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
             assert (seg == table[lo::step]).all(), (lo, step, unitary)
 
 
-def _kernel_peak(lo, hi, step, sums):
-    """The sieve kernel's sums over lo, lo + step, ... < hi, and the peak
+def _kernel_peak(lo, hi, step, unitary):
+    """The sieve kernel's sum over lo, lo + step, ... < hi, and the peak
     bytes that tracemalloc reads while it runs."""
     primes = base_primes(math.isqrt(hi - 1))
     tracemalloc.start()
     try:
-        seg = sieve._divisor_sum_segment(lo, hi, step, primes, sums)
+        seg = sieve._divisor_sum_segment(lo, hi, step, primes, unitary)
         return seg, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,60 +233,19 @@ def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
     # (and the 2-part of an even lo), in uint32 below 2**29 and int64 past it
     count = 1 << 18
     width = 4 if lo + count * step <= 2**29 else 8
-    seg, peak = _kernel_peak(lo, lo + count * step, step, (unitary,))
+    seg, peak = _kernel_peak(lo, lo + count * step, step, unitary)
     assert seg.dtype.itemsize == width
     assert peak < 3.5 * width * count
 
 
-@pytest.mark.parametrize("lo", [10**7 + 2, 2**29 + 2], ids=["narrow", "wide"])
-def test_sieve_kernel_both_sums_at_even_lo_hold_three_rows(lo):
-    # the two sum rows, rest in the last of them, and the 2-part of each
-    # value, which becomes each sum's factor in place: no factor array
-    count = 1 << 18
-    seg, peak = _kernel_peak(lo, lo + 2 * count, 2, (True, False))
-    assert seg.shape == (count, 2)
-    assert peak < 3.5 * seg.dtype.itemsize * count
-
-
-def test_fused_table_chunk_holds_its_two_rows():
-    # a chunk of the odd values at the table's end, below 2**29, both sums
-    # from one pass of the sieve: two uint32 rows, the last holding rest
-    # until the shared product is copied over it, and the cofactor mask
+def test_table_chunk_holds_one_row():
+    # a chunk of the odd values at the table's end, below 2**29: the uint32
+    # sum, rest beside it, and the cofactor mask
     count = search._TABLE_CHUNK
     hi = 2 * search._TABLE_ENTRIES
-    seg, peak = _kernel_peak(hi - 2 * count + 1, hi, 2, (True, False))
-    assert seg.shape == (count, 2) and seg.dtype == np.uint32
+    seg, peak = _kernel_peak(hi - 2 * count + 1, hi, 2, True)
+    assert seg.shape == (count,) and seg.dtype == np.uint32
     assert peak < 2.5 * 4 * count
-
-
-#: the tuples of divisor sums a caller can ask the kernel for
-_SUMS = [(True,), (False,), (True, False), (False, True)]
-
-
-@settings(_PROPERTY, max_examples=120)
-@given(
-    lo=st.one_of(st.integers(1, 10**6), st.integers(2**29 - 4000, 2**29 + 4000)),
-    length=st.integers(1, 300),
-    step=st.sampled_from([1, 2]),
-    sums=st.sampled_from(_SUMS),
-)
-@example(lo=2**29 - 200, length=200, step=1, sums=(True, False))  # hi = 2**29
-@example(lo=2**29 - 199, length=200, step=1, sums=(False, True))  # hi = 2**29 + 1
-@example(lo=2**29 - 199, length=199, step=2, sums=(True, False))  # odd lo, hi = 2**29
-@example(lo=2**29 - 200, length=201, step=2, sums=(True, False))  # even lo, hi = 2**29 + 1
-@example(lo=2**29 - 200, length=200, step=2, sums=(False,))
-@example(lo=2**29 - 199, length=200, step=2, sums=(True,))
-def test_fused_kernel_matches_factorization(lo, length, step, sums):
-    # each column of one pass equals the factorize-based sums and the
-    # one-sum call of that sum; the columns are uint32 exactly when hi <= 2**29
-    hi = lo + length
-    seg = divisor_sum_segment(lo, hi, sums, step=step)
-    values = range(lo, hi, step)
-    assert seg.shape == (len(values), len(sums))
-    assert seg.dtype == (np.uint32 if hi <= 2**29 else np.int64)
-    for j, unitary in enumerate(sums):
-        assert seg[:, j].tolist() == _exact_sums(values, unitary)
-        assert (seg[:, j] == divisor_sum_segment(lo, hi, unitary, step=step)).all()
 
 
 def test_uint32_threshold_is_proved():
@@ -294,33 +279,6 @@ def test_divisor_sum_segment_refuses_other_steps(lo, step):
     # only steps 1 and 2, also a step 2m from a multiple of the odd m
     with pytest.raises(ValueError, match="need step 1 or 2"):
         divisor_sum_segment(lo, lo + 200, True, step=step)
-
-
-def test_base_primes_one_growing_cache(monkeypatch):
-    monkeypatch.setattr(sieve, "_primes", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(sieve, "_sieved_to", 1)
-    small = base_primes(1000)
-    big = base_primes(5000)  # grows the one sieve
-    again = base_primes(1000)
-    # both answers after the growth are prefixes of the one cached array
-    assert np.shares_memory(big, sieve._primes) and np.shares_memory(again, sieve._primes)
-    for got, bound in ((small, 1000), (big, 5000), (again, 1000)):
-        assert got.dtype == np.int64
-        assert got.tolist() == [p for p in range(bound + 1) if is_prime(p)]
-    assert base_primes(1).size == 0
-
-
-def test_failed_base_primes_growth_keeps_the_cache(monkeypatch):
-    # a sieve too large to allocate (no 64-bit Linux maps 10**18 bytes, so
-    # nothing is allocated) raises MemoryError and leaves the cache as it
-    # was, so later sums still find every base prime
-    monkeypatch.setattr(sieve, "_primes", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(sieve, "_sieved_to", 1)
-    base_primes(1000)
-    with pytest.raises(MemoryError):
-        base_primes(10**18)
-    n = 100003 * 100019
-    assert divisor_sum_segment(n, n + 2, True, step=2).tolist() == [100004 * 100020]
 
 
 def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5):
@@ -779,25 +737,32 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table_overflow_refused(monkeypatch, workers):
-    # a divisor sum past uint32 stops the build, also from a pool worker and
-    # in a later chunk: a usp search over all n <= 2**21 builds a sigma*
-    # table of 2**19 entries, two chunks, and the stand-in sieve returns sums past
-    # 2**32 for the second only.  Real chunks end at or below 2**29, so the
-    # sieve itself never returns such wide sums to the build
+    # the table refuses to grow past _TABLE_ENTRIES, so the largest table's
+    # last chunk ends at 2 * _TABLE_ENTRIES, where the sieve's sums are still
+    # uint32 and exact: no chunk can overflow the table's uint32 entries, and
+    # a full-size chunk at that end comes back uint32
+    assert search._table_size(10**18) == search._TABLE_ENTRIES
+    assert 2 * search._TABLE_ENTRIES <= sieve._UINT32_HI
+    hi = 2 * search._TABLE_ENTRIES
+    seg = divisor_sum_segment(hi - 2 * search._TABLE_CHUNK + 1, hi, True, step=2)
+    assert seg.shape == (search._TABLE_CHUNK,) and seg.dtype == np.uint32
+    # a usp search over all n <= 2**21 builds a sigma* table of 2**19
+    # entries, two chunks, each filled straight from the sieve's uint32 sums,
+    # in this process or in a pool worker
     assert search._table_size(1 << 21) == 2 * search._TABLE_CHUNK
     chunks = []
 
-    def too_big(lo, hi, sums, step):
-        chunks.append(lo)
-        if lo == 1:
-            return divisor_sum_segment(lo, hi, sums, step)
-        return np.full((len(range(lo, hi, step)), len(sums)), 1 << 32, dtype=np.int64)
+    def recorded(lo, hi, unitary, step):
+        seg = divisor_sum_segment(lo, hi, unitary, step)
+        chunks.append((lo, seg.dtype))
+        return seg
 
-    monkeypatch.setattr(search, "divisor_sum_segment", too_big)
-    with pytest.raises(OverflowError, match=rf"^divisor sums in \[{2**19 + 1}, {2**20}\) exceed"):
-        run_search(SearchConfig(limit=1 << 21, parity="all", workers=workers))
+    monkeypatch.setattr(search, "divisor_sum_segment", recorded)
+    result = run_search(SearchConfig(limit=1 << 21, classes=("usp",), parity="all", workers=workers))
+    assert [h.n for h in result.hits] == [n for n in _USP_1E8_HITS if n <= 1 << 21]
     # with two workers both chunks ran in the pool, not in this process
-    assert chunks == ([1, 2**19 + 1] if workers == 1 else [])
+    expected = [(1, np.uint32), (2**19 + 1, np.uint32)]
+    assert chunks == (expected if workers == 1 else [])
 
 
 def test_odd_sigma_factorizes_only_candidates(monkeypatch, brute_tables_4e5):
@@ -876,7 +841,7 @@ def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
     # the step-1 sieve, which the tests above check against factorize
     # (factorizing every n takes seconds)
     n = np.arange(2, limit + 1, 2, dtype=np.int64) if parity != "odd" else np.zeros(0, np.int64)
-    assert sorted(exact) == sorted(past_table(n, divisor_sum_segment(1, limit + 1, True)[n - 1]))
+    assert sorted(exact) == sorted(past_table(n, sigma_star_segment(1, limit + 1)[n - 1]))
     # the families, from factorize: n = 2^b and 2^b * 9^e, each of which occurs
     powers = [2**b for b in range(1, limit.bit_length())]
     nines = [p * 9**e for p in powers for e in range(1, 6) if p * 9**e <= limit]
@@ -938,7 +903,8 @@ def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count
     sums, inside = search._lookup(table, n)
     first = search._progression_lookup(table, s, count)
     assert (first is None) == (not inside.all())
-    firsts = [divisor_sum_segment(s, s + 2 * count, True, step=2)]
+    # int64, as the scan widens the sieve's sums before any product
+    firsts = [divisor_sum_segment(s, s + 2 * count, True, step=2).astype(np.int64)]
     if first is not None:
         assert first.dtype == np.int64 and (first == sums).all()
         firsts.append(first)
@@ -1282,7 +1248,7 @@ def test_odd_usp_matches_step_2_sieve():
     for lo in range(1, limit + 1, 1 << 21):
         hi = min(limit + 1, lo + (1 << 21))
         n = np.arange(lo, hi, 2, dtype=np.int64)
-        s = divisor_sum_segment(lo, hi, True, step=2)
+        s = divisor_sum_segment(lo, hi, True, step=2).astype(np.int64)
         low = s & -s
         odd = s // low
         for j in np.flatnonzero((low + 1) * (odd + 1) == 2 * n):
