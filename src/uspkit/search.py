@@ -366,6 +366,17 @@ def odd_sigma(lo: int, hi: int) -> list[tuple[int, str]]:
     return sorted((n, c) for n, c, s in _odd_sigma_candidates(lo, hi) if s == 2 * n)
 
 
+def _listed(classes, parity: str, lo: int, hi: int) -> list[tuple[int, str]]:
+    """(n, class) of the hits in [lo, hi) of the classes at the parity that
+    odd_usp and even_sigma list (module docstring)."""
+    listed = []
+    if "usp" in classes and parity != "even":
+        listed += [(n, "usp") for n in odd_usp(lo, hi)]
+    if parity != "odd":
+        listed += [hit for hit in even_sigma(lo, hi) if hit[1] in classes]
+    return listed
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     limit: int
@@ -501,8 +512,8 @@ def _progression_lookup(table: np.ndarray, s: int, count: int) -> np.ndarray | N
 
 
 def _prefilter(first: np.ndarray, s: int) -> np.ndarray:
-    """The indices i, increasing, of the n = s + 2i whose first application
-    first[i] = sigma*(n) has a 2-part factor dividing n.
+    """The indices i of the n = s + 2i whose first application first[i] =
+    sigma*(n) has a 2-part factor dividing n.
 
     The factor of 2^a is 1 for a = 0, and otherwise the odd 2^a + 1: its
     multiples n are every factor-th value of the progression, among which
@@ -518,7 +529,7 @@ def _prefilter(first: np.ndarray, s: int) -> np.ndarray:
         i0 = -s * pow(2, -1, factor) % factor  # the first n = 0 (mod factor)
         two_parts = first[i0::factor] & (2 * low - 1)
         parts.append(i0 + factor * np.flatnonzero(two_parts == low))
-    return np.sort(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 class _Block(NamedTuple):
@@ -614,13 +625,23 @@ def parse_checkpoint(text: str) -> tuple[int, int, list[list[SearchHit]]]:
             raise CheckpointError(f"bad header {line!r}")
         limit, segment_size = int(head[1]), int(head[2])
         rest = iter(lines[1:-1])
+        last = (0, 0)  # the (n, class) key of the previous hit
         for line in rest:
             tag, idx, count = line.split()
             if tag != "seg" or int(idx) != len(hits_by_segment):
                 raise CheckpointError(f"unexpected line {line!r}")
+            # segment idx holds the n with lo < n <= hi
+            lo = len(hits_by_segment) * segment_size
+            hi = min(limit, lo + segment_size)
             seg_hits = []
             for line in islice(rest, int(count)):
                 _, n, _, _, cls = line.split()
+                key = (int(n), CLASS_ORDER.index(cls))
+                if not lo < key[0] <= hi or key <= last:
+                    # render_checkpoint writes each hit in its segment, in
+                    # the merge's order
+                    raise CheckpointError(f"hit line {line!r} out of its segment or order")
+                last = key
                 hit = verify_hit(int(n), cls)
                 if hit.checkpoint_line() != line:
                     raise CheckpointError(f"hit line {line!r} fails recomputation")
@@ -702,6 +723,30 @@ def _ordered_map(processes: int):
         yield omap
 
 
+def _check_resumed(config: SearchConfig, hits_by_segment: list[list[SearchHit]]) -> None:
+    """CheckpointError unless the recorded hits could be this run's: each of
+    a requested class and parity, and every hit that _listed gives below the
+    resume point among them.  A missing scanned hit goes unseen, since the
+    header records neither classes nor parity; odd_sigma's hits are not
+    checked, since it finds none below HARD_LIMIT and lists from 1 at twice
+    the cost of the run's own listing."""
+    hits = [h for seg in hits_by_segment for h in seg]
+    for h in hits:
+        if h.classification not in config.classes or config.parity not in ("all", h.parity):
+            raise CheckpointError(
+                f"checkpoint holds hit {h.n} ({h.classification}), which a search "
+                f"of {', '.join(config.classes)} at parity {config.parity} excludes"
+            )
+    recorded = {(h.n, h.classification) for h in hits}
+    done = min(config.limit + 1, 1 + len(hits_by_segment) * config.segment_size)
+    for n, cls in _listed(config.classes, config.parity, 1, done):
+        if (n, cls) not in recorded:
+            raise CheckpointError(
+                f"checkpoint lacks hit {n} ({cls}) of a search of "
+                f"{', '.join(config.classes)} at parity {config.parity}"
+            )
+
+
 def run_search(config: SearchConfig) -> SearchResult:
     """Execute a (possibly resumed) search; see module docstring.
 
@@ -726,6 +771,7 @@ def run_search(config: SearchConfig) -> SearchResult:
                 f"segment_size={cp_seg}; refusing to mix configurations"
             )
         hits_by_segment = hits_by_segment[:total]
+        _check_resumed(config, hits_by_segment)
 
     todo = starts[len(hits_by_segment) :]
     if config.max_segments is not None:
@@ -735,11 +781,7 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     text = None  # the checkpoint text last written
     # hits of the returned blocks, and the listed ones, not yet merged
-    found: list[tuple[int, str]] = []
-    if todo and "usp" in config.classes and config.parity != "even":
-        found += [(n, "usp") for n in odd_usp(todo[0], ends[-1])]
-    if todo and config.parity != "odd":
-        found += [hit for hit in even_sigma(todo[0], ends[-1]) if hit[1] in config.classes]
+    found = _listed(config.classes, config.parity, todo[0], ends[-1]) if todo else []
     if todo and config.parity != "even" and {"super_perfect", "perfect"} & set(config.classes):
         found += [hit for hit in odd_sigma(todo[0], ends[-1]) if hit[1] in config.classes]
     merged = 0  # segments of todo merged

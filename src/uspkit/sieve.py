@@ -5,18 +5,15 @@ step 1 (every value) or 2 (the values of lo's parity).  Its values are
 factored collectively, for one divisor sum (sigma* or sigma) in one pass
 over the base primes, into two arrays: the sum, and ``rest``, which holds
 the values with their prime parts divided out as they are found.  The pass
-has three stages.
+has two stages.
 
-1. For each base prime p, every multiple of p divides ``rest`` by p and
-   multiplies the sum by sigma(p) = sigma*(p) = p + 1.  Each p^k, k >= 2,
-   divides ``rest`` by p once more and is noted with the first entry it
-   divides.
+1. For each base prime p and each k >= 1, every multiple of p^k divides
+   ``rest`` by p, and the sum swaps in place prev, the factor that the
+   multiples of p^(k-1) hold (none for k = 1), for cur, the factor of p^k:
+   p^k + 1 for sigma*, prev + p^k for sigma.  The swap is an exact division
+   followed by a product.
 2. What ``rest`` keeps is 1 or a single prime r above sqrt(hi), which
-   multiplies the sum by r + 1.  ``rest`` is then spent.
-3. For every noted p^k, the sum swaps in place the factor of p^(k-1) that
-   its entries hold for the factor of p^k: p^k + 1 for sigma*,
-   sigma(p^(k-1)) + p^k for sigma.  The swap is an exact division followed
-   by a product.
+   multiplies the sum by r + 1.
 
 A p prime to step has its multiples of p^k every p^k entries.  At step 2,
 p = 2 divides no value from an odd lo; from an even lo every value's 2-part
@@ -31,11 +28,13 @@ exact below 2^29: a value n < 2^29 has at most 9 distinct primes, since
 
     sigma*(n) <= sigma(n) < n * prod(p / (p - 1) for p <= 23) < 6.12 * 2^29 < 2^32.
 
-``rest`` never exceeds n, and no entry of the sum ever exceeds its final
-value: before stage 3 it is the product of p + 1 over primes of n, and
-both p^e + 1 and sigma(p^e) are at least p + 1; a swap divides before it
-multiplies.  Every lookup-table chunk of the search lies below 2^29, so
-the table build runs narrow; int64 holds every sum up to MAX_SIEVE_VALUE.
+``rest`` never exceeds n, and at every moment each entry of the sum is a
+product of factors no larger than their final values: the factor of p^k
+for a p^k dividing n is at most that of the p^e exactly dividing n, as
+p^k + 1 <= p^e + 1 and sigma(p^k) <= sigma(p^e), and a swap divides
+before it multiplies.  Every lookup-table chunk of the search lies below
+2^29, so the table build runs narrow; int64 holds every sum up to
+MAX_SIEVE_VALUE.
 The base primes come from ``arith.primes_up_to``, the one prime sieve.
 """
 
@@ -64,16 +63,9 @@ def _divisor_sum_segment(
 ) -> np.ndarray:
     """sigma*(n) if unitary else sigma(n), for the values n of the segment."""
     dtype = np.uint32 if hi <= _UINT32_HI else np.int64
-    count = len(range(lo, hi, step))
+    rest = np.arange(lo, hi, step, dtype=dtype)
+    count = rest.shape[0]
     top = lo + step * (count - 1)
-    # rest is filled in place by doubling, so no temporary array outgrows it
-    rest = np.empty(count, dtype=dtype)
-    rest[0] = lo
-    done = 1
-    while done < count:
-        more = min(done, count - done)
-        np.add(rest[:more], step * done, out=rest[done : done + more])
-        done += more
     low = None
     if step == 2 and lo % 2 == 0:
         # every value is even: its 2-part 2^a = rest & -rest leaves rest at
@@ -82,7 +74,6 @@ def _divisor_sum_segment(
         low &= rest
         rest //= low
     sig = np.ones(count, dtype=dtype)
-    powers = []  # (p, p^k, first multiple) for k >= 2
     for p in primes.tolist():
         if p * p > top:
             break
@@ -90,22 +81,25 @@ def _divisor_sum_segment(
             continue  # p = 2 at step 2: no value is even, or its 2-part is out
         # the multiples of p^k are the i with lo + step * i = 0 mod p^k; they
         # recur every p^k entries from start
-        pk = 1
+        pk, prev = 1, 1
         while pk * p <= top:
             pk *= p
             start = -lo * pow(step, -1, pk) % pk
             if start >= count:
                 break
             rest[start::pk] //= p
-            if pk == p:
-                sig[start::p] *= p + 1
-            else:
-                powers.append((p, pk, start))
+            # swap prev for cur, dividing first so that no entry overshoots
+            cur = pk + 1 if unitary else prev + pk
+            view = sig[start::pk]
+            if pk > p:
+                view //= prev
+            view *= cur
+            prev = cur
     # the cofactor is 1 or a single prime r above sqrt(top), with
     # sigma(r) = sigma*(r) = r + 1
     rest += rest > 1
     sig *= rest
-    del rest  # spent: its array is freed before the swaps
+    del rest  # spent: its array is freed before the 2-part's factor
     if low is not None:
         # sigma*(2^a) = 2^a + 1 or sigma(2^a) = 2^(a+1) - 1, made in low's
         # place, so no factor array sits beside it
@@ -115,13 +109,6 @@ def _divisor_sum_segment(
             low <<= 1
             low -= 1
         sig *= low
-    for p, pk, start in powers:
-        # sig at a multiple of p^k holds prev, the factor of p^(k-1): divide
-        # it out exactly before multiplying by cur, so no entry overshoots
-        prev = pk // p + 1 if unitary else (pk - 1) // (p - 1)
-        view = sig[start::pk]
-        view //= prev
-        view *= pk + 1 if unitary else prev + pk
     return sig
 
 

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from uspkit.cli import main
 
 
@@ -176,6 +178,34 @@ def test_search_cli_checkpoint_resume(tmp_path, capsys):
         "--checkpoint", cp, "--resume",
     )
     assert code == 0 and "complete" in out
+
+
+@pytest.mark.parametrize(
+    "written, resumed",
+    [
+        (("usp", "even"), ("perfect", "odd")),  # hits of another class and parity
+        (("usp", "even"), ("usp", "odd")),  # hits of the excluded parity
+        (("usp", "even"), ("usp", "all")),  # lacks the odd usp 9 and 165
+        (("perfect", "odd"), ("perfect", "all")),  # lacks 6, 28, 496 and 8128
+    ],
+    ids=["other-class-and-parity", "other-parity", "lacks-odd-usp", "lacks-even-perfect"],
+)
+def test_resume_refuses_checkpoint_of_another_search(tmp_path, capsys, written, resumed):
+    # the header records only the limit and the segment size, so the hits
+    # must fit the resumed search's classes and parity; exit 1, and the
+    # checkpoint is left as it was
+    cp = tmp_path / "cp.txt"
+    size = ["--limit", "100000", "--segment-size", "16384", "--checkpoint", str(cp)]
+    klass, parity = written
+    code, _, _ = run_cli(capsys, "search", klass, "--parity", parity, *size,
+                         "--max-segments", "3")
+    assert code == 0
+    text = cp.read_text()
+    klass, parity = resumed
+    code, out, err = run_cli(capsys, "search", klass, "--parity", parity, *size, "--resume")
+    assert code == 1
+    assert err.startswith("error: checkpoint ")
+    assert cp.read_text() == text
 
 
 def test_usage_errors_exit_1(capsys):

@@ -452,14 +452,24 @@ _GOOD_BODY = (
         _GOOD_BODY.replace("seg 0 4", "seg 0 -1"),
         _GOOD_BODY.replace("hit 9 10 18 usp", "hit 9 10 18"),
         _GOOD_BODY.replace("hit 9 10", "hit 9.0 10"),
+        # segment 1 holds the n in (1024, 2048]
+        "uspsearch-v1 300 1024\nseg 0 0\nseg 1 2\nhit 165 288 330 usp\nhit 9 10 18 usp\n",
+        _GOOD_BODY.replace("seg 0 4", "seg 0 5") + "hit 496 544 594 perfect\n",
+        _GOOD_BODY.replace("hit 9 10 18 usp\nhit 165 288 330 usp",
+                           "hit 165 288 330 usp\nhit 9 10 18 usp"),
+        _GOOD_BODY.replace("seg 0 4", "seg 0 5").replace("hit 9 10 18 usp",
+                                                         "hit 9 10 18 usp\nhit 9 10 18 usp"),
     ],
     ids=["blank-line", "count-above-lines", "negative-count", "short-hit-line",
-         "non-integer-field"],
+         "non-integer-field", "hit-outside-its-segment", "hit-past-the-limit",
+         "hits-out-of-order", "repeated-hit"],
 )
 def test_malformed_checkpoint_refused(tmp_path, capsys, body):
     # each body carries a valid digest, so only the parser can refuse it
     cp = tmp_path / "cp.txt"
     cp.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    with pytest.raises(CheckpointError):
+        parse_checkpoint(cp.read_text())
     with pytest.raises(CheckpointError):
         run_search(
             SearchConfig(limit=300, segment_size=1024, checkpoint_path=str(cp), resume=True)
@@ -909,7 +919,8 @@ def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count
         assert first.dtype == np.int64 and (first == sums).all()
         firsts.append(first)
     for first in firsts:
-        survivors = search._prefilter(first, s)
+        # the survivors come in no particular order: the merge sorts hits
+        survivors = np.sort(search._prefilter(first, s))
         expected = np.flatnonzero(n % search._split(first)[1] == 0)
         assert np.array_equal(survivors, expected)
 
