@@ -393,7 +393,8 @@ def _registry(min_k: int) -> dict[str, _Display]:
     return {d.id: d for d in displays}
 
 
-INEQUALITY_IDS = ("E31", "L42", "L43", "T53-first", "T53-second", "T54-q7", "T54-q11")
+#: the registered displays, in the order evaluate_all reports them
+INEQUALITY_IDS = tuple(_registry(MIN_K_BOTH_DIVISIBLE))
 
 #: The displays whose certified upper bound the contradiction chain consumes.
 CHAIN_INEQUALITY_IDS = tuple(i for i in INEQUALITY_IDS if i != "E31")

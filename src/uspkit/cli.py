@@ -232,7 +232,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results = report_mod.run_all(full=args.full, workers=args.workers)
+    results = report_mod.run_all()
     failed = 0
     for r in results:
         if args.json:
@@ -300,10 +300,8 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--max-segments", type=int)
 
-    p = add("report", _cmd_report, help="one-shot reproduction of the acceptance checks")
-    p.add_argument("--full", action="store_true",
-                   help="include the limit-10^8 odd search (about 2 ms on 2 vCPUs)")
-    p.add_argument("--workers", type=int, default=2)
+    add("report", _cmd_report,
+        help="one-shot reproduction of the acceptance checks, the odd usp n to 10^8 among them")
 
     return parser
 

@@ -4,9 +4,9 @@ Each criterion below recomputes a published or derived fact through an
 independent route (brute-force divisor enumeration, direct powering,
 high-precision exponentials) and compares it with the fast path.  CRITERIA
 is the one list of them: ``uspkit report`` runs it, and the acceptance tests
-run each entry and hold it to its time budget.  The default run keeps the
-search criteria at their CI scale; ``full=True`` adds the limit-10^8 odd
-search.
+run each entry and hold it to its time budget.  No entry takes an option:
+the headline entry classifies the odd n up to 10^8, the range of the search
+the paper builds on.
 """
 
 from __future__ import annotations
@@ -54,44 +54,35 @@ class CriterionResult:
 class Criterion:
     """One acceptance criterion.
 
-    check(full, workers) returns (ok, detail): full selects the limit-10^8
-    headline search and workers the pool size of the searches that take one.
-    budget_s, when set, is the wall time the acceptance tests allow the check.
+    check() returns (ok, detail).  budget_s, when set, is the wall time the
+    acceptance tests allow the check.
     """
 
     name: str
-    check: Callable[[bool, int], tuple[bool, str]]
+    check: Callable[[], tuple[bool, str]]
     budget_s: float | None = None
 
-    def run(self, full: bool = False, workers: int = 2) -> CriterionResult:
-        ok, detail = self.check(full, workers)
+    def run(self) -> CriterionResult:
+        ok, detail = self.check()
         return CriterionResult(self.name, bool(ok), detail)
 
 
-def _headline(full: bool, workers: int) -> tuple[bool, str]:
-    limit = 10**8 if full else 10**6
-    odd = run_search(
-        SearchConfig(limit=limit, classes=("usp",), parity="odd", workers=workers)
-    ).hits
+def _headline() -> tuple[bool, str]:
+    # the paper's theorem: the odd usp n are 9 and 165; the even hits are
+    # checked by first-hits and oracle-classification
+    limit = 10**8
+    odd = run_search(SearchConfig(limit=limit, classes=("usp",), parity="odd")).hits
     odd_ns = [h.n for h in odd]
     ok = odd_ns == [9, 165] and all(h.structure is not None and h.structure.ok for h in odd)
-    evens = [
-        h.n
-        for h in run_search(
-            SearchConfig(limit=10**6, classes=("usp",), parity="even", workers=workers)
-        ).hits
-        if h.n < 1000
-    ]
-    ok = ok and evens == [2, 238]
-    return ok, f"odd hits <= {limit}: {odd_ns}; even hits < 1000: {evens}"
+    return ok, f"odd hits <= {limit}: {odd_ns}"
 
 
-def _first_hits(_full: bool, _workers: int) -> tuple[bool, str]:
+def _first_hits() -> tuple[bool, str]:
     hits = [h.n for h in run_search(SearchConfig(limit=300, classes=("usp",))).hits]
     return hits == [2, 9, 165, 238], f"hits <= 300: {hits}"
 
 
-def _oracle_classification(_full: bool, _workers: int) -> tuple[bool, str]:
+def _oracle_classification() -> tuple[bool, str]:
     limit = 10**5
     expected = bruteforce.classify_brute(limit)
     got = {c: [] for c in CLASS_ORDER}
@@ -106,7 +97,7 @@ def _oracle_classification(_full: bool, _workers: int) -> tuple[bool, str]:
     )
 
 
-def _lemma_suite(_full: bool, _workers: int) -> tuple[bool, str]:
+def _lemma_suite() -> tuple[bool, str]:
     # every lemma at the default range of its check_lemma_* function
     reports = [check() for lemma_id, check in LEMMA_CHECKS.items() if lemma_id != "5.1"]
     reports += [LEMMA_CHECKS["5.1"](q) for q in LEMMA_51_QS]
@@ -117,7 +108,7 @@ def _lemma_suite(_full: bool, _workers: int) -> tuple[bool, str]:
     )
 
 
-def _zsigmondy_grid(_full: bool, _workers: int) -> tuple[bool, str]:
+def _zsigmondy_grid() -> tuple[bool, str]:
     mismatches = []
     exception_shapes = []
     for a in range(2, 13):
@@ -145,7 +136,7 @@ def _zsigmondy_grid(_full: bool, _workers: int) -> tuple[bool, str]:
     )
 
 
-def _bound_certificates(_full: bool, _workers: int) -> tuple[bool, str]:
+def _bound_certificates() -> tuple[bool, str]:
     problems = []
     for cutoff in (2, 31):
         if mersenne_constant(cutoff).upper >= Fraction("1.6131008"):
@@ -175,7 +166,7 @@ def _bound_certificates(_full: bool, _workers: int) -> tuple[bool, str]:
     )
 
 
-def _q_scan(_full: bool, _workers: int) -> tuple[bool, str]:
+def _q_scan() -> tuple[bool, str]:
     entries = q_bound_scan(100)
     sat1 = sorted(e.q for e in entries if e.f2 == 1 and e.satisfies)
     sat2 = sorted(e.q for e in entries if e.f2 == 2 and e.satisfies)
@@ -183,7 +174,7 @@ def _q_scan(_full: bool, _workers: int) -> tuple[bool, str]:
     return ok, f"f2=1 -> {sat1}, f2>=2 -> {sat2}"
 
 
-def _case13(_full: bool, _workers: int) -> tuple[bool, str]:
+def _case13() -> tuple[bool, str]:
     verdict = case_13_elimination()
     by_id = {s.step_id: s for s in verdict.steps}
     ok = (
@@ -195,7 +186,7 @@ def _case13(_full: bool, _workers: int) -> tuple[bool, str]:
     return ok, f"{sum(s.ok for s in verdict.steps)}/{len(verdict.steps)} steps verified"
 
 
-def _determinism(_full: bool, _workers: int) -> tuple[bool, str]:
+def _determinism() -> tuple[bool, str]:
     seg = 1 << 18
     r1 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=1))
     r4 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=4))
@@ -223,7 +214,7 @@ def _determinism(_full: bool, _workers: int) -> tuple[bool, str]:
     return ok, "1 vs 4 workers and interrupt/resume produce identical bytes"
 
 
-def _property_suites(_full: bool, _workers: int) -> tuple[bool, str]:
+def _property_suites() -> tuple[bool, str]:
     rng = random.Random(20260810)
     problems = []
 
@@ -276,7 +267,7 @@ def _property_suites(_full: bool, _workers: int) -> tuple[bool, str]:
 
 
 CRITERIA = (
-    Criterion("headline-odd-search", _headline),
+    Criterion("headline-odd-search", _headline, budget_s=1.0),
     Criterion("first-hits", _first_hits, budget_s=1.0),
     Criterion("oracle-classification", _oracle_classification, budget_s=30.0),
     Criterion("lemma-suite", _lemma_suite, budget_s=60.0),
@@ -289,5 +280,5 @@ CRITERIA = (
 )
 
 
-def run_all(full: bool = False, workers: int = 2) -> list[CriterionResult]:
-    return [c.run(full=full, workers=workers) for c in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [c.run() for c in CRITERIA]

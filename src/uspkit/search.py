@@ -341,7 +341,7 @@ def _odd_sigma_candidates(lo: int, hi: int):
     a super_perfect or perfect candidate (module docstring), with s =
     sigma(sigma(n)) or sigma(n): n is a hit exactly when s = 2n."""
     top = hi - 1
-    last = isqrt(top)
+    last = isqrt(max(top, 0))  # an empty range, hi < 1, has no candidate
     for m, u in zip(range(1, last + 1, 2), _odd_square_sigmas(last).tolist()):
         m2 = m * m
         square = lo <= m2 and u % 4 == 1 and u < 2 * m2

@@ -3,8 +3,8 @@ the entry's time budget, printing one PASS line on success (visible with
 pytest -rA/-s).  ``uspkit report`` runs the same entries.
 
 Every entry runs once per session, and both its own test and the ``report``
-CLI test read that run.  The headline search also runs at its full scale of
-10^8 here, through the CLI; everything else is seconds.
+CLI test read that run.  The headline odd search to 10^8 also runs through
+the ``search`` CLI here; everything else is seconds.
 """
 
 import json
@@ -26,7 +26,7 @@ def runs():
     timed = {}
     for criterion in CRITERIA:
         t0 = time.perf_counter()
-        result = criterion.run(workers=WORKERS)
+        result = criterion.run()
         timed[criterion.name] = (result, time.perf_counter() - t0)
     return timed
 
@@ -51,8 +51,9 @@ def test_criterion_1_headline_reproduction(runs, capsys):
     hits = [json.loads(l) for l in out.strip().splitlines() if '"n"' in l]
     assert [h["n"] for h in hits] == [9, 165]
     assert all(h["structure"]["ok"] for h in hits)
+    assert runs["headline-odd-search"][0].detail == "odd hits <= 100000000: [9, 165]"
     with capsys.disabled():
-        # CI scale: the same odd set below 10^6, even prefix {2, 238} below 10^3
+        # the same odd set, through report's entry and within its 1-s budget
         _passes(runs, "headline-odd-search")
 
 
@@ -93,14 +94,13 @@ def test_criterion_10_property_suites(runs):
 
 
 def test_report_cli_exit_code(runs, monkeypatch, capsys):
-    # `report` exits 0 exactly when the criteria above pass (fast scale); its
-    # entries return the session's results rather than running a second time
+    # `report` exits 0 exactly when the criteria above pass; its entries
+    # return the session's results rather than running a second time
     replayed = [
-        Criterion(c.name, lambda full, workers, r=runs[c.name][0]: (r.ok, r.detail))
-        for c in CRITERIA
+        Criterion(c.name, lambda r=runs[c.name][0]: (r.ok, r.detail)) for c in CRITERIA
     ]
     monkeypatch.setattr(report, "CRITERIA", tuple(replayed))
-    code = cli.main(["report", "--workers", str(WORKERS)])
+    code = cli.main(["report"])
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
@@ -111,8 +111,8 @@ def test_report_cli_exit_code(runs, monkeypatch, capsys):
 
 def test_report_cli_exit_2_on_failure(monkeypatch, capsys):
     # the other entries are stubbed to pass so that only the failure path runs
-    stubs = [Criterion(c.name, lambda full, workers: (True, "stub")) for c in CRITERIA]
-    stubs[5] = Criterion(CRITERIA[5].name, lambda full, workers: (False, "forced failure"))
+    stubs = [Criterion(c.name, lambda: (True, "stub")) for c in CRITERIA]
+    stubs[5] = Criterion(CRITERIA[5].name, lambda: (False, "forced failure"))
     monkeypatch.setattr(report, "CRITERIA", tuple(stubs))
     code = cli.main(["report"])
     out = capsys.readouterr().out

@@ -159,6 +159,9 @@ def test_certificate_estimate_containment_enforced():
 
 
 def test_registry_ids_and_unknown():
+    # the ids come from the registry, in the order evaluate_all reports them
+    assert INEQUALITY_IDS == ("E31", "L42", "L43", "T53-first", "T53-second", "T54-q7", "T54-q11")
+    assert [rec.id for rec in evaluate_all()] == list(INEQUALITY_IDS)
     assert set(CHAIN_INEQUALITY_IDS) == set(INEQUALITY_IDS) - {"E31"}
     assert len(CHAIN_INEQUALITY_IDS) == 6
     with pytest.raises(KeyError):

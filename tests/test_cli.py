@@ -215,6 +215,10 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "search", "usp", "--limit", "10000", "--segment-size", "2048",
                    "--max-segments", "-1")[0] == 1
     assert run_cli(capsys, "verify-lemma", "9.9")[0] == 1
+    # report has one scale and runs no pool of its own
+    for argv in (["--full"], ["--workers", "2"]):
+        code, _, err = run_cli(capsys, "report", *argv)
+        assert code == 1 and err.startswith("usage error: unrecognized arguments: ")
 
 
 def test_io_errors_exit_1(tmp_path, capsys):

@@ -1199,12 +1199,14 @@ def _brute_odd_usp(usig, limit):
 
 def test_closed_form_filter_matches_brute_oracle(brute_tables_2e5):
     # over every odd n <= 10**5 the list holds exactly the oracle's odd hits,
-    # also from lo past 1 and up to hi below limit
+    # also from lo past 1 and up to hi below limit; the empty range [1, 0)
+    # lists nothing, here and in the other two lists
     limit = 10**5
     usp = _brute_odd_usp(brute_tables_2e5[1], limit)
     assert usp
-    for lo, hi in ((1, limit + 1), (9, 10), (10, limit + 1), (1, 165), (166, limit + 1)):
+    for lo, hi in ((1, limit + 1), (9, 10), (10, limit + 1), (1, 165), (166, limit + 1), (1, 0)):
         assert search.odd_usp(lo, hi) == [x for x in usp if lo <= x < hi]
+    assert search.even_sigma(1, 0) == search.odd_sigma(1, 0) == []
 
 
 def test_moduli_divide_every_candidate(brute_tables_2e5):
