@@ -35,13 +35,9 @@ from .search import (
     SearchConfig,
     SearchHit,
     SearchResult,
-    find_perfect,
-    find_super_perfect,
-    find_unitary_perfect,
     find_usp,
     run_search,
 )
-from .sieve import sigma_segment, sigma_star_segment
 from .structure import (
     LemmaReport,
     TwoAQB,

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .arith import MAX_NATURAL, factorize, is_prime, ord_mod, primes_up_to
 
@@ -223,6 +224,7 @@ def _second_application_max_q7() -> Fraction:
     return max(branches)
 
 
+@cache  # built once per min_k, not once per evaluate_inequality
 def _registry(min_k: int) -> dict[str, _Display]:
     f = Fraction
     even_tail = ("tail 2^(2i+1) over i >= 2", tail_exponent(2, 4, 2))  # = 4/93

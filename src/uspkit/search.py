@@ -434,7 +434,7 @@ def _fill_chunk(i: int) -> None:
     lo, hi = 2 * i + 1, 2 * end
     # every chunk ends at or below 2 * _TABLE_ENTRIES = 2^29, where the
     # sieve's sums are uint32 and exact (sieve docstring)
-    table[i:end] = divisor_sum_segment(lo, hi, True, step=2)
+    table[i:end] = divisor_sum_segment(lo, hi)
 
 
 def _build_table(omap=map) -> np.ndarray:
@@ -571,7 +571,7 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
         first = _progression_lookup(table, s, count)
         if first is None:
             if sieved is None:
-                sieved = divisor_sum_segment(lo, hi, True, step=2)
+                sieved = divisor_sum_segment(lo, hi)
             i = (s - lo) // 2
             # int64 before any product
             first = sieved[i : i + count].astype(np.int64, copy=False)
@@ -848,24 +848,3 @@ def run_search(config: SearchConfig) -> SearchResult:
 def find_usp(limit: int, parity: str = "all", **kwargs) -> list[SearchHit]:
     """All n <= limit with the unitary divisor sum applied twice equal to 2n."""
     return run_search(SearchConfig(limit=limit, classes=("usp",), parity=parity, **kwargs)).hits
-
-
-def find_unitary_perfect(limit: int, parity: str = "all", **kwargs) -> list[SearchHit]:
-    """All n <= limit whose unitary divisor sum equals 2n."""
-    return run_search(
-        SearchConfig(limit=limit, classes=("unitary_perfect",), parity=parity, **kwargs)
-    ).hits
-
-
-def find_super_perfect(limit: int, parity: str = "all", **kwargs) -> list[SearchHit]:
-    """All n <= limit with the ordinary divisor sum applied twice equal to 2n."""
-    return run_search(
-        SearchConfig(limit=limit, classes=("super_perfect",), parity=parity, **kwargs)
-    ).hits
-
-
-def find_perfect(limit: int, parity: str = "all", **kwargs) -> list[SearchHit]:
-    """All n <= limit with sigma(n) = 2n."""
-    return run_search(
-        SearchConfig(limit=limit, classes=("perfect",), parity=parity, **kwargs)
-    ).hits

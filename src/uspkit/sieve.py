@@ -1,26 +1,23 @@
-"""Segmented divisor-sum sieves.
+"""Segmented sieve of the unitary divisor sum sigma*.
 
-A segment is the arithmetic progression lo, lo + step, ... below hi, with
-step 1 (every value) or 2 (the values of lo's parity).  Its values are
-factored collectively, for one divisor sum (sigma* or sigma) in one pass
-over the base primes, into two arrays: the sum, and ``rest``, which holds
-the values with their prime parts divided out as they are found.  The pass
-has two stages.
+A segment is the values of one parity, lo, lo + 2, ... below hi.  Its
+values are factored collectively, for sigma* in one pass over the base
+primes, into two arrays: the sum, and ``rest``, which holds the values with
+their prime parts divided out as they are found.  The pass has two stages.
 
-1. For each base prime p and each k >= 1, every multiple of p^k divides
-   ``rest`` by p, and the sum swaps in place prev, the factor that the
-   multiples of p^(k-1) hold (none for k = 1), for cur, the factor of p^k:
-   p^k + 1 for sigma*, prev + p^k for sigma.  The swap is an exact division
-   followed by a product.
+1. For each odd base prime p and each k >= 1, every multiple of p^k divides
+   ``rest`` by p, and the sum swaps in place p^(k-1) + 1, the factor that
+   the multiples of p^(k-1) hold (none for k = 1), for p^k + 1.  The swap
+   is an exact division followed by a product.
 2. What ``rest`` keeps is 1 or a single prime r above sqrt(hi), which
    multiplies the sum by r + 1.
 
-A p prime to step has its multiples of p^k every p^k entries.  At step 2,
-p = 2 divides no value from an odd lo; from an even lo every value's 2-part
-2^a, ``rest & -rest``, leaves ``rest`` up front in whole-array operations,
-and the sum is multiplied by its factor, 2^a + 1 for sigma* or 2^(a+1) - 1
-for sigma.  Everything is vectorized with numpy; segments are independent,
-so the sieve parallelizes and restarts trivially.
+An odd p has its multiples of p^k every p^k entries.  p = 2 divides no
+value from an odd lo; from an even lo every value's 2-part 2^a,
+``rest & -rest``, leaves ``rest`` up front in whole-array operations, and
+the sum is multiplied by its factor 2^a + 1.  Everything is vectorized with
+numpy; segments are independent, so the sieve parallelizes and restarts
+trivially.
 
 The arrays are uint32 when hi <= 2^29 and int64 otherwise.  uint32 is
 exact below 2^29: a value n < 2^29 has at most 9 distinct primes, since
@@ -29,12 +26,11 @@ exact below 2^29: a value n < 2^29 has at most 9 distinct primes, since
     sigma*(n) <= sigma(n) < n * prod(p / (p - 1) for p <= 23) < 6.12 * 2^29 < 2^32.
 
 ``rest`` never exceeds n, and at every moment each entry of the sum is a
-product of factors no larger than their final values: the factor of p^k
-for a p^k dividing n is at most that of the p^e exactly dividing n, as
-p^k + 1 <= p^e + 1 and sigma(p^k) <= sigma(p^e), and a swap divides
-before it multiplies.  Every lookup-table chunk of the search lies below
-2^29, so the table build runs narrow; int64 holds every sum up to
-MAX_SIEVE_VALUE.
+product of factors no larger than their final values: the factor p^k + 1
+for a p^k dividing n is at most p^e + 1 for the p^e exactly dividing n,
+and a swap divides before it multiplies.  Every lookup-table chunk of the
+search lies below 2^29, so the table build runs narrow; int64 holds every
+sum up to MAX_SIEVE_VALUE.
 The base primes come from ``arith.primes_up_to``, the one prime sieve.
 """
 
@@ -49,7 +45,7 @@ from .arith import primes_up_to
 #: hi values beyond this could overflow int64 once multiplied out
 MAX_SIEVE_VALUE = 1 << 59
 
-#: hi values up to this have every divisor sum below 2^32 (module docstring)
+#: hi values up to this have every sigma* below 2^32 (module docstring)
 _UINT32_HI = 1 << 29
 
 
@@ -58,16 +54,14 @@ def base_primes(bound: int) -> np.ndarray:
     return np.array(primes_up_to(bound), dtype=np.int64)
 
 
-def _divisor_sum_segment(
-    lo: int, hi: int, step: int, primes: np.ndarray, unitary: bool
-) -> np.ndarray:
-    """sigma*(n) if unitary else sigma(n), for the values n of the segment."""
+def _divisor_sum_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """sigma*(n) for the values n = lo, lo + 2, ... < hi."""
     dtype = np.uint32 if hi <= _UINT32_HI else np.int64
-    rest = np.arange(lo, hi, step, dtype=dtype)
+    rest = np.arange(lo, hi, 2, dtype=dtype)
     count = rest.shape[0]
-    top = lo + step * (count - 1)
+    top = lo + 2 * (count - 1)
     low = None
-    if step == 2 and lo % 2 == 0:
+    if lo % 2 == 0:
         # every value is even: its 2-part 2^a = rest & -rest leaves rest at
         # once, and the sum takes its factor of it at the end
         low = -rest
@@ -77,65 +71,47 @@ def _divisor_sum_segment(
     for p in primes.tolist():
         if p * p > top:
             break
-        if step % p == 0:
-            continue  # p = 2 at step 2: no value is even, or its 2-part is out
-        # the multiples of p^k are the i with lo + step * i = 0 mod p^k; they
+        if p == 2:
+            continue  # no value is even, or its 2-part is out
+        # the multiples of p^k are the i with lo + 2i = 0 mod p^k; they
         # recur every p^k entries from start
-        pk, prev = 1, 1
+        pk = 1
         while pk * p <= top:
             pk *= p
-            start = -lo * pow(step, -1, pk) % pk
+            start = -lo * pow(2, -1, pk) % pk
             if start >= count:
                 break
             rest[start::pk] //= p
-            # swap prev for cur, dividing first so that no entry overshoots
-            cur = pk + 1 if unitary else prev + pk
+            # swap p^(k-1) + 1 for p^k + 1, dividing first so that no entry
+            # overshoots
             view = sig[start::pk]
             if pk > p:
-                view //= prev
-            view *= cur
-            prev = cur
+                view //= pk // p + 1
+            view *= pk + 1
     # the cofactor is 1 or a single prime r above sqrt(top), with
-    # sigma(r) = sigma*(r) = r + 1
+    # sigma*(r) = r + 1
     rest += rest > 1
     sig *= rest
     del rest  # spent: its array is freed before the 2-part's factor
     if low is not None:
-        # sigma*(2^a) = 2^a + 1 or sigma(2^a) = 2^(a+1) - 1, made in low's
-        # place, so no factor array sits beside it
-        if unitary:
-            low += 1
-        else:
-            low <<= 1
-            low -= 1
+        # sigma*(2^a) = 2^a + 1, made in low's place, so no factor array
+        # sits beside it
+        low += 1
         sig *= low
     return sig
 
 
-def _check_span(lo: int, hi: int, step: int) -> None:
+def _check_span(lo: int, hi: int) -> None:
     if lo < 1 or hi <= lo:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_SIEVE_VALUE:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
-    if step not in (1, 2):
-        raise ValueError(f"need step 1 or 2, got step={step}")
 
 
-def divisor_sum_segment(lo: int, hi: int, unitary: bool, step: int = 1) -> np.ndarray:
-    """sigma*(n) if unitary else sigma(n), for n = lo, lo + step, ... < hi.
+def divisor_sum_segment(lo: int, hi: int) -> np.ndarray:
+    """sigma*(n) for n = lo, lo + 2, ... < hi, the values of lo's parity.
 
-    step is 1 (every value) or 2 (the values of lo's parity).  Returns a
-    uint32 array when hi <= 2^29 and an int64 one otherwise.
+    Returns a uint32 array when hi <= 2^29 and an int64 one otherwise.
     """
-    _check_span(lo, hi, step)
-    return _divisor_sum_segment(lo, hi, step, base_primes(isqrt(hi - 1)), unitary)
-
-
-def sigma_star_segment(lo: int, hi: int) -> np.ndarray:
-    """sigma*(n) for n in [lo, hi) as an int64 array."""
-    return divisor_sum_segment(lo, hi, unitary=True).astype(np.int64, copy=False)
-
-
-def sigma_segment(lo: int, hi: int) -> np.ndarray:
-    """sigma(n) for n in [lo, hi) as an int64 array."""
-    return divisor_sum_segment(lo, hi, unitary=False).astype(np.int64, copy=False)
+    _check_span(lo, hi)
+    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)))

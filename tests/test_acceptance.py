@@ -8,11 +8,12 @@ the ``search`` CLI here; everything else is seconds.
 """
 
 import json
+import os
 import time
 
 import pytest
 
-from uspkit import cli, report
+from uspkit import cli, report, search
 from uspkit.report import CRITERIA, Criterion
 
 WORKERS = 2  # this container exposes two cores
@@ -87,6 +88,21 @@ def test_criterion_8_case_13_elimination(runs):
 
 def test_criterion_9_determinism(runs):
     _passes(runs, "determinism")
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (8, 2)])
+def test_determinism_names_the_workers_that_ran(monkeypatch, cpus, workers):
+    # the search caps its pool at os.cpu_count() and at its tasks, two here;
+    # the detail names the pool that the compared run started
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pools = []
+    ordered_map = search._ordered_map
+    monkeypatch.setattr(search, "_ordered_map",
+                        lambda processes: pools.append(processes) or ordered_map(processes))
+    ok, detail = report._determinism()
+    assert ok
+    assert detail == f"1 vs {workers} workers and interrupt/resume produce identical bytes"
+    assert pools[:2] == [1, workers]
 
 
 def test_criterion_10_property_suites(runs):

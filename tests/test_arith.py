@@ -72,7 +72,7 @@ def test_failed_primes_up_to_growth_keeps_the_cache(monkeypatch):
         primes_up_to(10**18)
     assert arith._sieved_to == 1000
     n = 100003 * 100019
-    assert divisor_sum_segment(n, n + 2, True, step=2).tolist() == [100004 * 100020]
+    assert divisor_sum_segment(n, n + 2).tolist() == [100004 * 100020]
 
 
 def test_arith_imports_neither_numpy_nor_the_sieve():

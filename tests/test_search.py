@@ -30,22 +30,13 @@ from uspkit.search import (
     VARIANTS,
     CheckpointError,
     SearchConfig,
-    find_perfect,
-    find_super_perfect,
-    find_unitary_perfect,
     find_usp,
     parse_checkpoint,
     render_checkpoint,
     run_search,
     verify_hit,
 )
-from uspkit.sieve import (
-    MAX_SIEVE_VALUE,
-    base_primes,
-    divisor_sum_segment,
-    sigma_segment,
-    sigma_star_segment,
-)
+from uspkit.sieve import MAX_SIEVE_VALUE, base_primes, divisor_sum_segment
 
 rng = random.Random(65537)
 
@@ -53,23 +44,28 @@ rng = random.Random(65537)
 _PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
-def _exact_sums(values, unitary):
-    sums = []
-    for n in values:
-        f = factorize(n)
-        sums.append(unitary_sigma(f) if unitary else sigma_from_factorization(f))
+def _exact_sums(values):
+    return [unitary_sigma(factorize(n)) for n in values]
+
+
+def _sigma_star_all(lo, hi):
+    """sigma*(n) of every n in [lo, hi): the sieve's segments of the two
+    parities, interleaved."""
+    sums = np.zeros(hi - lo, dtype=np.int64)
+    sums[0::2] = divisor_sum_segment(lo, hi)
+    sums[1::2] = divisor_sum_segment(lo + 1, hi)
     return sums
 
 
 @pytest.fixture
 def sieve_spans(monkeypatch):
-    """(lo, hi, step, unitary) of every call into the sieve kernel."""
+    """(lo, hi) of every call into the sieve kernel."""
     spans = []
     kernel = sieve._divisor_sum_segment
 
-    def recorded(lo, hi, step, primes, unitary):
-        spans.append((lo, hi, step, unitary))
-        return kernel(lo, hi, step, primes, unitary)
+    def recorded(lo, hi, primes):
+        spans.append((lo, hi))
+        return kernel(lo, hi, primes)
 
     monkeypatch.setattr(sieve, "_divisor_sum_segment", recorded)
     return spans
@@ -83,114 +79,89 @@ def capped(monkeypatch):
 
 
 def test_sigma_star_segment_first_ten():
-    assert list(sigma_star_segment(1, 11)) == [1, 3, 4, 5, 6, 12, 8, 9, 10, 18]
+    # a segment holds the values of lo's parity
+    assert divisor_sum_segment(1, 11).tolist() == [1, 4, 6, 8, 10]
+    assert divisor_sum_segment(2, 11).tolist() == [3, 5, 12, 9, 18]
+    assert _sigma_star_all(1, 11).tolist() == [1, 3, 4, 5, 6, 12, 8, 9, 10, 18]
 
 
 def test_sigma_star_segment_known_values():
-    seg = sigma_star_segment(165, 239)
+    seg = _sigma_star_all(165, 239)
     assert seg[0] == 288          # sigma*(165) = 4 * 6 * 12
     assert seg[238 - 165] == 432  # sigma*(238) = 3 * 8 * 18
 
 
 def test_segment_bounds_validation():
-    with pytest.raises(ValueError):
-        sigma_star_segment(0, 10)
-    with pytest.raises(ValueError):
-        sigma_star_segment(10, 10)
-    with pytest.raises(ValueError):
-        sigma_segment(1, 1 << 60)
-    with pytest.raises(ValueError):
-        divisor_sum_segment(11, 20, unitary=True, step=3)
+    for lo, hi in ((0, 10), (10, 10), (1, 1 << 60)):
+        with pytest.raises(ValueError):
+            divisor_sum_segment(lo, hi)
 
 
 def test_segments_agree_with_factorization():
     for _ in range(200):
         lo = rng.randrange(1, 10**7)
-        seg_star = sigma_star_segment(lo, lo + 50)
-        seg_sig = sigma_segment(lo, lo + 50)
-        for i in range(50):
-            f = factorize(lo + i)
-            assert seg_star[i] == unitary_sigma(f)
-            assert seg_sig[i] == sigma_from_factorization(f)
+        assert _sigma_star_all(lo, lo + 50).tolist() == _exact_sums(range(lo, lo + 50))
 
 
 @settings(_PROPERTY, max_examples=200)
-@given(
-    lo=st.integers(1, 10**9),
-    length=st.integers(1, 300),
-    step=st.sampled_from([1, 2]),
-    unitary=st.booleans(),
-)
-def test_divisor_sum_segment_matches_factorization(lo, length, step, unitary):
+@given(lo=st.integers(1, 10**9), length=st.integers(1, 300))
+def test_divisor_sum_segment_matches_factorization(lo, length):
     # the sums equal the factorize-based ones, uint32 exactly when hi <= 2**29
     hi = lo + length
-    seg = divisor_sum_segment(lo, hi, unitary, step=step)
+    seg = divisor_sum_segment(lo, hi)
     assert seg.dtype == (np.uint32 if hi <= 2**29 else np.int64)
-    assert seg.tolist() == _exact_sums(range(lo, hi, step), unitary)
+    assert seg.tolist() == _exact_sums(range(lo, hi, 2))
 
 
 @settings(_PROPERTY, max_examples=120)
-@given(
-    lo=st.integers(2**29 - 4000, 2**29 + 4000),
-    length=st.integers(1, 300),
-    step=st.sampled_from([1, 2]),
-    unitary=st.booleans(),
-)
-@example(lo=2**29 - 200, length=200, step=1, unitary=True)  # hi = 2**29
-@example(lo=2**29 - 199, length=200, step=1, unitary=False)  # hi = 2**29 + 1
-@example(lo=2**29 - 199, length=199, step=2, unitary=True)  # odd lo, hi = 2**29
-@example(lo=2**29 - 200, length=201, step=2, unitary=False)  # even lo, hi = 2**29 + 1
-@example(lo=2**29 - 200, length=200, step=2, unitary=False)
-@example(lo=2**29 - 199, length=200, step=2, unitary=True)
-def test_fused_kernel_matches_factorization(lo, length, step, unitary):
+@given(lo=st.integers(2**29 - 4000, 2**29 + 4000), length=st.integers(1, 300))
+@example(lo=2**29 - 200, length=200)  # even lo, hi = 2**29
+@example(lo=2**29 - 199, length=199)  # odd lo, hi = 2**29
+@example(lo=2**29 - 200, length=201)  # even lo, hi = 2**29 + 1
+@example(lo=2**29 - 199, length=200)  # odd lo, hi = 2**29 + 1
+def test_fused_kernel_matches_factorization(lo, length):
     # the kernel factors the values and forms their sum in one fused pass:
     # about the 2**29 switch from uint32 to int64 its sums equal the
-    # factorize-based ones, and at step 1 the int64 wrappers' sums
+    # factorize-based ones
     hi = lo + length
-    seg = divisor_sum_segment(lo, hi, unitary, step=step)
+    seg = divisor_sum_segment(lo, hi)
     assert seg.dtype == (np.uint32 if hi <= 2**29 else np.int64)
-    assert seg.tolist() == _exact_sums(range(lo, hi, step), unitary)
-    if step == 1:
-        wide = (sigma_star_segment if unitary else sigma_segment)(lo, hi)
-        assert wide.dtype == np.int64 and (wide == seg).all()
+    assert seg.tolist() == _exact_sums(range(lo, hi, 2))
 
 
-def _check_kernel(lo, hi, step, unitary, factors):
-    """The kernel against factorize over lo, lo + step, ... < hi.
+def _check_kernel(lo, hi, factors):
+    """The kernel against factorize over lo, lo + 2, ... < hi.
 
     The base primes up to sqrt(top) can take a sieve far too large for a
     test near MAX_SIEVE_VALUE; primes that divide no value in the span
     contribute nothing, so the kernel gets exactly the ones that do.
     factors caches factorize across calls.
     """
-    values = range(lo, hi, step)
+    values = range(lo, hi, 2)
     for n in values:
         if n not in factors:
             factors[n] = factorize(n)
     top = values[-1]
     primes = sorted({p for n in values for p, _ in factors[n].entries if p * p <= top})
-    seg = sieve._divisor_sum_segment(lo, hi, step, np.array(primes, dtype=np.int64), unitary)
-    exact = unitary_sigma if unitary else sigma_from_factorization
-    assert seg.tolist() == [exact(factors[n]) for n in values], (lo, hi, step, unitary)
+    seg = sieve._divisor_sum_segment(lo, hi, np.array(primes, dtype=np.int64))
+    assert seg.tolist() == [unitary_sigma(factors[n]) for n in values], (lo, hi)
 
 
 @settings(_PROPERTY, max_examples=60)
-@given(
-    below_max=st.integers(0, 10**6),
-    length=st.integers(2, 12),
-    step=st.sampled_from([1, 2]),
-    unitary=st.booleans(),
-)
-def test_sieve_kernel_near_max_sieve_value(below_max, length, step, unitary):
+@given(below_max=st.integers(0, 10**6), length=st.integers(2, 12))
+def test_sieve_kernel_near_max_sieve_value(below_max, length):
+    # from an odd and an even lo
     hi = MAX_SIEVE_VALUE - below_max
-    _check_kernel(hi - length, hi, step, unitary, {})
+    factors = {}
+    for lo in (hi - length, hi - length - 1):
+        _check_kernel(lo, hi, factors)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97, 1009])
 def test_sieve_kernel_around_prime_powers(p):
-    # 128 values around each p^k <= 10**12 and around the largest p^k in
-    # the sieve's range, where multiples of p^j (j <= k) swap sigma's p-part
-    # factor in place; step 2 starts from both parities
+    # the values of both parities within 64 of each p^k <= 10**12 and of the
+    # largest p^k in the sieve's range, where multiples of p^j (j <= k) swap
+    # sigma*'s p-part factor in place
     powers = [p]
     while powers[-1] * p + 64 <= MAX_SIEVE_VALUE:
         powers.append(powers[-1] * p)
@@ -198,42 +169,37 @@ def test_sieve_kernel_around_prime_powers(p):
     factors = {}
     for pk in powers:
         lo = max(1, pk - 64)
-        for unitary in (True, False):
-            _check_kernel(lo, pk + 64, 1, unitary, factors)
-            for start in (lo, lo + 1):
-                _check_kernel(start, start + 128, 2, unitary, factors)
+        for start in (lo, lo + 1):
+            _check_kernel(start, start + 128, factors)
 
 
 def test_divisor_sum_segment_full_block_matches_brute(brute_tables_2e5):
     limit = 2 * 10**5
-    sig, usig = brute_tables_2e5
-    for lo, step in ((1, 1), (1, 2), (2, 2)):
-        for unitary, table in ((True, usig), (False, sig)):
-            seg = divisor_sum_segment(lo, limit + 1, unitary, step=step)
-            assert (seg == table[lo::step]).all(), (lo, step, unitary)
+    usig = brute_tables_2e5[1]
+    for lo in (1, 2):
+        seg = divisor_sum_segment(lo, limit + 1)
+        assert (seg == usig[lo::2]).all(), lo
 
 
-def _kernel_peak(lo, hi, step, unitary):
-    """The sieve kernel's sum over lo, lo + step, ... < hi, and the peak
-    bytes that tracemalloc reads while it runs."""
+def _kernel_peak(lo, hi):
+    """The sieve kernel's sum over lo, lo + 2, ... < hi, and the peak bytes
+    that tracemalloc reads while it runs."""
     primes = base_primes(math.isqrt(hi - 1))
     tracemalloc.start()
     try:
-        seg = sieve._divisor_sum_segment(lo, hi, step, primes, unitary)
+        seg = sieve._divisor_sum_segment(lo, hi, primes)
         return seg, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2, 2**29 + 1, 2**29 + 2])
-@pytest.mark.parametrize("step", [1, 2])
-@pytest.mark.parametrize("unitary", [True, False], ids=["sigma_star", "sigma"])
-def test_sieve_kernel_holds_two_block_arrays(lo, step, unitary):
+def test_sieve_kernel_holds_two_block_arrays(lo):
     # rest and the returned sums, plus the boolean mask of the cofactor step
     # (and the 2-part of an even lo), in uint32 below 2**29 and int64 past it
     count = 1 << 18
-    width = 4 if lo + count * step <= 2**29 else 8
-    seg, peak = _kernel_peak(lo, lo + count * step, step, unitary)
+    width = 4 if lo + 2 * count <= 2**29 else 8
+    seg, peak = _kernel_peak(lo, lo + 2 * count)
     assert seg.dtype.itemsize == width
     assert peak < 3.5 * width * count
 
@@ -243,7 +209,7 @@ def test_table_chunk_holds_one_row():
     # sum, rest beside it, and the cofactor mask
     count = search._TABLE_CHUNK
     hi = 2 * search._TABLE_ENTRIES
-    seg, peak = _kernel_peak(hi - 2 * count + 1, hi, 2, True)
+    seg, peak = _kernel_peak(hi - 2 * count + 1, hi)
     assert seg.shape == (count,) and seg.dtype == np.uint32
     assert peak < 2.5 * 4 * count
 
@@ -267,20 +233,6 @@ def test_uint32_threshold_is_proved():
     assert bound(sieve._UINT32_HI) < Fraction(612, 100) * 2**29
 
 
-@pytest.mark.parametrize(
-    "lo, step",
-    [(7, 6), (16, 10), (27, 30), (3, 3), (4, 4), (5, 8), (15, 12), (5, 0), (5, -2),
-     (15, -6), (3, 6), (9, 18), (15, 30), (25, 50), (641, 1282)],
-    ids=["3-not-dividing-lo", "5-not-dividing-lo", "15-not-dividing-lo", "odd-step",
-         "step-4", "step-8", "step-12", "step-0", "step-minus-2", "step-minus-6",
-         "step-6", "step-18", "step-30", "step-50", "step-1282"],
-)
-def test_divisor_sum_segment_refuses_other_steps(lo, step):
-    # only steps 1 and 2, also a step 2m from a multiple of the odd m
-    with pytest.raises(ValueError, match="need step 1 or 2"):
-        divisor_sum_segment(lo, lo + 200, True, step=step)
-
-
 def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5):
     limit = 10**5
     usig = brute_tables_1e5[1]
@@ -296,11 +248,13 @@ def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5):
 
 
 def test_segment_split_invariance():
-    whole = sigma_star_segment(1, 20001)
-    parts = np.concatenate(
-        [sigma_star_segment(lo, min(20001, lo + 1024)) for lo in range(1, 20001, 1024)]
-    )
-    assert (whole == parts).all()
+    # from an odd and an even lo, a segment equals its parts
+    for start in (1, 2):
+        whole = divisor_sum_segment(start, 20001)
+        parts = np.concatenate(
+            [divisor_sum_segment(lo, min(20001, lo + 1024)) for lo in range(start, 20001, 1024)]
+        )
+        assert (whole == parts).all()
 
 
 def test_find_usp_first_hits():
@@ -330,27 +284,6 @@ def test_odd_usp_hits_carry_structure():
         assert h.structure is not None and h.structure.ok
     for h in find_usp(10**4, parity="even"):
         assert h.structure is None
-
-
-def test_find_unitary_perfect():
-    assert [h.n for h in find_unitary_perfect(100)] == [6, 60, 90]
-    hits = find_unitary_perfect(10**5)
-    assert 87360 in [h.n for h in hits]
-    assert unitary_sigma(factorize(87360)) == 2 * 87360
-    assert find_unitary_perfect(10**6, parity="odd") == []
-
-
-def test_find_super_perfect():
-    assert [h.n for h in find_super_perfect(100)] == [2, 4, 16, 64]
-    hits = find_super_perfect(5000)
-    assert 4096 in [h.n for h in hits]
-    # sigma(4096) = 8191 is prime, sigma(8191) = 8192 = 2 * 4096
-    assert sigma_from_factorization(factorize(4096)) == 8191
-    assert find_super_perfect(10**5, parity="odd") == []
-
-
-def test_find_perfect():
-    assert [h.n for h in find_perfect(10**4)] == [6, 28, 496, 8128]
 
 
 def test_classification_matches_brute_oracle_small():
@@ -483,8 +416,8 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
 def test_out_of_table_segment_sieved_once(sieve_spans, capped):
     # the capped table holds the odd values below 2**17 (built from spans
     # ending at 2**17), the odd parts of the even n up to 2**18; both even
-    # blocks up to 6 * 10**5 reach past it, and each is sieved once, for
-    # sigma* alone, not once per class or per segment
+    # blocks up to 6 * 10**5 reach past it, and each is sieved once, not
+    # once per class or per segment
     capped()
     limit = 6 * 10**5
     run_search(SearchConfig(limit=limit, segment_size=4096, classes=CLASS_ORDER))
@@ -492,7 +425,7 @@ def test_out_of_table_segment_sieved_once(sieve_spans, capped):
     scanned = Counter(span for span in sieve_spans if span[1] > 2**17)
     blocks = search._blocks(CLASS_ORDER, "all", 1, limit + 1)
     assert len(blocks) == 2 and blocks[0].hi > 2**18
-    assert scanned == {(lo, hi, 2, True): 1 for lo, hi in blocks}
+    assert scanned == {(lo, hi): 1 for lo, hi in blocks}
 
 
 def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped):
@@ -515,7 +448,7 @@ def test_table_budget_fallback_matches_uncapped(monkeypatch, sieve_spans, capped
     sieve_spans.clear()
     capped()
     result = run_search(SearchConfig(**common))
-    assert (2, 300002, 2, True) in sieve_spans
+    assert (2, 300002) in sieve_spans
     assert unitary_sigma(factorize(291290)) == 4 * 131085 in exact
     assert result.checkpoint_text == full.checkpoint_text
 
@@ -529,10 +462,9 @@ def test_capped_scan_sieves_one_block_at_a_time(sieve_spans, capped):
     sieve_spans.clear()
     capped()
     result = run_search(SearchConfig(**common))
-    # the scan's blocks, all even, each for sigma* alone
-    assert {lo % 2 for lo, hi, _, _ in sieve_spans if hi > 2**17} == {0}
-    assert all(step == 2 and unitary and len(range(lo, hi, step)) <= search._TABLE_CHUNK
-               for lo, hi, step, unitary in sieve_spans)
+    # the scan's blocks, all even
+    assert {lo % 2 for lo, hi in sieve_spans if hi > 2**17} == {0}
+    assert all(len(range(lo, hi, 2)) <= search._TABLE_CHUNK for lo, hi in sieve_spans)
     assert result.checkpoint_text == full.checkpoint_text
 
 
@@ -754,7 +686,7 @@ def test_table_overflow_refused(monkeypatch, workers):
     assert search._table_size(10**18) == search._TABLE_ENTRIES
     assert 2 * search._TABLE_ENTRIES <= sieve._UINT32_HI
     hi = 2 * search._TABLE_ENTRIES
-    seg = divisor_sum_segment(hi - 2 * search._TABLE_CHUNK + 1, hi, True, step=2)
+    seg = divisor_sum_segment(hi - 2 * search._TABLE_CHUNK + 1, hi)
     assert seg.shape == (search._TABLE_CHUNK,) and seg.dtype == np.uint32
     # a usp search over all n <= 2**21 builds a sigma* table of 2**19
     # entries, two chunks, each filled straight from the sieve's uint32 sums,
@@ -762,8 +694,8 @@ def test_table_overflow_refused(monkeypatch, workers):
     assert search._table_size(1 << 21) == 2 * search._TABLE_CHUNK
     chunks = []
 
-    def recorded(lo, hi, unitary, step):
-        seg = divisor_sum_segment(lo, hi, unitary, step)
+    def recorded(lo, hi):
+        seg = divisor_sum_segment(lo, hi)
         chunks.append((lo, seg.dtype))
         return seg
 
@@ -819,7 +751,7 @@ def test_table_sizes_limit_at_every_parity(parity, capped):
 
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
-def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
+def test_odd_first_applications_factorized(monkeypatch, sieve_spans, brute_tables_4e5, parity):
     # under the default cap every first application comes from the table,
     # and a second lookup leaves it only for a usp candidate whose odd part
     # lies past limit // 2, where the table ends.  Those candidates are
@@ -837,7 +769,7 @@ def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
     monkeypatch.setattr(search, "_exact_divisor_sum", counted)
     config = SearchConfig(limit=limit, segment_size=1 << 14, classes=CLASS_ORDER, parity=parity)
     run_search(config)
-    assert all(step == 2 and hi <= limit + 1 for _, hi, step, _ in sieve_spans)
+    assert all(hi <= limit + 1 for _, hi in sieve_spans)
 
     def past_table(ns, firsts):
         # the first application of each scanned n that is a candidate (the
@@ -848,14 +780,13 @@ def test_odd_first_applications_factorized(monkeypatch, sieve_spans, parity):
         return [int(m) for m in firsts[keep]]
 
     # the even n, where the parity scans them; their first applications from
-    # the step-1 sieve, which the tests above check against factorize
-    # (factorizing every n takes seconds)
+    # the divisor-sweep table (factorizing every n takes seconds)
     n = np.arange(2, limit + 1, 2, dtype=np.int64) if parity != "odd" else np.zeros(0, np.int64)
-    assert sorted(exact) == sorted(past_table(n, sigma_star_segment(1, limit + 1)[n - 1]))
+    assert sorted(exact) == sorted(past_table(n, brute_tables_4e5[1][n]))
     # the families, from factorize: n = 2^b and 2^b * 9^e, each of which occurs
     powers = [2**b for b in range(1, limit.bit_length())]
     nines = [p * 9**e for p in powers for e in range(1, 6) if p * 9**e <= limit]
-    found = [past_table(np.array(ns), np.array(_exact_sums(ns, True))) for ns in (powers, nines)]
+    found = [past_table(np.array(ns), np.array(_exact_sums(ns))) for ns in (powers, nines)]
     assert all(found)
     assert sorted(exact) == (sorted(sum(found, [])) if parity != "odd" else [])
 
@@ -872,8 +803,8 @@ def test_two_part_factor_matches_factorization(a, odd):
     idx, factor = search._split(np.array([m], dtype=np.int64))
     assert (int(idx[0]), int(factor[0])) == (odd, two_part)
     assert search._two_part_factor(2**a) == two_part
-    assert _exact_sums([m], True) == [two_part * _exact_sums([m_odd], True)[0]]
-    assert _exact_sums([2**a], True) == [two_part]
+    assert _exact_sums([m]) == [two_part * _exact_sums([m_odd])[0]]
+    assert _exact_sums([2**a]) == [two_part]
 
 
 def test_prefilter_keeps_every_brute_hit():
@@ -883,7 +814,7 @@ def test_prefilter_keeps_every_brute_hit():
     limit = 2 * 10**4
     expected = bruteforce.classify_brute(limit)
     ns = expected["usp"]
-    first = np.array(_exact_sums(ns, True), dtype=np.int64)
+    first = np.array(_exact_sums(ns), dtype=np.int64)
     assert (np.array(ns) % search._split(first)[1] == 0).all()
     for parity, keep in (("odd", {1}), ("even", {0})):
         hits = run_search(SearchConfig(limit=limit, classes=CLASS_ORDER, parity=parity)).hits
@@ -914,7 +845,7 @@ def test_progression_lookup_and_prefilter_match_split(brute_tables_1e5, s, count
     first = search._progression_lookup(table, s, count)
     assert (first is None) == (not inside.all())
     # int64, as the scan widens the sieve's sums before any product
-    firsts = [divisor_sum_segment(s, s + 2 * count, True, step=2).astype(np.int64)]
+    firsts = [divisor_sum_segment(s, s + 2 * count).astype(np.int64)]
     if first is not None:
         assert first.dtype == np.int64 and (first == sums).all()
         firsts.append(first)
@@ -962,7 +893,7 @@ def test_narrow_fallback_block_products_past_uint32(monkeypatch, sieve_spans):
     hi = 2**29
     block = search._Block(hi - 2**17, hi)
     assert search._classify_segment(block) == []
-    assert sieve_spans == [(block.lo, hi, 2, True)]
+    assert sieve_spans == [(block.lo, hi)]
     # the candidates fall back, and the int64 seconds keep every sum past 2**32
     assert shifted
     assert [int(x) for second, inside in held for x in second[~inside]] == shifted
@@ -1118,12 +1049,11 @@ def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
 
 @pytest.mark.parametrize("parity", ["all", "odd", "even"])
 def test_each_block_reads_one_divisor_sum(monkeypatch, sieve_spans, parity):
-    # for every class set: the blocks hold even n at step 2 and cover the
-    # even n once, and are laid exactly when a unitary class is requested
-    # and the parity is not odd; every slice takes its first applications
-    # from the table, which is sieved for sigma* alone, and nothing sieves
-    # sigma; and the hits are the oracle's, the odd usp and every sigma hit
-    # listed
+    # for every class set: the blocks hold even n and cover the even n
+    # once, and are laid exactly when a unitary class is requested and the
+    # parity is not odd, and the sieve runs exactly when blocks are laid;
+    # every slice takes its first applications from the table; and the hits
+    # are the oracle's, the odd usp and every sigma hit listed
     limit = 3000
     oracle = bruteforce.classify_brute(limit)
     blocks, slices = [], []
@@ -1150,7 +1080,6 @@ def test_each_block_reads_one_divisor_sum(monkeypatch, sieve_spans, parity):
             assert scanned == (list(range(2, limit + 1, 2)) if laid else [])
             # one first lookup per n
             assert [s + 2 * i for s, count in slices for i in range(count)] == scanned
-            assert all(unitary for _, _, _, unitary in sieve_spans)
             assert bool(sieve_spans) == laid
             keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
             assert sorted((h.n, h.classification) for h in hits) == sorted(
@@ -1254,14 +1183,14 @@ def test_prime_power_plus_one_never_power_of_two():
 
 def test_odd_usp_matches_step_2_sieve():
     # the brute-force side: sigma*(n) of every odd n <= 10**7 from the plain
-    # step-2 sieve, then the equation (2^a + 1)(m' + 1) = 2n with m' a prime
+    # sieve of the odd values, then the equation (2^a + 1)(m' + 1) = 2n with m' a prime
     # power; the enumeration lists exactly those n
     limit = 10**7
     solved = []
     for lo in range(1, limit + 1, 1 << 21):
         hi = min(limit + 1, lo + (1 << 21))
         n = np.arange(lo, hi, 2, dtype=np.int64)
-        s = divisor_sum_segment(lo, hi, True, step=2).astype(np.int64)
+        s = divisor_sum_segment(lo, hi).astype(np.int64)
         low = s & -s
         odd = s // low
         for j in np.flatnonzero((low + 1) * (odd + 1) == 2 * n):
