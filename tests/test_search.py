@@ -194,14 +194,20 @@ def _kernel_peak(lo, hi):
 
 
 @pytest.mark.parametrize("lo", [10**7 + 1, 10**7 + 2, 2**29 + 1, 2**29 + 2])
-def test_sieve_kernel_holds_two_block_arrays(lo):
+@pytest.mark.parametrize("step", [1, 2], ids=["sigma_star-1", "sigma_star-2"])
+def test_sieve_kernel_holds_two_block_arrays(lo, step):
+    # sigma* of count values step apart: one kernel run over lo's parity, or
+    # for step 1 one run per parity of count / 2 values each. A run holds
     # rest and the returned sums, plus the boolean mask of the cofactor step
     # (and the 2-part of an even lo), in uint32 below 2**29 and int64 past it
     count = 1 << 18
-    width = 4 if lo + 2 * count <= 2**29 else 8
-    seg, peak = _kernel_peak(lo, lo + 2 * count)
-    assert seg.dtype.itemsize == width
-    assert peak < 3.5 * width * count
+    hi = lo + count * step
+    width = 4 if hi <= 2**29 else 8
+    for start in (lo,) if step == 2 else (lo, lo + 1):
+        seg, peak = _kernel_peak(start, hi)
+        assert seg.shape == (count * step // 2,)
+        assert seg.dtype.itemsize == width
+        assert peak < 3.5 * width * len(seg)
 
 
 def test_table_chunk_holds_one_row():
@@ -284,6 +290,31 @@ def test_odd_usp_hits_carry_structure():
         assert h.structure is not None and h.structure.ok
     for h in find_usp(10**4, parity="even"):
         assert h.structure is None
+
+
+def _found(cls, limit, parity="all"):
+    """The n <= limit that a search of the one class cls finds."""
+    config = SearchConfig(limit=limit, classes=(cls,), parity=parity)
+    return [h.n for h in run_search(config).hits]
+
+
+def test_find_unitary_perfect():
+    assert _found("unitary_perfect", 100) == [6, 60, 90]
+    assert 87360 in _found("unitary_perfect", 10**5)
+    assert unitary_sigma(factorize(87360)) == 2 * 87360
+    assert _found("unitary_perfect", 10**6, parity="odd") == []
+
+
+def test_find_super_perfect():
+    assert _found("super_perfect", 100) == [2, 4, 16, 64]
+    assert 4096 in _found("super_perfect", 5000)
+    # sigma(4096) = 8191 is prime, sigma(8191) = 8192 = 2 * 4096
+    assert sigma_from_factorization(factorize(4096)) == 8191
+    assert _found("super_perfect", 10**5, parity="odd") == []
+
+
+def test_find_perfect():
+    assert _found("perfect", 10**4) == [6, 28, 496, 8128]
 
 
 def test_classification_matches_brute_oracle_small():
