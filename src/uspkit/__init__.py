@@ -1,6 +1,18 @@
 """uspkit: unitary divisor arithmetic, certified inequality enclosures, and
 exhaustive searches for perfect-number variants."""
 
+import os as _os
+
+# uspkit makes no BLAS call, yet numpy's OpenBLAS starts a worker thread on
+# import that spins: it slows the import, charges its CPU to single-process
+# runs and leaves the process that the search pool forks multi-threaded.  So
+# pin OpenBLAS to one thread before any submodule loads numpy, unless the
+# caller chose a count; OpenBLAS reads OPENBLAS_NUM_THREADS first, then
+# GOTO_NUM_THREADS, then OMP_NUM_THREADS, so setting the first beside either
+# of the others would override the caller.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .arith import (
     Factorization,
     MAX_NATURAL,

@@ -291,14 +291,28 @@ def build_parser() -> _Parser:
 
     p = add("search", _cmd_search, help="exhaustive perfect-variant search")
     p.add_argument("klass", metavar="class",
-                   choices=sorted(c.replace("_", "-") for c in CLASS_ORDER))
-    p.add_argument("--limit", type=int, default=search_mod.DEFAULT_LIMIT)
-    p.add_argument("--parity", choices=("all", "odd", "even"), default="all")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--segment-size", type=int, default=search_mod.DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--checkpoint")
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--max-segments", type=int)
+                   choices=sorted(c.replace("_", "-") for c in CLASS_ORDER),
+                   help="the class to search for: %(choices)s")
+    p.add_argument("--limit", type=int, default=search_mod.DEFAULT_LIMIT,
+                   help="search the n from 1 to LIMIT, with LIMIT from 1 to "
+                        f"{search_mod.HARD_LIMIT} (default: %(default)s)")
+    p.add_argument("--parity", choices=("all", "odd", "even"), default="all",
+                   help="search only the n of this parity: %(choices)s (default: %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes to ask for, at least 1; the run uses at most "
+                        "os.cpu_count() and no more than its tasks, the table "
+                        "chunks and sieve blocks (default: %(default)s)")
+    p.add_argument("--segment-size", type=int, default=search_mod.DEFAULT_SEGMENT_SIZE,
+                   help="n per checkpointed segment, at least 1024 (default: %(default)s)")
+    p.add_argument("--checkpoint",
+                   help="text file that records the completed segments and their hits "
+                        "(default: none)")
+    p.add_argument("--resume", action="store_true",
+                   help="go on from the segments that --checkpoint records, instead of "
+                        "starting afresh")
+    p.add_argument("--max-segments", type=int,
+                   help="stop after this many more segments, at least 0 "
+                        "(default: run to the limit)")
 
     add("report", _cmd_report,
         help="one-shot reproduction of the acceptance checks, the odd usp n to 10^8 among them")

@@ -93,7 +93,8 @@ def test_criterion_9_determinism(runs):
 @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (8, 2)])
 def test_determinism_names_the_workers_that_ran(monkeypatch, cpus, workers):
     # the search caps its pool at os.cpu_count() and at its tasks, two here;
-    # the detail names the pool that the compared run started
+    # the detail names the pool that the compared run started, and the resumed
+    # run, which still has two blocks, starts the same pool
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     pools = []
     ordered_map = search._ordered_map
@@ -102,7 +103,7 @@ def test_determinism_names_the_workers_that_ran(monkeypatch, cpus, workers):
     ok, detail = report._determinism()
     assert ok
     assert detail == f"1 vs {workers} workers and interrupt/resume produce identical bytes"
-    assert pools[:2] == [1, workers]
+    assert pools == [1, workers, 1, workers]
 
 
 def test_criterion_10_property_suites(runs):

@@ -1,9 +1,15 @@
+import argparse
+import importlib
 import json
+import pathlib
 import time
 
 import pytest
 
-from uspkit.cli import main
+from uspkit.cli import build_parser, main
+from uspkit.search import CLASS_ORDER
+
+PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(capsys, *argv):
@@ -240,3 +246,28 @@ def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cp"]
+
+
+def test_search_help_explains_every_argument(capsys):
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert all(action.help for action in sub.choices["search"]._actions)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    classes = ", ".join(sorted(c.replace("_", "-") for c in CLASS_ORDER))
+    assert f"the class to search for: {classes}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_console_scripts_resolve():
+    # the installed `uspkit` command calls this entry point, so renaming it
+    # must fail here and not only in an installed copy
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for name in attr.split("."):
+            obj = getattr(obj, name)
+        assert callable(obj)
