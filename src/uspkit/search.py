@@ -148,11 +148,16 @@ divides n, so p = 3 and e is even: n = 2^b * 3^(2e).  Only these leave the
 table, and their lookups are exact factorizations.
 
 Each search makes one ordered map and runs the table build and the scan
-through it: the builtin map in one process, otherwise the map of one fork
-process pool of at most os.cpu_count() workers, which yields results in
-submission order.  The table lives in one shared anonymous map made before
-the pool forks, so the workers fill it in place and then classify blocks
-against it; no table chunk travels between processes.
+through it: the builtin map in one process, otherwise the map of one pool
+of at most os.cpu_count() workers, forked once per search with os.fork.
+Each worker reads pickled tasks from its own pipe and answers on another;
+task i goes to worker i mod P, and the parent reads the results back in
+submission order with at most _IN_FLIGHT tasks per worker outstanding.
+Workers leave through os._exit, and the parent reaps every one, killed
+first when a task, a worker or the merge fails.  The table lives in one
+shared anonymous map made before the pool forks, so the workers fill it in
+place and then classify blocks against it; no table chunk travels between
+processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve or the list that produced it, and
@@ -167,16 +172,15 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import multiprocessing
 import os
+import pickle
+import signal
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -691,36 +695,154 @@ def _table_size(top: int) -> int:
 _IN_FLIGHT = 8
 
 
+def _serve(tasks: int, results: int) -> None:
+    """A worker's loop: run each pickled (fn, args) read from the task pipe
+    and write (True, result) or (False, (exception, traceback text)) to the
+    result pipe, until EOF."""
+    with open(tasks, "rb") as reader, open(results, "wb") as writer:
+        while True:
+            try:
+                fn, args = pickle.load(reader)
+            except EOFError:
+                return
+            try:
+                reply = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:
+                import traceback  # here, so that only a failed task pays for it
+
+                trace = traceback.format_exc()
+                try:
+                    reply = pickle.dumps((False, (exc, trace)))
+                except Exception:  # an exception that does not pickle
+                    reply = pickle.dumps((False, (RuntimeError(repr(exc)), trace)))
+            writer.write(reply)
+            writer.flush()
+
+
+class _Worker(NamedTuple):
+    pid: int
+    tasks: BinaryIO  # the write end of its task pipe
+    results: BinaryIO  # the read end of its result pipe
+
+
+class _ForkPool:
+    """Forked workers, each fed through its own task and result pipes.
+
+    Task i goes to worker i mod P, and the results are read back in
+    submission order, each from its worker's pipe: the tasks of a map are
+    equal-sized (table chunks, sieve blocks), so static round-robin loses
+    nothing.
+    """
+
+    def __init__(self, processes: int) -> None:
+        self.workers: list[_Worker] = []
+        self.status: dict[int, int] = {}  # the wait status of each reaped pid
+        try:
+            for _ in range(processes):
+                self._fork()
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _fork(self) -> None:
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                # an earlier worker's task pipe held open here would hide
+                # the end of its tasks from it
+                for fd in (task_w, result_r, *(f.fileno() for w in self.workers
+                                               for f in (w.tasks, w.results))):
+                    os.close(fd)
+                _serve(task_r, result_w)
+                status = 0
+            finally:
+                # no atexit hook, and no flush of the parent's stdio buffers
+                os._exit(status)
+        os.close(task_r)
+        os.close(result_w)
+        self.workers.append(_Worker(pid, open(task_w, "wb"), open(result_r, "rb")))
+
+    def _reap(self, pid: int) -> int:
+        if pid not in self.status:
+            self.status[pid] = os.waitpid(pid, 0)[1]
+        return self.status[pid]
+
+    def _died(self, worker: _Worker) -> RuntimeError:
+        code = os.waitstatus_to_exitcode(self._reap(worker.pid))
+        return RuntimeError(f"search worker {worker.pid} died (exit code {code})")
+
+    def _send(self, worker: _Worker, task) -> None:
+        try:
+            pickle.dump(task, worker.tasks)
+            worker.tasks.flush()
+        except BrokenPipeError:
+            raise self._died(worker) from None
+
+    def _receive(self, worker: _Worker):
+        try:
+            ok, value = pickle.load(worker.results)
+        except (EOFError, pickle.UnpicklingError):  # a worker gone mid-task
+            raise self._died(worker) from None
+        if not ok:
+            exc, trace = value
+            # the worker's traceback shows as the cause of the error
+            raise exc from RuntimeError(f"in search worker {worker.pid}:\n{trace}")
+        return value
+
+    def map(self, fn, *iterables):
+        workers, p = self.workers, len(self.workers)
+        sent = got = 0
+        for args in zip(*iterables):
+            self._send(workers[sent % p], (fn, args))
+            sent += 1
+            if sent - got == _IN_FLIGHT * p:
+                yield self._receive(workers[got % p])
+                got += 1
+        while got < sent:
+            yield self._receive(workers[got % p])
+            got += 1
+
+    def close(self, kill: bool) -> None:
+        """Close every pipe and reap every worker, killed first if kill."""
+        for worker in self.workers:
+            if kill and worker.pid not in self.status:
+                os.kill(worker.pid, signal.SIGKILL)
+            for pipe in (worker.tasks, worker.results):
+                with suppress(OSError):  # a buffered task for a dead worker
+                    pipe.close()
+        for worker in self.workers:
+            self._reap(worker.pid)
+
+
 @contextmanager
 def _ordered_map(processes: int):
-    """map, or a map over a fork pool; both yield results in submission order.
+    """map, or the map of a pool of forked workers; both yield results in
+    submission order.
 
-    The pool's map keeps a few tasks per process in flight: the executor's
-    own map submits every task up front, and each pending task holds about
-    2 KiB in this process, some 85 MiB for the 38k blocks of a search over
-    all n <= 10^10.
+    The pool's map keeps at most _IN_FLIGHT tasks per process sent and not
+    yet yielded, so the parent holds a few blocks' worth of tasks, whatever
+    the run's length.  A task's exception is raised in the parent, and so is
+    a RuntimeError for a worker that dies.  Every worker is reaped on the way
+    out, killed first when the map or its caller raised.
     """
     if processes <= 1:
         yield map
         return
-
-    def omap(fn, *iterables):
-        pending = deque()
-        try:
-            for args in zip(*iterables):
-                if len(pending) == _IN_FLIGHT * processes:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(fn, *args))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            # a task's error, or a merge's, ends the map: drop the tasks not started
-            for future in pending:
-                future.cancel()
-
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=processes, mp_context=ctx) as pool:
-        yield omap
+    pool = _ForkPool(processes)
+    try:
+        yield pool.map
+    except BaseException:
+        pool.close(kill=True)
+        raise
+    pool.close(kill=False)
 
 
 def _check_resumed(config: SearchConfig, hits_by_segment: list[list[SearchHit]]) -> None:

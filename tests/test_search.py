@@ -1,14 +1,16 @@
+import contextlib
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import signal
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,6 +71,28 @@ def sieve_spans(monkeypatch):
 
     monkeypatch.setattr(sieve, "_divisor_sum_segment", recorded)
     return spans
+
+
+def _refuse_forks(monkeypatch):
+    """A list of the os.fork calls from here on, each refused: a run that
+    starts a pool fails."""
+    calls = []
+
+    def refuse():
+        calls.append(1)
+        raise AssertionError("this run starts no pool")
+
+    monkeypatch.setattr(search.os, "fork", refuse)
+    return calls
+
+
+@pytest.fixture
+def no_child_left():
+    """Checks after the test that the process has no child, running or not
+    yet reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -595,14 +619,15 @@ def test_usp_search_builds_one_half_row(built_tables, parity):
 def test_one_pool_bounded_by_cpu_count(monkeypatch):
     # fork pools start all their workers at once: asking for 10**5 must not
     # fork 10**5 processes; the recorder starts two real ones at most
-    requested = []
-    pool_class = search.ProcessPoolExecutor
+    requested, forked = [], []
+    ordered_map, fork = search._ordered_map, search.os.fork
 
-    def recorder(max_workers, mp_context):
-        requested.append(max_workers)
-        return pool_class(max_workers=min(max_workers, 2), mp_context=mp_context)
+    def recorder(processes):
+        requested.append(processes)
+        return ordered_map(min(processes, 2))
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", recorder)
+    monkeypatch.setattr(search, "_ordered_map", recorder)
+    monkeypatch.setattr(search.os, "fork", lambda: forked.append(1) or fork())
     # three scan blocks of at most 2**18 even n, two table chunks of 2**18
     # entries
     common = dict(limit=12 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER)
@@ -610,53 +635,127 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     # the table and the scan share the one pool
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
-    assert requested == [3]
+    assert requested == [1, 3] and len(forked) == 2
     # a search of one block and one table chunk runs in-process, however
     # many segments it has
     run_search(SearchConfig(limit=1000, workers=2))
     run_search(SearchConfig(limit=10**5, segment_size=1024, workers=2))
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
-    assert requested == [3]
+    assert requested == [1, 3, 1, 1, 1] and len(forked) == 2
 
 
-class _InlinePool:
-    """A pool stand-in that runs each task when it is submitted and records
-    the most tasks submitted and not yet collected."""
+class _InFlight:
+    """An ordered map that passes one iterable of tasks to a real one and
+    records the most tasks taken from it and not yet yielded."""
 
-    def __init__(self, max_workers, mp_context):
+    def __init__(self, omap):
+        self.omap = omap
         self.open = self.peak = 0
 
-    def __enter__(self):
-        return self
+    def _take(self, tasks):
+        for task in tasks:
+            self.open += 1
+            self.peak = max(self.peak, self.open)
+            yield task
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.open += 1
-        self.peak = max(self.peak, self.open)
-        return SimpleNamespace(result=functools.partial(self._collect, fn(*args)))
-
-    def _collect(self, value):
-        self.open -= 1
-        return value
+    def __call__(self, fn, tasks):
+        for result in self.omap(fn, self._take(tasks)):
+            self.open -= 1
+            yield result
 
 
 def test_pool_keeps_few_tasks_in_flight(monkeypatch):
     # the 25 table chunks and 25 scan blocks of an even usp search to
     # 2 * 10**5, in blocks of 2**12 n, pass through a pool of two processes
-    # with at most _IN_FLIGHT tasks per process submitted and not yet collected
+    # with at most _IN_FLIGHT tasks per process sent and not yet collected
     config = SearchConfig(limit=2 * 10**5, parity="even", workers=2)
     expected = run_search(dataclasses.replace(config, workers=1)).checkpoint_text
-    pools = []
-    monkeypatch.setattr(search, "ProcessPoolExecutor",
-                        lambda **kw: pools.append(_InlinePool(**kw)) or pools[-1])
+    maps = []
+    ordered_map = search._ordered_map
+
+    @contextlib.contextmanager
+    def counted(processes):
+        with ordered_map(processes) as omap:
+            maps.append((processes, _InFlight(omap)))
+            yield maps[-1][1]
+
+    monkeypatch.setattr(search, "_ordered_map", counted)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_TABLE_CHUNK", 1 << 12)
     assert len(search._blocks(config.classes, "even", 1, 2 * 10**5 + 1)) > 2 * search._IN_FLIGHT
     assert run_search(config).checkpoint_text == expected
-    assert len(pools) == 1 and pools[0].peak == 2 * search._IN_FLIGHT and pools[0].open == 0
+    [(processes, pool)] = maps
+    assert processes == 2 and pool.peak == 2 * search._IN_FLIGHT and pool.open == 0
+
+
+def test_worker_error_reaches_the_parent(monkeypatch, no_child_left):
+    # a table chunk whose sieve raises in a worker raises the same error from
+    # run_search, and every worker is reaped
+    parent = os.getpid()
+
+    def broken(lo, hi):
+        raise ValueError(f"sieve failed in process {os.getpid()}")
+
+    monkeypatch.setattr(search, "divisor_sum_segment", broken)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="sieve failed") as raised:
+        run_search(SearchConfig(limit=12 * 10**5, workers=2))
+    assert str(parent) not in str(raised.value)
+
+
+def test_killed_worker_fails_the_search(monkeypatch, no_child_left):
+    # a worker killed in the middle of a scan block makes run_search raise
+    # at once, naming the worker; the pool never waits on it
+    parent = os.getpid()
+    lookup = search._progression_lookup
+
+    def die(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lookup(*args)
+
+    monkeypatch.setattr(search, "_progression_lookup", die)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"search worker \d+ died \(exit code -9\)"):
+        run_search(SearchConfig(limit=12 * 10**5, workers=2))
+    assert time.monotonic() - t0 < 10
+
+
+class _MergeError(Exception):
+    pass
+
+
+def test_merge_error_stops_the_pool(monkeypatch, no_child_left):
+    # an error in the parent's merge, with blocks still out in the workers,
+    # propagates from run_search, and the workers are killed and reaped
+    def refuse(n, cls):
+        raise _MergeError(n)
+
+    monkeypatch.setattr(search, "verify_hit", refuse)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    with pytest.raises(_MergeError):
+        run_search(SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2))
+
+
+def test_worker_exit_fails_the_map(no_child_left):
+    # a worker that exits in the middle of a task, before it answers, makes
+    # the map raise a RuntimeError with its exit code
+    with pytest.raises(RuntimeError, match=r"search worker \d+ died \(exit code 3\)"):
+        with search._ordered_map(2) as omap:
+            list(omap(os._exit, [3]))
+
+
+def test_caller_error_kills_busy_workers(no_child_left):
+    # an error in the map's caller while both workers hold a long task kills
+    # them: the pool does not wait for the tasks to end
+    t0 = time.monotonic()
+    with pytest.raises(_MergeError):
+        with search._ordered_map(2) as omap:
+            for _ in omap(time.sleep, [0, 60, 60]):
+                raise _MergeError
+    assert time.monotonic() - t0 < 10
 
 
 def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
@@ -665,16 +764,16 @@ def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
     cp = str(tmp_path / "cp.txt")
     common = dict(limit=10**5, segment_size=1 << 14, classes=CLASS_ORDER, workers=2)
     full = run_search(SearchConfig(checkpoint_path=cp, **common)).checkpoint_text
-    builds, pools = [], []
+    builds = []
     build_table = search._build_table
     monkeypatch.setattr(search, "_build_table", lambda *a: builds.append(a) or build_table(*a))
-    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    forks = _refuse_forks(monkeypatch)
     resumed = run_search(SearchConfig(checkpoint_path=cp, resume=True, **common))
     assert resumed.completed and resumed.checkpoint_text == full
     stopped = run_search(SearchConfig(max_segments=0, **common))
     assert not stopped.completed and stopped.segments_done == 0
     assert stopped.checkpoint_text == render_checkpoint(10**5, 1 << 14, [])
-    assert builds == [] and pools == []
+    assert builds == [] and forks == []
 
 
 def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
@@ -1139,11 +1238,10 @@ def test_odd_unitary_search_builds_no_table(monkeypatch, sieve_spans, cap, cappe
         fn = getattr(search, name)
         monkeypatch.setattr(search, name, lambda *a, fn=fn, rec=record: rec.append(a) or fn(*a))
     sieve_spans.clear()
-    pools = []
-    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    forks = _refuse_forks(monkeypatch)
     odd = run_search(dataclasses.replace(odd_config, workers=2))
     assert calls["_build_table"] == [] and calls["_exact_divisor_sum"] == []
-    assert sieve_spans == [] and pools == []
+    assert sieve_spans == [] and forks == []
     assert calls["verify_hit"] == [(9, "usp"), (165, "usp")]
     assert odd.checkpoint_text == expected
 
@@ -1233,13 +1331,12 @@ def test_odd_usp_matches_step_2_sieve():
 def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
     # no odd n is unitary perfect: the search scans no block and starts no
     # pool, yet writes one empty line per segment
-    pools = []
-    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+    forks = _refuse_forks(monkeypatch)
     config = SearchConfig(limit=10**4, segment_size=1024, classes=("unitary_perfect",),
                           parity="odd", workers=2)
     assert search._blocks(config.classes, "odd", 1, 10**4 + 1) == []
     result = run_search(config)
-    assert sieve_spans == [] and pools == []
+    assert sieve_spans == [] and forks == []
     assert result.completed and result.checkpoint_text == render_checkpoint(10**4, 1024, [[]] * 10)
 
 
@@ -1372,8 +1469,9 @@ def test_even_sigma_search_lays_no_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a parity-even sigma search reads no table")
 
-    for name in ("_build_table", "_classify_segment", "ProcessPoolExecutor"):
+    for name in ("_build_table", "_classify_segment"):
         monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(search.os, "fork", refuse)
     verified = []
     verify = search.verify_hit
     monkeypatch.setattr(search, "verify_hit",
@@ -1468,8 +1566,9 @@ def test_odd_sigma_search_lays_no_block(monkeypatch, parity):
     def refuse(*args, **kwargs):
         raise AssertionError("a sigma search reads no table")
 
-    for name in ("_build_table", "_classify_segment", "ProcessPoolExecutor"):
+    for name in ("_build_table", "_classify_segment"):
         monkeypatch.setattr(search, name, refuse)
+    monkeypatch.setattr(search.os, "fork", refuse)
     verified = []
     verify = search.verify_hit
     monkeypatch.setattr(search, "verify_hit",

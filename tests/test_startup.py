@@ -1,5 +1,6 @@
 """uspkit pins numpy's OpenBLAS pool to one thread before numpy loads,
-unless the caller chose a thread count."""
+unless the caller chose a thread count; it loads no process-pool module,
+and its search pool forks from a process of one thread."""
 
 import json
 import os
@@ -15,21 +16,27 @@ SRC = str(pathlib.Path(uspkit.__file__).resolve().parent.parent)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _fresh_import(module, **env):
-    """(threads or None, the three variables) after `import module` in a new
-    interpreter whose environment holds none of them but those in env."""
+def _probe(probe, **env):
+    """The JSON that probe prints, run in a new interpreter whose environment
+    holds none of the three variables but those in env; a warning is an
+    error there."""
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    probe = (
-        f"import json, os, {module}\n"
-        "task = '/proc/self/task'\n"
-        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
-        f"print(json.dumps([threads, {{k: os.environ.get(k) for k in {THREAD_VARS!r}}}]))\n"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=dict(base, PYTHONPATH=SRC, **env),
+        [sys.executable, "-W", "error", "-c", probe], env=dict(base, PYTHONPATH=SRC, **env),
         capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
+
+
+def _fresh_import(module, **env):
+    """(threads or None, the three variables) after `import module`."""
+    return _probe(
+        f"import json, os, {module}\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        f"print(json.dumps([threads, {{k: os.environ.get(k) for k in {THREAD_VARS!r}}}]))\n",
+        **env,
+    )
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -46,3 +53,27 @@ def test_callers_thread_count_wins(var):
     # it beside either of them would override the caller
     _, env = _fresh_import("uspkit", **{var: "2"})
     assert env == {k: "2" if k == var else None for k in THREAD_VARS}
+
+
+@pytest.mark.parametrize("module", ["uspkit", "uspkit.cli"])
+def test_import_loads_no_process_pool_module(module):
+    # the search forks its workers itself: the stdlib's pools cost every
+    # process their import time and memory
+    pools = ("multiprocessing", "concurrent.futures")
+    assert _probe(f"import json, sys, {module}\n"
+                  f"print(json.dumps([m for m in {pools!r} if m in sys.modules]))\n") == []
+
+
+def test_workers_fork_from_one_thread():
+    # forking a process of several threads can deadlock the child, and
+    # CPython 3.12+ warns when it happens; each fork of a two-worker search
+    # sees one thread
+    assert _probe(
+        "import json, os, threading\n"
+        "from uspkit import search\n"
+        "threads, fork = [], os.fork\n"
+        "os.fork = lambda: threads.append(threading.active_count()) or fork()\n"
+        "os.cpu_count = lambda: 2\n"
+        "search.run_search(search.SearchConfig(limit=12 * 10**5, workers=2))\n"
+        "print(json.dumps(threads))\n"
+    ) == [1, 1]
