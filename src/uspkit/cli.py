@@ -300,8 +300,9 @@ def build_parser() -> _Parser:
                    help="search only the n of this parity: %(choices)s (default: %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="processes to ask for, at least 1; the run uses at most "
-                        "os.cpu_count() and no more than its tasks, the table "
-                        "chunks and sieve blocks (default: %(default)s)")
+                        "one per CPU that it may run on, each pinned to its own, "
+                        "and no more than its tasks, the table chunks and sieve "
+                        "blocks (default: %(default)s)")
     p.add_argument("--segment-size", type=int, default=search_mod.DEFAULT_SEGMENT_SIZE,
                    help="n per checkpointed segment, at least 1024 (default: %(default)s)")
     p.add_argument("--checkpoint",

@@ -31,7 +31,7 @@ from .bounds import (
     mersenne_constant,
     q_bound_scan,
 )
-from .search import CLASS_ORDER, SearchConfig, run_search
+from .search import CLASS_ORDER, SearchConfig, run_search, usable_cpus
 from .structure import (
     LEMMA_51_QS,
     LEMMA_CHECKS,
@@ -188,12 +188,12 @@ def _case13() -> tuple[bool, str]:
 
 def _determinism() -> tuple[bool, str]:
     seg = 1 << 18
-    # the pool has at most os.cpu_count() processes and no more than the
+    # the pool has at most one process per usable CPU and no more than the
     # run's two tasks (two sieve blocks; the table is one chunk), so asking
     # for more than two workers would fork no more.  The interrupted run stops
     # after one segment, so the resumed one still has two blocks and forks the
     # same pool as the full run
-    workers = min(2, os.cpu_count() or 1)
+    workers = min(2, len(usable_cpus()))
     r1 = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=1))
     rw = run_search(SearchConfig(limit=10**6, segment_size=seg, workers=workers))
     ok = r1.checkpoint_text == rw.checkpoint_text

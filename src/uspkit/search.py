@@ -149,10 +149,13 @@ table, and their lookups are exact factorizations.
 
 Each search makes one ordered map and runs the table build and the scan
 through it: the builtin map in one process, otherwise the map of one pool
-of at most os.cpu_count() workers, forked once per search with os.fork.
-Each worker reads pickled tasks from its own pipe and answers on another;
-task i goes to worker i mod P, and the parent reads the results back in
-submission order with at most _IN_FLIGHT tasks per worker outstanding.
+of at most one worker per CPU that the process may run on, forked once per
+search with os.fork.  Worker i pins itself to the i-th of those CPUs (mod
+their number), since the scheduler tends to keep pipe-woken workers on one
+CPU; the parent stays unpinned.  Each worker reads pickled tasks from its
+own pipe and answers on another; task i goes to worker i mod P, and the
+parent reads the results back in submission order with at most _IN_FLIGHT
+tasks per worker outstanding.
 Workers leave through os._exit, and the parent reaps every one, killed
 first when a task, a worker or the merge fails.  The table lives in one
 shared anonymous map made before the pool forks, so the workers fill it in
@@ -695,6 +698,14 @@ def _table_size(top: int) -> int:
 _IN_FLIGHT = 8
 
 
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in order: its affinity mask where
+    the platform has one, else every CPU that it counts."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _serve(tasks: int, results: int) -> None:
     """A worker's loop: run each pickled (fn, args) read from the task pipe
     and write (True, result) or (False, (exception, traceback text)) to the
@@ -737,14 +748,15 @@ class _ForkPool:
     def __init__(self, processes: int) -> None:
         self.workers: list[_Worker] = []
         self.status: dict[int, int] = {}  # the wait status of each reaped pid
+        cpus = usable_cpus()
         try:
-            for _ in range(processes):
-                self._fork()
+            for i in range(processes):
+                self._fork(cpus[i % len(cpus)])
         except BaseException:
             self.close(kill=True)
             raise
 
-    def _fork(self) -> None:
+    def _fork(self, cpu: int) -> None:
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         try:
@@ -761,6 +773,11 @@ class _ForkPool:
                 for fd in (task_w, result_r, *(f.fileno() for w in self.workers
                                                for f in (w.tasks, w.results))):
                     os.close(fd)
+                # left to the scheduler, pipe-woken workers tend to share
+                # one CPU; a worker that cannot be pinned runs where it is
+                if hasattr(os, "sched_setaffinity"):
+                    with suppress(OSError):
+                        os.sched_setaffinity(0, {cpu})
                 _serve(task_r, result_w)
                 status = 0
             finally:
@@ -938,7 +955,7 @@ def run_search(config: SearchConfig) -> SearchResult:
         _STATE["table"] = np.ndarray(entries, dtype=np.uint32,
                                      buffer=mmap.mmap(-1, 4 * entries))
     try:
-        with _ordered_map(min(config.workers, os.cpu_count() or 1, tasks)) as omap:
+        with _ordered_map(min(config.workers, len(usable_cpus()), tasks)) as omap:
             if entries:
                 _build_table(omap)
             # after a block, the next one's first n bounds the segments done;

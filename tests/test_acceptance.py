@@ -92,9 +92,11 @@ def test_criterion_9_determinism(runs):
 
 @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (8, 2)])
 def test_determinism_names_the_workers_that_ran(monkeypatch, cpus, workers):
-    # the search caps its pool at os.cpu_count() and at its tasks, two here;
+    # the search caps its pool at its usable CPUs and at its tasks, two here;
     # the detail names the pool that the compared run started, and the resumed
-    # run, which still has two blocks, starts the same pool
+    # run, which still has two blocks, starts the same pool.  Without an
+    # affinity mask the usable CPUs are those that os.cpu_count() counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     pools = []
     ordered_map = search._ordered_map

@@ -620,7 +620,7 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     # fork pools start all their workers at once: asking for 10**5 must not
     # fork 10**5 processes; the recorder starts two real ones at most
     requested, forked = [], []
-    ordered_map, fork = search._ordered_map, search.os.fork
+    ordered_map, fork, usable_cpus = search._ordered_map, search.os.fork, search.usable_cpus
 
     def recorder(processes):
         requested.append(processes)
@@ -632,7 +632,7 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     # entries
     common = dict(limit=12 * 10**5, segment_size=1 << 14, classes=CLASS_ORDER)
     serial = run_search(SearchConfig(**common)).checkpoint_text
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1, 2])
     # the table and the scan share the one pool
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
     assert requested == [1, 3] and len(forked) == 2
@@ -640,6 +640,9 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     # many segments it has
     run_search(SearchConfig(limit=1000, workers=2))
     run_search(SearchConfig(limit=10**5, segment_size=1024, workers=2))
+    # a platform with no affinity mask that cannot count its CPUs
+    monkeypatch.setattr(search, "usable_cpus", usable_cpus)
+    monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert run_search(SearchConfig(workers=10**5, **common)).checkpoint_text == serial
     assert requested == [1, 3, 1, 1, 1] and len(forked) == 2
@@ -681,7 +684,7 @@ def test_pool_keeps_few_tasks_in_flight(monkeypatch):
             yield maps[-1][1]
 
     monkeypatch.setattr(search, "_ordered_map", counted)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     monkeypatch.setattr(search, "_TABLE_CHUNK", 1 << 12)
     assert len(search._blocks(config.classes, "even", 1, 2 * 10**5 + 1)) > 2 * search._IN_FLIGHT
     assert run_search(config).checkpoint_text == expected
@@ -698,7 +701,7 @@ def test_worker_error_reaches_the_parent(monkeypatch, no_child_left):
         raise ValueError(f"sieve failed in process {os.getpid()}")
 
     monkeypatch.setattr(search, "divisor_sum_segment", broken)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     with pytest.raises(ValueError, match="sieve failed") as raised:
         run_search(SearchConfig(limit=12 * 10**5, workers=2))
     assert str(parent) not in str(raised.value)
@@ -716,7 +719,7 @@ def test_killed_worker_fails_the_search(monkeypatch, no_child_left):
         return lookup(*args)
 
     monkeypatch.setattr(search, "_progression_lookup", die)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match=r"search worker \d+ died \(exit code -9\)"):
         run_search(SearchConfig(limit=12 * 10**5, workers=2))
@@ -734,7 +737,7 @@ def test_merge_error_stops_the_pool(monkeypatch, no_child_left):
         raise _MergeError(n)
 
     monkeypatch.setattr(search, "verify_hit", refuse)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     with pytest.raises(_MergeError):
         run_search(SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2))
 
@@ -756,6 +759,49 @@ def test_caller_error_kills_busy_workers(no_child_left):
             for _ in omap(time.sleep, [0, 60, 60]):
                 raise _MergeError
     assert time.monotonic() - t0 < 10
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(search.usable_cpus()) < 2,
+                    reason="needs sched_setaffinity and two usable CPUs")
+def test_workers_keep_to_distinct_cpus(monkeypatch, tmp_path, no_child_left):
+    # each worker of a 2-worker search is pinned to one CPU of the parent's,
+    # not the other's, and the parent's own CPU set is left as it was
+    parent, cpus = os.getpid(), os.sched_getaffinity(0)
+    log = tmp_path / "cpus.txt"
+    segment = search.divisor_sum_segment
+
+    def record(lo, hi):
+        if os.getpid() != parent:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
+        return segment(lo, hi)
+
+    monkeypatch.setattr(search, "divisor_sum_segment", record)
+    run_search(SearchConfig(limit=12 * 10**5, workers=2))
+    seen = dict(line.split(" ", 1) for line in log.read_text().splitlines())
+    pinned = [json.loads(cpu_list) for cpu_list in seen.values()]
+    assert len(pinned) == 2 and all(len(cpu_set) == 1 for cpu_set in pinned)
+    [a], [b] = pinned
+    assert a != b and {a, b} <= cpus
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_failed_pin_leaves_the_worker_unpinned(monkeypatch, tmp_path, no_child_left):
+    # a worker whose pin raises OSError runs where the scheduler put it: the
+    # search still gives the serial bytes
+    log = tmp_path / "pins.txt"
+
+    def refuse(pid, cpus):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        raise OSError("no such CPU")
+
+    config = SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2)
+    serial = run_search(dataclasses.replace(config, workers=1)).checkpoint_text
+    monkeypatch.setattr(search.os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    assert run_search(config).checkpoint_text == serial
+    assert len(set(log.read_text().split())) == 2
 
 
 def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):

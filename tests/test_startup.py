@@ -1,6 +1,7 @@
 """uspkit pins numpy's OpenBLAS pool to one thread before numpy loads,
 unless the caller chose a thread count; it loads no process-pool module,
-and its search pool forks from a process of one thread."""
+its search pool forks from a process of one thread, and a process that may
+run on one CPU forks no pool."""
 
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import uspkit
+from uspkit.search import SearchConfig, run_search
 
 SRC = str(pathlib.Path(uspkit.__file__).resolve().parent.parent)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -73,7 +75,23 @@ def test_workers_fork_from_one_thread():
         "from uspkit import search\n"
         "threads, fork = [], os.fork\n"
         "os.fork = lambda: threads.append(threading.active_count()) or fork()\n"
-        "os.cpu_count = lambda: 2\n"
+        "search.usable_cpus = lambda: [0, 1]\n"
         "search.run_search(search.SearchConfig(limit=12 * 10**5, workers=2))\n"
         "print(json.dumps(threads))\n"
     ) == [1, 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_one_cpu_forks_no_pool():
+    # a process restricted to one CPU runs a search that asks for two
+    # workers in-process: its pool would put both on that CPU
+    serial = run_search(SearchConfig(limit=12 * 10**5)).checkpoint_text
+    assert _probe(
+        "import json, os\n"
+        "from uspkit import search\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "text = search.run_search(search.SearchConfig(limit=12 * 10**5, workers=2)).checkpoint_text\n"
+        "print(json.dumps([len(forks), text]))\n"
+    ) == [0, serial]
