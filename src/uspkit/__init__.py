@@ -16,18 +16,13 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.env
 from .arith import (
     Factorization,
     MAX_NATURAL,
-    a_q,
     factorize,
     is_mersenne_prime,
     is_prime,
-    jacobi,
-    omega,
     ord_mod,
-    pow_mod,
     prime_power,
     unitary_divisors,
     unitary_sigma,
-    v_p,
 )
 from .bounds import (
     BoundCertificate,
@@ -41,7 +36,6 @@ from .bounds import (
     exp_upper,
     mersenne_constant,
     q_bound_scan,
-    tail_product_bound,
 )
 from .search import (
     SearchConfig,
@@ -64,7 +58,6 @@ from .structure import (
     check_lemma_51,
     check_usp_structure,
     decompose_2aqb,
-    enumerate_prime_powers_2aqb,
     zsigmondy,
 )
 

@@ -1,6 +1,5 @@
 """Exact integer arithmetic: primality, factorization, prime-power tests,
-divisor sums and divisor lists, valuations, multiplicative orders, and
-quadratic symbols.
+divisor sums and divisor lists, and multiplicative orders.
 
 Everything here is pure, deterministic, and total on naturals up to
 ``MAX_NATURAL``.  Larger inputs are rejected rather than answered
@@ -323,34 +322,6 @@ def unitary_divisors(f: Factorization) -> list[int]:
     return sorted(divs)
 
 
-def omega(f: Factorization) -> int:
-    """Number of distinct prime factors (0 for n = 1)."""
-    return len(f.entries)
-
-
-def v_p(p: int, n: int) -> int:
-    """Largest e with p**e dividing n (n >= 1, p prime)."""
-    _check_natural(n)
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def pow_mod(b: int, e: int, m: int) -> int:
-    """b**e mod m for m >= 1 (delegates to the built-in three-argument pow)."""
-    _check_natural(b, "b")
-    _check_natural(e, "e")
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    return pow(b, e, m)
-
-
 def ord_mod(p: int, q: int) -> int:
     """Least d >= 1 with p**d = 1 (mod q), q prime not dividing p.
 
@@ -366,41 +337,6 @@ def ord_mod(p: int, q: int) -> int:
         while d % r == 0 and pow(p, d // r, q) == 1:
             d //= r
     return d
-
-
-def a_q(p: int, q: int) -> int:
-    """q-adic valuation of p**d - 1 where d is the order of p mod q.
-
-    Computed by lifting modulo growing powers of q, so the huge integer
-    p**d - 1 is never materialized.
-    """
-    if p == q:
-        raise ValueError("p and q must be distinct primes")
-    if not is_prime(p) or not is_prime(q):
-        raise ValueError("p and q must both be prime")
-    d = ord_mod(p, q)
-    v = 1
-    while pow(p, d, q ** (v + 1)) == 1:
-        v += 1
-    return v
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1, via the reciprocity reduction."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 1, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def is_mersenne_prime(p: int) -> bool:

@@ -79,14 +79,6 @@ def tail_exponent(t: int, r: int, i0: int) -> Fraction:
     return Fraction(r, (r - 1) * (lead - 1))
 
 
-def tail_product_bound(t: int, r: int, i0: int) -> Fraction:
-    """Certified rational upper bound for prod_{i >= i0} t*r^i/(t*r^i - 1)."""
-    x = tail_exponent(t, r, i0)
-    if x >= 1:
-        raise ValueError(f"tail exponent {x} >= 1; parameters too aggressive")
-    return exp_upper(x)
-
-
 @dataclass(frozen=True)
 class BoundCertificate:
     """Exact enclosure [lower, upper] of one product expression.

@@ -9,11 +9,12 @@ are deliberately simple and are used by the test suite and by the CLI
 
 from __future__ import annotations
 
+from decimal import Context, Decimal
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from . import arith
 from .arith import factorize
 
 
@@ -96,23 +97,13 @@ def zsigmondy_brute(a: int, b: int, n: int):
     return None
 
 
-def exp_reference(x, dps: int = 50):
-    """exp(x) to dps significant digits via mpmath, as an exact Fraction.
+def exp_reference(x: Fraction) -> Fraction:
+    """exp(x) to 55 significant digits via the stdlib decimal module, as an
+    exact Fraction.
 
-    The returned rational is the exact value of the high-precision float, so
+    x is rounded to 55 digits and its exponential is correctly rounded to
+    55 digits.  The returned rational is the exact value of that decimal, so
     comparisons against certified rational bounds need no further rounding.
     """
-    import mpmath
-    from fractions import Fraction
-
-    with mpmath.workdps(dps):
-        v = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
-    sign, man, exp, _ = v._mpf_
-    frac = Fraction(man) * Fraction(2) ** exp
-    return -frac if sign else frac
-
-
-def jacobi_euler(a: int, p: int) -> int:
-    """(a/p) for odd prime p via Euler's criterion mapped onto {-1, 0, 1}."""
-    r = arith.pow_mod(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    ctx = Context(prec=55)
+    return Fraction(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)).exp(ctx))

@@ -3,7 +3,9 @@
 Every capability is exposed as a subcommand with stable flags; ``--json``
 switches any subcommand from aligned text to JSON-lines output.  Exit codes:
 0 on success, 2 when a verifier finds a counterexample or a certificate
-fails its ceiling, 1 on usage or I/O errors.
+fails its ceiling, 1 on usage or I/O errors, 130 when Ctrl-C (SIGINT)
+interrupts it; an interrupted search keeps the checkpoint of the segments
+it merged.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -323,6 +326,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -336,6 +340,13 @@ def main(argv=None) -> int:
         # a hit failed exact recomputation or a verifier contract broke
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # a search's checkpoint holds every segment merged before it; none
+        # is written before the first block's segments merge
+        cp = getattr(args, "checkpoint", None)
+        tail = "; --resume continues from the checkpoint" if cp and os.path.exists(cp) else ""
+        print(f"interrupted{tail}", file=sys.stderr)
+        return 130
 
 
 def run() -> None:

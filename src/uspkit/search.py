@@ -148,19 +148,19 @@ divides n, so p = 3 and e is even: n = 2^b * 3^(2e).  Only these leave the
 table, and their lookups are exact factorizations.
 
 Each search makes one ordered map and runs the table build and the scan
-through it: the builtin map in one process, otherwise the map of one pool
-of at most one worker per CPU that the process may run on, forked once per
-search with os.fork.  Worker i pins itself to the i-th of those CPUs (mod
-their number), since the scheduler tends to keep pipe-woken workers on one
-CPU; the parent stays unpinned.  Each worker reads pickled tasks from its
-own pipe and answers on another; task i goes to worker i mod P, and the
-parent reads the results back in submission order with at most _IN_FLIGHT
-tasks per worker outstanding.
-Workers leave through os._exit, and the parent reaps every one, killed
-first when a task, a worker or the merge fails.  The table lives in one
-shared anonymous map made before the pool forks, so the workers fill it in
-place and then classify blocks against it; no table chunk travels between
-processes.
+through it: the builtin map in one process or where the platform has no
+os.fork, otherwise the map of one pool of at most one worker per CPU that
+the process may run on, forked once per search with os.fork.  Worker i pins
+itself to the i-th of those CPUs (mod their number), since the scheduler
+tends to keep pipe-woken workers on one CPU; the parent stays unpinned.
+Each worker reads pickled tasks from its own pipe and answers on another;
+task i goes to worker i mod P, and the parent reads the results back in
+submission order with at most _IN_FLIGHT tasks per worker outstanding.
+Workers ignore SIGINT and leave through os._exit, and the parent reaps
+every one, killed first when a task, a worker or the merge fails, or an
+interrupt stops it.  The table lives in one shared anonymous map made
+before the pool forks, so the workers fill it in place and then classify
+blocks against it; no table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve or the list that produced it, and
@@ -768,6 +768,9 @@ class _ForkPool:
         if pid == 0:
             status = 1
             try:
+                # a terminal's Ctrl-C reaches the whole process group; only
+                # the parent acts on it, and reaps the workers on its way out
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
                 # an earlier worker's task pipe held open here would hide
                 # the end of its tasks from it
                 for fd in (task_w, result_r, *(f.fileno() for w in self.workers
@@ -848,9 +851,10 @@ def _ordered_map(processes: int):
     yet yielded, so the parent holds a few blocks' worth of tasks, whatever
     the run's length.  A task's exception is raised in the parent, and so is
     a RuntimeError for a worker that dies.  Every worker is reaped on the way
-    out, killed first when the map or its caller raised.
+    out, killed first when the map or its caller raised.  A platform without
+    os.fork runs the builtin map, as one process does.
     """
-    if processes <= 1:
+    if processes <= 1 or not hasattr(os, "fork"):
         yield map
         return
     pool = _ForkPool(processes)

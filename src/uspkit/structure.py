@@ -1,11 +1,10 @@
 """Structural machinery for numbers of the form 2**a * q**b.
 
 Covers: canonical decomposition of such numbers, primitive prime divisors of
-a**n - b**n with the full exception taxonomy, enumeration of prime powers
-adjacent to 2**a * q**b, and exhaustive finite-range verifiers for the
-divisibility facts ("lemmas") that the bound certificates and the
-odd-search structure checks rely on.  Each verifier returns a LemmaReport
-whose counterexample list is expected to be empty.
+a**n - b**n with the full exception taxonomy, and exhaustive finite-range
+verifiers for the divisibility facts ("lemmas") that the bound certificates
+and the odd-search structure checks rely on.  Each verifier returns a
+LemmaReport whose counterexample list is expected to be empty.
 """
 
 from __future__ import annotations
@@ -80,10 +79,6 @@ class ZsigmondyResult:
     kind: ZsigmondyKind
     prime: int | None = None
 
-    @property
-    def is_exception(self) -> bool:
-        return self.kind is not ZsigmondyKind.PRIMITIVE_PRIME
-
 
 def zsigmondy(a: int, b: int, n: int) -> ZsigmondyResult:
     """Least prime dividing a**n - b**n but no a**m - b**m with m < n,
@@ -123,31 +118,6 @@ def _require_bounds(**bounds: int) -> None:
     for name, value in bounds.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def enumerate_prime_powers_2aqb(
-    q: int, a_max: int, b_max: int, cap: int
-) -> list[tuple[int, int, int, int]]:
-    """All prime powers p**e <= cap of the form 2**a * q**b - 1 with
-    1 <= a <= a_max, 1 <= b <= b_max, sorted by value.
-
-    Returns (p, e, a, b) tuples.
-    """
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    _require_bounds(a_max=a_max, b_max=b_max)
-    if cap > MAX_NATURAL:
-        raise ValueError(f"cap {cap} exceeds the supported range")
-    found = []
-    for a in range(1, a_max + 1):
-        for b in range(1, b_max + 1):
-            v = 2**a * q**b - 1
-            if v > cap:
-                break
-            p_e = prime_power(v)
-            if p_e is not None:
-                found.append((v, (*p_e, a, b)))
-    return [t for _, t in sorted(found)]
 
 
 @dataclass(frozen=True)

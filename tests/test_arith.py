@@ -10,20 +10,15 @@ from uspkit import arith, bruteforce
 from uspkit.arith import (
     MAX_NATURAL,
     Factorization,
-    a_q,
     divisors,
     factorize,
     is_mersenne_prime,
     is_prime,
-    jacobi,
-    omega,
     ord_mod,
-    pow_mod,
     prime_power,
     primes_up_to,
     unitary_divisors,
     unitary_sigma,
-    v_p,
 )
 
 rng = random.Random(1009)
@@ -246,29 +241,13 @@ def test_unitary_divisors_count_and_sum():
     for n in range(1, 10**4 + 1):
         f = factorize(n)
         divs = unitary_divisors(f)
-        assert len(divs) == 2 ** omega(f)
+        assert len(divs) == 2 ** len(f.entries)
         assert sum(divs) == unitary_sigma(f)
         assert divs == sorted(set(divs))
         assert divs == bruteforce.unitary_divisors_brute(n) if n <= 300 else True
         all_divs = divisors(f)
         assert sum(all_divs) == bruteforce.sigma_brute(n)
         assert all_divs == sorted(set(all_divs))
-
-
-def test_omega_examples():
-    assert omega(factorize(1)) == 0
-    assert omega(factorize(165)) == 3
-    assert omega(factorize(288)) == 2
-
-
-def test_v_p_examples():
-    assert v_p(3, 9) == 2
-    assert v_p(3, 513) == 3          # 513 = 27 * 19
-    assert v_p(5, 288) == 0
-    with pytest.raises(ValueError):
-        v_p(3, 0)
-    with pytest.raises(ValueError):
-        v_p(4, 12)
 
 
 def test_ord_mod_examples():
@@ -299,55 +278,6 @@ def test_ord_mod_divides_group_order():
             if p == q:
                 continue
             assert (q - 1) % ord_mod(p, q) == 0
-
-
-def test_a_q_examples():
-    assert a_q(2, 3) == 1
-    assert a_q(2, 7) == 1
-    assert a_q(3, 11) == 2           # 3^5 - 1 = 242 = 2 * 11^2
-    with pytest.raises(ValueError):
-        a_q(5, 5)
-
-
-def test_a_q_matches_direct_valuation():
-    # 1093 is a Wieferich prime, so its lifted valuation is 2
-    for p, q in [(2, 3), (2, 7), (3, 11), (2, 1093), (5, 71)]:
-        d = ord_mod(p, q)
-        big = p**d - 1
-        v = 0
-        while big % q == 0:
-            big //= q
-            v += 1
-        assert a_q(p, q) == v >= 1
-    assert a_q(2, 1093) == 2
-
-
-def test_jacobi_examples():
-    assert jacobi(1, 9) == 1
-    assert jacobi(-2, 11) == 1       # 3^2 = 9 = -2 (mod 11)
-    assert jacobi(-2, 7) == -1       # squares mod 7 are {1, 2, 4}
-    assert jacobi(21, 21) == 0
-    with pytest.raises(ValueError):
-        jacobi(3, 10)
-
-
-def test_jacobi_euler_criterion_agreement():
-    for p in primes_up_to(999):
-        if p == 2:
-            continue
-        for a in range(p):
-            assert jacobi(a, p) == bruteforce.jacobi_euler(a, p)
-
-
-def test_pow_mod_examples():
-    assert pow_mod(2, 0, 7) == 1
-    assert pow_mod(2, 9, 19) == 18   # 2^9 = -1 (mod 19)
-    direct = 1
-    for _ in range(45):
-        direct = direct * 3 % 7
-    assert pow_mod(3, 45, 7) == direct
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 0)
 
 
 def test_is_mersenne_prime_examples():

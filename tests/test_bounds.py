@@ -18,12 +18,11 @@ from uspkit.bounds import (
     mersenne_constant,
     q_bound_scan,
     tail_exponent,
-    tail_product_bound,
 )
 
 rng = random.Random(40961)
 
-# the 50-digit reference itself carries ~1e-48 relative rounding error, so
+# the 55-digit reference itself carries ~1e-54 relative rounding error, so
 # one-sidedness can only be asserted up to that allowance
 REF_EPS = F(1, 10**45)
 
@@ -39,7 +38,7 @@ def test_exp_bounds_examples():
     assert lo <= ref * (1 + REF_EPS)
     assert hi >= ref * (1 - REF_EPS)
     assert hi <= ref * (1 + F(1, 10**6))
-    # frozen from the 50-digit oracle: exp(4/21) = 1.2098255679...
+    # frozen from the 55-digit reference: exp(4/21) = 1.2098255679...
     assert fraction_decimal(hi, 10).startswith("1.20982556")
 
     u = exp_upper(F(3, 8744))
@@ -97,7 +96,8 @@ def test_tail_exponent_examples():
 
 
 def test_tail_product_bound_certifies():
-    u = tail_product_bound(2, 3, 7)
+    # the bound that the registry takes for a tail: exp of its exponent
+    u = exp_upper(tail_exponent(2, 3, 7))
     assert u > 1
     assert u - 1 < F(1, 10**3)
     # the bound really dominates a long partial product
@@ -109,11 +109,9 @@ def test_tail_product_bound_certifies():
 
 def test_tail_product_bound_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        tail_product_bound(1, 2, 0)    # first term is 1
+        tail_exponent(1, 2, 0)    # first term t*r^i0 is 1
     with pytest.raises(ValueError):
-        tail_product_bound(2, 2, 0)    # exponent 2/(1*1) leaves the domain
-    with pytest.raises(ValueError):
-        tail_product_bound(2, 1, 3)
+        tail_exponent(2, 1, 3)    # ratio r below 2
 
 
 def test_mersenne_constant_single_term():

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from uspkit import search
 from uspkit.cli import build_parser, main
-from uspkit.search import CLASS_ORDER
+from uspkit.search import CLASS_ORDER, parse_checkpoint
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -184,6 +185,42 @@ def test_search_cli_checkpoint_resume(tmp_path, capsys):
         "--checkpoint", cp, "--resume",
     )
     assert code == 0 and "complete" in out
+
+
+def test_interrupted_search_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
+    # Ctrl-C during a scan block ends the run with one stderr line and exit
+    # 130; in the second block the checkpoint holds the first block's
+    # segments, and --resume ends with the bytes of an uninterrupted run
+    cp = tmp_path / "cp.txt"
+    argv = ["search", "usp", "--limit", "1000000", "--segment-size", "65536",
+            "--checkpoint", str(cp)]
+    assert run_cli(capsys, *argv)[0] == 0
+    whole = cp.read_bytes()
+    cp.unlink()
+    classify, blocks = search._classify_segment, []
+
+    def interrupt(block):
+        blocks.append(block)
+        if len(blocks) == stop:
+            raise KeyboardInterrupt
+        return classify(block)
+
+    monkeypatch.setattr(search, "_classify_segment", interrupt)
+    for stop, line in ((1, "interrupted\n"),
+                       (2, "interrupted; --resume continues from the checkpoint\n")):
+        blocks.clear()
+        try:
+            code, _, err = run_cli(capsys, *argv)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert (code, err) == (130, line)
+        assert cp.exists() == (stop == 2)
+    _, _, segments = parse_checkpoint(cp.read_text())
+    assert 0 < len(segments) < 16
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, *argv, "--resume")
+    assert code == 0 and "complete" in out
+    assert cp.read_bytes() == whole
 
 
 @pytest.mark.parametrize(

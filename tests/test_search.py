@@ -21,7 +21,6 @@ from uspkit import bruteforce, search, sieve
 from uspkit.arith import (
     factorize,
     is_prime,
-    omega,
     prime_power,
     sigma_from_factorization,
     unitary_sigma,
@@ -724,6 +723,28 @@ def test_killed_worker_fails_the_search(monkeypatch, no_child_left):
     with pytest.raises(RuntimeError, match=r"search worker \d+ died \(exit code -9\)"):
         run_search(SearchConfig(limit=12 * 10**5, workers=2))
     assert time.monotonic() - t0 < 10
+
+
+def test_worker_ignores_sigint(monkeypatch, no_child_left):
+    # a terminal's Ctrl-C reaches the workers too: a worker that receives
+    # SIGINT in a task goes on, and the 2-worker search gives the serial bytes
+    parent = os.getpid()
+    config = SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2)
+    serial = run_search(dataclasses.replace(config, workers=1)).checkpoint_text
+    lookup = search._progression_lookup
+
+    def interrupt(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return lookup(*args)
+
+    monkeypatch.setattr(search, "_progression_lookup", interrupt)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    try:
+        text = run_search(config).checkpoint_text
+    except KeyboardInterrupt:  # raised in a worker and sent to the parent
+        pytest.fail("a worker's SIGINT stopped the search")
+    assert text == serial
 
 
 class _MergeError(Exception):
@@ -1653,7 +1674,7 @@ def test_closed_form_identity(parts):
     fm = factorize(m)
     assert a >= 1
     assert unitary_sigma(factorize(s)) == (2**a + 1) * unitary_sigma(fm)
-    assert unitary_sigma(fm) % 2 ** omega(fm) == 0
+    assert unitary_sigma(fm) % 2 ** len(fm.entries) == 0
     assert s != 2 * n
 
 

@@ -1,7 +1,7 @@
 """uspkit pins numpy's OpenBLAS pool to one thread before numpy loads,
 unless the caller chose a thread count; it loads no process-pool module,
 its search pool forks from a process of one thread, and a process that may
-run on one CPU forks no pool."""
+run on one CPU, or a platform without os.fork, forks no pool."""
 
 import json
 import os
@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import uspkit
+from uspkit import search
 from uspkit.search import SearchConfig, run_search
 
 SRC = str(pathlib.Path(uspkit.__file__).resolve().parent.parent)
@@ -95,3 +96,24 @@ def test_one_cpu_forks_no_pool():
         "text = search.run_search(search.SearchConfig(limit=12 * 10**5, workers=2)).checkpoint_text\n"
         "print(json.dumps([len(forks), text]))\n"
     ) == [0, serial]
+
+
+def test_no_fork_searches_in_process(monkeypatch):
+    # a platform without os.fork, as Windows, runs a search that asks for
+    # two workers in-process
+    serial = run_search(SearchConfig(limit=12 * 10**5)).checkpoint_text
+    monkeypatch.delattr(search.os, "fork")
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    assert run_search(SearchConfig(limit=12 * 10**5, workers=2)).checkpoint_text == serial
+
+
+def test_no_module_loads_mpmath():
+    # the exponential reference is the stdlib's decimal: uspkit runs where
+    # mpmath is not installed
+    assert _probe(
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "import uspkit, uspkit.cli, uspkit.report, uspkit.bruteforce\n"
+        "uspkit.bruteforce.exp_reference(Fraction(1, 2))\n"
+        "print(json.dumps('mpmath' in sys.modules))\n"
+    ) is False

@@ -29,7 +29,6 @@ from uspkit.structure import (
     check_lemma_51,
     check_usp_structure,
     decompose_2aqb,
-    enumerate_prime_powers_2aqb,
     zsigmondy,
 )
 
@@ -213,37 +212,6 @@ def test_zsigmondy_primitive_prime_congruence():
                 r = zsigmondy(a, b, n)
                 if r.kind is ZsigmondyKind.PRIMITIVE_PRIME and (a * b) % r.prime != 0:
                     assert (r.prime - 1) % n == 0, (a, b, n, r.prime)
-
-
-def test_enumerate_prime_powers_q3():
-    pp = enumerate_prime_powers_2aqb(3, 1, 7, 10**7)
-    values = [p**e for p, e, _, _ in pp]
-    assert {5, 17, 53, 4373} <= set(values)
-
-
-def test_enumerate_prime_powers_q5():
-    pp = enumerate_prime_powers_2aqb(5, 2, 4, 10**7)
-    pairs = {(p, e) for p, e, _, _ in pp}
-    # 9 = 2*5 - 1 and 49 = 2*5^2 - 1 enter as squares
-    assert {(19, 1), (499, 1), (3, 2), (7, 2), (1249, 1)} <= pairs
-
-
-def test_enumerate_prime_powers_q7_a2_has_no_primes():
-    # every 4 * 7^b - 1 is divisible by 3 and exceeds 3, so no entry with
-    # a = 2 is a bare prime
-    pp = enumerate_prime_powers_2aqb(7, 2, 12, 10**9)
-    for b in range(1, 13):
-        assert (4 * 7**b - 1) % 3 == 0
-    assert not [(p, e, a, b) for p, e, a, b in pp if a == 2 and e == 1]
-
-
-def test_enumerate_prime_powers_well_formed():
-    pp = enumerate_prime_powers_2aqb(5, 4, 6, 10**9)
-    values = [p**e for p, e, _, _ in pp]
-    assert values == sorted(values) and len(set(values)) == len(values)
-    for p, e, a, b in pp:
-        assert is_prime(p)
-        assert 2**a * 5**b - 1 == p**e
 
 
 def test_lemma_22_default_range_clean():
