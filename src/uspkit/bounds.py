@@ -35,6 +35,24 @@ REPRODUCTION_TOL = 5e-4
 _TAYLOR_DEGREE = 12
 
 
+def _taylor(a: int, b: int) -> tuple[int, int, int, int]:
+    """The integers behind exp_bounds(a/b), for 0 <= a < b: the degree-12
+    partial sum over the common denominator 12! b^12, its last term, that
+    denominator, and the gap 13b - a of the tail bound.
+
+    Every term a^k / (k! b^k) over 12! b^12 is the integer
+    (12!/k!) a^k b^(12-k); each step's division is exact, and the last term
+    is a^12.  exp(a/b) lies in [partial/den, (partial*gap + term*a)/(den*gap)],
+    the upper end adding the tail bound a^13 / (12! b^12 (13b - a)).
+    """
+    den = term = math.factorial(_TAYLOR_DEGREE) * b**_TAYLOR_DEGREE
+    partial = term
+    for k in range(1, _TAYLOR_DEGREE + 1):
+        term = term * a // (k * b)
+        partial += term
+    return partial, term, den, (_TAYLOR_DEGREE + 1) * b - a
+
+
 def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure of exp(x) for 0 <= x < 1.
 
@@ -46,17 +64,8 @@ def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError(f"argument must satisfy 0 <= x < 1, got {x}")
-    # with x = a/b, every term a^k / (k! b^k) over the common denominator
-    # 12! b^12 is the integer term = (12!/k!) a^k b^(12-k); each step's
-    # division is exact, and the last term is a^12
-    a, b = x.numerator, x.denominator
-    den = term = math.factorial(_TAYLOR_DEGREE) * b**_TAYLOR_DEGREE
-    partial = term
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        term = term * a // (k * b)
-        partial += term
-    # the tail bound a^13 / (12! b^12 (13b - a))
-    gap = (_TAYLOR_DEGREE + 1) * b - a
+    a = x.numerator
+    partial, term, den, gap = _taylor(a, x.denominator)
     return Fraction(partial, den), Fraction(partial * gap + term * a, den * gap)
 
 
@@ -452,13 +461,33 @@ def evaluate_all(*, min_k: int = MIN_K_BOTH_DIVISIBLE) -> list[InequalityRecord]
     return [evaluate_inequality(i, min_k=min_k) for i in INEQUALITY_IDS]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QScanEntry:
+    """One (q, f2) of q_bound_scan and its verdict.
+
+    The verdict was decided by exact integer comparison; the enclosure
+    [lhs_lower, lhs_upper] of ((q^f2 + 1)/q^f2) * exp(q/((q-1)(2q-1))) that
+    decided it is recomputed on demand, so an entry holds no rational.
+    """
+
     q: int
     f2: int
     satisfies: bool
-    lhs_lower: Fraction
-    lhs_upper: Fraction
+
+    def _lhs(self, upper: bool) -> Fraction:
+        q, power = self.q, self.q**self.f2
+        partial, term, den, gap = _taylor(q, (q - 1) * (2 * q - 1))
+        if upper:
+            return Fraction((power + 1) * (partial * gap + term * q), power * den * gap)
+        return Fraction((power + 1) * partial, power * den)
+
+    @property
+    def lhs_lower(self) -> Fraction:
+        return self._lhs(False)
+
+    @property
+    def lhs_upper(self) -> Fraction:
+        return self._lhs(True)
 
     def to_dict(self) -> dict:
         return {
@@ -475,26 +504,32 @@ def q_bound_scan(q_max: int = 100) -> list[QScanEntry]:
 
     The threshold uses the certified ceiling of the constant C, matching how
     the elimination consumes it.  q = 3 has its own dedicated elimination and
-    is out of scope here.
+    is out of scope here.  Each verdict is an exact comparison of integers:
+    the two ends of the enclosure, cross-multiplied with the threshold, so
+    no rational is built per entry; ArithmeticError when the enclosure
+    straddles the threshold.  The entries recompute the enclosure on demand.
     """
     if q_max < 5:
         raise ValueError(f"q_max must be >= 5, got {q_max}")
     threshold = Fraction(16, 9) / mersenne_constant(2).upper
+    t_num, t_den = threshold.numerator, threshold.denominator
     out = []
     for q in primes_up_to(q_max):
         if q < 5:
             continue
-        elo, ehi = exp_bounds(Fraction(q, (q - 1) * (2 * q - 1)))
-        for f2 in (1, 2):
-            ratio = Fraction(q**f2 + 1, q**f2)
-            lo, hi = ratio * elo, ratio * ehi
-            if lo >= threshold:
+        partial, term, den, gap = _taylor(q, (q - 1) * (2 * q - 1))
+        # lhs >= T  iff  (q^f2 + 1) * num * T_den >= q^f2 * den * T_num,
+        # with num/den the lower or the upper end of the exp enclosure
+        lower, upper = partial * t_den, (partial * gap + term * q) * t_den
+        cut_lower, cut_upper = den * t_num, den * gap * t_num
+        for power, f2 in ((q, 1), (q * q, 2)):
+            if (power + 1) * lower >= power * cut_lower:
                 sat = True
-            elif hi < threshold:
+            elif (power + 1) * upper < power * cut_upper:
                 sat = False
             else:
                 raise ArithmeticError(f"enclosure straddles the cutoff at q={q}")
-            out.append(QScanEntry(q, f2, sat, lo, hi))
+            out.append(QScanEntry(q, f2, sat))
     return out
 
 

@@ -4,8 +4,8 @@ Every capability is exposed as a subcommand with stable flags; ``--json``
 switches any subcommand from aligned text to JSON-lines output.  Exit codes:
 0 on success, 2 when a verifier finds a counterexample or a certificate
 fails its ceiling, 1 on usage or I/O errors, 130 when Ctrl-C (SIGINT)
-interrupts it; an interrupted search keeps the checkpoint of the segments
-it merged.
+interrupts it and 143 when SIGTERM does; an interrupted search keeps the
+checkpoint of the segments it merged.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import os
+import signal
 import sys
 
 from . import bounds as bounds_mod
@@ -324,9 +325,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread so that it stops a run the way
+    Ctrl-C does: the search's pool is killed and reaped on the way out."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = None
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # a thread other than the main one sets no handler
+        previous = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -340,13 +354,16 @@ def main(argv=None) -> int:
         # a hit failed exact recomputation or a verifier contract broke
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        # a search's checkpoint holds every segment merged before it; none
-        # is written before the first block's segments merge
+    except (KeyboardInterrupt, _Terminated) as exc:
+        # a search's checkpoint holds every segment merged before it; a
+        # fresh run writes it, with none, before the table build
         cp = getattr(args, "checkpoint", None)
         tail = "; --resume continues from the checkpoint" if cp and os.path.exists(cp) else ""
         print(f"interrupted{tail}", file=sys.stderr)
-        return 130
+        return 130 if isinstance(exc, KeyboardInterrupt) else 143
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def run() -> None:

@@ -24,7 +24,8 @@ that stride; no n is split into its 2-part and odd part.  The scan's
 memory is thus one block, whatever the segment size.  Segments are the
 checkpoint's unit: a segment is merged once every block that starts before
 its end has returned, and a returned block that lets segments merge writes
-the checkpoint once.
+the checkpoint once; a fresh run writes it, with no segment, before the
+table build.
 
 A class applied once (unitary_perfect) is a hit when first = 2n; usp looks
 its second application up (below).
@@ -156,11 +157,11 @@ tends to keep pipe-woken workers on one CPU; the parent stays unpinned.
 Each worker reads pickled tasks from its own pipe and answers on another;
 task i goes to worker i mod P, and the parent reads the results back in
 submission order with at most _IN_FLIGHT tasks per worker outstanding.
-Workers ignore SIGINT and leave through os._exit, and the parent reaps
-every one, killed first when a task, a worker or the merge fails, or an
-interrupt stops it.  The table lives in one shared anonymous map made
-before the pool forks, so the workers fill it in place and then classify
-blocks against it; no table chunk travels between processes.
+Workers ignore SIGINT and SIGTERM and leave through os._exit, and the
+parent reaps every one, killed first when a task, a worker or the merge
+fails, or an interrupt stops it.  The table lives in one shared anonymous
+map made before the pool forks, so the workers fill it in place and then
+classify blocks against it; no table chunk travels between processes.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve or the list that produced it, and
@@ -768,9 +769,11 @@ class _ForkPool:
         if pid == 0:
             status = 1
             try:
-                # a terminal's Ctrl-C reaches the whole process group; only
-                # the parent acts on it, and reaps the workers on its way out
+                # a terminal's Ctrl-C reaches the whole process group, and a
+                # SIGTERM may too; only the parent acts on them, and reaps
+                # the workers on its way out
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
                 # an earlier worker's task pipe held open here would hide
                 # the end of its tasks from it
                 for fd in (task_w, result_r, *(f.fileno() for w in self.workers
@@ -923,6 +926,11 @@ def run_search(config: SearchConfig) -> SearchResult:
     blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
 
     text = None  # the checkpoint text last written
+    if config.checkpoint_path and not config.resume:
+        # a fresh run records its zero segments before the table build, so
+        # that a run stopped anywhere leaves a checkpoint to resume from
+        text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
+        _write_atomic(config.checkpoint_path, text)
     # hits of the returned blocks, and the listed ones, not yet merged
     found = _listed(config.classes, config.parity, todo[0], ends[-1]) if todo else []
     if todo and config.parity != "even" and {"super_perfect", "perfect"} & set(config.classes):
@@ -973,8 +981,8 @@ def run_search(config: SearchConfig) -> SearchResult:
         _STATE = None
 
     if text is None:
-        # no checkpoint file, or no segment merged (max_segments 0, a completed
-        # resume): the last merge has not written the text already
+        # no checkpoint file, or a resume that merged no segment (max_segments
+        # 0, a completed checkpoint): no write has rendered the text already
         text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
         if config.checkpoint_path:
             _write_atomic(config.checkpoint_path, text)

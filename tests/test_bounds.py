@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from uspkit.bounds import (
     CHAIN_INEQUALITY_IDS,
     INEQUALITY_IDS,
     BoundCertificate,
+    QScanEntry,
     Verdict,
     case_13_elimination,
     evaluate_all,
@@ -243,6 +245,35 @@ def test_q_scan_monotone_in_f2():
     for q, sats in by_q.items():
         if not sats[1]:
             assert not sats[2], q
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 101, 7919])
+@pytest.mark.parametrize("f2", [1, 2])
+def test_q_scan_enclosure_is_the_exp_bounds_product(q, f2):
+    # an entry keeps no rational: its enclosure, computed on demand, is the
+    # exact product of the ratio and exp_bounds, and it decides the verdict
+    (entry,) = [e for e in q_bound_scan(q) if (e.q, e.f2) == (q, f2)]
+    ratio = F(q**f2 + 1, q**f2)
+    lower, upper = exp_bounds(F(q, (q - 1) * (2 * q - 1)))
+    assert entry.lhs_lower == ratio * lower
+    assert entry.lhs_upper == ratio * upper
+    threshold = F(16, 9) / mersenne_constant(2).upper
+    assert entry.satisfies == (entry.lhs_lower >= threshold)
+    assert entry.satisfies or entry.lhs_upper < threshold
+
+
+def test_q_scan_retains_no_rationals():
+    # 2,454 entries at q_max = 10^4, once two normalized Fractions of about
+    # 400 bits each (1.2 MiB), now (q, f2, satisfies) in slots
+    tracemalloc.start()
+    try:
+        entries = q_bound_scan(10**4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 2454
+    assert retained < 256 * 1024
+    assert entries[0] == QScanEntry(5, 1, True)
 
 
 def test_q_scan_validation():

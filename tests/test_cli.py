@@ -1,16 +1,22 @@
 import argparse
+import hashlib
 import importlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import uspkit
 from uspkit import search
 from uspkit.cli import build_parser, main
 from uspkit.search import CLASS_ORDER, parse_checkpoint
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = str(pathlib.Path(uspkit.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +168,19 @@ def test_search_cli_text(capsys):
     assert [line.split()[0] for line in out.splitlines()[1:-1]] == ["6", "60", "90"]
 
 
+@pytest.mark.parametrize("flags, lines, digest", [
+    (["--json"], 2454, "9ba688f168879caf4d8adceb1141e78dbf130bb761d29650719e4d3a3c3a996b"),
+    ([], 2455, "573ac9e214ade7bb4442d61765aaa95388106296c3bb8a20c709d59228cdaa26"),
+], ids=["json", "text"])
+def test_qscan_golden_1e4(capsys, flags, lines, digest):
+    # the verdicts are integer comparisons and the printed ceilings are
+    # computed per entry on demand; neither moves a byte of the output
+    code, out, _ = run_cli(capsys, "qscan", "--qmax", "10000", *flags)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_search_cli_json_lines(capsys):
     code, out, _ = run_cli(capsys, "search", "usp", "--limit", "300", "--json")
     assert code == 0
@@ -189,8 +208,10 @@ def test_search_cli_checkpoint_resume(tmp_path, capsys):
 
 def test_interrupted_search_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
     # Ctrl-C during a scan block ends the run with one stderr line and exit
-    # 130; in the second block the checkpoint holds the first block's
-    # segments, and --resume ends with the bytes of an uninterrupted run
+    # 130.  A fresh run writes its checkpoint before the table build, so even
+    # the first block leaves one to resume from; in the second block it holds
+    # the first block's segments, and --resume ends with the bytes of an
+    # uninterrupted run
     cp = tmp_path / "cp.txt"
     argv = ["search", "usp", "--limit", "1000000", "--segment-size", "65536",
             "--checkpoint", str(cp)]
@@ -206,18 +227,57 @@ def test_interrupted_search_exits_130_and_resumes(tmp_path, capsys, monkeypatch)
         return classify(block)
 
     monkeypatch.setattr(search, "_classify_segment", interrupt)
-    for stop, line in ((1, "interrupted\n"),
-                       (2, "interrupted; --resume continues from the checkpoint\n")):
+    for stop in (1, 2):
         blocks.clear()
         try:
             code, _, err = run_cli(capsys, *argv)
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped main")
-        assert (code, err) == (130, line)
-        assert cp.exists() == (stop == 2)
-    _, _, segments = parse_checkpoint(cp.read_text())
-    assert 0 < len(segments) < 16
+        assert (code, err) == (130, "interrupted; --resume continues from the checkpoint\n")
+        _, _, segments = parse_checkpoint(cp.read_text())
+        assert len(segments) == 0 if stop == 1 else 0 < len(segments) < 16
     monkeypatch.undo()
+    code, out, _ = run_cli(capsys, *argv, "--resume")
+    assert code == 0 and "complete" in out
+    assert cp.read_bytes() == whole
+
+
+def test_sigterm_exits_143_and_resumes(tmp_path, capsys):
+    # SIGTERM, here from a worker during the second block of a 2-worker run
+    # in a new interpreter, stops the run as Ctrl-C does: one stderr line,
+    # exit 143 and every worker reaped; the checkpoint parses, and --resume
+    # ends with the bytes of an uninterrupted run
+    cp = tmp_path / "cp.txt"
+    argv = ["search", "usp", "--limit", "1000000", "--segment-size", "65536",
+            "--checkpoint", str(cp)]
+    assert run_cli(capsys, *argv)[0] == 0
+    whole = cp.read_bytes()
+    cp.unlink()
+    second = search._blocks(("usp",), "all", 1, 1000001)[1]
+    probe = (
+        "import os, signal, sys\n"
+        "from uspkit import cli, search\n"
+        "parent, classify = os.getpid(), search._classify_segment\n"
+        "def terminate(block):\n"
+        f"    if os.getpid() != parent and block == {tuple(second)}:\n"
+        "        os.kill(parent, signal.SIGTERM)\n"
+        "    return classify(block)\n"
+        "search._classify_segment = terminate\n"
+        "search.usable_cpus = lambda: [0, 1]\n"
+        f"code = cli.main({argv + ['--workers', '2']!r})\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    print('child left')\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 143
+    assert run.stderr == "interrupted; --resume continues from the checkpoint\n"
+    assert run.stdout.splitlines()[-1] == "no child left"
+    parse_checkpoint(cp.read_text())
     code, out, _ = run_cli(capsys, *argv, "--resume")
     assert code == 0 and "complete" in out
     assert cp.read_bytes() == whole

@@ -725,9 +725,9 @@ def test_killed_worker_fails_the_search(monkeypatch, no_child_left):
     assert time.monotonic() - t0 < 10
 
 
-def test_worker_ignores_sigint(monkeypatch, no_child_left):
-    # a terminal's Ctrl-C reaches the workers too: a worker that receives
-    # SIGINT in a task goes on, and the 2-worker search gives the serial bytes
+def _signal_each_task(monkeypatch, signum):
+    """The checkpoint text of a 2-worker search whose workers send signum to
+    themselves in every lookup, and that of the same search in one process."""
     parent = os.getpid()
     config = SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2)
     serial = run_search(dataclasses.replace(config, workers=1)).checkpoint_text
@@ -735,15 +735,28 @@ def test_worker_ignores_sigint(monkeypatch, no_child_left):
 
     def interrupt(*args):
         if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGINT)
+            os.kill(os.getpid(), signum)
         return lookup(*args)
 
     monkeypatch.setattr(search, "_progression_lookup", interrupt)
     monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    return run_search(config).checkpoint_text, serial
+
+
+def test_worker_ignores_sigint(monkeypatch, no_child_left):
+    # a terminal's Ctrl-C reaches the workers too: a worker that receives
+    # SIGINT in a task goes on, and the 2-worker search gives the serial bytes
     try:
-        text = run_search(config).checkpoint_text
+        text, serial = _signal_each_task(monkeypatch, signal.SIGINT)
     except KeyboardInterrupt:  # raised in a worker and sent to the parent
         pytest.fail("a worker's SIGINT stopped the search")
+    assert text == serial
+
+
+def test_worker_ignores_sigterm(monkeypatch, no_child_left):
+    # a SIGTERM sent to the process group reaches the workers too; only the
+    # parent acts on it, so a worker that receives one goes on
+    text, serial = _signal_each_task(monkeypatch, signal.SIGTERM)
     assert text == serial
 
 
@@ -844,7 +857,8 @@ def test_nothing_to_scan_builds_no_table(monkeypatch, tmp_path):
 
 
 def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
-    # a returned block that merges segments writes the checkpoint once for
+    # a fresh run writes the checkpoint with no segment before the table
+    # build; then a returned block that merges segments writes it once for
     # all of them, however many there are, and a run that merges none (a
     # completed resume, max_segments 0) writes it once in total; each write
     # holds every segment merged so far, the listed perfect n among them
@@ -858,7 +872,8 @@ def test_checkpoint_written_once_per_merging_block(monkeypatch, tmp_path):
     monkeypatch.setattr(search, "_write_atomic",
                         lambda path, text: writes.append(text) or write_atomic(path, text))
     partial = run_search(SearchConfig(max_segments=2, **common))
-    assert writes == [partial.checkpoint_text] == [cp.read_text()]
+    assert writes == [render_checkpoint(limit, size, []), partial.checkpoint_text]
+    assert writes[-1] == cp.read_text()
     writes.clear()
     resumed = run_search(SearchConfig(resume=True, **common))
     # two even blocks of 2**18 n at most from 1 + 2 * size, each ending
