@@ -62,10 +62,21 @@ def primes_up_to(bound: int) -> list[int]:
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_TRIAL_BOUND))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
-#: gcd(n, _SMALL_PRODUCT) is the product of n's distinct primes below 10**4
-_SMALL_PRODUCT = prod(_SMALL_PRIMES)
-#: the same for the 25 primes below 100: 121 bits against 14,277
-_TINY_PRODUCT = prod(takewhile(lambda p: p < 100, _SMALL_PRIMES))
+
+
+def _band(lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
+    """(primes, product, square): the primes in [lo, hi), ascending, their
+    product and hi**2.  gcd(m, product) is the product of m's distinct
+    primes in the band, and an m > 1 with no prime below hi that is smaller
+    than square is prime."""
+    primes = tuple(p for p in _SMALL_PRIMES if lo <= p < hi)
+    return primes, prod(primes), hi * hi
+
+
+#: the primes below 10**4 in three bands of 25, 143 and 1,061 primes, whose
+#: products have 121, 1,259 and 12,898 bits: a value with no prime below 100
+#: or 1000 that is small enough is settled before the larger gcds
+_BANDS = (_band(2, 100), _band(100, 1000), _band(1000, _TRIAL_BOUND))
 
 #: Miller-Rabin verdicts kept, so that a prime that _split or prime_power
 #: has just proved costs one lookup when Factorization or TwoAQB checks it
@@ -142,7 +153,10 @@ class Factorization:
                 raise ValueError(f"primes out of order in {self.entries}")
             if e < 1:
                 raise ValueError(f"zero exponent for prime {p}")
-            if not is_prime(p):
+            # an int below 10**4 is looked up; any other p, a float among
+            # them, goes to is_prime, which refuses what is no natural
+            small = type(p) is int and p < _TRIAL_BOUND
+            if not (p in _SMALL_PRIME_SET if small else is_prime(p)):
                 raise ValueError(f"{p} is not prime")
             prev = p
             prod *= p**e
@@ -193,37 +207,52 @@ def _split(n: int, counts: dict[int, int]) -> None:
     _split(n // d, counts)
 
 
-def _small_primes_of(g: int) -> Iterator[int]:
-    """The primes of g, ascending, for g a product of distinct primes below
-    10**4: trial division until the cofactor is 1 or a prime."""
-    for p in _SMALL_PRIMES:
+def _band_primes_of(g: int, primes: tuple[int, ...]) -> Iterator[int]:
+    """The primes of g, ascending, for g > 1 a product of distinct primes
+    of one band: trial division by the band's primes until the cofactor is
+    a prime, which it is once the next prime's square exceeds it."""
+    for p in primes:
         if p * p > g:
             break
         if g % p == 0:
             g //= p
             yield p
-    if g > 1:
-        yield g
+            if g == 1:
+                return
+    yield g
 
 
 def factorize(n: int) -> Factorization:
     """Canonical Factorization of n >= 1.
 
-    One gcd with the product of the primes below 10**4 finds n's small
-    primes, and only those are divided out; Brent-rho splits any remaining
-    cofactor, each claimed prime confirmed by is_prime.
+    The primes below 10**4 are taken band by band, [2, 100), [100, 1000)
+    and [1000, 10**4): one gcd with a band's product finds n's primes
+    there, and only those are divided out.  Once the cofactor has no prime
+    below a band's upper edge B and is below B**2, it is 1 or a prime and
+    the factorization is complete.  A cofactor of 10**8 or more that no
+    band settles goes to Brent rho, each claimed prime confirmed by
+    is_prime.
     """
     _check_natural(n)
     if n == 0:
         raise ValueError("0 has no factorization")
     counts: dict[int, int] = {}
     m = n
-    for p in _small_primes_of(gcd(n, _SMALL_PRODUCT)):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        counts[p] = e
+    for primes, product, square in _BANDS:
+        g = gcd(m, product)
+        if g > 1:
+            for p in _band_primes_of(g, primes):
+                m //= p
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                counts[p] = e
+        if m < square:
+            # 1 or a prime larger than every prime found, so in order
+            if m > 1:
+                counts[m] = 1
+            return Factorization(tuple(counts.items()), n)
     _split(m, counts)
     return Factorization(tuple(sorted(counts.items())), n)
 
@@ -250,30 +279,30 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(n: int) -> tuple[int, int] | None:
     """(q, b) with n = q**b, q prime and b >= 1, or None if n is no prime power.
 
-    A gcd with the product of the primes below 100 and, only when that is
-    1, one with the product of the primes below 10**4 settle every n with a
-    prime below 10**4: two such primes rule n out, and one must be the whole
-    of n.  Otherwise n below 10**8 is 1 or prime, and a larger n loses
-    perfect k-th powers for prime k, ascending, while (10**4)**k <= n; the
-    remaining base is a prime power only if it is prime, which is_prime
-    decides exactly in range.  Refuses what factorize refuses.
+    One gcd per band of the primes below 10**4, in the order factorize
+    takes them, settles every n with a prime there: two primes in one band
+    rule n out, and one must be the whole of n.  An n with no prime below a
+    band's upper edge B and below B**2 is 1 or prime.  A larger n with no
+    prime below 10**4 loses perfect k-th powers for prime k, ascending,
+    while (10**4)**k <= n; the remaining base is a prime power only if it
+    is prime, which is_prime decides exactly in range.  Refuses what
+    factorize refuses.
     """
     _check_natural(n)
     if n == 0:
         raise ValueError("0 has no factorization")
-    g = gcd(n, _TINY_PRODUCT)
-    if g == 1:
-        g = gcd(n, _SMALL_PRODUCT)
-    if g > 1:
-        if g not in _SMALL_PRIME_SET:
-            return None
-        b = 0
-        while n % g == 0:
-            n //= g
-            b += 1
-        return (g, b) if n == 1 else None
-    if n < _TRIAL_BOUND**2:
-        return (n, 1) if n > 1 else None
+    for _, product, square in _BANDS:
+        g = gcd(n, product)
+        if g > 1:
+            if g not in _SMALL_PRIME_SET:
+                return None
+            b = 0
+            while n % g == 0:
+                n //= g
+                b += 1
+            return (g, b) if n == 1 else None
+        if n < square:
+            return (n, 1) if n > 1 else None
     b = 1
     for k in _ROOT_EXPONENTS:
         if _TRIAL_BOUND**k > n:

@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
 Each function here recomputes a quantity by direct enumeration, with no
-shared logic with the fast paths it is used to check (multiplicative sieves,
-order-based primitive-divisor search, certified exponential bounds).  They
+shared logic with the fast paths it is used to check (band-wise
+factorization, multiplicative sieves, order-based primitive-divisor search,
+certified exponential bounds), and imports nothing from them.  They
 are deliberately simple and are used by the test suite and by the CLI
 ``report`` command.
 """
@@ -15,7 +16,23 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import factorize
+
+def prime_factors_brute(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p**e exactly dividing n >= 1, ascending,
+    by trial division with 2 and the odd d while d * d <= the cofactor."""
+    entries = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            entries.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        entries.append((n, 1))
+    return entries
 
 
 def sigma_brute(n: int) -> int:
@@ -91,7 +108,7 @@ def zsigmondy_brute(a: int, b: int, n: int):
     a**m - b**m with m < n.  Pure divisibility trial, no order computation.
     """
     value = a**n - b**n
-    for r, _ in factorize(value).entries:
+    for r, _ in prime_factors_brute(value):
         if all((a**m - b**m) % r != 0 for m in range(1, n)):
             return r
     return None

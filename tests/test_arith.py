@@ -1,10 +1,13 @@
 import ast
 import random
 import re
-from math import gcd, isqrt
+from itertools import combinations_with_replacement
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uspkit import arith, bruteforce
 from uspkit.arith import (
@@ -70,9 +73,10 @@ def test_failed_primes_up_to_growth_keeps_the_cache(monkeypatch):
     assert divisor_sum_segment(n, n + 2).tolist() == [100004 * 100020]
 
 
-def test_arith_imports_neither_numpy_nor_the_sieve():
-    # the exact-integer layer sits below the numpy sieve, not on it
-    with open(arith.__file__) as fh:
+def _imports(module):
+    """Every module name that module's source imports, relative ones with
+    their leading dots."""
+    with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     imported = set()
     for node in ast.walk(tree):
@@ -82,8 +86,18 @@ def test_arith_imports_neither_numpy_nor_the_sieve():
             imported.add("." * node.level + (node.module or ""))
             if node.level and not node.module:  # from . import sieve
                 imported.update("." + alias.name for alias in node.names)
-    assert not {name for name in imported
+    return imported
+
+
+def test_arith_imports_neither_numpy_nor_the_sieve():
+    # the exact-integer layer sits below the numpy sieve, not on it
+    assert not {name for name in _imports(arith)
                 if name.split(".")[0] == "numpy" or name in (".sieve", "uspkit.sieve")}
+
+
+def test_bruteforce_imports_nothing_from_arith():
+    # the oracles share no logic with the factorization they check
+    assert not _imports(bruteforce) & {".arith", "uspkit.arith", "uspkit"}
 
 
 def test_is_prime_matches_sieve_below_10k():
@@ -179,14 +193,71 @@ def test_prime_power_refuses_what_factorize_refuses(n):
 
 
 def test_factorization_invariants_enforced():
-    with pytest.raises(ValueError):
-        Factorization(((3, 1), (2, 1)), 6)      # out of order
-    with pytest.raises(ValueError):
-        Factorization(((4, 1),), 4)             # not prime
-    with pytest.raises(ValueError):
-        Factorization(((2, 0),), 1)             # zero exponent
-    with pytest.raises(ValueError):
-        Factorization(((2, 1),), 3)             # wrong product
+    # each refusal raises what it raised when every entry went to is_prime
+    for entries, value, error in [
+        (((3, 1), (2, 1)), 6, ValueError),      # out of order
+        (((4, 1),), 4, ValueError),             # not prime
+        (((9991, 1),), 9991, ValueError),       # 97 * 103, below 10**4
+        (((10201, 1),), 10201, ValueError),     # 101**2, past 10**4
+        (((2, 0),), 1, ValueError),             # zero exponent
+        (((2, 1),), 3, ValueError),             # wrong product
+        (((True, 1),), 1, ValueError),          # True == 1: out of order
+        (((2, 1), (3.0, 1)), 6, TypeError),     # a float is no natural
+    ]:
+        with pytest.raises(error):
+            Factorization(entries, value)
+
+
+def _agrees_with_trial_division(n):
+    entries = tuple(bruteforce.prime_factors_brute(n))
+    assert factorize(n).entries == entries, n
+    assert prime_power(n) == (entries[0] if len(entries) == 1 else None), n
+
+
+def test_factorize_matches_trial_division_below_2e5():
+    for n in range(1, 2 * 10**5):
+        _agrees_with_trial_division(n)
+
+
+#: the primes next to each band edge, 100, 1000 and 10**4
+_EDGE_PRIMES = (89, 97, 101, 103, 991, 997, 1009, 1013, 9967, 9973, 10007, 10009)
+
+
+def test_factorize_products_of_edge_primes():
+    # every product of at most four of them, and every power of each
+    values = {prod(c) for k in range(1, 5) for c in combinations_with_replacement(_EDGE_PRIMES, k)}
+    for p in _EDGE_PRIMES:
+        values.update(p**e for e in range(1, 64) if p**e <= MAX_NATURAL)
+    for n in sorted(values):
+        _agrees_with_trial_division(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # one prime on each side of an edge
+        89 * 97, 97 * 101, 101 * 103, 991 * 997, 997 * 1009, 9973 * 10007,
+        # cofactors just below and just above 10**4, 10**6 and 10**8: primes
+        # below the square of their band's edge, and squares and products of
+        # primes of the next band just past it
+        9973, 10007, 101**2, 101 * 107, 999983, 1000003, 1009**2, 1009 * 1013,
+        99999989, 100000007, 10007**2, 10007 * 10009, 99989 * 99991,
+        # the same behind primes of the lower bands
+        2 * 3 * 9973, 97 * 10007, 97**2 * 101**2, 2 * 997 * 999983,
+        3 * 1009 * 1000003, 5 * 101 * 99999989, 7 * 997 * 10007**2,
+        2**20 * 10007 * 10009, 97 * 997 * 9973 * 99989 * 99991,
+    ],
+)
+def test_factorize_at_band_edges(n):
+    _agrees_with_trial_division(n)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(st.integers(1, 10**12 - 1))
+@example(999999999989)       # the largest prime below 10**12
+@example(999983 * 1000003)   # two primes past every band
+def test_factorize_matches_trial_division_below_1e12(n):
+    _agrees_with_trial_division(n)
 
 
 def test_unitary_sigma_examples():

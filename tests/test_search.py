@@ -1410,6 +1410,30 @@ def test_odd_usp_matches_step_2_sieve():
     assert solved == search.odd_usp(1, limit + 1) == [9, 165]
 
 
+def test_odd_usp_by_definition_1e8():
+    # the paper's odd range by sigma*(sigma*(n)) = 2n alone, with neither
+    # factorize, nor odd_usp's equation, nor the cut-off lemma: a table of
+    # sigma*(2i + 1) at i over the odd values <= 10**8 from the sieve, then,
+    # for every odd n with sigma*(n) = 2^a * m' < 2n, the second application
+    # sigma*(2^a) * sigma*(m'), where m' < n lies in the table
+    limit, chunk = 10**8, 1 << 21
+    table = np.empty((limit + 1) // 2, dtype=np.uint32)
+    for lo in range(1, limit + 1, chunk):
+        hi = min(limit + 1, lo + chunk)
+        table[lo // 2 : hi // 2] = divisor_sum_segment(lo, hi)  # lo, hi odd
+    hits = []
+    for lo in range(1, limit + 1, chunk):
+        hi = min(limit + 1, lo + chunk)
+        n = np.arange(lo, hi, 2, dtype=np.int64)
+        first = table[lo // 2 : hi // 2].astype(np.int64)
+        keep = first < 2 * n
+        n, first = n[keep], first[keep]
+        low = first & -first  # 2^a, and sigma*(2^a) = 2^a + 1 for a >= 1
+        second = (low + (low > 1)) * table[(first // low) >> 1]
+        hits += n[second == 2 * n].tolist()
+    assert hits == search.odd_usp(1, limit + 1) == [9, 165]
+
+
 def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
     # no odd n is unitary perfect: the search scans no block and starts no
     # pool, yet writes one empty line per segment
