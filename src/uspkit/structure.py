@@ -114,10 +114,13 @@ def zsigmondy(a: int, b: int, n: int) -> ZsigmondyResult:
 
 
 def _require_bounds(**bounds: int) -> None:
-    """Refuse range bounds below 1: a scan of no instances verifies nothing."""
+    """Refuse range bounds below 1, and prime bounds p_max and q_max below 3:
+    a scan of no instances verifies nothing."""
     for name, value in bounds.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+        if name in ("p_max", "q_max") and value < 3:
+            raise ValueError(f"{name}={value} leaves no odd prime in range")
 
 
 @dataclass(frozen=True)

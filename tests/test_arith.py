@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uspkit import arith, bruteforce
+from uspkit import arith, bruteforce, lists
 from uspkit.arith import (
     MAX_NATURAL,
     Factorization,
@@ -90,9 +90,11 @@ def _imports(module):
 
 
 def test_arith_imports_neither_numpy_nor_the_sieve():
-    # the exact-integer layer sits below the numpy sieve, not on it
-    assert not {name for name in _imports(arith)
-                if name.split(".")[0] == "numpy" or name in (".sieve", "uspkit.sieve")}
+    # the exact-integer layer, and the lists built on it, sit below the
+    # numpy sieve, not on it
+    for module in (arith, lists):
+        assert not {name for name in _imports(module)
+                    if name.split(".")[0] == "numpy" or name in (".sieve", "uspkit.sieve")}
 
 
 def test_bruteforce_imports_nothing_from_arith():

@@ -82,6 +82,12 @@ def test_verify_lemma_refuses_bounds_below_one(capsys):
         code, out, err = run_cli(capsys, "verify-lemma", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "must be >= 1" in err
+    # so does a prime bound that leaves no odd prime in range
+    for argv in (("2.2", "--pmax", "2"), ("2.2", "--pmax", "1"), ("2.3", "--pmax", "1"),
+                 ("2.4", "--pmax", "1"), ("2.7", "--qmax", "1"), ("2.7", "--qmax", "2")):
+        code, out, err = run_cli(capsys, "verify-lemma", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "leaves no odd prime in range" in err
 
 
 def test_verify_lemma_refuses_flags_it_does_not_take(capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uspkit import bruteforce, search, sieve
+from uspkit import bruteforce, lists, search, sieve
 from uspkit.arith import (
     factorize,
     is_prime,
@@ -923,15 +923,15 @@ def test_odd_sigma_factorizes_only_candidates(monkeypatch, brute_tables_4e5):
     # the odd sigma classes read no table: odd_sigma sieves u = sigma(m^2)
     # for the odd m <= sqrt(limit), and factorizes u, in order of m, only
     # where Euler's form leaves m^2 (u = 1 (mod 4), u < 2m^2) or some
-    # p^k * m^2 (5m^2 <= limit, 8m^2 < 5u < 10m^2) as a candidate (module
+    # p^k * m^2 (5m^2 <= limit, 8m^2 < 5u < 10m^2) as a candidate (lists
     # docstring): O(sqrt(limit)) values
     limit = 3 * 10**5
     sig = brute_tables_4e5[0]
     roots = range(1, math.isqrt(limit) + 1, 2)
-    assert search._odd_square_sigmas(roots[-1]).tolist() == [int(sig[m * m]) for m in roots]
+    assert lists._odd_square_sigmas(roots[-1]) == [int(sig[m * m]) for m in roots]
     factorized = []
-    monkeypatch.setattr(search, "factorize", lambda n: factorized.append(n) or factorize(n))
-    assert search.odd_sigma(1, limit + 1) == []
+    monkeypatch.setattr(lists, "factorize", lambda n: factorized.append(n) or factorize(n))
+    assert lists.odd_sigma(1, limit + 1) == []
     expected = []
     for m in roots:
         u, m2 = int(sig[m * m]), m * m
@@ -1365,8 +1365,8 @@ def test_moduli_divide_every_candidate(brute_tables_2e5):
 
 
 def test_power_of_three_only_at_a_1_and_3():
-    # 2^a + 1 has a prime r != 3 for every a >= 2 but 3 (search module
-    # docstring), so odd_usp's default r = 3 serves a = 3 alone
+    # 2^a + 1 has a prime r != 3 for every a >= 2 but 3 (lists docstring),
+    # so odd_usp's default r = 3 serves a = 3 alone
     powers_of_three = {3**k for k in range(1, 260)}
     assert [a for a in range(1, 401) if 2**a + 1 in powers_of_three] == [1, 3]
 
@@ -1523,10 +1523,10 @@ def test_closed_form_needs_prime_power(monkeypatch):
     # is no prime power: the list names q from prime powers only, so 55 is
     # never a candidate, even with that sigma*(55) faked
     assert prime_power(21) is None
-    unitary_sigma_ = search.unitary_sigma
-    monkeypatch.setattr(search, "unitary_sigma",
+    unitary_sigma_ = lists.unitary_sigma
+    monkeypatch.setattr(lists, "unitary_sigma",
                         lambda f: 2**2 * 21 if f.value == 55 else unitary_sigma_(f))
-    assert search.odd_usp(1, 1000) == [9, 165]
+    assert lists.odd_usp(1, 1000) == [9, 165]
 
 
 @pytest.fixture(scope="module")
@@ -1599,10 +1599,19 @@ def test_even_sigma_search_lays_no_block(monkeypatch):
     assert [(h.n, h.classification) for h in perfect] == [h for h in expected if h[1] == "perfect"]
 
 
+def test_even_sigma_tries_only_exponents_below_hi():
+    # hi = 2^64 tries p <= 64 alone, as hi = 2^64 - 1 does: p = 65 would
+    # test 2^65 - 1, past what is_mersenne_prime takes, for an n = 2^64
+    # outside the range
+    hits = lists.even_sigma(1, 2**64)
+    assert hits == lists.even_sigma(1, 2**64 - 1)
+    assert hits[-2:] == [(2**60, "super_perfect"), (2305843008139952128, "perfect")]
+
+
 @pytest.fixture(scope="module")
 def odd_sigma_conditions_2e5(brute_tables_4e5):
     """(n, class) of the odd n <= 2 * 10**5 that meet the necessary conditions
-    of the search docstring, read from the divisor-sweep table: super_perfect
+    of the lists docstring, read from the divisor-sweep table: super_perfect
     for sigma(n) = 1 (mod 4) below 2n, and perfect for sigma(n) = 2 (mod 4)
     with n = p^k * m^2 in Euler's form, 8m^2 < 5 sigma(m^2) < 10m^2 and p^k
     dividing sigma(m^2)."""
@@ -1639,9 +1648,9 @@ def test_odd_sigma_matches_brute_oracle(brute_tables_4e5, brute_sigma_hits_2e5,
     # the necessary conditions, each with the sum it is tested by
     lo, hi = sorted((lo, hi))
     sig = brute_tables_4e5[0]
-    assert search.odd_sigma(lo, hi) == [
+    assert lists.odd_sigma(lo, hi) == [
         h for h in brute_sigma_hits_2e5 if h[0] % 2 and lo <= h[0] < hi]
-    candidates = list(search._odd_sigma_candidates(lo, hi))
+    candidates = list(lists._odd_sigma_candidates(lo, hi))
     assert sorted((n, c) for n, c, _ in candidates) == [
         h for h in odd_sigma_conditions_2e5 if lo <= h[0] < hi]
     for n, c, s in candidates:
@@ -1654,7 +1663,7 @@ def test_odd_sigma_candidates_at_their_bounds():
     # hi passes it; and 13 * 195**2 is none, since 13 divides 195 too: it is
     # 3^2 * 5^2 * 13^3, whose sigma is 0 (mod 4)
     def perfect(lo, hi):
-        return [n for n, c, _ in search._odd_sigma_candidates(lo, hi) if c == "perfect"]
+        return [n for n, c, _ in lists._odd_sigma_candidates(lo, hi) if c == "perfect"]
 
     n = 5 * 1089**2
     assert n in perfect(n, n + 1) and n not in perfect(1, n)

@@ -1,7 +1,8 @@
 """uspkit pins numpy's OpenBLAS pool to one thread before numpy loads,
 unless the caller chose a thread count; it loads no process-pool module,
 its search pool forks from a process of one thread, and a process that may
-run on one CPU, or a platform without os.fork, forks no pool."""
+run on one CPU, or a platform without os.fork, forks no pool.  Its lists run
+without numpy."""
 
 import json
 import os
@@ -16,6 +17,7 @@ from uspkit import search
 from uspkit.search import SearchConfig, run_search
 
 SRC = str(pathlib.Path(uspkit.__file__).resolve().parent.parent)
+STDLIB_PROBE = pathlib.Path(__file__).resolve().parent / "stdlib_probe.py"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -117,3 +119,17 @@ def test_no_module_loads_mpmath():
         "uspkit.bruteforce.exp_reference(Fraction(1, 2))\n"
         "print(json.dumps('mpmath' in sys.modules))\n"
     ) is False
+
+
+def test_lists_run_without_numpy():
+    # uspkit.arith and uspkit.lists need the standard library alone: with
+    # numpy unimportable and uspkit/__init__.py not run, the lists still
+    # give the odd usp n below 2^64 and the even sigma hits, and no other
+    # uspkit module loads
+    assert _probe(STDLIB_PROBE.read_text()) == {
+        "odd_usp": [9, 165],
+        "even_sigma": [[2, "super_perfect"], [4, "super_perfect"], [6, "perfect"],
+                       [16, "super_perfect"], [28, "perfect"], [64, "super_perfect"],
+                       [496, "perfect"], [4096, "super_perfect"], [8128, "perfect"]],
+        "modules": ["uspkit", "uspkit.arith", "uspkit.lists"],
+    }

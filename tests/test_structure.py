@@ -319,6 +319,12 @@ def test_lemma_checks_refuse_bounds_below_one():
         for name, bad in itertools.product(bounds, (0, -1)):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 check(*args, **{name: bad})
+    # a prime bound below 3 leaves no odd prime to scan
+    for check, name in ((check_lemma_22, "p_max"), (check_lemma_23, "p_max"),
+                        (check_lemma_24, "p_max"), (check_lemma_27, "q_max")):
+        for bad in (1, 2):
+            with pytest.raises(ValueError, match=f"^{name}={bad} leaves no odd prime in range$"):
+                check(**{name: bad})
 
 
 def test_lemma_report_json_line():
