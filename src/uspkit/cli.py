@@ -293,7 +293,15 @@ def build_parser() -> _Parser:
 
     add("case13", _cmd_case13, help="verified elimination chain for q = 13")
 
-    p = add("search", _cmd_search, help="exhaustive perfect-variant search")
+    p = add("search", _cmd_search, help="exhaustive perfect-variant search",
+            description="Search the n up to LIMIT for one class.  The usp and "
+                        "unitary-perfect searches scan the even n against a lookup "
+                        "table of sigma*, which serves the n up to about 1.07 x 10^9 "
+                        "(1 GiB at most).  Past it, each second application whose odd "
+                        "part the table lacks is one exact factorization, about 10-11 "
+                        "microseconds each at 2 x 10^9 to 10^10.  With the table capped "
+                        "at 1024 entries, the usp search up to 10^7 makes 288,456 of "
+                        "them and takes about 1.8 s in one process, against 0.08 s.")
     p.add_argument("klass", metavar="class",
                    choices=sorted(c.replace("_", "-") for c in CLASS_ORDER),
                    help="the class to search for: %(choices)s")

@@ -16,8 +16,13 @@ one divisor sum, sigma*.
 A block is classified in slices of _SCAN_BLOCK n.  Every slice takes the
 first application sigma*(n) by one rule: from the search's lookup table
 when the table holds every odd part of the slice, otherwise from the
-divisor-sum sieve of the enclosing block, run at most once per block and
-taken to int64 before any product.  The table serves a slice one 2-adic
+divisor-sum sieve of the enclosing block, run at most once per block.  A
+slice's arrays (its n, first applications and 2n, and the prefilter's
+views of them) take the sieve's dtype for the block's hi, sieve.sum_dtype:
+uint32 for a block that ends at or below 2^29, where every sigma*(n) is
+below 2^32 (the bound is proved in the sieve docstring), and int64 past
+it.  Only the prefilter's survivors are widened to int64, before the
+second lookup, whose products pass 2^32.  The table serves a slice one 2-adic
 class at a time: the n with v2(n) = a recur every 2^a values of the slice
 and their odd parts are consecutive odd values, so their sums are one
 contiguous run of the table times the 2-part's factor (below), written at
@@ -26,7 +31,7 @@ memory is thus one block, whatever the segment size.  Segments are the
 checkpoint's unit: a segment is merged once every block that starts before
 its end has returned, and a returned block that lets segments merge writes
 the checkpoint once; a fresh run writes it, with no segment, before the
-table build.
+pool forks.
 
 A class applied once (unitary_perfect) is a hit when first = 2n.  The usp
 scan looks its second application up.  A flat uint32 table of
@@ -70,8 +75,16 @@ submission order with at most _IN_FLIGHT tasks per worker outstanding.
 Workers ignore SIGINT and SIGTERM and leave through os._exit, and the
 parent reaps every one, killed first when a task, a worker or the merge
 fails, or an interrupt stops it.  The table lives in one shared anonymous
-map made before the pool forks, so the workers fill it in place and then
-classify blocks against it; no table chunk travels between processes.
+map made before the pool forks, so the workers sieve each chunk straight
+into its slice and then classify blocks against it; no table chunk
+travels between processes.  A run goes in this order: the fresh run's
+checkpoint; the fork, and the table chunks sent (the first _IN_FLIGHT per
+worker at once); the listed hits, computed by the parent while the
+workers sieve; the wait for the table's results; the blocks, merged as
+they return; the task pipes closed once the last block is sent, so that
+each worker exits while the parent merges the last blocks; and the
+workers reaped.  In one process the same steps run in turn, the table
+after the listing.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve or the list that produced it, and
@@ -99,7 +112,7 @@ import numpy as np
 
 from .arith import Factorization, factorize, sigma_from_factorization, unitary_sigma
 from .lists import even_sigma, odd_sigma, odd_usp
-from .sieve import divisor_sum_segment
+from .sieve import divisor_sum_segment, sum_dtype
 from .structure import UspStructureVerdict, check_usp_structure
 
 
@@ -256,18 +269,23 @@ _TABLE_CHUNK = 1 << 18
 def _fill_chunk(i: int) -> None:
     table = _STATE["table"]
     end = min(i + _TABLE_CHUNK, table.shape[0])
-    lo, hi = 2 * i + 1, 2 * end
     # every chunk ends at or below 2 * _TABLE_ENTRIES = 2^29, where the
-    # sieve's sums are uint32 and exact (sieve docstring)
-    table[i:end] = divisor_sum_segment(lo, hi)
+    # sieve's sums are uint32 and exact (sieve docstring), so the sieve
+    # writes them straight into the chunk's slice of the table
+    divisor_sum_segment(2 * i + 1, 2 * end, out=table[i:end])
 
 
-def _build_table(omap=map) -> np.ndarray:
-    """Fill the state's table with sigma*(2i + 1) at index i, one task per
-    _TABLE_CHUNK entries run through omap, and return it."""
+def _build_table(filling=None) -> np.ndarray:
+    """Return the state's table, with sigma*(2i + 1) at index i, once every
+    task of filling has returned: filling is an ordered map of _fill_chunk
+    over the chunk starts 0, _TABLE_CHUNK, ..., and without it the chunks
+    are filled here, one after another."""
     table = _STATE["table"]
+    if filling is None:
+        filling = map(_fill_chunk, range(0, table.shape[0], _TABLE_CHUNK))
     # draining the map runs (builtin map) or awaits (pool) every task
-    list(omap(_fill_chunk, range(0, table.shape[0], _TABLE_CHUNK)))
+    for _ in filling:
+        pass
     return table
 
 
@@ -310,16 +328,20 @@ def _lookup(table: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table.take(idx, mode="clip") * factor, idx < table.shape[0]
 
 
-def _progression_lookup(table: np.ndarray, s: int, count: int) -> np.ndarray | None:
+def _progression_lookup(
+    table: np.ndarray, s: int, count: int, dtype=np.int64
+) -> np.ndarray | None:
     """sigma* of the count values n = s, s + 2, ... served by the odd-part
-    table, or None when the table lacks the odd part of one of them.
+    table, as an array of dtype, or None when the table lacks the odd part
+    of one of them.
 
     The n with v2(n) = a recur every 2^a values, and their odd parts are
     consecutive odd values: one contiguous run of the table, times the
-    2-part's factor.
+    2-part's factor.  uint32 holds the sums only when every n is below 2^29
+    (sieve.sum_dtype); int64 holds them for any slice.
     """
     top = s + 2 * (count - 1)
-    sums = np.empty(count, dtype=np.int64)
+    sums = np.empty(count, dtype=dtype)
     for a in range(top.bit_length()):  # 2^a <= top
         low = 1 << a
         offset = (low - s) % (2 * low)  # from s to its first n = 2^a (mod 2^(a+1))
@@ -330,8 +352,9 @@ def _progression_lookup(table: np.ndarray, s: int, count: int) -> np.ndarray | N
         j0 = (s + 2 * i0) >> (a + 1)  # the table index of its odd part
         if j0 + run > table.shape[0]:
             return None
-        # the int64 factor keeps the product out of uint32
-        factor = np.int64(_two_part_factor(low))
+        # the factor in the sums' dtype: an int64 one keeps the product out
+        # of uint32
+        factor = sums.dtype.type(_two_part_factor(low))
         np.multiply(table[j0 : j0 + run], factor, out=sums[i0::low])
     return sums
 
@@ -386,20 +409,22 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
     lo, hi = block
     variants = [v for v in VARIANTS if v.unitary and v.name in _STATE["classes"]]
     table = _STATE["table"]
+    # the slices' n, first applications and 2n in the dtype of the block's
+    # sieve: uint32 up to 2^29, where they stay below 2^32 (module docstring)
+    dtype = sum_dtype(hi)
     hits: list[tuple[int, str]] = []
     # the block's sigma*, sieved at most once and only when a slice needs a
     # first application the table lacks
     sieved = None
     for s in range(lo, hi, 2 * _SCAN_BLOCK):
-        n = np.arange(s, min(hi, s + 2 * _SCAN_BLOCK), 2, dtype=np.int64)
+        n = np.arange(s, min(hi, s + 2 * _SCAN_BLOCK), 2, dtype=dtype)
         count = n.shape[0]
-        first = _progression_lookup(table, s, count)
+        first = _progression_lookup(table, s, count, dtype)
         if first is None:
             if sieved is None:
                 sieved = divisor_sum_segment(lo, hi)
             i = (s - lo) // 2
-            # int64 before any product
-            first = sieved[i : i + count].astype(np.int64, copy=False)
+            first = sieved[i : i + count]
         for variant in variants:
             if variant.applications == 1:
                 good = n[first == 2 * n]
@@ -410,7 +435,10 @@ def _classify_segment(block: _Block) -> list[tuple[int, str]]:
                 idx = _prefilter(first, s)
                 mm, nn = first[idx], n[idx]
                 keep = mm < 2 * nn
-                mm, nn = mm[keep], nn[keep]
+                # only the survivors are widened, before any product: a
+                # second application may pass 2^32
+                mm = mm[keep].astype(np.int64, copy=False)
+                nn = nn[keep].astype(np.int64, copy=False)
                 second, inside = _lookup(table, mm)
                 for j in np.flatnonzero(~inside):
                     second[j] = _exact_divisor_sum(int(mm[j]))
@@ -637,18 +665,35 @@ class _ForkPool:
             raise exc from RuntimeError(f"in search worker {worker.pid}:\n{trace}")
         return value
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, last: bool = False):
+        """Send the first _IN_FLIGHT tasks per worker at once, and return an
+        iterator of the results in submission order, which sends a further
+        task after each result it yields.  With last, the end of the tasks
+        closes every task pipe: the pool takes no further map, and each
+        worker exits once it has answered its tasks."""
         workers, p = self.workers, len(self.workers)
-        sent = got = 0
-        for args in zip(*iterables):
-            self._send(workers[sent % p], (fn, args))
-            sent += 1
-            if sent - got == _IN_FLIGHT * p:
+        tasks = zip(*iterables)
+        sent = 0
+
+        def feed(upto: int) -> None:
+            # send tasks until upto are sent or none is left
+            nonlocal sent
+            for args in islice(tasks, upto - sent):
+                self._send(workers[sent % p], (fn, args))
+                sent += 1
+            if sent < upto and last:
+                for worker in workers:
+                    worker.tasks.close()
+
+        def results():
+            got = 0
+            while got < sent:
                 yield self._receive(workers[got % p])
                 got += 1
-        while got < sent:
-            yield self._receive(workers[got % p])
-            got += 1
+                feed(got + _IN_FLIGHT * p)
+
+        feed(_IN_FLIGHT * p)
+        return results()
 
     def close(self, kill: bool) -> None:
         """Close every pipe and reap every worker, killed first if kill."""
@@ -662,20 +707,27 @@ class _ForkPool:
             self._reap(worker.pid)
 
 
+def _serial_map(fn, *iterables, last: bool = False):
+    """The builtin map, which runs each task when its result is taken; last
+    has no pipe to close."""
+    return map(fn, *iterables)
+
+
 @contextmanager
 def _ordered_map(processes: int):
-    """map, or the map of a pool of forked workers; both yield results in
-    submission order.
+    """map(fn, *iterables, last=False) in this process, or that of a pool of
+    forked workers; both yield results in submission order.
 
-    The pool's map keeps at most _IN_FLIGHT tasks per process sent and not
-    yet yielded, so the parent holds a few blocks' worth of tasks, whatever
-    the run's length.  A task's exception is raised in the parent, and so is
-    a RuntimeError for a worker that dies.  Every worker is reaped on the way
-    out, killed first when the map or its caller raised.  A platform without
-    os.fork runs the builtin map, as one process does.
+    The pool's map sends its first tasks when it is called and keeps at most
+    _IN_FLIGHT tasks per process sent and not yet yielded, so the parent
+    holds a few blocks' worth of tasks, whatever the run's length.  A task's
+    exception is raised in the parent, and so is a RuntimeError for a worker
+    that dies.  Every worker is reaped on the way out, killed first when the
+    map or its caller raised.  A platform without os.fork runs the builtin
+    map, as one process does.
     """
     if processes <= 1 or not hasattr(os, "fork"):
-        yield map
+        yield _serial_map
         return
     pool = _ForkPool(processes)
     try:
@@ -744,14 +796,11 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     text = None  # the checkpoint text last written
     if config.checkpoint_path and not config.resume:
-        # a fresh run records its zero segments before the table build, so
+        # a fresh run records its zero segments before the pool forks, so
         # that a run stopped anywhere leaves a checkpoint to resume from
         text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
         _write_atomic(config.checkpoint_path, text)
-    # hits of the returned blocks, and the listed ones, not yet merged
-    found = _listed(config.classes, config.parity, todo[0], ends[-1]) if todo else []
-    if todo and config.parity != "even" and {"super_perfect", "perfect"} & set(config.classes):
-        found += [hit for hit in odd_sigma(todo[0], ends[-1]) if hit[1] in config.classes]
+    found: list[tuple[int, str]] = []  # hits listed or scanned, not yet merged
     merged = 0  # segments of todo merged
 
     def merge_before(bound: int) -> None:
@@ -785,12 +834,21 @@ def run_search(config: SearchConfig) -> SearchResult:
                                      buffer=mmap.mmap(-1, 4 * entries))
     try:
         with _ordered_map(min(config.workers, len(usable_cpus()), tasks)) as omap:
+            # a pool's workers start on the table chunks while this process
+            # lists the hits that need no scan
+            filling = omap(_fill_chunk, range(0, entries, _TABLE_CHUNK))
+            if todo:
+                found = _listed(config.classes, config.parity, todo[0], ends[-1])
+                if config.parity != "even" and {"super_perfect", "perfect"} & set(config.classes):
+                    found += [hit for hit in odd_sigma(todo[0], ends[-1])
+                              if hit[1] in config.classes]
             if entries:
-                _build_table(omap)
+                _build_table(filling)
             # after a block, the next one's first n bounds the segments done;
-            # after the last, every segment is
+            # after the last, every segment is.  The last block sent closes
+            # the task pipes, so the workers exit during the last merges
             bounds = [block.lo for block in blocks[1:]] + [config.limit + 1]
-            for block_hits, bound in zip(omap(_classify_segment, blocks), bounds):
+            for block_hits, bound in zip(omap(_classify_segment, blocks, last=True), bounds):
                 found.extend(block_hits)
                 merge_before(bound)
             merge_before(config.limit + 1)  # every segment, when there is no block

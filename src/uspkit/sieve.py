@@ -29,7 +29,8 @@ exact below 2^29: a value n < 2^29 has at most 9 distinct primes, since
 product of factors no larger than their final values: the factor p^k + 1
 for a p^k dividing n is at most p^e + 1 for the p^e exactly dividing n,
 and a swap divides before it multiplies.  Every lookup-table chunk of the
-search lies below 2^29, so the table build runs narrow; int64 holds every
+search lies below 2^29, so the table build runs narrow, and the search's
+scan takes sum_dtype of a block's hi for its own arrays; int64 holds every
 sum up to MAX_SIEVE_VALUE.
 The base primes come from ``arith.primes_up_to``, the one prime sieve.
 """
@@ -54,9 +55,18 @@ def base_primes(bound: int) -> np.ndarray:
     return np.array(primes_up_to(bound), dtype=np.int64)
 
 
-def _divisor_sum_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """sigma*(n) for the values n = lo, lo + 2, ... < hi."""
-    dtype = np.uint32 if hi <= _UINT32_HI else np.int64
+def sum_dtype(hi: int) -> type:
+    """The dtype that holds sigma* of every n < hi exactly: uint32 when hi <=
+    2^29 (module docstring), int64 otherwise."""
+    return np.uint32 if hi <= _UINT32_HI else np.int64
+
+
+def _divisor_sum_segment(
+    lo: int, hi: int, primes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """sigma*(n) for the values n = lo, lo + 2, ... < hi, written into out
+    when given."""
+    dtype = sum_dtype(hi)
     rest = np.arange(lo, hi, 2, dtype=dtype)
     count = rest.shape[0]
     top = lo + 2 * (count - 1)
@@ -67,7 +77,8 @@ def _divisor_sum_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
         low = -rest
         low &= rest
         rest //= low
-    sig = np.ones(count, dtype=dtype)
+    sig = np.empty(count, dtype=dtype) if out is None else out
+    sig.fill(1)
     for p in primes.tolist():
         if p * p > top:
             break
@@ -108,10 +119,19 @@ def _check_span(lo: int, hi: int) -> None:
         raise ValueError(f"hi={hi} exceeds the sieve's overflow-safe range")
 
 
-def divisor_sum_segment(lo: int, hi: int) -> np.ndarray:
+def divisor_sum_segment(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """sigma*(n) for n = lo, lo + 2, ... < hi, the values of lo's parity.
 
-    Returns a uint32 array when hi <= 2^29 and an int64 one otherwise.
+    Returns an array of sum_dtype(hi): uint32 when hi <= 2^29 and int64
+    otherwise.  Given out, an array of that dtype with one entry per value,
+    the sums are sieved in it in place and out is returned.
     """
     _check_span(lo, hi)
-    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)))
+    if out is not None:
+        count = len(range(lo, hi, 2))
+        if out.shape != (count,) or out.dtype != sum_dtype(hi):
+            raise ValueError(
+                f"out must hold {count} values of {np.dtype(sum_dtype(hi))}, "
+                f"got shape {out.shape} of {out.dtype}"
+            )
+    return _divisor_sum_segment(lo, hi, base_primes(isqrt(hi - 1)), out)

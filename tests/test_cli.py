@@ -248,6 +248,24 @@ def test_interrupted_search_exits_130_and_resumes(tmp_path, capsys, monkeypatch)
     assert cp.read_bytes() == whole
 
 
+def test_interrupt_while_the_workers_fill_the_table(tmp_path, capsys, monkeypatch):
+    # Ctrl-C while the parent lists and a 2-worker pool fills the table: one
+    # stderr line, exit 130, the fresh checkpoint left to resume from, and
+    # no child left, running or unreaped
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "_listed", interrupt)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    cp = tmp_path / "cp.txt"
+    code, _, err = run_cli(capsys, "search", "usp", "--limit", "1200000", "--workers", "2",
+                           "--checkpoint", str(cp))
+    assert (code, err) == (130, "interrupted; --resume continues from the checkpoint\n")
+    assert parse_checkpoint(cp.read_text())[2] == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sigterm_exits_143_and_resumes(tmp_path, capsys):
     # SIGTERM, here from a worker during the second block of a 2-worker run
     # in a new interpreter, stops the run as Ctrl-C does: one stderr line,

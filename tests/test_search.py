@@ -64,9 +64,9 @@ def sieve_spans(monkeypatch):
     spans = []
     kernel = sieve._divisor_sum_segment
 
-    def recorded(lo, hi, primes):
+    def recorded(lo, hi, primes, out=None):
         spans.append((lo, hi))
-        return kernel(lo, hi, primes)
+        return kernel(lo, hi, primes, out)
 
     monkeypatch.setattr(sieve, "_divisor_sum_segment", recorded)
     return spans
@@ -284,6 +284,29 @@ def test_segment_split_invariance():
             [divisor_sum_segment(lo, min(20001, lo + 1024)) for lo in range(start, 20001, 1024)]
         )
         assert (whole == parts).all()
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 20001), (2, 20001), (2**29 - 4001, 2**29),
+                                    (2**29 - 4000, 2**29 + 1)])
+def test_divisor_sum_segment_into_out(lo, hi):
+    # from an odd and an even lo, on either side of the uint32 switch, the
+    # sums sieved into a given array are those of the allocating call, and
+    # that array is returned; its old contents do not leak into the sums
+    expected = divisor_sum_segment(lo, hi)
+    out = np.full(expected.shape, 7, dtype=sieve.sum_dtype(hi))
+    assert divisor_sum_segment(lo, hi, out=out) is out
+    assert out.dtype == expected.dtype and (out == expected).all()
+
+
+def test_divisor_sum_segment_refuses_a_wrong_out():
+    # out must hold one entry per value, of the dtype the sums take at hi
+    count = len(range(1, 20001, 2))
+    for bad in (np.zeros(count - 1, dtype=np.uint32), np.zeros(count + 1, dtype=np.uint32),
+                np.zeros(count, dtype=np.int64), np.zeros((count, 1), dtype=np.uint32)):
+        with pytest.raises(ValueError, match="out must hold 10000 values of uint32"):
+            divisor_sum_segment(1, 20001, out=bad)
+    with pytest.raises(ValueError, match="of int64"):
+        divisor_sum_segment(2**29 - 1, 2**29 + 1, out=np.zeros(1, dtype=np.uint32))
 
 
 def test_find_usp_first_hits():
@@ -574,8 +597,8 @@ def built_tables(monkeypatch):
     built = []
     build_table = search._build_table
 
-    def recorded(omap=map):
-        table = build_table(omap)
+    def recorded(filling=None):
+        table = build_table(filling)
         assert table is search._STATE["table"]
         built.append((table.shape[0], table.nbytes))
         return table
@@ -661,8 +684,8 @@ class _InFlight:
             self.peak = max(self.peak, self.open)
             yield task
 
-    def __call__(self, fn, tasks):
-        for result in self.omap(fn, self._take(tasks)):
+    def __call__(self, fn, tasks, **kwargs):
+        for result in self.omap(fn, self._take(tasks), **kwargs):
             self.open -= 1
             yield result
 
@@ -696,7 +719,7 @@ def test_worker_error_reaches_the_parent(monkeypatch, no_child_left):
     # run_search, and every worker is reaped
     parent = os.getpid()
 
-    def broken(lo, hi):
+    def broken(lo, hi, out=None):
         raise ValueError(f"sieve failed in process {os.getpid()}")
 
     monkeypatch.setattr(search, "divisor_sum_segment", broken)
@@ -795,6 +818,66 @@ def test_caller_error_kills_busy_workers(no_child_left):
     assert time.monotonic() - t0 < 10
 
 
+def test_last_map_closes_the_task_pipes(no_child_left):
+    # a pool's map sends its first tasks when it is called; the last map's
+    # end closes every task pipe, so the workers exit once they have
+    # answered, before the parent takes their last results
+    with search._ordered_map(2) as omap:
+        assert list(omap(abs, [-1, -2])) == [1, 2]
+        results = omap(abs, [-3, -4, -5], last=True)
+        # the three tasks fit in the window: all are sent, and the pipes
+        # closed; each worker exits, and stays unreaped for the pool
+        pids = {worker.pid for worker in omap.__self__.workers}
+        deadline = time.monotonic() + 10
+        while pids and time.monotonic() < deadline:
+            pids = {pid for pid in pids
+                    if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None}
+            time.sleep(0.01)
+        assert not pids
+        assert list(results) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("error", [_MergeError, KeyboardInterrupt])
+def test_listing_error_with_table_tasks_in_flight(monkeypatch, no_child_left, error):
+    # the parent lists the hits that need no scan after the pool has forked
+    # and every table chunk is sent: an error or an interrupt there kills
+    # and reaps the workers
+    sent = []
+    send = search._ForkPool._send
+
+    def recorded_send(pool, worker, task):
+        sent.append(task[0].__name__)
+        return send(pool, worker, task)
+
+    def refuse(*args):
+        assert sent == ["_fill_chunk"] * 2  # the table's two chunks, and no block
+        raise error
+
+    monkeypatch.setattr(search._ForkPool, "_send", recorded_send)
+    monkeypatch.setattr(search, "_listed", refuse)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    with pytest.raises(error):
+        run_search(SearchConfig(limit=12 * 10**5, classes=CLASS_ORDER, workers=2))
+    assert sent
+
+
+def test_fresh_checkpoint_written_before_the_fork(monkeypatch, tmp_path, no_child_left):
+    # a fresh run's checkpoint, with no segment, is on disk before the pool
+    # forks, so that an interrupt at any later point leaves one to resume
+    cp = tmp_path / "cp.txt"
+    seen, fork = [], search.os.fork
+
+    def recorded_fork():
+        if not seen:
+            seen.append(parse_checkpoint(cp.read_text())[2])
+        return fork()
+
+    monkeypatch.setattr(search.os, "fork", recorded_fork)
+    monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
+    run_search(SearchConfig(limit=12 * 10**5, workers=2, checkpoint_path=str(cp)))
+    assert seen == [[]]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(search.usable_cpus()) < 2,
                     reason="needs sched_setaffinity and two usable CPUs")
 def test_workers_keep_to_distinct_cpus(monkeypatch, tmp_path, no_child_left):
@@ -804,11 +887,11 @@ def test_workers_keep_to_distinct_cpus(monkeypatch, tmp_path, no_child_left):
     log = tmp_path / "cpus.txt"
     segment = search.divisor_sum_segment
 
-    def record(lo, hi):
+    def record(lo, hi, out=None):
         if os.getpid() != parent:
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
-        return segment(lo, hi)
+        return segment(lo, hi, out)
 
     monkeypatch.setattr(search, "divisor_sum_segment", record)
     run_search(SearchConfig(limit=12 * 10**5, workers=2))
@@ -906,8 +989,8 @@ def test_table_overflow_refused(monkeypatch, workers):
     assert search._table_size(1 << 21) == 2 * search._TABLE_CHUNK
     chunks = []
 
-    def recorded(lo, hi):
-        seg = divisor_sum_segment(lo, hi)
+    def recorded(lo, hi, out=None):
+        seg = divisor_sum_segment(lo, hi, out)
         chunks.append((lo, seg.dtype))
         return seg
 
@@ -1111,6 +1194,67 @@ def test_narrow_fallback_block_products_past_uint32(monkeypatch, sieve_spans):
     assert [int(x) for second, inside in held for x in second[~inside]] == shifted
 
 
+def _int64_block_reference(block):
+    """(hits, first applications of the usp survivors) of a block, all in
+    int64 from the block's sieve and exact factorization: the n with
+    sigma*(n) = 2n, and the n whose first application is below 2n with a
+    2-part factor dividing n and a second application equal to 2n."""
+    n = np.arange(block.lo, block.hi, 2, dtype=np.int64)
+    first = divisor_sum_segment(block.lo, block.hi).astype(np.int64)
+    survive = (n % search._split(first)[1] == 0) & (first < 2 * n)
+    second = np.array(_exact_sums(first[survive].tolist()), dtype=np.int64)
+    usp = n[survive][second == 2 * n[survive]]
+    hits = [(int(x), "unitary_perfect") for x in n[first == 2 * n]]
+    return sorted(hits + [(int(x), "usp") for x in usp]), sorted(first[survive].tolist())
+
+
+@pytest.mark.parametrize("lo, hi, dtype", [
+    (2**29 - 2**17, 2**29, np.uint32),  # ends at 2**29: narrow
+    (2**29 - 2**17 + 2, 2**29 + 2, np.int64),  # holds n = 2**29: wide
+    (2**29, 2**29 + 2**17, np.int64),  # starts at 2**29: wide
+], ids=["ends-at-2^29", "holds-2^29", "starts-at-2^29"])
+def test_narrow_scan_matches_int64_reference(monkeypatch, lo, hi, dtype):
+    # a block up to 2**29 scans in uint32 and one past it in int64, taken
+    # from the block's hi as the sieve takes its dtype; against the true
+    # table of the first 2**20 odd values, with all four classes, both give
+    # the hits and the int64 survivors of an all-int64 reference
+    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
+                                           "table": np.zeros(1 << 20, dtype=np.uint32)})
+    search._build_table()
+    firsts, survivors = [], []
+    prefilter, lookup = search._prefilter, search._lookup
+
+    def recorded_prefilter(first, s):
+        firsts.append(first.dtype)
+        return prefilter(first, s)
+
+    def recorded_lookup(table, m):
+        survivors.append(m)
+        return lookup(table, m)
+
+    monkeypatch.setattr(search, "_prefilter", recorded_prefilter)
+    monkeypatch.setattr(search, "_lookup", recorded_lookup)
+    block = search._Block(lo, hi)
+    hits, first = _int64_block_reference(block)
+    assert sorted(search._classify_segment(block)) == hits
+    assert firsts and set(firsts) == {np.dtype(dtype)}
+    assert all(m.dtype == np.int64 for m in survivors)
+    assert sorted(np.concatenate(survivors).tolist()) == first
+
+
+@pytest.mark.parametrize("s, count", [(1, 8), (2, 3 * search._SCAN_BLOCK), (99_003, 500),
+                                      (199_000, 500)])
+def test_narrow_progression_lookup_matches_int64(brute_tables_1e5, s, count):
+    # the uint32 first applications of a slice below 2**29 are the int64
+    # ones, and both refuse the same slices
+    table = brute_tables_1e5[1][1::2].astype(np.uint32)
+    wide = search._progression_lookup(table, s, count)
+    narrow = search._progression_lookup(table, s, count, np.uint32)
+    assert (narrow is None) == (wide is None)
+    if wide is not None:
+        assert narrow.dtype == np.uint32 and (narrow == wide).all()
+
+
 def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
     # the in-table block of the 2**18 even n up to 2**19, all four classes: a
     # slice holds n, its one first application and 2n as int64 arrays of
@@ -1272,9 +1416,9 @@ def test_each_block_reads_one_divisor_sum(monkeypatch, sieve_spans, parity):
     classify = search._classify_segment
     progression_lookup = search._progression_lookup
 
-    def recorded_progression_lookup(table, s, count):
+    def recorded_progression_lookup(table, s, count, dtype):
         slices.append((s, count))
-        return progression_lookup(table, s, count)
+        return progression_lookup(table, s, count, dtype)
 
     monkeypatch.setattr(search, "_classify_segment",
                         lambda block: blocks.append(block) or classify(block))
