@@ -1,8 +1,8 @@
-"""The hits that a search lists instead of scanning, each from its defining
-equation: the odd usp n (odd_usp), the even perfect and super perfect n
-(even_sigma) and the odd ones (odd_sigma), in a range [lo, hi), increasing.
-This module imports math and .arith alone, so it runs on the standard
-library; the proofs that make each list exact follow.
+"""The hits that a search lists instead of scanning (listed), each from its
+defining equation, in a range [lo, hi), increasing: the odd usp n (odd_usp)
+and the even perfect and super perfect n (even_sigma); odd_sigma lists the
+odd ones for a certificate (below).  This module imports math and .arith
+alone, so it runs on the standard library; the proofs follow.
 
 Take odd n > 1 and write sigma*(n) = 2^a * m' with m' odd.  Every factor
 p^e + 1 of sigma*(n) is even, so a >= 1, and by multiplicativity
@@ -90,8 +90,8 @@ range with u = 1 (mod 4) and u < 2m^2, or when 5m^2 <= top and 8m^2 < 5u <
 m^2 is perfect exactly when sigma(p^k) * u = 2 * p^k * m^2, for each p^k
 (k <= v_p(u)) with p = k = 1 (mod 4) and p not dividing m.  These are the
 defining equations, so the list is exact; it factorizes O(sqrt(limit))
-values, and a search of the sigma classes over the odd n merges its hits
-like the other lists.
+values.  It is empty up to search.HARD_LIMIT, the certificate
+test_no_odd_sigma_hit_below_hard_limit, so listed leaves these classes out.
 """
 
 from math import isqrt
@@ -141,6 +141,18 @@ def even_sigma(lo: int, hi: int) -> list[tuple[int, str]]:
         if is_mersenne_prime(q):
             found += [(n, c) for n, c in ((2 ** (p - 1), "super_perfect"),
                                           (2 ** (p - 1) * q, "perfect")) if lo <= n < hi]
+    return sorted(found)
+
+
+def listed(classes, parity: str, lo: int, hi: int) -> list[tuple[int, str]]:
+    """(n, class) of the hits in [lo, hi) that a search of the classes at the
+    parity lists, increasing: odd_usp's and even_sigma's.  The odd sigma hits
+    are left out: test_no_odd_sigma_hit_below_hard_limit finds none."""
+    found = []
+    if "usp" in classes and parity != "even":
+        found += [(n, "usp") for n in odd_usp(lo, hi)]
+    if parity != "odd":
+        found += [hit for hit in even_sigma(lo, hi) if hit[1] in classes]
     return sorted(found)
 
 

@@ -2,16 +2,16 @@
 
 The search classifies the n <= limit of the requested parity over the run's
 range: from the first segment still to do to the end of the last one.  Only
-the unitary classes (usp, unitary_perfect) at even n are scanned; every
-other hit is listed from an equation by uspkit.lists, whose docstring holds
-the proofs.  No odd n is unitary_perfect, the odd usp n come from odd_usp,
-the even perfect and super_perfect n from even_sigma and the odd ones from
-odd_sigma; a search merges them into their segments like scanned hits.  The
-units of the scan are sieve blocks.  A block holds the even n = lo, lo + 2,
-... < hi, at most _TABLE_CHUNK of them: the even n of the range are cut
-into equal blocks, run in order of lo, and blocks are laid only when a
-unitary class is requested and the parity is not odd.  Every block reads
-one divisor sum, sigma*.
+the unitary classes (usp, unitary_perfect) at even n are scanned: no odd n
+is unitary_perfect, lists.listed gives the odd usp n and the even sigma
+hits, and no odd n up to HARD_LIMIT is a sigma hit (the certificate
+test_no_odd_sigma_hit_below_hard_limit; the lists docstring holds the
+proofs).  A search merges the listed hits into their segments like scanned
+ones.  The units of the scan are sieve blocks.  A block holds the even n =
+lo, lo + 2, ... < hi, at most _TABLE_CHUNK of them: the even n of the range
+are cut into equal blocks, run in order of lo, and blocks are laid only
+when a unitary class is requested and the parity is not odd.  Every block
+reads one divisor sum, sigma*.
 
 A block is classified in slices of _SCAN_BLOCK n.  Every slice takes the
 first application sigma*(n) by one rule: from the search's lookup table
@@ -111,7 +111,7 @@ from typing import BinaryIO, NamedTuple
 import numpy as np
 
 from .arith import Factorization, factorize, sigma_from_factorization, unitary_sigma
-from .lists import even_sigma, odd_sigma, odd_usp
+from .lists import listed
 from .sieve import divisor_sum_segment, sum_dtype
 from .structure import UspStructureVerdict, check_usp_structure
 
@@ -202,17 +202,6 @@ def verify_hit(n: int, classification: str) -> SearchHit:
         n, s_star, ss_star, classification,
         "odd" if n % 2 else "even", structure,
     )
-
-
-def _listed(classes, parity: str, lo: int, hi: int) -> list[tuple[int, str]]:
-    """(n, class) of the hits in [lo, hi) of the classes at the parity that
-    odd_usp and even_sigma list (uspkit.lists)."""
-    listed = []
-    if "usp" in classes and parity != "even":
-        listed += [(n, "usp") for n in odd_usp(lo, hi)]
-    if parity != "odd":
-        listed += [hit for hit in even_sigma(lo, hi) if hit[1] in classes]
-    return listed
 
 
 @dataclass(frozen=True)
@@ -740,11 +729,9 @@ def _ordered_map(processes: int):
 
 def _check_resumed(config: SearchConfig, hits_by_segment: list[list[SearchHit]]) -> None:
     """CheckpointError unless the recorded hits could be this run's: each of
-    a requested class and parity, and every hit that _listed gives below the
-    resume point among them.  A missing scanned hit goes unseen, since the
-    header records neither classes nor parity; odd_sigma's hits are not
-    checked, since it finds none below HARD_LIMIT and lists from 1 at twice
-    the cost of the run's own listing."""
+    a requested class and parity, and every hit that lists.listed gives below
+    the resume point among them.  A missing scanned hit goes unseen, since
+    the header records neither classes nor parity."""
     hits = [h for seg in hits_by_segment for h in seg]
     for h in hits:
         if h.classification not in config.classes or config.parity not in ("all", h.parity):
@@ -754,7 +741,7 @@ def _check_resumed(config: SearchConfig, hits_by_segment: list[list[SearchHit]])
             )
     recorded = {(h.n, h.classification) for h in hits}
     done = min(config.limit + 1, 1 + len(hits_by_segment) * config.segment_size)
-    for n, cls in _listed(config.classes, config.parity, 1, done):
+    for n, cls in listed(config.classes, config.parity, 1, done):
         if (n, cls) not in recorded:
             raise CheckpointError(
                 f"checkpoint lacks hit {n} ({cls}) of a search of "
@@ -838,10 +825,7 @@ def run_search(config: SearchConfig) -> SearchResult:
             # lists the hits that need no scan
             filling = omap(_fill_chunk, range(0, entries, _TABLE_CHUNK))
             if todo:
-                found = _listed(config.classes, config.parity, todo[0], ends[-1])
-                if config.parity != "even" and {"super_perfect", "perfect"} & set(config.classes):
-                    found += [hit for hit in odd_sigma(todo[0], ends[-1])
-                              if hit[1] in config.classes]
+                found = listed(config.classes, config.parity, todo[0], ends[-1])
             if entries:
                 _build_table(filling)
             # after a block, the next one's first n bounds the segments done;

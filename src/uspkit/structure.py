@@ -60,6 +60,8 @@ def decompose_2aqb(m: int) -> TwoAQB | None:
         raise ValueError(f"m must be >= 1, got {m}")
     a = (m & -m).bit_length() - 1
     odd = m >> a
+    if odd > MAX_NATURAL:
+        raise ValueError(f"m={m} has an odd part past the supported range (2**64 - 1)")
     if odd == 1:
         return TwoAQB(a, None, 0)
     qb = prime_power(odd)

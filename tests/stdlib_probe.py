@@ -1,7 +1,8 @@
-"""Lists the odd usp n below 2^64 and the even sigma hits below 10^4 through
-uspkit.lists, with numpy unimportable and uspkit/__init__.py never run, and
-prints them with the uspkit modules loaded as one JSON line: uspkit.arith
-and uspkit.lists run on the standard library alone.
+"""Lists the odd usp n below 2^64, the even sigma hits below 10^4 and every
+hit that a search of all four classes lists below 10^4 through uspkit.lists,
+with numpy unimportable and uspkit/__init__.py never run, and prints them
+with the uspkit modules loaded as one JSON line: uspkit.arith and
+uspkit.lists run on the standard library alone.
 
     PYTHONPATH=src python tests/stdlib_probe.py
 """
@@ -23,5 +24,6 @@ from uspkit import lists  # noqa: E402
 print(json.dumps({
     "odd_usp": lists.odd_usp(1, 2**64),
     "even_sigma": lists.even_sigma(1, 10**4),
+    "listed": lists.listed(("usp", "unitary_perfect", "super_perfect", "perfect"), "all", 1, 10**4),
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "uspkit"),
 }))

@@ -52,6 +52,11 @@ def test_factor_and_decompose(capsys):
     assert json_lines(out)[0] == {"m": 288, "a": 5, "q": 3, "b": 2}
     code, out, _ = run_cli(capsys, "decompose", "30", "--json")
     assert json_lines(out)[0]["decomposition"] is None
+    # an odd part past 2^64 - 1 is refused under the name the user typed
+    code, out, err = run_cli(capsys, "decompose", str(2**65 + 2))
+    assert (code, out) == (1, "")
+    assert err == ("error: m=36893488147419103234 has an odd part past the supported range "
+                   "(2**64 - 1)\n")
 
 
 def test_zsigmondy_cli(capsys):
@@ -255,7 +260,7 @@ def test_interrupt_while_the_workers_fill_the_table(tmp_path, capsys, monkeypatc
     def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(search, "_listed", interrupt)
+    monkeypatch.setattr(search, "listed", interrupt)
     monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     cp = tmp_path / "cp.txt"
     code, _, err = run_cli(capsys, "search", "usp", "--limit", "1200000", "--workers", "2",

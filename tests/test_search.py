@@ -854,7 +854,7 @@ def test_listing_error_with_table_tasks_in_flight(monkeypatch, no_child_left, er
         raise error
 
     monkeypatch.setattr(search._ForkPool, "_send", recorded_send)
-    monkeypatch.setattr(search, "_listed", refuse)
+    monkeypatch.setattr(search, "listed", refuse)
     monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     with pytest.raises(error):
         run_search(SearchConfig(limit=12 * 10**5, classes=CLASS_ORDER, workers=2))
@@ -1371,7 +1371,7 @@ def test_scanned_odd_usp_hits_match_the_list():
     # for every class set with usp, at parity all, the odd usp hits are the
     # ones odd_usp lists
     limit = 10**6
-    listed = search.odd_usp(1, limit + 1)
+    listed = lists.odd_usp(1, limit + 1)
     others = [c for c in CLASS_ORDER if c != "usp"]
     for r in range(len(others) + 1):
         for rest in itertools.combinations(others, r):
@@ -1409,7 +1409,7 @@ def test_each_block_reads_one_divisor_sum(monkeypatch, sieve_spans, parity):
     # once, and are laid exactly when a unitary class is requested and the
     # parity is not odd, and the sieve runs exactly when blocks are laid;
     # every slice takes its first applications from the table; and the hits
-    # are the oracle's, the odd usp and every sigma hit listed
+    # are the oracle's, the odd usp and the even sigma hits listed
     limit = 3000
     oracle = bruteforce.classify_brute(limit)
     blocks, slices = [], []
@@ -1489,8 +1489,8 @@ def test_closed_form_filter_matches_brute_oracle(brute_tables_2e5):
     usp = _brute_odd_usp(brute_tables_2e5[1], limit)
     assert usp
     for lo, hi in ((1, limit + 1), (9, 10), (10, limit + 1), (1, 165), (166, limit + 1), (1, 0)):
-        assert search.odd_usp(lo, hi) == [x for x in usp if lo <= x < hi]
-    assert search.even_sigma(1, 0) == search.odd_sigma(1, 0) == []
+        assert lists.odd_usp(lo, hi) == [x for x in usp if lo <= x < hi]
+    assert lists.even_sigma(1, 0) == lists.odd_sigma(1, 0) == []
 
 
 def test_moduli_divide_every_candidate(brute_tables_2e5):
@@ -1551,7 +1551,7 @@ def test_odd_usp_matches_step_2_sieve():
         for j in np.flatnonzero((low + 1) * (odd + 1) == 2 * n):
             if prime_power(int(odd[j])) is not None:
                 solved.append(int(n[j]))
-    assert solved == search.odd_usp(1, limit + 1) == [9, 165]
+    assert solved == lists.odd_usp(1, limit + 1) == [9, 165]
 
 
 def test_odd_usp_by_definition_1e8():
@@ -1575,7 +1575,7 @@ def test_odd_usp_by_definition_1e8():
         low = first & -first  # 2^a, and sigma*(2^a) = 2^a + 1 for a >= 1
         second = (low + (low > 1)) * table[(first // low) >> 1]
         hits += n[second == 2 * n].tolist()
-    assert hits == search.odd_usp(1, limit + 1) == [9, 165]
+    assert hits == lists.odd_usp(1, limit + 1) == [9, 165]
 
 
 def test_odd_unitary_perfect_search_sieves_nothing(monkeypatch, sieve_spans):
@@ -1656,8 +1656,8 @@ def test_odd_usp_stop_then_resume(tmp_path):
 def test_closed_form_candidate_still_verified(monkeypatch):
     # a fault in the list is caught by verify_hit: 99 = 3^2 * 11 is odd and a
     # multiple of 2^5 + 1, but sigma*(99) = 10 * 12 is not 2^5 * q^b
-    odd_usp = search.odd_usp
-    monkeypatch.setattr(search, "odd_usp", lambda lo, hi: sorted(odd_usp(lo, hi) + [99]))
+    odd_usp = lists.odd_usp
+    monkeypatch.setattr(lists, "odd_usp", lambda lo, hi: sorted(odd_usp(lo, hi) + [99]))
     with pytest.raises(RuntimeError, match=r"^hit 99 \(usp\) fails exact recomputation$"):
         run_search(SearchConfig(limit=1000, parity="odd"))
 
@@ -1702,13 +1702,31 @@ def brute_sigma_hits_2e5(brute_tables_4e5):
 @example(limit=65536, parity="even", workers=1, segment_size=1 << 14)
 def test_sigma_search_matches_brute_oracle(brute_sigma_hits_2e5, limit, parity, workers,
                                            segment_size):
-    # the even hits listed from the Mersenne primes and the odd n scanned
-    # for an odd first application are together exactly the oracle's hits
+    # the even hits listed from the Mersenne primes are exactly the
+    # oracle's hits, which hold no odd n
     keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
     result = run_search(SearchConfig(limit=limit, classes=("super_perfect", "perfect"),
                                      parity=parity, workers=workers, segment_size=segment_size))
     assert sorted((h.n, h.classification) for h in result.hits) == [
         (n, c) for n, c in brute_sigma_hits_2e5 if n <= limit and n % 2 in keep]
+
+
+@pytest.mark.parametrize("parity", ["all", "odd", "even"])
+def test_listed_matches_brute_oracle(brute_tables_2e5, brute_sigma_hits_2e5, parity):
+    # for each class alone and all four, listed gives the oracle's hits at
+    # the parity less the scanned ones, the unitary classes at even n: the
+    # odd usp n (no odd n is unitary perfect) and the sigma hits; also in
+    # windows past 1 and in the empty range [1, 0)
+    limit = 10**5
+    oracle = sorted([(n, "usp") for n in _brute_odd_usp(brute_tables_2e5[1], limit)]
+                    + [h for h in brute_sigma_hits_2e5 if h[0] <= limit])
+    keep = {"all": (0, 1), "odd": (1,), "even": (0,)}[parity]
+    windows = ((1, limit + 1), (1, 0), (9, 10), (10, 8128), (7, 497), (166, limit + 1))
+    for classes in [(c,) for c in CLASS_ORDER] + [CLASS_ORDER]:
+        for lo, hi in windows:
+            assert lists.listed(classes, parity, lo, hi) == [
+                (n, c) for n, c in oracle if c in classes and n % 2 in keep and lo <= n < hi]
+    assert lists.listed(CLASS_ORDER, parity, 1, limit + 1)  # each parity lists a hit
 
 
 def test_even_sigma_search_lays_no_block(monkeypatch):
@@ -1735,9 +1753,9 @@ def test_even_sigma_search_lays_no_block(monkeypatch):
         + [(n, "perfect") for p in mersenne_exponents if (n := 2 ** (p - 1) * (2**p - 1)) <= limit]
     )
     assert [(h.n, h.classification) for h in result.hits] == expected == verified
-    assert search.even_sigma(1, limit + 1) == expected
-    assert search.even_sigma(7, 8128) == [(16, "super_perfect"), (28, "perfect"), (64, "super_perfect"),
-                                          (496, "perfect"), (4096, "super_perfect")]
+    assert lists.even_sigma(1, limit + 1) == expected
+    assert lists.even_sigma(7, 8128) == [(16, "super_perfect"), (28, "perfect"), (64, "super_perfect"),
+                                         (496, "perfect"), (4096, "super_perfect")]
     # one class alone keeps only its own listed hits
     perfect = run_search(SearchConfig(limit=limit, classes=("perfect",), parity="even")).hits
     assert [(h.n, h.classification) for h in perfect] == [h for h in expected if h[1] == "perfect"]
@@ -1816,10 +1834,18 @@ def test_odd_sigma_candidates_at_their_bounds():
     assert sigma_from_factorization(factorize(13 * 195**2)) % 4 == 0
 
 
+def test_no_odd_sigma_hit_below_hard_limit():
+    # the certificate that no odd n up to the largest limit a search takes
+    # is perfect or super perfect: odd_sigma's exact list, rerun at whatever
+    # HARD_LIMIT is, so that listed may leave the odd sigma classes out
+    assert lists.odd_sigma(1, search.HARD_LIMIT + 1) == []
+
+
 @pytest.mark.parametrize("parity", ["all", "odd"])
 def test_odd_sigma_search_lays_no_block(monkeypatch, parity):
-    # the odd super perfect and perfect n are listed, so a search of the
-    # sigma classes lays no block, builds no table and starts no pool at any
+    # no odd n up to HARD_LIMIT is super perfect or perfect (the certificate
+    # test_no_odd_sigma_hit_below_hard_limit), so a search of the sigma
+    # classes lays no block, builds no table and starts no pool at any
     # parity; to 10**9 its hits are the even ones, 2^(p-1) and 2^(p-1) *
     # (2^p - 1) for the Mersenne primes 2^p - 1, each re-verified
     def refuse(*args, **kwargs):
@@ -1841,7 +1867,7 @@ def test_odd_sigma_search_lays_no_block(monkeypatch, parity):
         + [(n, "perfect") for p in mersenne_exponents if (n := 2 ** (p - 1) * (2**p - 1)) <= limit]
     ) if parity == "all" else []
     assert [(h.n, h.classification) for h in result.hits] == expected == verified
-    assert search.odd_sigma(1, limit + 1) == []
+    assert lists.odd_sigma(1, limit + 1) == []
 
 
 @settings(_PROPERTY, max_examples=200)

@@ -124,12 +124,15 @@ def test_no_module_loads_mpmath():
 def test_lists_run_without_numpy():
     # uspkit.arith and uspkit.lists need the standard library alone: with
     # numpy unimportable and uspkit/__init__.py not run, the lists still
-    # give the odd usp n below 2^64 and the even sigma hits, and no other
-    # uspkit module loads
+    # give the odd usp n below 2^64, the even sigma hits and the hits that
+    # a search of all four classes lists, and no other uspkit module loads
     assert _probe(STDLIB_PROBE.read_text()) == {
         "odd_usp": [9, 165],
         "even_sigma": [[2, "super_perfect"], [4, "super_perfect"], [6, "perfect"],
                        [16, "super_perfect"], [28, "perfect"], [64, "super_perfect"],
                        [496, "perfect"], [4096, "super_perfect"], [8128, "perfect"]],
+        "listed": [[2, "super_perfect"], [4, "super_perfect"], [6, "perfect"], [9, "usp"],
+                   [16, "super_perfect"], [28, "perfect"], [64, "super_perfect"], [165, "usp"],
+                   [496, "perfect"], [4096, "super_perfect"], [8128, "perfect"]],
         "modules": ["uspkit", "uspkit.arith", "uspkit.lists"],
     }

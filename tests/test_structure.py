@@ -45,7 +45,8 @@ def test_decompose_examples():
         decompose_2aqb(0)
     # the range applies to the odd part
     assert decompose_2aqb(2**64) == TwoAQB(64, None, 0)
-    with pytest.raises(ValueError, match="exceeds the supported range"):
+    with pytest.raises(ValueError, match=r"^m=36893488147419103234 has an odd part past the "
+                                         r"supported range \(2\*\*64 - 1\)$"):
         decompose_2aqb(2**65 + 2)
 
 
