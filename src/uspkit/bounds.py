@@ -102,19 +102,18 @@ class BoundCertificate:
     upper: Fraction
     float_estimate: float
     term_ledger: tuple[tuple[str, Fraction], ...]
-    cutoffs: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         if not (self.lower <= Fraction(self.float_estimate) <= self.upper):
             raise ValueError(f"estimate escapes enclosure in {self.expression_id}")
 
 
-def _certify(expr_id, lo, hi, terms, cutoffs) -> BoundCertificate:
+def _certify(expr_id, lo, hi, terms) -> BoundCertificate:
     fe = float(hi)
     # widening by one float rounding step keeps both bounds rigorous
     lower = min(lo, Fraction(fe))
     upper = max(hi, Fraction(fe))
-    return BoundCertificate(expr_id, lower, upper, fe, tuple(terms), tuple(cutoffs))
+    return BoundCertificate(expr_id, lower, upper, fe, tuple(terms))
 
 
 def fraction_decimal(x: Fraction, places: int = 12) -> str:
@@ -148,13 +147,7 @@ def mersenne_constant(p_cutoff: int = 31) -> BoundCertificate:
     n0 = p_cutoff + 2 if p_cutoff % 2 == 1 else p_cutoff + 1
     tail = exp_upper(Fraction(4, 3 * (2**n0 - 1)))
     terms.append((f"tail over odd exponents >= {n0}", tail))
-    return _certify(
-        "mersenne-constant",
-        lo,
-        lo * tail,
-        terms,
-        (("p_cutoff", p_cutoff), ("taylor_degree", _TAYLOR_DEGREE)),
-    )
+    return _certify("mersenne-constant", lo, lo * tail, terms)
 
 
 class Verdict(Enum):
@@ -211,7 +204,6 @@ class _Display:
     #: alternate readings: a label and the exp_args that replace the primary's
     alts: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = ()
     note: str = ""
-    cutoffs: tuple[tuple[str, int], ...] = ()
 
 
 def _second_application_max_q7() -> Fraction:
@@ -298,7 +290,6 @@ def _registry(min_k: int) -> dict[str, _Display]:
                     ),
                 ),
             ),
-            cutoffs=(("min_k", min_k),),
         ),
         _Display(
             id="T53-first",
@@ -403,7 +394,7 @@ INEQUALITY_IDS = tuple(_registry(MIN_K_BOTH_DIVISIBLE))
 CHAIN_INEQUALITY_IDS = tuple(i for i in INEQUALITY_IDS if i != "E31")
 
 
-def _eval_reading(expr_id: str, reading: _Reading, cutoffs) -> BoundCertificate:
+def _eval_reading(expr_id: str, reading: _Reading) -> BoundCertificate:
     lo = hi = Fraction(1)
     terms = list(reading.factors)
     for _, frac in reading.factors:
@@ -415,20 +406,18 @@ def _eval_reading(expr_id: str, reading: _Reading, cutoffs) -> BoundCertificate:
     hi *= ehi
     label = " + ".join(name for name, _ in reading.exp_args)
     terms.append((f"exp({label})", ehi))
-    all_cutoffs = list(cutoffs) + [("taylor_degree", _TAYLOR_DEGREE)]
     if reading.with_constant:
         c = mersenne_constant(2)
         lo *= c.lower
         hi *= c.upper
         terms.append(("mersenne reciprocal constant ceiling", c.upper))
-        all_cutoffs.append(("constant_p_cutoff", 2))
-    return _certify(expr_id, lo, hi, terms, all_cutoffs)
+    return _certify(expr_id, lo, hi, terms)
 
 
 def _eval_alt(expr_id: str, label: str, reading: _Reading) -> AltResult:
     x = sum((a for _, a in reading.exp_args), Fraction(0))
     if 0 <= x < 1:
-        cert = _eval_reading(f"{expr_id}[{label}]", reading, ())
+        cert = _eval_reading(f"{expr_id}[{label}]", reading)
         return AltResult(label, cert.float_estimate, cert.upper)
     value = math.exp(float(x))
     for _, frac in reading.factors:
@@ -445,7 +434,7 @@ def evaluate_inequality(ineq_id: str, *, min_k: int = MIN_K_BOTH_DIVISIBLE) -> I
     if ineq_id not in registry:
         raise KeyError(f"unknown inequality id {ineq_id!r}; known: {INEQUALITY_IDS}")
     d = registry[ineq_id]
-    cert = _eval_reading(d.id, d.primary, d.cutoffs)
+    cert = _eval_reading(d.id, d.primary)
     alts = tuple(
         _eval_alt(d.id, label, replace(d.primary, exp_args=exp_args))
         for label, exp_args in d.alts

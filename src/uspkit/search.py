@@ -7,11 +7,12 @@ is unitary_perfect, lists.listed gives the odd usp n and the even sigma
 hits, and no odd n up to HARD_LIMIT is a sigma hit (the certificate
 test_no_odd_sigma_hit_below_hard_limit; the lists docstring holds the
 proofs).  A search merges the listed hits into their segments like scanned
-ones.  The units of the scan are sieve blocks.  A block holds the even n =
-lo, lo + 2, ... < hi, at most _TABLE_CHUNK of them: the even n of the range
-are cut into equal blocks, run in order of lo, and blocks are laid only
-when a unitary class is requested and the parity is not odd.  Every block
-reads one divisor sum, sigma*.
+ones.  The units of the scan are sieve blocks, each of the even n = lo,
+lo + 2, ... < hi.  One rule, _runs, cuts the even n of the range into
+blocks and the table (below) into build chunks: the fewest runs of at most
+_TABLE_CHUNK values, their lengths within 1 of each other.  Blocks run in
+order of lo, and are laid only when a unitary class is requested and the
+parity is not odd.  Every block reads one divisor sum, sigma*.
 
 A block is classified in slices of _SCAN_BLOCK n.  Every slice takes the
 first application sigma*(n) by one rule: from the search's lookup table
@@ -29,9 +30,10 @@ contiguous run of the table times the 2-part's factor (below), written at
 that stride; no n is split into its 2-part and odd part.  The scan's
 memory is thus one block, whatever the segment size.  Segments are the
 checkpoint's unit: a segment is merged once every block that starts before
-its end has returned, and a returned block that lets segments merge writes
-the checkpoint once; a fresh run writes it, with no segment, before the
-pool forks.
+its end has returned.  One recorder renders the checkpoint and writes the
+run's file: before a fresh run forks, once per returned block that merges
+segments, and at the end of a resume that merged none.  parse_checkpoint
+refuses what it never writes, such as a segment past the limit.
 
 A class applied once (unitary_perfect) is a hit when first = 2n.  The usp
 scan looks its second application up.  A flat uint32 table of
@@ -249,29 +251,36 @@ class SearchResult:
 #: uint32 map that every process writes and reads in place
 _STATE: dict | None = None
 
-#: odd values per table-build task, and at most n per sieve block of the
-#: scan: the sieve's int64 arrays stay in cache, and its Python work per base
-#: prime is spread over enough entries
+#: values per table-build task and per sieve block of the scan, at most: the
+#: sieve's int64 arrays stay in cache, and its Python work per base prime is
+#: spread over enough entries
 _TABLE_CHUNK = 1 << 18
 
 
-def _fill_chunk(i: int) -> None:
-    table = _STATE["table"]
-    end = min(i + _TABLE_CHUNK, table.shape[0])
+def _runs(count: int) -> list[tuple[int, int]]:
+    """[0, count) cut into runs [i, j) by the split rule (module docstring):
+    a short last run's arrays would split the memory a full one frees, and
+    the heap would grow."""
+    parts = -(-count // _TABLE_CHUNK)
+    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+
+
+def _fill_chunk(chunk: tuple[int, int]) -> None:
+    i, end = chunk
     # every chunk ends at or below 2 * _TABLE_ENTRIES = 2^29, where the
     # sieve's sums are uint32 and exact (sieve docstring), so the sieve
     # writes them straight into the chunk's slice of the table
-    divisor_sum_segment(2 * i + 1, 2 * end, out=table[i:end])
+    divisor_sum_segment(2 * i + 1, 2 * end, out=_STATE["table"][i:end])
 
 
 def _build_table(filling=None) -> np.ndarray:
     """Return the state's table, with sigma*(2i + 1) at index i, once every
     task of filling has returned: filling is an ordered map of _fill_chunk
-    over the chunk starts 0, _TABLE_CHUNK, ..., and without it the chunks
-    are filled here, one after another."""
+    over the table's _runs, and without it the chunks are filled here, one
+    after another."""
     table = _STATE["table"]
     if filling is None:
-        filling = map(_fill_chunk, range(0, table.shape[0], _TABLE_CHUNK))
+        filling = map(_fill_chunk, _runs(table.shape[0]))
     # draining the map runs (builtin map) or awaits (pool) every task
     for _ in filling:
         pass
@@ -377,20 +386,14 @@ class _Block(NamedTuple):
 
 
 def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
-    """The blocks of a run over [lo, hi), sorted by lo: equal blocks of at
-    most _TABLE_CHUNK of its even n when it tests a unitary class there,
-    otherwise none (module docstring)."""
+    """The blocks of a run over [lo, hi), sorted by lo: the _runs of its
+    even n when it tests a unitary class there, otherwise none (module
+    docstring)."""
     if parity == "odd" or not any(_VARIANT_BY_NAME[c].unitary for c in classes):
         return []
     start = lo + lo % 2  # the first even n
-    count = len(range(start, hi, 2))
-    if not count:
-        return []
-    # equal blocks: a short last block's arrays would split the memory freed
-    # by a full one, and the heap would grow
-    parts = -(-count // _TABLE_CHUNK)
-    width = 2 * -(-count // parts)
-    return [_Block(b, min(hi, b + width)) for b in range(start, hi, width)]
+    return [_Block(start + 2 * i, min(hi, start + 2 * j))
+            for i, j in _runs(len(range(start, hi, 2)))]
 
 
 def _classify_segment(block: _Block) -> list[tuple[int, str]]:
@@ -470,10 +473,11 @@ def parse_checkpoint(text: str) -> tuple[int, int, list[list[SearchHit]]]:
         last = (0, 0)  # the (n, class) key of the previous hit
         for line in rest:
             tag, idx, count = line.split()
-            if tag != "seg" or int(idx) != len(hits_by_segment):
-                raise CheckpointError(f"unexpected line {line!r}")
-            # segment idx holds the n with lo < n <= hi
+            # segment idx holds the n with lo < n <= hi, and starts below
+            # the limit
             lo = len(hits_by_segment) * segment_size
+            if tag != "seg" or int(idx) != len(hits_by_segment) or lo >= limit:
+                raise CheckpointError(f"unexpected line {line!r}")
             hi = min(limit, lo + segment_size)
             seg_hits = []
             for line in islice(rest, int(count)):
@@ -772,7 +776,6 @@ def run_search(config: SearchConfig) -> SearchResult:
                 f"checkpoint was written for limit={cp_limit}, "
                 f"segment_size={cp_seg}; refusing to mix configurations"
             )
-        hits_by_segment = hits_by_segment[:total]
         _check_resumed(config, hits_by_segment)
 
     todo = starts[len(hits_by_segment) :]
@@ -781,21 +784,28 @@ def run_search(config: SearchConfig) -> SearchResult:
     ends = [min(config.limit + 1, lo + config.segment_size) for lo in todo]
     blocks = _blocks(config.classes, config.parity, todo[0], ends[-1]) if todo else []
 
-    text = None  # the checkpoint text last written
+    text = None  # the checkpoint text last recorded
+
+    def record() -> None:
+        # render the merged segments, and write them when there is a file
+        nonlocal text
+        text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
+        if config.checkpoint_path:
+            _write_atomic(config.checkpoint_path, text)
+
     if config.checkpoint_path and not config.resume:
         # a fresh run records its zero segments before the pool forks, so
         # that a run stopped anywhere leaves a checkpoint to resume from
-        text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
-        _write_atomic(config.checkpoint_path, text)
+        record()
     found: list[tuple[int, str]] = []  # hits listed or scanned, not yet merged
     merged = 0  # segments of todo merged
 
     def merge_before(bound: int) -> None:
         # merge each segment ending at or before bound: no block still out
-        # starts before that end, so all of its hits are found; then write
+        # starts before that end, so all of its hits are found; then record
         # the checkpoint once for all of them, so that the writes grow with
         # the blocks, not with the segments
-        nonlocal text, found, merged
+        nonlocal found, merged
         first = merged
         while merged < len(ends) and ends[merged] <= bound:
             end = ends[merged]
@@ -805,15 +815,15 @@ def run_search(config: SearchConfig) -> SearchResult:
             found = [h for h in found if h[0] >= end]
             hits_by_segment.append([verify_hit(n, cls) for n, cls in seg_hits_raw])
         if merged > first and config.checkpoint_path:
-            text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
-            _write_atomic(config.checkpoint_path, text)
+            record()
 
     # a run with no block to scan (max_segments 0, a completed checkpoint, a
     # search of the sigma classes or at parity odd) reads no table, so none
     # is built and no pool is started
     entries = _table_size(ends[-1] - 1) if blocks else 0
+    chunks = _runs(entries)
     # a process per task at most: a phase of one task gains nothing from a pool
-    tasks = max(len(blocks), -(-entries // _TABLE_CHUNK))
+    tasks = max(len(blocks), len(chunks))
     _STATE = {"classes": set(config.classes)}
     if entries:
         # a shared anonymous map, which the forked workers fill in place
@@ -823,7 +833,7 @@ def run_search(config: SearchConfig) -> SearchResult:
         with _ordered_map(min(config.workers, len(usable_cpus()), tasks)) as omap:
             # a pool's workers start on the table chunks while this process
             # lists the hits that need no scan
-            filling = omap(_fill_chunk, range(0, entries, _TABLE_CHUNK))
+            filling = omap(_fill_chunk, chunks)
             if todo:
                 found = listed(config.classes, config.parity, todo[0], ends[-1])
             if entries:
@@ -841,10 +851,8 @@ def run_search(config: SearchConfig) -> SearchResult:
 
     if text is None:
         # no checkpoint file, or a resume that merged no segment (max_segments
-        # 0, a completed checkpoint): no write has rendered the text already
-        text = render_checkpoint(config.limit, config.segment_size, hits_by_segment)
-        if config.checkpoint_path:
-            _write_atomic(config.checkpoint_path, text)
+        # 0, a completed checkpoint): nothing has rendered the text yet
+        record()
     return SearchResult(
         hits=[h for seg in hits_by_segment for h in seg],
         completed=len(hits_by_segment) == total,

@@ -155,7 +155,7 @@ def test_certificate_invariants():
 
 def test_certificate_estimate_containment_enforced():
     with pytest.raises(ValueError):
-        BoundCertificate("bad", F(2), F(3), 1.0, (("t", F(2)),), ())
+        BoundCertificate("bad", F(2), F(3), 1.0, (("t", F(2)),))
 
 
 def test_registry_ids_and_unknown():

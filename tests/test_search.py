@@ -469,15 +469,19 @@ _GOOD_BODY = (
                            "hit 165 288 330 usp\nhit 9 10 18 usp"),
         _GOOD_BODY.replace("seg 0 4", "seg 0 5").replace("hit 9 10 18 usp",
                                                          "hit 9 10 18 usp\nhit 9 10 18 usp"),
+        # segments 1 and 2 start at 1025 and 2049, past the limit
+        _GOOD_BODY + "seg 1 0\nseg 2 0\n",
     ],
     ids=["blank-line", "count-above-lines", "negative-count", "short-hit-line",
          "non-integer-field", "hit-outside-its-segment", "hit-past-the-limit",
-         "hits-out-of-order", "repeated-hit"],
+         "hits-out-of-order", "repeated-hit", "segment-past-the-limit"],
 )
 def test_malformed_checkpoint_refused(tmp_path, capsys, body):
-    # each body carries a valid digest, so only the parser can refuse it
+    # each body carries a valid digest, so only the parser can refuse it; a
+    # refused resume leaves the file as it was
     cp = tmp_path / "cp.txt"
     cp.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    text = cp.read_bytes()
     with pytest.raises(CheckpointError):
         parse_checkpoint(cp.read_text())
     with pytest.raises(CheckpointError):
@@ -487,7 +491,9 @@ def test_malformed_checkpoint_refused(tmp_path, capsys, body):
     code = main(["search", "usp", "--limit", "300", "--segment-size", "1024",
                  "--checkpoint", str(cp), "--resume"])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert cp.read_bytes() == text
 
 
 def test_out_of_table_segment_sieved_once(sieve_spans, capped):
@@ -1117,6 +1123,35 @@ def test_prefilter_keeps_every_brute_hit():
         for h in hits:
             got[h.classification].append(h.n)
         assert got == {c: [n for n in ns if n % 2 in keep] for c, ns in expected.items()}
+
+
+def test_prefilter_survivors_with_odd_or_twice_odd_first(brute_tables_2e5):
+    # the module docstring's reason why the table holds nearly every second
+    # lookup: a prefilter survivor whose first application has v2 <= 1 is
+    # n = 2^b (v2 0) or n = 2^b * 3^(2e) (v2 1), over every even n <= 2*10**5
+    limit = 2 * 10**5
+    first = brute_tables_2e5[1][2::2]  # sigma*(n) for n = 2, 4, ..., limit
+    idx = search._prefilter(first, 2)
+    low = first[idx] & -first[idx]
+    got = sorted((2 + 2 * idx[low <= 2]).tolist())
+    forms = {2**b * 9**e for b in range(1, 18) for e in range(6)}
+    assert got == sorted(n for n in forms if n <= limit)
+
+
+def test_runs_split_evenly():
+    # the one split rule of table chunks and scan blocks: the fewest runs of
+    # at most _TABLE_CHUNK values, in order, lengths differing by at most 1
+    chunk = search._TABLE_CHUNK
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 507_904, 3 * chunk + 1):
+        runs = search._runs(count)
+        lengths = [j - i for i, j in runs]
+        assert len(runs) == -(-count // chunk)
+        assert [i for i, _ in runs] + [count] == [0] + [j for _, j in runs]
+        assert max(lengths, default=0) <= chunk
+        assert max(lengths, default=0) - min(lengths, default=0) <= 1
+    # the resumed table of 10**6 entries: 4 chunks of 250,000, not 3 full
+    # ones and a short one
+    assert search._runs(10**6) == [(k * 250_000, (k + 1) * 250_000) for k in range(4)]
 
 
 @settings(_PROPERTY, max_examples=200)
@@ -1867,7 +1902,6 @@ def test_odd_sigma_search_lays_no_block(monkeypatch, parity):
         + [(n, "perfect") for p in mersenne_exponents if (n := 2 ** (p - 1) * (2**p - 1)) <= limit]
     ) if parity == "all" else []
     assert [(h.n, h.classification) for h in result.hits] == expected == verified
-    assert lists.odd_sigma(1, limit + 1) == []
 
 
 @settings(_PROPERTY, max_examples=200)
