@@ -33,7 +33,6 @@ from .bounds import (
     evaluate_all,
     evaluate_inequality,
     exp_bounds,
-    exp_upper,
     mersenne_constant,
     q_bound_scan,
 )

@@ -3,14 +3,17 @@
 Every displayed product is evaluated two ways: a float rendering for
 comparison against the decimals as printed, and an exact-rational enclosure
 [lower, upper] in which every exponential factor and every truncated tail is
-replaced by a one-sided rational bound.  The contradiction logic downstream
-only ever consumes ``upper < 2``, which survives certification even where a
-printed decimal does not reproduce.
+replaced by a one-sided rational bound.  A certificate is that enclosure and
+its float, nothing more.  The contradiction logic downstream only ever
+consumes ``upper < 2``, which survives certification even where a printed
+decimal does not reproduce.
 
-Where a printed expression is internally inconsistent (a handful of
-displays carry transcription slips), the registry keeps the printed reading
-and a recomputed reading side by side; the record's note says which is
-which.
+The registry holds each display as its rationals: the factors and the
+exponent arguments as printed, with one imported constant,
+MIN_K_BOTH_DIVISIBLE.  Where a printed expression is internally
+inconsistent (a handful of displays carry transcription slips), the
+registry keeps the printed reading and a recomputed reading side by side;
+the record's note says which is which.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 
 from .arith import MAX_NATURAL, factorize, is_prime, ord_mod, primes_up_to
 
 #: Minimum count of distinct prime factors assumed for the
 #: both-3-and-sigma*-divisible case; an imported search result consumed as a
-#: named constant, overridable for sensitivity checks.
+#: named constant.
 MIN_K_BOTH_DIVISIBLE = 46
 
 #: Difference tolerated between a recomputed float and the decimal as
@@ -69,11 +71,6 @@ def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(partial, den), Fraction(partial * gap + term * a, den * gap)
 
 
-def exp_upper(x: Fraction) -> Fraction:
-    """Rational u with exp(x) <= u <= exp(x) * (1 + 1e-6), for 0 <= x < 1."""
-    return exp_bounds(x)[1]
-
-
 def tail_exponent(t: int, r: int, i0: int) -> Fraction:
     """Exponent x with  prod_{i >= i0} t*r^i / (t*r^i - 1)  <=  exp(x).
 
@@ -101,19 +98,18 @@ class BoundCertificate:
     lower: Fraction
     upper: Fraction
     float_estimate: float
-    term_ledger: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self) -> None:
         if not (self.lower <= Fraction(self.float_estimate) <= self.upper):
             raise ValueError(f"estimate escapes enclosure in {self.expression_id}")
 
 
-def _certify(expr_id, lo, hi, terms) -> BoundCertificate:
+def _certify(expr_id, lo, hi) -> BoundCertificate:
     fe = float(hi)
     # widening by one float rounding step keeps both bounds rigorous
     lower = min(lo, Fraction(fe))
     upper = max(hi, Fraction(fe))
-    return BoundCertificate(expr_id, lower, upper, fe, tuple(terms))
+    return BoundCertificate(expr_id, lower, upper, fe)
 
 
 def fraction_decimal(x: Fraction, places: int = 12) -> str:
@@ -137,17 +133,13 @@ def mersenne_constant(p_cutoff: int = 31) -> BoundCertificate:
     if 2**p_cutoff - 1 > MAX_NATURAL:
         raise ValueError(f"p_cutoff={p_cutoff} exceeds the testable exponent range")
     lo = Fraction(1)
-    terms = []
     for p in primes_up_to(p_cutoff):
         m = 2**p - 1
         if is_prime(m):
-            f = Fraction(2**p, m)
-            lo *= f
-            terms.append((f"2^{p}/(2^{p}-1)", f))
+            lo *= Fraction(2**p, m)
     n0 = p_cutoff + 2 if p_cutoff % 2 == 1 else p_cutoff + 1
-    tail = exp_upper(Fraction(4, 3 * (2**n0 - 1)))
-    terms.append((f"tail over odd exponents >= {n0}", tail))
-    return _certify("mersenne-constant", lo, lo * tail, terms)
+    tail = exp_bounds(Fraction(4, 3 * (2**n0 - 1)))[1]
+    return _certify("mersenne-constant", lo, lo * tail)
 
 
 class Verdict(Enum):
@@ -191,8 +183,9 @@ class InequalityRecord:
 
 @dataclass(frozen=True)
 class _Reading:
-    factors: tuple[tuple[str, Fraction], ...]
-    exp_args: tuple[tuple[str, Fraction], ...]
+    factors: tuple[Fraction, ...]
+    #: the exponent arguments, summed into one exp(x)
+    exp_args: tuple[Fraction, ...]
     with_constant: bool = False
 
 
@@ -202,13 +195,14 @@ class _Display:
     printed_value: float
     primary: _Reading
     #: alternate readings: a label and the exp_args that replace the primary's
-    alts: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...] = ()
+    alts: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
     note: str = ""
 
 
 def _second_application_max_q7() -> Fraction:
     # worst second-application ratio over the three possible splits of at
-    # least three prime factors between Mersenne primes and 2*7^b - 1 forms
+    # least three prime factors between Mersenne primes and 2*7^b - 1 forms;
+    # the first, 65/56, is the largest
     branches = (
         Fraction(2**6 + 1, 2**6) * Fraction(8, 7),
         Fraction(2**4 + 1, 2**4) * Fraction(7**3 + 1, 7**3),
@@ -217,18 +211,15 @@ def _second_application_max_q7() -> Fraction:
     return max(branches)
 
 
-@cache  # built once per min_k, not once per evaluate_inequality
-def _registry(min_k: int) -> dict[str, _Display]:
+def _registry() -> dict[str, _Display]:
     f = Fraction
-    even_tail = ("tail 2^(2i+1) over i >= 2", tail_exponent(2, 4, 2))  # = 4/93
+    k = MIN_K_BOTH_DIVISIBLE
+    even_tail = tail_exponent(2, 4, 2)  # tail 2^(2i+1) over i >= 2, = 4/93
     displays = [
         _Display(
             id="E31",
             printed_value=1.631007,
-            primary=_Reading(
-                factors=(("4/3", f(4, 3)),),
-                exp_args=(("4/21", f(4, 21)),),
-            ),
+            primary=_Reading(factors=(f(4, 3),), exp_args=(f(4, 21),)),
             note=(
                 "printed decimal 1.631007 transposes digits of the recomputed "
                 "value 1.6131008 of (4/3)*exp(4/21); flagged, not fatal"
@@ -238,21 +229,11 @@ def _registry(min_k: int) -> dict[str, _Display]:
             id="L42",
             printed_value=1.4588,
             primary=_Reading(
-                factors=(
-                    ("(2^3+1)/2^3", f(9, 8)),
-                    ("(3^6+1)/3^6", f(730, 729)),
-                    ("6/5", f(6, 5)),
-                    ("18/17", f(18, 17)),
-                    ("54/53", f(54, 53)),
-                ),
-                exp_args=(("tail 2*3^i over i >= 7, as printed", f(3, 8744)),),
+                factors=(f(2**3 + 1, 2**3), f(3**6 + 1, 3**6), f(6, 5), f(18, 17), f(54, 53)),
+                # the tail 2*3^i over i >= 7, as printed
+                exp_args=(f(3, 8744),),
             ),
-            alts=(
-                (
-                    "recomputed tail exponent 3/8746",
-                    (("tail 2*3^i over i >= 7", tail_exponent(2, 3, 7)),),
-                ),
-            ),
+            alts=(("recomputed tail exponent 3/8746", (tail_exponent(2, 3, 7),)),),
             note=(
                 "printed tail exponent 3/8744 slightly exceeds the "
                 "majorization value 3/8746 (= (1/(2*3^7-1))*(3/2)), so the "
@@ -264,30 +245,17 @@ def _registry(min_k: int) -> dict[str, _Display]:
             printed_value=1.9041,
             primary=_Reading(
                 factors=(
-                    (f"(2^{min_k}+1)/2^{min_k}", f(2**min_k + 1, 2**min_k)),
-                    (
-                        f"(3^{min_k - 1}+1)/3^{min_k - 1}",
-                        f(3 ** (min_k - 1) + 1, 3 ** (min_k - 1)),
-                    ),
-                    ("4/3", f(4, 3)),
-                    ("6/5", f(6, 5)),
-                    ("12/11", f(12, 11)),
-                    ("18/17", f(18, 17)),
-                    ("54/53", f(54, 53)),
-                    ("108/107", f(108, 107)),
+                    f(2**k + 1, 2**k),
+                    f(3 ** (k - 1) + 1, 3 ** (k - 1)),
+                    f(4, 3), f(6, 5), f(12, 11), f(18, 17), f(54, 53), f(108, 107),
                 ),
-                exp_args=(
-                    ("tail 2*3^i over i >= 7, as printed", f(3, 8744)),
-                    ("tail 4*3^i over i >= 5", f(3, 1942)),
-                ),
+                # the tails 2*3^i over i >= 7, as printed, and 4*3^i over i >= 5
+                exp_args=(f(3, 8744), f(3, 1942)),
             ),
             alts=(
                 (
                     "recomputed tail exponents 3/8746 + 3/1942",
-                    (
-                        ("tail 2*3^i over i >= 7", tail_exponent(2, 3, 7)),
-                        ("tail 4*3^i over i >= 5", tail_exponent(4, 3, 5)),
-                    ),
+                    (tail_exponent(2, 3, 7), tail_exponent(4, 3, 5)),
                 ),
             ),
         ),
@@ -295,12 +263,8 @@ def _registry(min_k: int) -> dict[str, _Display]:
             id="T53-first",
             printed_value=1.7332,
             primary=_Reading(
-                factors=(
-                    ("(2^9+1)/2^9", f(513, 512)),
-                    ("6/5", f(6, 5)),
-                    ("7/9", f(7, 9)),
-                ),
-                exp_args=(("tail 2*5^i over i >= 1", tail_exponent(2, 5, 1)),),
+                factors=(f(2**9 + 1, 2**9), f(6, 5), f(7, 9)),
+                exp_args=(tail_exponent(2, 5, 1),),
                 with_constant=True,
             ),
         ),
@@ -308,22 +272,11 @@ def _registry(min_k: int) -> dict[str, _Display]:
             id="T53-second",
             printed_value=1.9150,
             primary=_Reading(
-                factors=(
-                    ("7/8", f(7, 8)),
-                    ("6/5", f(6, 5)),
-                    ("9/8", f(9, 8)),
-                ),
-                exp_args=(
-                    ("tail 2*5^i over i >= 3 (= (5/4)*(1/249))", tail_exponent(2, 5, 3)),
-                ),
+                factors=(f(7, 8), f(6, 5), f(9, 8)),
+                exp_args=(tail_exponent(2, 5, 3),),  # = (5/4)*(1/249)
                 with_constant=True,
             ),
-            alts=(
-                (
-                    "literal exp((5/4)*(250/249)) as printed",
-                    (("(5/4)*(250/249)", f(625, 498)),),
-                ),
-            ),
+            alts=(("literal exp((5/4)*(250/249)) as printed", (f(5, 4) * f(250, 249),)),),
             note=(
                 "the printed exponent (5/4)*(250/249) makes the display "
                 "exceed 2; the tail-majorization reading (5/4)*(1/249) "
@@ -334,20 +287,14 @@ def _registry(min_k: int) -> dict[str, _Display]:
             id="T54-q7",
             printed_value=1.7604,
             primary=_Reading(
-                factors=(
-                    ("max of second-application branches = 65/56",
-                     _second_application_max_q7()),
-                    ("4/3", f(4, 3)),
-                ),
-                exp_args=(
-                    even_tail,
-                    ("tail 2*7^i over i >= 1, as printed", f(8, 91)),
-                ),
+                factors=(_second_application_max_q7(), f(4, 3)),
+                # the tail 2*7^i over i >= 1, as printed
+                exp_args=(even_tail, f(8, 91)),
             ),
             alts=(
                 (
                     "recomputed tail exponent 7/78 for 2*7^i",
-                    (even_tail, ("tail 2*7^i over i >= 1", tail_exponent(2, 7, 1))),
+                    (even_tail, tail_exponent(2, 7, 1)),
                 ),
             ),
             note=(
@@ -360,21 +307,14 @@ def _registry(min_k: int) -> dict[str, _Display]:
             id="T54-q11",
             printed_value=1.8850,
             primary=_Reading(
-                factors=(
-                    ("(2^3+1)/2^3", f(9, 8)),
-                    ("(11^6+1)/11^6", f(11**6 + 1, 11**6)),
-                    ("4/3", f(4, 3)),
-                    ("8/7", f(8, 7)),
-                ),
-                exp_args=(
-                    even_tail,
-                    ("tail 2*11^i over i >= 1, as printed", f(4, 77)),
-                ),
+                factors=(f(2**3 + 1, 2**3), f(11**6 + 1, 11**6), f(4, 3), f(8, 7)),
+                # the tail 2*11^i over i >= 1, as printed
+                exp_args=(even_tail, f(4, 77)),
             ),
             alts=(
                 (
                     "recomputed tail exponent 11/210 for 2*11^i",
-                    (even_tail, ("tail 2*11^i over i >= 1", tail_exponent(2, 11, 1))),
+                    (even_tail, tail_exponent(2, 11, 1)),
                 ),
             ),
             note=(
@@ -387,53 +327,46 @@ def _registry(min_k: int) -> dict[str, _Display]:
     return {d.id: d for d in displays}
 
 
+_REGISTRY = _registry()
+
 #: the registered displays, in the order evaluate_all reports them
-INEQUALITY_IDS = tuple(_registry(MIN_K_BOTH_DIVISIBLE))
+INEQUALITY_IDS = tuple(_REGISTRY)
 
 #: The displays whose certified upper bound the contradiction chain consumes.
 CHAIN_INEQUALITY_IDS = tuple(i for i in INEQUALITY_IDS if i != "E31")
 
 
 def _eval_reading(expr_id: str, reading: _Reading) -> BoundCertificate:
-    lo = hi = Fraction(1)
-    terms = list(reading.factors)
-    for _, frac in reading.factors:
-        lo *= frac
-        hi *= frac
-    x = sum((a for _, a in reading.exp_args), Fraction(0))
-    elo, ehi = exp_bounds(x)
+    lo = hi = math.prod(reading.factors, start=Fraction(1))
+    elo, ehi = exp_bounds(sum(reading.exp_args, Fraction(0)))
     lo *= elo
     hi *= ehi
-    label = " + ".join(name for name, _ in reading.exp_args)
-    terms.append((f"exp({label})", ehi))
     if reading.with_constant:
         c = mersenne_constant(2)
         lo *= c.lower
         hi *= c.upper
-        terms.append(("mersenne reciprocal constant ceiling", c.upper))
-    return _certify(expr_id, lo, hi, terms)
+    return _certify(expr_id, lo, hi)
 
 
 def _eval_alt(expr_id: str, label: str, reading: _Reading) -> AltResult:
-    x = sum((a for _, a in reading.exp_args), Fraction(0))
+    x = sum(reading.exp_args, Fraction(0))
     if 0 <= x < 1:
         cert = _eval_reading(f"{expr_id}[{label}]", reading)
         return AltResult(label, cert.float_estimate, cert.upper)
     value = math.exp(float(x))
-    for _, frac in reading.factors:
+    for frac in reading.factors:
         value *= float(frac)
     if reading.with_constant:
         value *= float(mersenne_constant(2).upper)
     return AltResult(label, value, None)
 
 
-def evaluate_inequality(ineq_id: str, *, min_k: int = MIN_K_BOTH_DIVISIBLE) -> InequalityRecord:
+def evaluate_inequality(ineq_id: str) -> InequalityRecord:
     """Certified record for one registered display; floats are compared
     against the decimal as printed and flagged past REPRODUCTION_TOL."""
-    registry = _registry(min_k)
-    if ineq_id not in registry:
+    if ineq_id not in _REGISTRY:
         raise KeyError(f"unknown inequality id {ineq_id!r}; known: {INEQUALITY_IDS}")
-    d = registry[ineq_id]
+    d = _REGISTRY[ineq_id]
     cert = _eval_reading(d.id, d.primary)
     alts = tuple(
         _eval_alt(d.id, label, replace(d.primary, exp_args=exp_args))
@@ -446,8 +379,8 @@ def evaluate_inequality(ineq_id: str, *, min_k: int = MIN_K_BOTH_DIVISIBLE) -> I
     return InequalityRecord(d.id, d.printed_value, cert, verdict, alts, d.note)
 
 
-def evaluate_all(*, min_k: int = MIN_K_BOTH_DIVISIBLE) -> list[InequalityRecord]:
-    return [evaluate_inequality(i, min_k=min_k) for i in INEQUALITY_IDS]
+def evaluate_all() -> list[InequalityRecord]:
+    return [evaluate_inequality(i) for i in INEQUALITY_IDS]
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,6 +24,7 @@ import numpy as np
 from . import bruteforce
 from .arith import factorize, unitary_sigma
 from .bounds import (
+    REPRODUCTION_TOL,
     Verdict,
     case_13_elimination,
     evaluate_all,
@@ -153,7 +154,7 @@ def _bound_certificates() -> tuple[bool, str]:
         if rec.computed.upper >= 2:
             problems.append(f"{rec.id} upper >= 2")
         if rec.id in must_reproduce:
-            if abs(rec.computed.float_estimate - must_reproduce[rec.id]) > 5e-4:
+            if abs(rec.computed.float_estimate - must_reproduce[rec.id]) > REPRODUCTION_TOL:
                 problems.append(f"{rec.id} float off")
             if rec.verdict is not Verdict.REPRODUCED_BELOW_2:
                 problems.append(f"{rec.id} flagged unexpectedly")

@@ -246,6 +246,9 @@ def lemma_25_solutions(x_max: int) -> list[tuple[int, int]]:
 def check_lemma_25(x_max: int = 60) -> LemmaReport:
     """2**x + 1 is a power of three only for (e, x) = (1, 1) and (2, 3)."""
     _require_bounds(x_max=x_max)
+    # 2**x + 1 <= MAX_NATURAL = 2**64 - 1 exactly when x <= 63
+    if x_max >= MAX_NATURAL.bit_length():
+        raise ValueError(f"x_max={x_max} puts 2**x + 1 out of range")
     t0 = time.perf_counter()
     solutions = set(lemma_25_solutions(x_max))
     expected = {(e, x) for e, x in ((1, 1), (2, 3)) if x <= x_max}
@@ -275,21 +278,16 @@ def check_lemma_27(q_max: int = 100, b_max: int = 8) -> LemmaReport:
     _require_bounds(q_max=q_max, b_max=b_max)
     t0 = time.perf_counter()
     checked, bad = 0, []
-    for q in primes_up_to(q_max):
-        if q == 2:
+    for q, b, qb in _odd_prime_powers_in_range(q_max, b_max):
+        v = qb + 1
+        if v % 4 == 0:
             continue
-        for b in range(1, b_max + 1):
-            v = q**b + 1
-            if v > MAX_NATURAL:
-                break
-            if v % 4 == 0:
+        for p, _ in factorize(v).entries:
+            if p == 2:
                 continue
-            for p, _ in factorize(v).entries:
-                if p == 2:
-                    continue
-                checked += 1
-                if (p + 1) % (4 * q) == 0:
-                    bad.append((q, b, p))
+            checked += 1
+            if (p + 1) % (4 * q) == 0:
+                bad.append((q, b, p))
     return _report("2.7", f"q<={q_max},b<={b_max}", checked, bad, t0)
 
 

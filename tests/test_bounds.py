@@ -8,6 +8,7 @@ from uspkit import bruteforce
 from uspkit.bounds import (
     CHAIN_INEQUALITY_IDS,
     INEQUALITY_IDS,
+    MIN_K_BOTH_DIVISIBLE,
     BoundCertificate,
     QScanEntry,
     Verdict,
@@ -15,7 +16,6 @@ from uspkit.bounds import (
     evaluate_all,
     evaluate_inequality,
     exp_bounds,
-    exp_upper,
     fraction_decimal,
     mersenne_constant,
     q_bound_scan,
@@ -43,7 +43,7 @@ def test_exp_bounds_examples():
     # frozen from the 55-digit reference: exp(4/21) = 1.2098255679...
     assert fraction_decimal(hi, 10).startswith("1.20982556")
 
-    u = exp_upper(F(3, 8744))
+    u = exp_bounds(F(3, 8744))[1]
     assert F(343, 10**6) <= u - 1 <= F(344, 10**6)
 
 
@@ -99,7 +99,7 @@ def test_tail_exponent_examples():
 
 def test_tail_product_bound_certifies():
     # the bound that the registry takes for a tail: exp of its exponent
-    u = exp_upper(tail_exponent(2, 3, 7))
+    u = exp_bounds(tail_exponent(2, 3, 7))[1]
     assert u > 1
     assert u - 1 < F(1, 10**3)
     # the bound really dominates a long partial product
@@ -119,7 +119,8 @@ def test_tail_product_bound_rejects_bad_parameters():
 def test_mersenne_constant_single_term():
     cert = mersenne_constant(2)
     assert cert.lower == F(4, 3)
-    assert cert.term_ledger[0] == ("2^2/(2^2-1)", F(4, 3))
+    # 2^2/(2^2-1) times the tail over odd exponents >= 3
+    assert cert.float_estimate == float(F(4, 3) * exp_bounds(F(4, 21))[1])
     assert cert.upper < F("1.6131008")
 
 
@@ -132,7 +133,7 @@ def test_mersenne_constant_cutoff_31():
     assert abs(cert.lower - direct) < F(1, 10**12)
     assert fraction_decimal(direct, 6).startswith("1.58555")
     assert cert.lower < cert.upper
-    assert cert.upper <= F(4, 3) * exp_upper(F(4, 21))
+    assert cert.upper <= F(4, 3) * exp_bounds(F(4, 21))[1]
     assert cert.upper < F("1.6131008")
 
 
@@ -150,12 +151,11 @@ def test_certificate_invariants():
         assert isinstance(cert, BoundCertificate)
         assert cert.lower <= F(cert.float_estimate) <= cert.upper
         assert cert.lower <= cert.upper
-        assert cert.term_ledger
 
 
 def test_certificate_estimate_containment_enforced():
     with pytest.raises(ValueError):
-        BoundCertificate("bad", F(2), F(3), 1.0, (("t", F(2)),))
+        BoundCertificate("bad", F(2), F(3), 1.0)
 
 
 def test_registry_ids_and_unknown():
@@ -196,14 +196,21 @@ def test_inequality_records(ineq_id, printed_value, must_reproduce):
 
 
 def test_t54_q7_branch_max_is_65_56():
-    rec = evaluate_inequality("T54-q7")
-    label, value = rec.computed.term_ledger[0]
-    assert "65/56" in label
-    assert value == F(65, 56)
     # the three split branches individually
     assert F(2**6 + 1, 2**6) * F(8, 7) == F(65, 56)
     assert F(2**4 + 1, 2**4) * F(7**3 + 1, 7**3) < F(65, 56)
     assert F(2**3 + 1, 2**3) * F(7**6 + 1, 7**6) < F(65, 56)
+    # the certificate is the 65/56 branch times 4/3 and the printed tails:
+    # its float is that product's ceiling, and its enclosure holds that
+    # product and neither smaller branch's
+    rec = evaluate_inequality("T54-q7")
+    lower, upper = exp_bounds(tail_exponent(2, 4, 2) + F(8, 91))
+    assert rec.computed.float_estimate == float(F(65, 56) * F(4, 3) * upper)
+    for branch, used in ((F(65, 56), True), (F(2**4 + 1, 2**4) * F(7**3 + 1, 7**3), False),
+                         (F(2**3 + 1, 2**3) * F(7**6 + 1, 7**6), False)):
+        inside = rec.computed.lower <= branch * F(4, 3) * lower
+        inside &= branch * F(4, 3) * upper <= rec.computed.upper
+        assert inside == used
 
 
 def test_t53_second_literal_reading_reported():
@@ -214,10 +221,18 @@ def test_t53_second_literal_reading_reported():
 
 
 def test_min_k_sensitivity():
+    # L43's product with k distinct prime factors assumed: the (2^k+1)/2^k
+    # and (3^(k-1)+1)/3^(k-1) factors, the fixed ones and the printed tails
+    def l43(k, end):
+        product = F(2**k + 1, 2**k) * F(3 ** (k - 1) + 1, 3 ** (k - 1))
+        for factor in (F(4, 3), F(6, 5), F(12, 11), F(18, 17), F(54, 53), F(108, 107)):
+            product *= factor
+        return product * exp_bounds(F(3, 8744) + F(3, 1942))[end]
+
     healthy = evaluate_inequality("L43")
+    assert healthy.computed.float_estimate == float(l43(MIN_K_BOTH_DIVISIBLE, 1))
     assert healthy.computed.upper < 2
-    weak = evaluate_inequality("L43", min_k=3)
-    assert weak.computed.upper > 2   # the imported bound is load-bearing
+    assert l43(3, 0) > 2   # the imported bound is load-bearing
 
 
 def test_q_scan_satisfying_sets():

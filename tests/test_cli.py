@@ -116,15 +116,19 @@ def test_unallocatable_bound_exits_1(capsys):
 
 
 def test_out_of_range_power_refused_before_it_is_computed(capsys):
-    # 3**(10**7) and 2**(10**7) are never computed: the exponent alone puts
-    # them past 2**64 - 1, so both exit 1 at once
+    # 3**(10**7), 2**(10**7) and 2**64 + 1 are never computed: the exponent
+    # alone puts them past 2**64 - 1, so each exits 1 at once
     for argv in (("zsigmondy", "3", "1", str(10**7)),
-                 ("verify-lemma", "2.6", "--amax", str(10**7))):
+                 ("verify-lemma", "2.6", "--amax", str(10**7)),
+                 ("verify-lemma", "2.5", "--xmax", "64")):
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - t0 < 0.5
         assert (code, out) == (1, "")
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # 2**63 + 1 is still in range
+    code, out, _ = run_cli(capsys, "verify-lemma", "2.5", "--xmax", "63")
+    assert code == 0 and "x<=63] checked=63 ok" in out
 
 
 def test_verify_lemma_51_large_b(capsys):
@@ -179,14 +183,22 @@ def test_search_cli_text(capsys):
     assert [line.split()[0] for line in out.splitlines()[1:-1]] == ["6", "60", "90"]
 
 
-@pytest.mark.parametrize("flags, lines, digest", [
-    (["--json"], 2454, "9ba688f168879caf4d8adceb1141e78dbf130bb761d29650719e4d3a3c3a996b"),
-    ([], 2455, "573ac9e214ade7bb4442d61765aaa95388106296c3bb8a20c709d59228cdaa26"),
-], ids=["json", "text"])
-def test_qscan_golden_1e4(capsys, flags, lines, digest):
-    # the verdicts are integer comparisons and the printed ceilings are
-    # computed per entry on demand; neither moves a byte of the output
-    code, out, _ = run_cli(capsys, "qscan", "--qmax", "10000", *flags)
+@pytest.mark.parametrize("argv, lines, digest", [
+    (["qscan", "--qmax", "10000", "--json"], 2454,
+     "9ba688f168879caf4d8adceb1141e78dbf130bb761d29650719e4d3a3c3a996b"),
+    (["qscan", "--qmax", "10000"], 2455,
+     "573ac9e214ade7bb4442d61765aaa95388106296c3bb8a20c709d59228cdaa26"),
+    (["bounds"], 12, "d1781ca606bc2d82b218b2d58e60b8a6b80078584f68b581dcc0ffe8860e1335"),
+    (["bounds", "--json"], 7, "cdedb1099ec4b178859ef20a71ebd2f2f37456a6cdbf01d92f73fc52ad1ee6d3"),
+    (["case13"], 18, "324d0bea1d49521ef71af02d06f1d346bf9e9355586fd1ea9fbdc6f840aed3d4"),
+    (["case13", "--json"], 1, "288422c84bcd410cbd05f11e47d3bc12a9607c75be92a17cfd8775e9ce145bd2"),
+], ids=["qscan-1e4-json", "qscan-1e4-text", "bounds-text", "bounds-json", "case13-text",
+        "case13-json"])
+def test_cli_golden(capsys, argv, lines, digest):
+    # the q-scan verdicts are integer comparisons and its printed ceilings
+    # are computed per entry on demand; a certificate is its enclosure and
+    # float; none of these moves a byte of the output
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,8 +1,8 @@
 """uspkit pins numpy's OpenBLAS pool to one thread before numpy loads,
 unless the caller chose a thread count; it loads no process-pool module,
 its search pool forks from a process of one thread, and a process that may
-run on one CPU, or a platform without os.fork, forks no pool.  Its lists run
-without numpy."""
+run on one CPU, or a platform without os.fork, forks no pool.  Its lists,
+bounds and lemma checks run without numpy."""
 
 import json
 import os
@@ -122,10 +122,12 @@ def test_no_module_loads_mpmath():
 
 
 def test_lists_run_without_numpy():
-    # uspkit.arith and uspkit.lists need the standard library alone: with
-    # numpy unimportable and uspkit/__init__.py not run, the lists still
-    # give the odd usp n below 2^64, the even sigma hits and the hits that
-    # a search of all four classes lists, and no other uspkit module loads
+    # uspkit.arith, uspkit.lists, uspkit.bounds and uspkit.structure need
+    # the standard library alone: with numpy unimportable and
+    # uspkit/__init__.py not run, the lists still give the odd usp n below
+    # 2^64, the even sigma hits and the hits that a search of all four
+    # classes lists; every bound certificate, the q scan, the q = 13 chain
+    # and every lemma check still run; and no other uspkit module loads
     assert _probe(STDLIB_PROBE.read_text()) == {
         "odd_usp": [9, 165],
         "even_sigma": [[2, "super_perfect"], [4, "super_perfect"], [6, "perfect"],
@@ -134,5 +136,14 @@ def test_lists_run_without_numpy():
         "listed": [[2, "super_perfect"], [4, "super_perfect"], [6, "perfect"], [9, "usp"],
                    [16, "super_perfect"], [28, "perfect"], [64, "super_perfect"], [165, "usp"],
                    [496, "perfect"], [4096, "super_perfect"], [8128, "perfect"]],
-        "modules": ["uspkit", "uspkit.arith", "uspkit.lists"],
+        "verdicts": {"E31": "discrepancy_flagged", "L42": "reproduced_below_2",
+                     "L43": "reproduced_below_2", "T53-first": "reproduced_below_2",
+                     "T53-second": "reproduced_below_2", "T54-q7": "discrepancy_flagged",
+                     "T54-q11": "reproduced_below_2"},
+        "qscan": [[5, 7, 11, 13], [5, 7]],
+        "case13": True,
+        "lemmas": {"2.2": True, "2.3": True, "2.4": True, "2.5": True, "2.6": True,
+                   "2.7": True, "5.1": True},
+        "modules": ["uspkit", "uspkit.arith", "uspkit.bounds", "uspkit.lists",
+                    "uspkit.structure"],
     }
