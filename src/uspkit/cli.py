@@ -3,9 +3,10 @@
 Every capability is exposed as a subcommand with stable flags; ``--json``
 switches any subcommand from aligned text to JSON-lines output.  Exit codes:
 0 on success, 2 when a verifier finds a counterexample or a certificate
-fails its ceiling, 1 on usage or I/O errors, 130 when Ctrl-C (SIGINT)
-interrupts it and 143 when SIGTERM does; an interrupted search keeps the
-checkpoint of the segments it merged.
+fails its ceiling, 1 on usage or I/O errors and when a search worker dies,
+130 when Ctrl-C (SIGINT) interrupts it and 143 when SIGTERM does; an
+interrupted or failed search keeps the checkpoint of the segments it
+merged.
 """
 
 from __future__ import annotations

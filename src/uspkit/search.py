@@ -65,28 +65,32 @@ p^e = 1 (mod 4) so that p^e + 1 = 2 (mod 4), and its factor sigma*(2) = 3
 divides n, so p = 3 and e is even: n = 2^b * 3^(2e).  Only these leave the
 table, and their lookups are exact factorizations.
 
-Each search makes one ordered map and runs the table build and the scan
-through it: the builtin map in one process or where the platform has no
-os.fork, otherwise the map of one pool of at most one worker per CPU that
-the process may run on, forked once per search with os.fork.  Worker i pins
+Each search runs the table build and the scan as two phases, filling and
+scanning: the builtin maps of _fill_chunk over the table's chunks and of
+_classify_segment over the blocks in one process or where the platform has
+no os.fork, otherwise one pool of at most one worker per CPU that the
+process may run on, forked once per search with os.fork.  Worker i pins
 itself to the i-th of those CPUs (mod their number), since the scheduler
 tends to keep pipe-woken workers on one CPU; the parent stays unpinned.
-Each worker reads pickled tasks from its own pipe and answers on another;
-task i goes to worker i mod P, and the parent reads the results back in
-submission order with at most _IN_FLIGHT tasks per worker outstanding.
-Workers ignore SIGINT and SIGTERM and leave through os._exit, and the
-parent reaps every one, killed first when a task, a worker or the merge
-fails, or an interrupt stops it.  The table lives in one shared anonymous
-map made before the pool forks, so the workers sieve each chunk straight
-into its slice and then classify blocks against it; no table chunk
-travels between processes.  A run goes in this order: the fresh run's
-checkpoint; the fork, and the table chunks sent (the first _IN_FLIGHT per
-worker at once); the listed hits, computed by the parent while the
-workers sieve; the wait for the table's results; the blocks, merged as
-they return; the task pipes closed once the last block is sent, so that
-each worker exits while the parent merges the last blocks; and the
-workers reaped.  In one process the same steps run in turn, the table
-after the listing.
+Each worker has fixed shares: worker i of P fills the chunks i, i + P, ...
+and answers once, waits for a byte of one go pipe that all share, which the
+parent writes once every worker has answered and the table is whole, then
+classifies the blocks i, i + P, ..., answering each one on its own result
+pipe, and exits; the parent reads block j's answer from worker j mod P.
+The tasks of a phase are equal-sized, so fixed shares lose nothing to a
+queue, and the workers inherit both task lists, so nothing but the go
+bytes travels from the parent to a worker.  Workers ignore SIGINT and
+SIGTERM and leave through os._exit, and the parent reaps every one, killed
+first when a task, a worker or the merge fails, or an interrupt stops it.
+The table lives in one shared anonymous map made before the pool forks, so
+the workers sieve each chunk straight into its slice and then classify
+blocks against it; no table chunk travels between processes.  A run goes
+in this order: the fresh run's checkpoint; the fork, after which the
+workers fill the table; the listed hits, computed by the parent while the
+workers sieve; the wait for every fill answer, and the go bytes; the
+blocks, merged as their answers arrive, each worker exiting after its last
+answer while the parent merges; and the workers reaped.  In one process
+the same steps run in turn, the table after the listing.
 
 Every hit is recomputed from scratch from its factorization during the
 ordered merge, independent of the sieve or the list that produced it, and
@@ -218,6 +222,12 @@ class SearchConfig:
     max_segments: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("limit", "segment_size", "workers", "max_segments"):
+            value = getattr(self, name)
+            if value is None and name == "max_segments":
+                continue  # no cap
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not 1 <= self.limit <= HARD_LIMIT:
             raise ValueError(f"limit must be in [1, {HARD_LIMIT}], got {self.limit}")
         if self.parity not in ("all", "odd", "even"):
@@ -274,14 +284,13 @@ def _fill_chunk(chunk: tuple[int, int]) -> None:
 
 
 def _build_table(filling=None) -> np.ndarray:
-    """Return the state's table, with sigma*(2i + 1) at index i, once every
-    task of filling has returned: filling is an ordered map of _fill_chunk
-    over the table's _runs, and without it the chunks are filled here, one
-    after another."""
+    """Return the state's table, with sigma*(2i + 1) at index i, once
+    filling is drained: the filling phase of _phases over the table's _runs,
+    and without it the chunks are filled here, one after another."""
     table = _STATE["table"]
     if filling is None:
         filling = map(_fill_chunk, _runs(table.shape[0]))
-    # draining the map runs (builtin map) or awaits (pool) every task
+    # draining the phase runs (builtin map) or awaits (pool) every chunk
     for _ in filling:
         pass
     return table
@@ -532,11 +541,6 @@ def _table_size(top: int) -> int:
     return min((top // 2 + 1) // 2, _TABLE_ENTRIES)
 
 
-#: pool tasks in flight per process: enough that a long task at the head of
-#: the queue leaves the other processes work
-_IN_FLIGHT = 8
-
-
 def usable_cpus() -> list[int]:
     """The CPUs this process may run on, in order: its affinity mask where
     the platform has one, else every CPU that it counts."""
@@ -545,64 +549,58 @@ def usable_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def _serve(tasks: int, results: int) -> None:
-    """A worker's loop: run each pickled (fn, args) read from the task pipe
-    and write (True, result) or (False, (exception, traceback text)) to the
-    result pipe, until EOF."""
-    with open(tasks, "rb") as reader, open(results, "wb") as writer:
-        while True:
-            try:
-                fn, args = pickle.load(reader)
-            except EOFError:
-                return
-            try:
-                reply = pickle.dumps((True, fn(*args)))
-            except BaseException as exc:
-                import traceback  # here, so that only a failed task pays for it
+def _answer(writer: BinaryIO, fn, arg) -> bool:
+    """A worker's answer: write (True, fn(arg)) or (False, (exception,
+    traceback text)) to its result pipe, and return whether fn returned."""
+    try:
+        reply, ok = pickle.dumps((True, fn(arg))), True
+    except BaseException as exc:
+        import traceback  # here, so that only a failed task pays for it
 
-                trace = traceback.format_exc()
-                try:
-                    reply = pickle.dumps((False, (exc, trace)))
-                except Exception:  # an exception that does not pickle
-                    reply = pickle.dumps((False, (RuntimeError(repr(exc)), trace)))
-            writer.write(reply)
-            writer.flush()
+        trace, ok = traceback.format_exc(), False
+        try:
+            reply = pickle.dumps((False, (exc, trace)))
+        except Exception:  # an exception that does not pickle
+            reply = pickle.dumps((False, (RuntimeError(repr(exc)), trace)))
+    writer.write(reply)
+    writer.flush()
+    return ok
 
 
 class _Worker(NamedTuple):
     pid: int
-    tasks: BinaryIO  # the write end of its task pipe
     results: BinaryIO  # the read end of its result pipe
 
 
 class _ForkPool:
-    """Forked workers, each fed through its own task and result pipes.
+    """P forked workers with fixed shares (module docstring): worker i fills
+    chunks[i::P] and answers once, waits for a byte of the go pipe, then
+    classifies blocks[i::P], answering each one."""
 
-    Task i goes to worker i mod P, and the results are read back in
-    submission order, each from its worker's pipe: the tasks of a map are
-    equal-sized (table chunks, sieve blocks), so static round-robin loses
-    nothing.
-    """
-
-    def __init__(self, processes: int) -> None:
+    def __init__(self, processes: int, chunks: list, blocks: list) -> None:
         self.workers: list[_Worker] = []
         self.status: dict[int, int] = {}  # the wait status of each reaped pid
+        self.blocks = blocks
         cpus = usable_cpus()
+        go, self.go = os.pipe()  # the read end, and the write end kept here
         try:
             for i in range(processes):
-                self._fork(cpus[i % len(cpus)])
+                self._fork(i, processes, cpus[i % len(cpus)], chunks, blocks, go)
         except BaseException:
             self.close(kill=True)
             raise
+        finally:
+            # the workers hold the read end; with none left, the go write
+            # fails instead of filling a pipe that nobody reads
+            os.close(go)
 
-    def _fork(self, cpu: int) -> None:
-        task_r, task_w = os.pipe()
+    def _fork(self, i: int, p: int, cpu: int, chunks: list, blocks: list, go: int) -> None:
         result_r, result_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (task_r, task_w, result_r, result_w):
-                os.close(fd)
+            os.close(result_r)
+            os.close(result_w)
             raise
         if pid == 0:
             status = 1
@@ -612,119 +610,93 @@ class _ForkPool:
                 # the workers on its way out
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 signal.signal(signal.SIGTERM, signal.SIG_IGN)
-                # an earlier worker's task pipe held open here would hide
-                # the end of its tasks from it
-                for fd in (task_w, result_r, *(f.fileno() for w in self.workers
-                                               for f in (w.tasks, w.results))):
+                # the go pipe's write end held open here would hide the
+                # parent's close from a waiting worker
+                for fd in (self.go, result_r, *(w.results.fileno() for w in self.workers)):
                     os.close(fd)
                 # left to the scheduler, pipe-woken workers tend to share
                 # one CPU; a worker that cannot be pinned runs where it is
                 if hasattr(os, "sched_setaffinity"):
                     with suppress(OSError):
                         os.sched_setaffinity(0, {cpu})
-                _serve(task_r, result_w)
+                with open(result_w, "wb") as writer:
+                    # one answer for the share of chunks (the list of their
+                    # None results); a failed fill, or EOF in place of the
+                    # go byte, ends the worker before the scan
+                    if _answer(writer, list, map(_fill_chunk, chunks[i::p])) and os.read(go, 1):
+                        for block in blocks[i::p]:
+                            if not _answer(writer, _classify_segment, block):
+                                break
                 status = 0
             finally:
                 # no atexit hook, and no flush of the parent's stdio buffers
                 os._exit(status)
-        os.close(task_r)
         os.close(result_w)
-        self.workers.append(_Worker(pid, open(task_w, "wb"), open(result_r, "rb")))
+        self.workers.append(_Worker(pid, open(result_r, "rb")))
 
     def _reap(self, pid: int) -> int:
         if pid not in self.status:
             self.status[pid] = os.waitpid(pid, 0)[1]
         return self.status[pid]
 
-    def _died(self, worker: _Worker) -> RuntimeError:
-        code = os.waitstatus_to_exitcode(self._reap(worker.pid))
-        return RuntimeError(f"search worker {worker.pid} died (exit code {code})")
-
-    def _send(self, worker: _Worker, task) -> None:
-        try:
-            pickle.dump(task, worker.tasks)
-            worker.tasks.flush()
-        except BrokenPipeError:
-            raise self._died(worker) from None
-
     def _receive(self, worker: _Worker):
         try:
             ok, value = pickle.load(worker.results)
         except (EOFError, pickle.UnpicklingError):  # a worker gone mid-task
-            raise self._died(worker) from None
+            code = os.waitstatus_to_exitcode(self._reap(worker.pid))
+            # an OSError: the run failed, not the mathematics
+            raise ChildProcessError(f"search worker {worker.pid} died (exit code {code})") from None
         if not ok:
             exc, trace = value
             # the worker's traceback shows as the cause of the error
             raise exc from RuntimeError(f"in search worker {worker.pid}:\n{trace}")
         return value
 
-    def map(self, fn, *iterables, last: bool = False):
-        """Send the first _IN_FLIGHT tasks per worker at once, and return an
-        iterator of the results in submission order, which sends a further
-        task after each result it yields.  With last, the end of the tasks
-        closes every task pipe: the pool takes no further map, and each
-        worker exits once it has answered its tasks."""
-        workers, p = self.workers, len(self.workers)
-        tasks = zip(*iterables)
-        sent = 0
+    def filling(self):
+        """Each worker's answer for its chunks, then the go bytes."""
+        for worker in self.workers:
+            yield self._receive(worker)
+        # with every worker dead, the write finds no reader; the scan's
+        # first read then names a dead worker
+        with suppress(BrokenPipeError):
+            os.write(self.go, bytes(len(self.workers)))
 
-        def feed(upto: int) -> None:
-            # send tasks until upto are sent or none is left
-            nonlocal sent
-            for args in islice(tasks, upto - sent):
-                self._send(workers[sent % p], (fn, args))
-                sent += 1
-            if sent < upto and last:
-                for worker in workers:
-                    worker.tasks.close()
-
-        def results():
-            got = 0
-            while got < sent:
-                yield self._receive(workers[got % p])
-                got += 1
-                feed(got + _IN_FLIGHT * p)
-
-        feed(_IN_FLIGHT * p)
-        return results()
+    def scanning(self):
+        """Each block's hits, in order."""
+        for j in range(len(self.blocks)):
+            yield self._receive(self.workers[j % len(self.workers)])
 
     def close(self, kill: bool) -> None:
-        """Close every pipe and reap every worker, killed first if kill."""
+        """Close every pipe and reap every worker, killed first if kill; a
+        worker still waiting for the go byte reads EOF and exits."""
+        os.close(self.go)
         for worker in self.workers:
             if kill and worker.pid not in self.status:
                 os.kill(worker.pid, signal.SIGKILL)
-            for pipe in (worker.tasks, worker.results):
-                with suppress(OSError):  # a buffered task for a dead worker
-                    pipe.close()
+            worker.results.close()
         for worker in self.workers:
             self._reap(worker.pid)
 
 
-def _serial_map(fn, *iterables, last: bool = False):
-    """The builtin map, which runs each task when its result is taken; last
-    has no pipe to close."""
-    return map(fn, *iterables)
-
-
 @contextmanager
-def _ordered_map(processes: int):
-    """map(fn, *iterables, last=False) in this process, or that of a pool of
-    forked workers; both yield results in submission order.
+def _phases(processes: int, chunks: list, blocks: list):
+    """Yield (filling, scanning): the results of _fill_chunk over chunks and
+    of _classify_segment over blocks, each in order, filling to be drained
+    first.
 
-    The pool's map sends its first tasks when it is called and keeps at most
-    _IN_FLIGHT tasks per process sent and not yet yielded, so the parent
-    holds a few blocks' worth of tasks, whatever the run's length.  A task's
-    exception is raised in the parent, and so is a RuntimeError for a worker
-    that dies.  Every worker is reaped on the way out, killed first when the
-    map or its caller raised.  A platform without os.fork runs the builtin
-    map, as one process does.
+    In one process, or where the platform has no os.fork, they are builtin
+    maps, which run each task when its result is taken; otherwise they come
+    from a pool of that many forked workers.  A task's exception is raised
+    in the parent, and so is a ChildProcessError for a worker that dies.
+    Every worker is reaped on the way out, killed first when a phase or the
+    caller raised.
     """
     if processes <= 1 or not hasattr(os, "fork"):
-        yield _serial_map
+        yield map(_fill_chunk, chunks), map(_classify_segment, blocks)
         return
-    pool = _ForkPool(processes)
+    pool = _ForkPool(processes, chunks, blocks)
     try:
-        yield pool.map
+        yield pool.filling(), pool.scanning()
     except BaseException:
         pool.close(kill=True)
         raise
@@ -830,19 +802,18 @@ def run_search(config: SearchConfig) -> SearchResult:
         _STATE["table"] = np.ndarray(entries, dtype=np.uint32,
                                      buffer=mmap.mmap(-1, 4 * entries))
     try:
-        with _ordered_map(min(config.workers, len(usable_cpus()), tasks)) as omap:
+        processes = min(config.workers, len(usable_cpus()), tasks)
+        with _phases(processes, chunks, blocks) as (filling, scanning):
             # a pool's workers start on the table chunks while this process
             # lists the hits that need no scan
-            filling = omap(_fill_chunk, chunks)
             if todo:
                 found = listed(config.classes, config.parity, todo[0], ends[-1])
             if entries:
                 _build_table(filling)
             # after a block, the next one's first n bounds the segments done;
-            # after the last, every segment is.  The last block sent closes
-            # the task pipes, so the workers exit during the last merges
+            # after the last, every segment is
             bounds = [block.lo for block in blocks[1:]] + [config.limit + 1]
-            for block_hits, bound in zip(omap(_classify_segment, blocks, last=True), bounds):
+            for block_hits, bound in zip(scanning, bounds):
                 found.extend(block_hits)
                 merge_before(bound)
             merge_before(config.limit + 1)  # every segment, when there is no block

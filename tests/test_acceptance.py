@@ -99,9 +99,9 @@ def test_determinism_names_the_workers_that_ran(monkeypatch, cpus, workers):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     pools = []
-    ordered_map = search._ordered_map
-    monkeypatch.setattr(search, "_ordered_map",
-                        lambda processes: pools.append(processes) or ordered_map(processes))
+    phases = search._phases
+    monkeypatch.setattr(search, "_phases",
+                        lambda processes, *tasks: pools.append(processes) or phases(processes, *tasks))
     ok, detail = report._determinism()
     assert ok
     assert detail == f"1 vs {workers} workers and interrupt/resume produce identical bytes"

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -6,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import time
 import tracemalloc
@@ -85,13 +85,43 @@ def _refuse_forks(monkeypatch):
     return calls
 
 
+def _forked_pids(monkeypatch):
+    """A list of the pids that this process forks from here on."""
+    pids, fork = [], search.os.fork
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(search.os, "fork", recorded)
+    return pids
+
+
+def _exits_within(seconds, pid):
+    """Whether the child pid exits within seconds; it stays unreaped."""
+    deadline = time.monotonic() + seconds
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _open_fds():
+    """The descriptors open in this process, where the platform lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
 @pytest.fixture
 def no_child_left():
     """Checks after the test that the process has no child, running or not
-    yet reaped."""
+    yet reaped, and no descriptor open that was not open before it."""
+    fds = _open_fds()
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() <= fds
 
 
 @pytest.fixture
@@ -648,13 +678,13 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     # fork pools start all their workers at once: asking for 10**5 must not
     # fork 10**5 processes; the recorder starts two real ones at most
     requested, forked = [], []
-    ordered_map, fork, usable_cpus = search._ordered_map, search.os.fork, search.usable_cpus
+    phases, fork, usable_cpus = search._phases, search.os.fork, search.usable_cpus
 
-    def recorder(processes):
+    def recorder(processes, chunks, blocks):
         requested.append(processes)
-        return ordered_map(min(processes, 2))
+        return phases(min(processes, 2), chunks, blocks)
 
-    monkeypatch.setattr(search, "_ordered_map", recorder)
+    monkeypatch.setattr(search, "_phases", recorder)
     monkeypatch.setattr(search.os, "fork", lambda: forked.append(1) or fork())
     # three scan blocks of at most 2**18 even n, two table chunks of 2**18
     # entries
@@ -676,48 +706,23 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     assert requested == [1, 3, 1, 1, 1] and len(forked) == 2
 
 
-class _InFlight:
-    """An ordered map that passes one iterable of tasks to a real one and
-    records the most tasks taken from it and not yet yielded."""
-
-    def __init__(self, omap):
-        self.omap = omap
-        self.open = self.peak = 0
-
-    def _take(self, tasks):
-        for task in tasks:
-            self.open += 1
-            self.peak = max(self.peak, self.open)
-            yield task
-
-    def __call__(self, fn, tasks, **kwargs):
-        for result in self.omap(fn, self._take(tasks), **kwargs):
-            self.open -= 1
-            yield result
-
-
-def test_pool_keeps_few_tasks_in_flight(monkeypatch):
+def test_parent_pickles_nothing(monkeypatch, no_child_left):
     # the 25 table chunks and 25 scan blocks of an even usp search to
     # 2 * 10**5, in blocks of 2**12 n, pass through a pool of two processes
-    # with at most _IN_FLIGHT tasks per process sent and not yet collected
+    # that inherit them: the parent pickles nothing for its workers, and the
+    # run gives the serial bytes
     config = SearchConfig(limit=2 * 10**5, parity="even", workers=2)
     expected = run_search(dataclasses.replace(config, workers=1)).checkpoint_text
-    maps = []
-    ordered_map = search._ordered_map
-
-    @contextlib.contextmanager
-    def counted(processes):
-        with ordered_map(processes) as omap:
-            maps.append((processes, _InFlight(omap)))
-            yield maps[-1][1]
-
-    monkeypatch.setattr(search, "_ordered_map", counted)
+    pickled, dumps = [], search.pickle.dumps
+    # a worker's records stay in its own copy of the list
+    monkeypatch.setattr(search.pickle, "dumps", lambda *a: pickled.append(a) or dumps(*a))
+    monkeypatch.setattr(search.pickle, "dump", lambda *a: pickled.append(a))
     monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     monkeypatch.setattr(search, "_TABLE_CHUNK", 1 << 12)
-    assert len(search._blocks(config.classes, "even", 1, 2 * 10**5 + 1)) > 2 * search._IN_FLIGHT
+    pids = _forked_pids(monkeypatch)
+    assert len(search._blocks(config.classes, "even", 1, 2 * 10**5 + 1)) == 25
     assert run_search(config).checkpoint_text == expected
-    [(processes, pool)] = maps
-    assert processes == 2 and pool.peak == 2 * search._IN_FLIGHT and pool.open == 0
+    assert len(pids) == 2 and pickled == []
 
 
 def test_worker_error_reaches_the_parent(monkeypatch, no_child_left):
@@ -735,7 +740,7 @@ def test_worker_error_reaches_the_parent(monkeypatch, no_child_left):
     assert str(parent) not in str(raised.value)
 
 
-def test_killed_worker_fails_the_search(monkeypatch, no_child_left):
+def test_killed_worker_fails_the_search(monkeypatch, capsys, no_child_left):
     # a worker killed in the middle of a scan block makes run_search raise
     # at once, naming the worker; the pool never waits on it
     parent = os.getpid()
@@ -749,9 +754,14 @@ def test_killed_worker_fails_the_search(monkeypatch, no_child_left):
     monkeypatch.setattr(search, "_progression_lookup", die)
     monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     t0 = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"search worker \d+ died \(exit code -9\)"):
+    with pytest.raises(ChildProcessError, match=r"search worker \d+ died \(exit code -9\)"):
         run_search(SearchConfig(limit=12 * 10**5, workers=2))
     assert time.monotonic() - t0 < 10
+    # a dead worker is an error of the run, not of the mathematics: one
+    # error line and exit 1
+    assert main(["search", "usp", "--limit", "1200000", "--workers", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"error: search worker \d+ died \(exit code -9\)", err[0])
 
 
 def _signal_each_task(monkeypatch, signum):
@@ -805,66 +815,94 @@ def test_merge_error_stops_the_pool(monkeypatch, no_child_left):
         run_search(SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2))
 
 
-def test_worker_exit_fails_the_map(no_child_left):
+def test_worker_exit_fails_the_map(monkeypatch, no_child_left):
     # a worker that exits in the middle of a task, before it answers, makes
-    # the map raise a RuntimeError with its exit code
-    with pytest.raises(RuntimeError, match=r"search worker \d+ died \(exit code 3\)"):
-        with search._ordered_map(2) as omap:
-            list(omap(os._exit, [3]))
+    # the phase raise a ChildProcessError with its exit code
+    monkeypatch.setattr(search, "_fill_chunk", os._exit)
+    with pytest.raises(ChildProcessError, match=r"search worker \d+ died \(exit code 3\)"):
+        with search._phases(2, [3, 3], []) as (filling, scanning):
+            list(filling)
 
 
-def test_caller_error_kills_busy_workers(no_child_left):
-    # an error in the map's caller while both workers hold a long task kills
-    # them: the pool does not wait for the tasks to end
+def test_caller_error_kills_busy_workers(monkeypatch, no_child_left):
+    # an error in the phases' caller while both workers hold a long task
+    # kills them: the pool does not wait for the tasks to end
+    monkeypatch.setattr(search, "_fill_chunk", abs)
+    monkeypatch.setattr(search, "_classify_segment", time.sleep)
     t0 = time.monotonic()
     with pytest.raises(_MergeError):
-        with search._ordered_map(2) as omap:
-            for _ in omap(time.sleep, [0, 60, 60]):
+        with search._phases(2, [0, 0], [0, 60, 60]) as (filling, scanning):
+            list(filling)
+            for _ in scanning:
                 raise _MergeError
     assert time.monotonic() - t0 < 10
 
 
-def test_last_map_closes_the_task_pipes(no_child_left):
-    # a pool's map sends its first tasks when it is called; the last map's
-    # end closes every task pipe, so the workers exit once they have
-    # answered, before the parent takes their last results
-    with search._ordered_map(2) as omap:
-        assert list(omap(abs, [-1, -2])) == [1, 2]
-        results = omap(abs, [-3, -4, -5], last=True)
-        # the three tasks fit in the window: all are sent, and the pipes
-        # closed; each worker exits, and stays unreaped for the pool
-        pids = {worker.pid for worker in omap.__self__.workers}
-        deadline = time.monotonic() + 10
-        while pids and time.monotonic() < deadline:
-            pids = {pid for pid in pids
-                    if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None}
-            time.sleep(0.01)
-        assert not pids
-        assert list(results) == [3, 4, 5]
+def test_workers_exit_after_their_last_answer(monkeypatch, no_child_left):
+    # worker i answers once for chunks i, i + 2, ..., then once per block
+    # i, i + 2, ..., and exits before the parent takes those answers, staying
+    # unreaped for the pool; the parent reads them back in block order
+    monkeypatch.setattr(search, "_fill_chunk", abs)
+    monkeypatch.setattr(search, "_classify_segment", abs)
+    pids = _forked_pids(monkeypatch)
+    with search._phases(2, [-1, -2, -3], [-4, -5, -6]) as (filling, scanning):
+        assert list(filling) == [[1, 3], [2]]
+        assert all(_exits_within(10, pid) for pid in pids)
+        assert list(scanning) == [4, 5, 6]
+
+
+def test_go_write_with_every_worker_dead(monkeypatch, no_child_left):
+    # both workers die after their fill answers: the go bytes find no
+    # reader, and the scan's first read names a dead worker
+    monkeypatch.setattr(search, "_fill_chunk", abs)
+    pids = _forked_pids(monkeypatch)
+    with pytest.raises(ChildProcessError, match=r"search worker \d+ died \(exit code -9\)"):
+        with search._phases(2, [-1, -2], [-3, -4]) as (filling, scanning):
+            assert [next(filling), next(filling)] == [[1], [2]]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            assert list(filling) == []
+            list(scanning)
+
+
+def test_undrained_phases_release_the_workers(no_child_left, monkeypatch):
+    # a caller that takes the fill answers and leaves before the go bytes
+    # leaves each worker waiting for one; the pool's close of the go pipe
+    # ends that wait, so each worker exits 0 by itself (one still alive
+    # after 10 s is killed)
+    monkeypatch.setattr(search, "_fill_chunk", abs)
+    waitpid, codes = os.waitpid, []
+
+    def reap(pid, options):
+        if not _exits_within(10, pid):
+            os.kill(pid, signal.SIGKILL)
+        status = waitpid(pid, options)[1]
+        codes.append(os.waitstatus_to_exitcode(status))
+        return pid, status
+
+    monkeypatch.setattr(search.os, "waitpid", reap)
+    with search._phases(2, [-1, -2], [-3, -4]) as (filling, scanning):
+        assert [next(filling), next(filling)] == [[1], [2]]
+    assert codes == [0, 0]
 
 
 @pytest.mark.parametrize("error", [_MergeError, KeyboardInterrupt])
 def test_listing_error_with_table_tasks_in_flight(monkeypatch, no_child_left, error):
     # the parent lists the hits that need no scan after the pool has forked
-    # and every table chunk is sent: an error or an interrupt there kills
+    # and its workers fill the table: an error or an interrupt there kills
     # and reaps the workers
-    sent = []
-    send = search._ForkPool._send
-
-    def recorded_send(pool, worker, task):
-        sent.append(task[0].__name__)
-        return send(pool, worker, task)
+    pids = _forked_pids(monkeypatch)
 
     def refuse(*args):
-        assert sent == ["_fill_chunk"] * 2  # the table's two chunks, and no block
+        assert len(pids) == 2  # one worker per table chunk
         raise error
 
-    monkeypatch.setattr(search._ForkPool, "_send", recorded_send)
     monkeypatch.setattr(search, "listed", refuse)
     monkeypatch.setattr(search, "usable_cpus", lambda: [0, 1])
     with pytest.raises(error):
         run_search(SearchConfig(limit=12 * 10**5, classes=CLASS_ORDER, workers=2))
-    assert sent
+    assert pids
 
 
 def test_fresh_checkpoint_written_before_the_fork(monkeypatch, tmp_path, no_child_left):
@@ -1970,3 +2008,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(limit=10, max_segments=-1)
     SearchConfig(limit=10, max_segments=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("limit", 1e5), ("limit", True), ("segment_size", 4096.0), ("workers", True),
+    ("max_segments", 1.0), ("max_segments", False),
+])
+def test_config_counts_are_ints(field, value):
+    # a float or a bool count is refused at construction, not taken as 1 or
+    # left to fail inside range or a slice
+    with pytest.raises(TypeError, match=f"{field} must be an int"):
+        SearchConfig(**{"limit": 10, field: value})
