@@ -78,10 +78,11 @@ parent writes once every worker has answered and the table is whole, then
 classifies the blocks i, i + P, ..., answering each one on its own result
 pipe, and exits; the parent reads block j's answer from worker j mod P.
 The tasks of a phase are equal-sized, so fixed shares lose nothing to a
-queue, and the workers inherit both task lists, so nothing but the go
-bytes travels from the parent to a worker.  Workers ignore SIGINT and
-SIGTERM and leave through os._exit, and the parent reaps every one, killed
-first when a task, a worker or the merge fails, or an interrupt stops it.
+queue, and the workers inherit the task lists and the two task functions
+bound to the run's table and variants, so nothing but the go bytes travels
+from the parent to a worker.  Workers ignore SIGINT and SIGTERM and leave
+through os._exit, and the parent reaps every one, killed first when a task,
+a worker or the merge fails, or an interrupt stops it.
 The table lives in one shared anonymous map made before the pool forks, so
 the workers sieve each chunk straight into its slice and then classify
 blocks against it; no table chunk travels between processes.  A run goes
@@ -111,6 +112,7 @@ import signal
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import BinaryIO, NamedTuple
 
@@ -256,14 +258,10 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # table construction
 
-#: the running search's classes and sigma* table, set by run_search before
-#: its pool forks so that the workers inherit them: "table" is one shared
-#: uint32 map that every process writes and reads in place
-_STATE: dict | None = None
-
 #: values per table-build task and per sieve block of the scan, at most: the
-#: sieve's int64 arrays stay in cache, and its Python work per base prime is
-#: spread over enough entries
+#: sieve's arrays stay in cache (uint32 for the table's chunks and for blocks
+#: up to 2^29, int64 past it), and its Python work per base prime is spread
+#: over enough entries
 _TABLE_CHUNK = 1 << 18
 
 
@@ -275,21 +273,17 @@ def _runs(count: int) -> list[tuple[int, int]]:
     return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
-def _fill_chunk(chunk: tuple[int, int]) -> None:
+def _fill_chunk(table: np.ndarray, chunk: tuple[int, int]) -> None:
     i, end = chunk
     # every chunk ends at or below 2 * _TABLE_ENTRIES = 2^29, where the
     # sieve's sums are uint32 and exact (sieve docstring), so the sieve
     # writes them straight into the chunk's slice of the table
-    divisor_sum_segment(2 * i + 1, 2 * end, out=_STATE["table"][i:end])
+    divisor_sum_segment(2 * i + 1, 2 * end, out=table[i:end])
 
 
-def _build_table(filling=None) -> np.ndarray:
-    """Return the state's table, with sigma*(2i + 1) at index i, once
-    filling is drained: the filling phase of _phases over the table's _runs,
-    and without it the chunks are filled here, one after another."""
-    table = _STATE["table"]
-    if filling is None:
-        filling = map(_fill_chunk, _runs(table.shape[0]))
+def _build_table(table: np.ndarray, filling) -> np.ndarray:
+    """Return table, with sigma*(2i + 1) at index i, once filling is
+    drained: the filling phase of _phases over the table's _runs."""
     # draining the phase runs (builtin map) or awaits (pool) every chunk
     for _ in filling:
         pass
@@ -308,7 +302,8 @@ def _exact_divisor_sum(m: int) -> int:
     return unitary_sigma(factorize(m))
 
 
-#: n classified at a time: the lookups' int64 temporaries stay in cache
+#: n classified at a time: a slice's arrays stay in cache (uint32 in a block
+#: up to 2^29, int64 past it)
 _SCAN_BLOCK = 1 << 16
 
 
@@ -405,11 +400,11 @@ def _blocks(classes, parity: str, lo: int, hi: int) -> list[_Block]:
             for i, j in _runs(len(range(start, hi, 2)))]
 
 
-def _classify_segment(block: _Block) -> list[tuple[int, str]]:
-    """(n, class) of the hits among the block's n."""
+def _classify_segment(table: np.ndarray, variants: list[Variant],
+                      block: _Block) -> list[tuple[int, str]]:
+    """(n, class) of the hits of the unitary variants among the block's n,
+    against the run's sigma* table."""
     lo, hi = block
-    variants = [v for v in VARIANTS if v.unitary and v.name in _STATE["classes"]]
-    table = _STATE["table"]
     # the slices' n, first applications and 2n in the dtype of the block's
     # sieve: uint32 up to 2^29, where they stay below 2^32 (module docstring)
     dtype = sum_dtype(hi)
@@ -573,11 +568,11 @@ class _Worker(NamedTuple):
 
 
 class _ForkPool:
-    """P forked workers with fixed shares (module docstring): worker i fills
-    chunks[i::P] and answers once, waits for a byte of the go pipe, then
-    classifies blocks[i::P], answering each one."""
+    """P forked workers with fixed shares (module docstring): worker i runs
+    fill over chunks[i::P] and answers once, waits for a byte of the go
+    pipe, then runs classify over blocks[i::P], answering each one."""
 
-    def __init__(self, processes: int, chunks: list, blocks: list) -> None:
+    def __init__(self, processes: int, fill, chunks: list, classify, blocks: list) -> None:
         self.workers: list[_Worker] = []
         self.status: dict[int, int] = {}  # the wait status of each reaped pid
         self.blocks = blocks
@@ -585,7 +580,8 @@ class _ForkPool:
         go, self.go = os.pipe()  # the read end, and the write end kept here
         try:
             for i in range(processes):
-                self._fork(i, processes, cpus[i % len(cpus)], chunks, blocks, go)
+                self._fork(cpus[i % len(cpus)], go, fill, chunks[i::processes],
+                           classify, blocks[i::processes])
         except BaseException:
             self.close(kill=True)
             raise
@@ -594,7 +590,7 @@ class _ForkPool:
             # fails instead of filling a pipe that nobody reads
             os.close(go)
 
-    def _fork(self, i: int, p: int, cpu: int, chunks: list, blocks: list, go: int) -> None:
+    def _fork(self, cpu: int, go: int, fill, chunks: list, classify, blocks: list) -> None:
         result_r, result_w = os.pipe()
         try:
             pid = os.fork()
@@ -623,9 +619,9 @@ class _ForkPool:
                     # one answer for the share of chunks (the list of their
                     # None results); a failed fill, or EOF in place of the
                     # go byte, ends the worker before the scan
-                    if _answer(writer, list, map(_fill_chunk, chunks[i::p])) and os.read(go, 1):
-                        for block in blocks[i::p]:
-                            if not _answer(writer, _classify_segment, block):
+                    if _answer(writer, list, map(fill, chunks)) and os.read(go, 1):
+                        for block in blocks:
+                            if not _answer(writer, classify, block):
                                 break
                 status = 0
             finally:
@@ -679,10 +675,9 @@ class _ForkPool:
 
 
 @contextmanager
-def _phases(processes: int, chunks: list, blocks: list):
-    """Yield (filling, scanning): the results of _fill_chunk over chunks and
-    of _classify_segment over blocks, each in order, filling to be drained
-    first.
+def _phases(processes: int, fill, chunks: list, classify, blocks: list):
+    """Yield (filling, scanning): the results of fill over chunks and of
+    classify over blocks, each in order, filling to be drained first.
 
     In one process, or where the platform has no os.fork, they are builtin
     maps, which run each task when its result is taken; otherwise they come
@@ -692,9 +687,9 @@ def _phases(processes: int, chunks: list, blocks: list):
     caller raised.
     """
     if processes <= 1 or not hasattr(os, "fork"):
-        yield map(_fill_chunk, chunks), map(_classify_segment, blocks)
+        yield map(fill, chunks), map(classify, blocks)
         return
-    pool = _ForkPool(processes, chunks, blocks)
+    pool = _ForkPool(processes, fill, chunks, classify, blocks)
     try:
         yield pool.filling(), pool.scanning()
     except BaseException:
@@ -732,7 +727,6 @@ def run_search(config: SearchConfig) -> SearchResult:
     stops the run early, completed is False and the checkpoint holds the
     finished prefix.
     """
-    global _STATE
     t0 = time.perf_counter()
     starts = range(1, config.limit + 1, config.segment_size)
     total = len(starts)
@@ -794,31 +788,32 @@ def run_search(config: SearchConfig) -> SearchResult:
     # is built and no pool is started
     entries = _table_size(ends[-1] - 1) if blocks else 0
     chunks = _runs(entries)
+    # a shared anonymous map, which the forked workers fill in place
+    table = (np.ndarray(entries, dtype=np.uint32, buffer=mmap.mmap(-1, 4 * entries))
+             if entries else None)
+    variants = [v for v in VARIANTS if v.unitary and v.name in config.classes]
+    # the tasks, bound to this run's table and variants when it starts, so
+    # that they run whatever the module names _fill_chunk and
+    # _classify_segment then, such as a benchmark's traced wrapper
+    fill = partial(_fill_chunk, table)
+    classify = partial(_classify_segment, table, variants)
     # a process per task at most: a phase of one task gains nothing from a pool
     tasks = max(len(blocks), len(chunks))
-    _STATE = {"classes": set(config.classes)}
-    if entries:
-        # a shared anonymous map, which the forked workers fill in place
-        _STATE["table"] = np.ndarray(entries, dtype=np.uint32,
-                                     buffer=mmap.mmap(-1, 4 * entries))
-    try:
-        processes = min(config.workers, len(usable_cpus()), tasks)
-        with _phases(processes, chunks, blocks) as (filling, scanning):
-            # a pool's workers start on the table chunks while this process
-            # lists the hits that need no scan
-            if todo:
-                found = listed(config.classes, config.parity, todo[0], ends[-1])
-            if entries:
-                _build_table(filling)
-            # after a block, the next one's first n bounds the segments done;
-            # after the last, every segment is
-            bounds = [block.lo for block in blocks[1:]] + [config.limit + 1]
-            for block_hits, bound in zip(scanning, bounds):
-                found.extend(block_hits)
-                merge_before(bound)
-            merge_before(config.limit + 1)  # every segment, when there is no block
-    finally:
-        _STATE = None
+    processes = min(config.workers, len(usable_cpus()), tasks)
+    with _phases(processes, fill, chunks, classify, blocks) as (filling, scanning):
+        # a pool's workers start on the table chunks while this process
+        # lists the hits that need no scan
+        if todo:
+            found = listed(config.classes, config.parity, todo[0], ends[-1])
+        if entries:
+            _build_table(table, filling)
+        # after a block, the next one's first n bounds the segments done;
+        # after the last, every segment is
+        bounds = [block.lo for block in blocks[1:]] + [config.limit + 1]
+        for block_hits, bound in zip(scanning, bounds):
+            found.extend(block_hits)
+            merge_before(bound)
+        merge_before(config.limit + 1)  # every segment, when there is no block
 
     if text is None:
         # no checkpoint file, or a resume that merged no segment (max_segments

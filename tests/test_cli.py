@@ -243,11 +243,11 @@ def test_interrupted_search_exits_130_and_resumes(tmp_path, capsys, monkeypatch)
     cp.unlink()
     classify, blocks = search._classify_segment, []
 
-    def interrupt(block):
+    def interrupt(table, variants, block):
         blocks.append(block)
         if len(blocks) == stop:
             raise KeyboardInterrupt
-        return classify(block)
+        return classify(table, variants, block)
 
     monkeypatch.setattr(search, "_classify_segment", interrupt)
     for stop in (1, 2):
@@ -299,10 +299,10 @@ def test_sigterm_exits_143_and_resumes(tmp_path, capsys):
         "import os, signal, sys\n"
         "from uspkit import cli, search\n"
         "parent, classify = os.getpid(), search._classify_segment\n"
-        "def terminate(block):\n"
+        "def terminate(table, variants, block):\n"
         f"    if os.getpid() != parent and block == {tuple(second)}:\n"
         "        os.kill(parent, signal.SIGTERM)\n"
-        "    return classify(block)\n"
+        "    return classify(table, variants, block)\n"
         "search._classify_segment = terminate\n"
         "search.usable_cpus = lambda: [0, 1]\n"
         f"code = cli.main({argv + ['--workers', '2']!r})\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -10,6 +11,7 @@ import signal
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,18 @@ _PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 def _exact_sums(values):
     return [unitary_sigma(factorize(n)) for n in values]
+
+
+#: the unitary variants, which a search of every class classifies its blocks by
+_UNITARY = [v for v in VARIANTS if v.unitary]
+
+
+def _table(entries):
+    """A sigma* table of entries odd values, filled by draining the builtin
+    map of _fill_chunk over its chunks, as a run in one process does."""
+    table = np.zeros(entries, dtype=np.uint32)
+    chunks = search._runs(entries)
+    return search._build_table(table, map(functools.partial(search._fill_chunk, table), chunks))
 
 
 def _sigma_star_all(lo, hi):
@@ -292,11 +306,10 @@ def test_uint32_threshold_is_proved():
     assert bound(sieve._UINT32_HI) < Fraction(612, 100) * 2**29
 
 
-def test_odd_part_lookup_matches_brute(monkeypatch, brute_tables_1e5):
+def test_odd_part_lookup_matches_brute(brute_tables_1e5):
     limit = 10**5
     usig = brute_tables_1e5[1]
-    monkeypatch.setattr(search, "_STATE", {"table": np.zeros((limit + 1) // 2, dtype=np.uint32)})
-    table = search._build_table()
+    table = _table((limit + 1) // 2)
     m = np.arange(1, limit + 1, dtype=np.int64)
     sums, inside = search._lookup(table, m)
     assert inside.all()
@@ -633,9 +646,8 @@ def built_tables(monkeypatch):
     built = []
     build_table = search._build_table
 
-    def recorded(filling=None):
-        table = build_table(filling)
-        assert table is search._STATE["table"]
+    def recorded(table, filling):
+        assert build_table(table, filling) is table
         built.append((table.shape[0], table.nbytes))
         return table
 
@@ -680,9 +692,9 @@ def test_one_pool_bounded_by_cpu_count(monkeypatch):
     requested, forked = [], []
     phases, fork, usable_cpus = search._phases, search.os.fork, search.usable_cpus
 
-    def recorder(processes, chunks, blocks):
+    def recorder(processes, *tasks):
         requested.append(processes)
-        return phases(min(processes, 2), chunks, blocks)
+        return phases(min(processes, 2), *tasks)
 
     monkeypatch.setattr(search, "_phases", recorder)
     monkeypatch.setattr(search.os, "fork", lambda: forked.append(1) or fork())
@@ -723,6 +735,20 @@ def test_parent_pickles_nothing(monkeypatch, no_child_left):
     assert len(search._blocks(config.classes, "even", 1, 2 * 10**5 + 1)) == 25
     assert run_search(config).checkpoint_text == expected
     assert len(pids) == 2 and pickled == []
+
+
+def test_concurrent_searches_in_one_process():
+    # two in-process searches on two threads of one process, one to 4 * 10**6
+    # and one to 3 * 10**5, run at once for several rounds: each run's tasks
+    # read its own table and classes, so each returns the bytes of its
+    # serial run.  Pools started from threads are out of scope: a fork of a
+    # process of several threads can deadlock the child (test_startup)
+    configs = [SearchConfig(limit=4 * 10**6), SearchConfig(limit=3 * 10**5)]
+    serial = [run_search(c).checkpoint_text for c in configs]
+    for _ in range(3):
+        with ThreadPoolExecutor(len(configs)) as threads:
+            texts = list(threads.map(lambda c: run_search(c).checkpoint_text, configs))
+        assert texts == serial
 
 
 def test_worker_error_reaches_the_parent(monkeypatch, no_child_left):
@@ -815,23 +841,20 @@ def test_merge_error_stops_the_pool(monkeypatch, no_child_left):
         run_search(SearchConfig(limit=12 * 10**5, segment_size=1 << 14, workers=2))
 
 
-def test_worker_exit_fails_the_map(monkeypatch, no_child_left):
+def test_worker_exit_fails_the_map(no_child_left):
     # a worker that exits in the middle of a task, before it answers, makes
     # the phase raise a ChildProcessError with its exit code
-    monkeypatch.setattr(search, "_fill_chunk", os._exit)
     with pytest.raises(ChildProcessError, match=r"search worker \d+ died \(exit code 3\)"):
-        with search._phases(2, [3, 3], []) as (filling, scanning):
+        with search._phases(2, os._exit, [3, 3], abs, []) as (filling, scanning):
             list(filling)
 
 
-def test_caller_error_kills_busy_workers(monkeypatch, no_child_left):
+def test_caller_error_kills_busy_workers(no_child_left):
     # an error in the phases' caller while both workers hold a long task
     # kills them: the pool does not wait for the tasks to end
-    monkeypatch.setattr(search, "_fill_chunk", abs)
-    monkeypatch.setattr(search, "_classify_segment", time.sleep)
     t0 = time.monotonic()
     with pytest.raises(_MergeError):
-        with search._phases(2, [0, 0], [0, 60, 60]) as (filling, scanning):
+        with search._phases(2, abs, [0, 0], time.sleep, [0, 60, 60]) as (filling, scanning):
             list(filling)
             for _ in scanning:
                 raise _MergeError
@@ -842,10 +865,8 @@ def test_workers_exit_after_their_last_answer(monkeypatch, no_child_left):
     # worker i answers once for chunks i, i + 2, ..., then once per block
     # i, i + 2, ..., and exits before the parent takes those answers, staying
     # unreaped for the pool; the parent reads them back in block order
-    monkeypatch.setattr(search, "_fill_chunk", abs)
-    monkeypatch.setattr(search, "_classify_segment", abs)
     pids = _forked_pids(monkeypatch)
-    with search._phases(2, [-1, -2, -3], [-4, -5, -6]) as (filling, scanning):
+    with search._phases(2, abs, [-1, -2, -3], abs, [-4, -5, -6]) as (filling, scanning):
         assert list(filling) == [[1, 3], [2]]
         assert all(_exits_within(10, pid) for pid in pids)
         assert list(scanning) == [4, 5, 6]
@@ -854,10 +875,9 @@ def test_workers_exit_after_their_last_answer(monkeypatch, no_child_left):
 def test_go_write_with_every_worker_dead(monkeypatch, no_child_left):
     # both workers die after their fill answers: the go bytes find no
     # reader, and the scan's first read names a dead worker
-    monkeypatch.setattr(search, "_fill_chunk", abs)
     pids = _forked_pids(monkeypatch)
     with pytest.raises(ChildProcessError, match=r"search worker \d+ died \(exit code -9\)"):
-        with search._phases(2, [-1, -2], [-3, -4]) as (filling, scanning):
+        with search._phases(2, abs, [-1, -2], abs, [-3, -4]) as (filling, scanning):
             assert [next(filling), next(filling)] == [[1], [2]]
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
@@ -871,7 +891,6 @@ def test_undrained_phases_release_the_workers(no_child_left, monkeypatch):
     # leaves each worker waiting for one; the pool's close of the go pipe
     # ends that wait, so each worker exits 0 by itself (one still alive
     # after 10 s is killed)
-    monkeypatch.setattr(search, "_fill_chunk", abs)
     waitpid, codes = os.waitpid, []
 
     def reap(pid, options):
@@ -882,7 +901,7 @@ def test_undrained_phases_release_the_workers(no_child_left, monkeypatch):
         return pid, status
 
     monkeypatch.setattr(search.os, "waitpid", reap)
-    with search._phases(2, [-1, -2], [-3, -4]) as (filling, scanning):
+    with search._phases(2, abs, [-1, -2], abs, [-3, -4]) as (filling, scanning):
         assert [next(filling), next(filling)] == [[1], [2]]
     assert codes == [0, 0]
 
@@ -1240,9 +1259,7 @@ def test_narrow_fallback_block_products_past_uint32(monkeypatch, sieve_spans):
     # past 2**32.  No true second application of a narrow block gets there
     # (first < 2**30, and below 2**30 sigma*(m) < 3.75m), so the stand-in
     # factorization returns each exact sum plus 2**32; the block has no hit
-    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
-                                           "table": np.zeros(4, dtype=np.uint32)})
-    search._build_table()
+    table = _table(4)
     sieve_spans.clear()
     shifted, held = [], []
     exact_divisor_sum, lookup = search._exact_divisor_sum, search._lookup
@@ -1260,7 +1277,7 @@ def test_narrow_fallback_block_products_past_uint32(monkeypatch, sieve_spans):
     monkeypatch.setattr(search, "_lookup", recorded)
     hi = 2**29
     block = search._Block(hi - 2**17, hi)
-    assert search._classify_segment(block) == []
+    assert search._classify_segment(table, _UNITARY, block) == []
     assert sieve_spans == [(block.lo, hi)]
     # the candidates fall back, and the int64 seconds keep every sum past 2**32
     assert shifted
@@ -1291,9 +1308,7 @@ def test_narrow_scan_matches_int64_reference(monkeypatch, lo, hi, dtype):
     # from the block's hi as the sieve takes its dtype; against the true
     # table of the first 2**20 odd values, with all four classes, both give
     # the hits and the int64 survivors of an all-int64 reference
-    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
-                                           "table": np.zeros(1 << 20, dtype=np.uint32)})
-    search._build_table()
+    table = _table(1 << 20)
     firsts, survivors = [], []
     prefilter, lookup = search._prefilter, search._lookup
 
@@ -1309,7 +1324,7 @@ def test_narrow_scan_matches_int64_reference(monkeypatch, lo, hi, dtype):
     monkeypatch.setattr(search, "_lookup", recorded_lookup)
     block = search._Block(lo, hi)
     hits, first = _int64_block_reference(block)
-    assert sorted(search._classify_segment(block)) == hits
+    assert sorted(search._classify_segment(table, _UNITARY, block)) == hits
     assert firsts and set(firsts) == {np.dtype(dtype)}
     assert all(m.dtype == np.int64 for m in survivors)
     assert sorted(np.concatenate(survivors).tolist()) == first
@@ -1328,20 +1343,18 @@ def test_narrow_progression_lookup_matches_int64(brute_tables_1e5, s, count):
         assert narrow.dtype == np.uint32 and (narrow == wide).all()
 
 
-def test_scan_holds_few_slice_arrays(monkeypatch, sieve_spans):
+def test_scan_holds_few_slice_arrays(sieve_spans):
     # the in-table block of the 2**18 even n up to 2**19, all four classes: a
     # slice holds n, its one first application and 2n as int64 arrays of
     # _SCAN_BLOCK values, and the prefilter's and second lookup's arrays are
     # smaller; four such arrays bound the peak (taking the first
     # applications through _lookup's split of every n needs more than eight)
     hi = (1 << 19) + 1
-    monkeypatch.setattr(search, "_STATE", {"classes": set(CLASS_ORDER),
-                                           "table": np.zeros((hi + 1) // 2, dtype=np.uint32)})
-    search._build_table()
+    table = _table((hi + 1) // 2)
     sieve_spans.clear()
     tracemalloc.start()
     try:
-        hits = search._classify_segment(search._Block(2, hi))
+        hits = search._classify_segment(table, _UNITARY, search._Block(2, hi))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1461,7 +1474,7 @@ def test_unitary_search_over_all_n_scans_even_n(monkeypatch, classes):
     blocks = []
     classify = search._classify_segment
     monkeypatch.setattr(search, "_classify_segment",
-                        lambda block: blocks.append(block) or classify(block))
+                        lambda *args: blocks.append(args[-1]) or classify(*args))
     result = run_search(SearchConfig(limit=limit, segment_size=size, classes=classes))
     even = list(blocks)
     assert len(even) > 1 and all(lo % 2 == 0 for lo, _ in even)
@@ -1494,7 +1507,7 @@ def test_each_block_reads_one_divisor_sum(monkeypatch, sieve_spans, parity):
         return progression_lookup(table, s, count, dtype)
 
     monkeypatch.setattr(search, "_classify_segment",
-                        lambda block: blocks.append(block) or classify(block))
+                        lambda *args: blocks.append(args[-1]) or classify(*args))
     monkeypatch.setattr(search, "_progression_lookup", recorded_progression_lookup)
     for r in range(1, len(CLASS_ORDER) + 1):
         for classes in itertools.combinations(CLASS_ORDER, r):
